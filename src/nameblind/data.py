@@ -472,11 +472,10 @@ def load_text(path, min_count: int = 20, top_fraction: float = 0.10,
         documents = [
             scrub(doc, first) for doc, first in zip(documents, first_names)
         ]
-    if fit_indices is None:
-        _, vocabulary = vectorize_text(documents, min_count, top_fraction)
-    else:
-        fit_docs = [documents[i] for i in fit_indices]
-        _, vocabulary = vectorize_text(fit_docs, min_count, top_fraction)
+    # keep only the vocabulary, so the fit-rows matrix is freed here
+    fit_docs = (documents if fit_indices is None
+                else [documents[i] for i in fit_indices])
+    vocabulary = vectorize_text(fit_docs, min_count, top_fraction)[1]
     index = {t: j for j, t in enumerate(vocabulary)}
     features = np.zeros((len(documents), len(vocabulary)))
     for i, doc in enumerate(documents):

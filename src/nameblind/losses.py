@@ -81,6 +81,38 @@ def _require_vectors(inputs: PenaltyInputs) -> np.ndarray:
     return inputs.name_vectors
 
 
+def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
+    """Per-(class, cluster) cell statistics read by the cluster penalty.
+
+    Counts and mean true-label probabilities of the included records come
+    from np.bincount over label * k + cluster. Each class's sums are taken
+    about its first included probability; that offset cancels in every
+    difference of means, so equal probabilities give exactly equal means.
+    Returns (sel, cells, counts, diffs, pairs): the included records, their
+    cell indices, the (C, k) counts, diffs[c, u, w] = mean[c, u] - mean[c, w]
+    where both cells are populated (0 elsewhere), and per class the number
+    v * (v - 1) of ordered pairs of populated cells.
+    """
+    cluster_ids = _require_clusters(inputs, k)
+    sel = inputs.include_mask
+    labels = inputs.labels[sel]
+    probs = inputs.true_label_probs[sel]
+    cells = labels * k + cluster_ids[sel]
+    classes, first = np.unique(labels, return_index=True)
+    offset = np.zeros(num_classes)
+    offset[classes] = probs[first]
+    size = num_classes * k
+    counts = np.bincount(cells, minlength=size).reshape(num_classes, k)
+    sums = np.bincount(cells, weights=probs - offset[labels], minlength=size)
+    populated = counts > 0
+    means = np.zeros((num_classes, k))
+    np.divide(sums.reshape(num_classes, k), counts, out=means, where=populated)
+    both = populated[:, :, None] & populated[:, None, :]
+    diffs = np.where(both, means[:, :, None] - means[:, None, :], 0.0)
+    v = populated.sum(axis=1)
+    return sel, cells, counts, diffs, v * (v - 1)
+
+
 def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
     """Average over classes of the mean squared pairwise cluster disparity.
 
@@ -96,24 +128,10 @@ def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
         raise ValueError("num_classes must be positive")
     if k == 1:
         return 0.0
-    cluster_ids = _require_clusters(inputs, k)
-    probs = inputs.true_label_probs
-    total = 0.0
-    for c in range(num_classes):
-        sel = inputs.include_mask & (inputs.labels == c)
-        if not np.any(sel):
-            continue
-        p = probs[sel]
-        ids = cluster_ids[sel]
-        means = np.array(
-            [p[ids == u].mean() for u in range(k) if np.any(ids == u)]
-        )
-        v = len(means)
-        if v < 2:
-            continue
-        diffs = means[:, None] - means[None, :]
-        total += float(np.sum(diffs**2)) / (v * (v - 1))
-    return total / num_classes
+    _, _, _, diffs, pairs = _cluster_cells(inputs, k, num_classes)
+    live = pairs > 0
+    per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
+    return float(per_class.sum()) / num_classes
 
 
 def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
@@ -147,27 +165,13 @@ def clucl_gradient(inputs: PenaltyInputs, k: int, num_classes: int) -> np.ndarra
     grad = np.zeros(len(inputs))
     if k == 1:
         return grad
-    cluster_ids = _require_clusters(inputs, k)
-    probs = inputs.true_label_probs
-    for c in range(num_classes):
-        sel = inputs.include_mask & (inputs.labels == c)
-        if not np.any(sel):
-            continue
-        p = probs[sel]
-        ids = cluster_ids[sel]
-        valid = [u for u in range(k) if np.any(ids == u)]
-        v = len(valid)
-        if v < 2:
-            continue
-        means = np.array([p[ids == u].mean() for u in valid])
-        counts = np.array([np.count_nonzero(ids == u) for u in valid])
-        pairs = v * (v - 1)
-        # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v)
-        mean_grads = 4.0 * (v * means - means.sum()) / pairs
-        sel_idx = np.flatnonzero(sel)
-        for u, mg, cnt in zip(valid, mean_grads, counts):
-            members = sel_idx[ids == u]
-            grad[members] = mg / (cnt * num_classes)
+    sel, cells, counts, diffs, pairs = _cluster_cells(inputs, k, num_classes)
+    # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v), and each
+    # record of cell u holds 1 / count_u of mean_u
+    denom = pairs[:, None] * counts * num_classes
+    cell_grads = np.zeros(counts.shape)
+    np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads, where=denom > 0)
+    grad[sel] = cell_grads.ravel()[cells]
     return grad
 
 

@@ -189,6 +189,12 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         )
         name_vecs = name_vecs[train_idx]
         include = include[train_idx]
+        if not include.any():
+            raise ValueError(
+                f"the {config.variant} penalty needs embedded names, but 0 of "
+                f"{len(train_idx)} training records have a name in the "
+                "embedding table"
+            )
         if config.variant == "clucl":
             covered = name_vecs[include]
             cluster_model = kmeans(covered, config.k, seed=config.seed)

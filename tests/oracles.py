@@ -86,6 +86,53 @@ def optimal_partition_inertia(points, k):
     return best
 
 
+def clucl_loop_penalty(probs, labels, cluster_ids, mask, k, num_classes):
+    """Cluster penalty by per-class, per-cluster loops."""
+    if k == 1:
+        return 0.0
+    total = 0.0
+    for c in range(num_classes):
+        sel = mask & (labels == c)
+        if not np.any(sel):
+            continue
+        p = probs[sel]
+        ids = cluster_ids[sel]
+        means = np.array(
+            [p[ids == u].mean() for u in range(k) if np.any(ids == u)]
+        )
+        v = len(means)
+        if v < 2:
+            continue
+        diffs = means[:, None] - means[None, :]
+        total += float(np.sum(diffs**2)) / (v * (v - 1))
+    return total / num_classes
+
+
+def clucl_loop_gradient(probs, labels, cluster_ids, mask, k, num_classes):
+    """Cluster-penalty gradient by per-class, per-cluster loops."""
+    grad = np.zeros(len(probs))
+    if k == 1:
+        return grad
+    for c in range(num_classes):
+        sel = mask & (labels == c)
+        if not np.any(sel):
+            continue
+        p = probs[sel]
+        ids = cluster_ids[sel]
+        valid = [u for u in range(k) if np.any(ids == u)]
+        v = len(valid)
+        if v < 2:
+            continue
+        means = np.array([p[ids == u].mean() for u in valid])
+        counts = np.array([np.count_nonzero(ids == u) for u in valid])
+        pairs = v * (v - 1)
+        mean_grads = 4.0 * (v * means - means.sum()) / pairs
+        sel_idx = np.flatnonzero(sel)
+        for u, mg, cnt in zip(valid, mean_grads, counts):
+            grad[sel_idx[ids == u]] = mg / (cnt * num_classes)
+    return grad
+
+
 def count_tpr(predictions, labels, mask, c):
     """Loop-counted TPR; None when the group has no label-c records."""
     total = 0

@@ -163,6 +163,23 @@ def test_bad_variant_exit_1(tiny_tabular, tmp_path, capsys):
     assert rc == 1
 
 
+def test_zero_name_coverage_exit_1(tiny_tabular, tmp_path, capsys):
+    data, schema, _ = tiny_tabular
+    vectors = tmp_path / "unrelated.txt"
+    vectors.write_text("2 2\nalpha 1.0 0.0\nbeta 0.0 1.0\n", encoding="utf-8")
+    rc = main(
+        [
+            "train", "--data", str(data), "--schema", str(schema),
+            "--embeddings", str(vectors), "--variant", "cocl",
+            "--lambda", "1", "--seeds", "0", "--epochs", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cocl penalty" in err and "0 of 96 training records" in err
+
+
 def test_numerical_failure_exit_3(tiny_tabular, tmp_path, capsys):
     data, schema, _ = tiny_tabular
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,17 @@ def test_init_separated_blobs_monte_carlo():
     assert hits >= 990
 
 
+def test_init_duplicates_of_a_chosen_point_get_zero_weight():
+    # Each of 3 distinct points repeated 500 times: once a point is chosen,
+    # its duplicates sit at distance exactly 0, so k-means++ always picks
+    # the 3 distinct points.
+    distinct = np.array([[0.1, 0.2, 0.3], [1.7, -0.4, 2.2], [-3.1, 0.9, 0.05]])
+    points = np.repeat(distinct, 500, axis=0)
+    for seed in range(50):
+        centroids = kmeans_pp_init(points, k=3, seed=seed)
+        assert {tuple(c) for c in centroids} == {tuple(p) for p in distinct}
+
+
 def test_kmeans_two_points_exact_fit():
     points = np.array([[0.0, 0.0], [5.0, 5.0]])
     model = kmeans(points, k=2, seed=1)
@@ -70,6 +83,19 @@ def test_kmeans_k1_is_mean():
     model = kmeans(points, k=1, seed=0)
     assert np.allclose(model.centroids[0], points.mean(axis=0), atol=1e-12)
     assert np.all(model.assignments == 0)
+
+
+def test_kmeans_memory_is_linear_in_points():
+    # An n x k x d distance tensor would peak near k times the points.
+    rng = np.random.default_rng(12)
+    points = np.repeat(rng.normal(size=(1000, 300)), 4, axis=0)
+    tracemalloc.start()
+    try:
+        kmeans(points, k=12, seed=0, n_init=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * points.nbytes
 
 
 def test_assign_nearest_tie_and_exact():

@@ -10,7 +10,12 @@ from nameblind.losses import (
     total_loss,
 )
 
-from oracles import central_diff_grad, rel_error
+from oracles import (
+    central_diff_grad,
+    clucl_loop_gradient,
+    clucl_loop_penalty,
+    rel_error,
+)
 
 
 def make_inputs(probs, labels, clusters=None, vectors=None, mask=None):
@@ -95,6 +100,29 @@ def test_clucl_scaling_about_mean_is_quadratic():
     scaled = probs.mean() + alpha * (probs - probs.mean())
     got = clucl_penalty(make_inputs(scaled, labels, clusters=clusters), 2, 1)
     assert got == pytest.approx(alpha**2 * base, rel=1e-12)
+
+
+def test_clucl_matches_loop_oracle_at_bios_shape():
+    # C=28, k=12: masked records (with out-of-range cluster ids), classes
+    # with no records, classes with one populated cluster, empty cells.
+    rng = np.random.default_rng(10)
+    num_classes, k = 28, 12
+    n = 600
+    for _ in range(5):
+        labels = rng.integers(0, num_classes - 3, size=n)
+        clusters = rng.integers(0, k, size=n)
+        single = labels % 5 == 0
+        clusters[single] = labels[single] % k
+        clusters[clusters == 7] = 8  # cell 7 empty in every class
+        mask = rng.random(n) < 0.8
+        clusters[~mask] = -1
+        probs = rng.uniform(0.0, 1.0, size=n)
+        inputs = make_inputs(probs, labels, clusters=clusters, mask=mask)
+        args = (probs, labels, clusters, mask, k, num_classes)
+        assert abs(clucl_penalty(inputs, k, num_classes)
+                   - clucl_loop_penalty(*args)) <= 1e-12
+        grad = penalty_gradient(inputs, "clucl", k, num_classes)
+        assert np.max(np.abs(grad - clucl_loop_gradient(*args))) <= 1e-12
 
 
 # ------------------------------------------------------------- covariance penalty

@@ -222,6 +222,15 @@ def test_penalty_without_embeddings_errors():
         train(dataset, None, TrainConfig(variant="cocl", lam=1.0, epochs=1))
 
 
+@pytest.mark.parametrize("variant", ["cocl", "clucl"])
+def test_penalty_with_zero_name_coverage_errors(variant):
+    dataset = separable_dataset()
+    table = toy_table([f"other{i}" for i in range(10)])
+    config = TrainConfig(variant=variant, lam=1.0, k=3, epochs=1)
+    with pytest.raises(ValueError, match=f"{variant} penalty.* 0 of 160 "):
+        train(dataset, table, config)
+
+
 def test_divergent_run_raises_numerical_error():
     dataset = separable_dataset()
     config = TrainConfig(epochs=3, seed=0, learning_rate=1e308, batch_size=64)
