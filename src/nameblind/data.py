@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import logging
 import re
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,7 +397,8 @@ def assign_synthetic_names(dataset: Dataset, partition: NamePartition,
 
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens (whitespace/punctuation split)."""
-    return _WORD_RE.findall(text.lower())
+    # interned, so token lists kept for many documents share their strings
+    return list(map(sys.intern, _WORD_RE.findall(text.lower())))
 
 
 def vectorize_text(documents, min_count: int = 20,
@@ -408,19 +411,21 @@ def vectorize_text(documents, min_count: int = 20,
     the document contains the type, regardless of repetitions. Returns
     (features, vocabulary) with the vocabulary sorted.
     """
+    token_lists = [tokenize(doc) for doc in documents]
+    vocabulary = _fit_vocabulary(token_lists, min_count, top_fraction)
+    return _bag_of_words(token_lists, vocabulary), vocabulary
+
+
+def _fit_vocabulary(token_lists, min_count: int, top_fraction: float):
+    """Sorted vocabulary of tokenized documents, pruned as in vectorize_text."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     if not 0.0 <= top_fraction < 1.0:
         raise ValueError("top_fraction must lie in [0, 1)")
-    token_sets = [set(tokenize(doc)) for doc in documents]
-    doc_freq: dict[str, int] = {}
-    occurrences: dict[str, int] = {}
-    for doc in documents:
-        for token in tokenize(doc):
-            occurrences[token] = occurrences.get(token, 0) + 1
-    for tokens in token_sets:
-        for token in tokens:
-            doc_freq[token] = doc_freq.get(token, 0) + 1
+    occurrences, doc_freq = Counter(), Counter()
+    for tokens in token_lists:
+        occurrences.update(tokens)
+        doc_freq.update(set(tokens))
     types = sorted(doc_freq, key=lambda t: (-doc_freq[t], t))
     n_drop = int(top_fraction * len(types))
     vocabulary = sorted(
@@ -428,14 +433,16 @@ def vectorize_text(documents, min_count: int = 20,
     )
     if not vocabulary:
         raise ValueError("vocabulary is empty after pruning")
+    return vocabulary
+
+
+def _bag_of_words(token_lists, vocabulary) -> np.ndarray:
+    """Dense binary features: 1 where the document holds the type."""
     index = {t: j for j, t in enumerate(vocabulary)}
-    features = np.zeros((len(documents), len(vocabulary)))
-    for i, tokens in enumerate(token_sets):
-        for token in tokens:
-            j = index.get(token)
-            if j is not None:
-                features[i, j] = 1.0
-    return features, vocabulary
+    features = np.zeros((len(token_lists), len(vocabulary)))
+    for i, tokens in enumerate(token_lists):
+        features[i, [index[t] for t in set(tokens) if t in index]] = 1.0
+    return features
 
 
 def load_text(path, min_count: int = 20, top_fraction: float = 0.10,
@@ -472,17 +479,11 @@ def load_text(path, min_count: int = 20, top_fraction: float = 0.10,
         documents = [
             scrub(doc, first) for doc, first in zip(documents, first_names)
         ]
-    # keep only the vocabulary, so the fit-rows matrix is freed here
-    fit_docs = (documents if fit_indices is None
-                else [documents[i] for i in fit_indices])
-    vocabulary = vectorize_text(fit_docs, min_count, top_fraction)[1]
-    index = {t: j for j, t in enumerate(vocabulary)}
-    features = np.zeros((len(documents), len(vocabulary)))
-    for i, doc in enumerate(documents):
-        for token in set(tokenize(doc)):
-            j = index.get(token)
-            if j is not None:
-                features[i, j] = 1.0
+    token_lists = [tokenize(doc) for doc in documents]
+    fit_tokens = (token_lists if fit_indices is None
+                  else [token_lists[i] for i in fit_indices])
+    vocabulary = _fit_vocabulary(fit_tokens, min_count, top_fraction)
+    features = _bag_of_words(token_lists, vocabulary)
     class_names = sorted(set(labels_raw))
     class_idx = {cls: i for i, cls in enumerate(class_names)}
     labels = np.array([class_idx[v] for v in labels_raw], dtype=np.int64)

@@ -66,44 +66,40 @@ class PenaltyInputs:
         return self.true_label_probs.shape[0]
 
 
-def _require_clusters(inputs: PenaltyInputs, k: int) -> np.ndarray:
-    if inputs.cluster_ids is None:
-        raise ValueError("cluster_ids are required for the cluster penalty")
-    ids = inputs.cluster_ids[inputs.include_mask]
-    if len(ids) and (ids.min() < 0 or ids.max() >= k):
-        raise ValueError(f"cluster ids must lie in [0, {k})")
-    return inputs.cluster_ids
-
-
-def _require_vectors(inputs: PenaltyInputs) -> np.ndarray:
-    if inputs.name_vectors is None:
-        raise ValueError("name_vectors are required for the covariance penalty")
-    return inputs.name_vectors
+def _included(inputs: PenaltyInputs, num_classes: int):
+    """(sel, labels, probs) of the included records, each probability taken
+    about its class's first included one: the offset cancels in every
+    statistic the penalties read, and equal probabilities give exact zeros.
+    """
+    sel = inputs.include_mask
+    labels = inputs.labels[sel]
+    probs = inputs.true_label_probs[sel]
+    classes, first = np.unique(labels, return_index=True)
+    offset = np.zeros(num_classes)
+    offset[classes] = probs[first]
+    return sel, labels, probs - offset[labels]
 
 
 def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
     """Per-(class, cluster) cell statistics read by the cluster penalty.
 
     Counts and mean true-label probabilities of the included records come
-    from np.bincount over label * k + cluster. Each class's sums are taken
-    about its first included probability; that offset cancels in every
-    difference of means, so equal probabilities give exactly equal means.
-    Returns (sel, cells, counts, diffs, pairs): the included records, their
-    cell indices, the (C, k) counts, diffs[c, u, w] = mean[c, u] - mean[c, w]
-    where both cells are populated (0 elsewhere), and per class the number
-    v * (v - 1) of ordered pairs of populated cells.
+    from np.bincount over label * k + cluster. Returns (sel, cells, counts,
+    diffs, pairs): the included records, their cell indices, the (C, k)
+    counts, diffs[c, u, w] = mean[c, u] - mean[c, w] where both cells are
+    populated (0 elsewhere), and per class the number v * (v - 1) of
+    ordered pairs of populated cells.
     """
-    cluster_ids = _require_clusters(inputs, k)
-    sel = inputs.include_mask
-    labels = inputs.labels[sel]
-    probs = inputs.true_label_probs[sel]
-    cells = labels * k + cluster_ids[sel]
-    classes, first = np.unique(labels, return_index=True)
-    offset = np.zeros(num_classes)
-    offset[classes] = probs[first]
+    if inputs.cluster_ids is None:
+        raise ValueError("cluster_ids are required for the cluster penalty")
+    sel, labels, probs = _included(inputs, num_classes)
+    ids = inputs.cluster_ids[sel]
+    if len(ids) and (ids.min() < 0 or ids.max() >= k):
+        raise ValueError(f"cluster ids must lie in [0, {k})")
+    cells = labels * k + ids
     size = num_classes * k
     counts = np.bincount(cells, minlength=size).reshape(num_classes, k)
-    sums = np.bincount(cells, weights=probs - offset[labels], minlength=size)
+    sums = np.bincount(cells, weights=probs, minlength=size)
     populated = counts > 0
     means = np.zeros((num_classes, k))
     np.divide(sums.reshape(num_classes, k), counts, out=means, where=populated)
@@ -111,6 +107,73 @@ def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
     diffs = np.where(both, means[:, :, None] - means[:, None, :], 0.0)
     v = populated.sum(axis=1)
     return sel, cells, counts, diffs, v * (v - 1)
+
+
+def _class_covariances(inputs: PenaltyInputs, num_classes: int):
+    """Per-class covariance between true-label probability and name vector.
+
+    GEMM form: row c of the (C, n) matrix A holds each included class-c
+    record's probability about the class mean, so cov_c = (A @ V -
+    rowsum(A) * vbar_c) / n_c with vbar_c the class's mean name vector
+    (rowsum(A) is 0 up to rounding). Returns (sel, labels, vectors, means,
+    cov, counts) for the included records; means and cov are (C, dim).
+    """
+    if inputs.name_vectors is None:
+        raise ValueError("name_vectors are required for the covariance penalty")
+    sel, labels, probs = _included(inputs, num_classes)
+    vectors = inputs.name_vectors[sel]
+    counts = np.bincount(labels, minlength=num_classes)
+    n_c = np.maximum(counts, 1)
+    mean_p = np.bincount(labels, weights=probs, minlength=num_classes) / n_c
+    rows = np.arange(len(labels))
+    members, A = np.zeros((2, num_classes, len(labels)))
+    members[labels, rows] = 1.0
+    A[labels, rows] = probs - mean_p[labels]
+    means = members @ vectors / n_c[:, None]
+    cov = (A @ vectors - A.sum(axis=1)[:, None] * means) / n_c[:, None]
+    return sel, labels, vectors, means, cov, counts
+
+
+def penalty(inputs: PenaltyInputs, variant: str, k: int,
+            num_classes: int) -> tuple[float, np.ndarray]:
+    """(value, grad) of the selected penalty from one statistics pass.
+
+    grad holds d value / d true_label_prob_i, one entry per record, 0 for
+    masked-out records; variant "none" gives (0.0, zeros).
+    """
+    if num_classes < 1:
+        raise ValueError("num_classes must be positive")
+    grad = np.zeros(len(inputs))
+    if variant == "none":
+        return 0.0, grad
+    if variant == "clucl":
+        if k < 1:
+            raise ValueError("k must be positive")
+        if k == 1:
+            return 0.0, grad
+        sel, cells, counts, diffs, pairs = _cluster_cells(inputs, k, num_classes)
+        live = pairs > 0
+        per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
+        # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v), and each
+        # record of cell u holds 1 / count_u of mean_u
+        denom = pairs[:, None] * counts * num_classes
+        cell_grads = np.zeros(counts.shape)
+        np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads, where=denom > 0)
+        grad[sel] = cell_grads.ravel()[cells]
+        return float(per_class.sum()) / num_classes, grad
+    if variant == "cocl":
+        sel, labels, vectors, means, cov, counts = _class_covariances(
+            inputs, num_classes
+        )
+        norms = np.linalg.norm(cov, axis=1)
+        # d |cov_c| / d p_i = (v_i - vbar_c) . cov_c / (|cov_c| n_c)
+        scale = np.zeros(num_classes)
+        np.divide(1.0, norms * counts * num_classes, out=scale, where=norms > 0)
+        unit = cov * scale[:, None]
+        grad[sel] = ((vectors @ unit.T)[np.arange(len(labels)), labels]
+                     - np.sum(means * unit, axis=1)[labels])
+        return float(norms.sum()) / num_classes, grad
+    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
@@ -122,16 +185,7 @@ def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
     the sum is divided by the number of evaluated ordered pairs. Classes
     with fewer than two populated clusters contribute 0, as does k = 1.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
-    if k == 1:
-        return 0.0
-    _, _, _, diffs, pairs = _cluster_cells(inputs, k, num_classes)
-    live = pairs > 0
-    per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
-    return float(per_class.sum()) / num_classes
+    return penalty(inputs, "clucl", k, num_classes)[0]
 
 
 def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
@@ -142,85 +196,29 @@ def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
     mean of (p_i - mean_p) * (vec_i - mean_vec); the class contributes its
     l2 norm. Classes with fewer than two included records contribute 0.
     """
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
-    vectors = _require_vectors(inputs)
-    probs = inputs.true_label_probs
-    total = 0.0
-    for c in range(num_classes):
-        sel = inputs.include_mask & (inputs.labels == c)
-        if np.count_nonzero(sel) < 2:
-            continue
-        p = probs[sel]
-        nv = vectors[sel]
-        cov = ((p - p.mean())[:, None] * (nv - nv.mean(axis=0))).mean(axis=0)
-        total += float(np.linalg.norm(cov))
-    return total / num_classes
+    return penalty(inputs, "cocl", 1, num_classes)[0]
 
 
 def clucl_gradient(inputs: PenaltyInputs, k: int, num_classes: int) -> np.ndarray:
     """d(cluster penalty)/d(true_label_prob_i), one entry per record."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    grad = np.zeros(len(inputs))
-    if k == 1:
-        return grad
-    sel, cells, counts, diffs, pairs = _cluster_cells(inputs, k, num_classes)
-    # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v), and each
-    # record of cell u holds 1 / count_u of mean_u
-    denom = pairs[:, None] * counts * num_classes
-    cell_grads = np.zeros(counts.shape)
-    np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads, where=denom > 0)
-    grad[sel] = cell_grads.ravel()[cells]
-    return grad
+    return penalty(inputs, "clucl", k, num_classes)[1]
 
 
 def cocl_gradient(inputs: PenaltyInputs, num_classes: int) -> np.ndarray:
     """d(covariance penalty)/d(true_label_prob_i), one entry per record."""
-    vectors = _require_vectors(inputs)
-    probs = inputs.true_label_probs
-    grad = np.zeros(len(inputs))
-    for c in range(num_classes):
-        sel = inputs.include_mask & (inputs.labels == c)
-        n_c = int(np.count_nonzero(sel))
-        if n_c < 2:
-            continue
-        p = probs[sel]
-        nv = vectors[sel]
-        centered = nv - nv.mean(axis=0)
-        cov = ((p - p.mean())[:, None] * centered).mean(axis=0)
-        norm = float(np.linalg.norm(cov))
-        if norm == 0.0:
-            continue
-        grad[np.flatnonzero(sel)] = centered @ (cov / norm) / (n_c * num_classes)
-    return grad
+    return penalty(inputs, "cocl", 1, num_classes)[1]
 
 
 def penalty_value(inputs: PenaltyInputs, variant: str, k: int,
                   num_classes: int) -> float:
     """Value of the selected penalty; variant "none" is 0."""
-    if variant == "none":
-        return 0.0
-    if variant == "clucl":
-        return clucl_penalty(inputs, k, num_classes)
-    if variant == "cocl":
-        return cocl_penalty(inputs, num_classes)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return penalty(inputs, variant, k, num_classes)[0]
 
 
 def penalty_gradient(inputs: PenaltyInputs, variant: str, k: int,
                      num_classes: int) -> np.ndarray:
-    """Exact partials of the selected penalty w.r.t. each true-label prob.
-
-    Masked-out records get a zero entry. The caller chains these into
-    logit gradients through the softmax Jacobian restricted to the
-    true-label coordinate.
-    """
-    if variant == "clucl":
-        return clucl_gradient(inputs, k, num_classes)
-    if variant == "cocl":
-        return cocl_gradient(inputs, num_classes)
-    raise ValueError(f"unknown variant {variant!r}; expected clucl or cocl")
+    """Exact partials of the selected penalty w.r.t. each true-label prob."""
+    return penalty(inputs, variant, k, num_classes)[1]
 
 
 def total_loss(base: float, penalty: float, lam: float) -> float:

@@ -146,25 +146,36 @@ def weighted_cross_entropy(probs, labels, weights) -> float:
 
 
 def loss_and_gradient(params: ModelParams, X, labels, weights,
-                      l2_coeff: float = 0.0):
-    """Weighted cross-entropy and its exact gradients w.r.t. W and b.
+                      l2_coeff: float = 0.0, penalty=None, lam: float = 0.0):
+    """The training objective and its exact gradients w.r.t. W and b.
 
-    Per item the logit gradient is weight_y * (probs - onehot(y)) / n.
-    With l2_coeff > 0 the loss gains l2_coeff * sum(W**2) and grad_W the
-    matching 2 * l2_coeff * W term.
+    Weighted cross-entropy + l2_coeff * sum(W**2) + lam * penalty(p_true),
+    where penalty maps the true-label probabilities to (value, d value /
+    d p_true). Per item the cross-entropy's logit gradient is
+    weight_y * (probs - onehot(y)) / n; the penalty's is chained through
+    d p_true / d logit_j = p_true * (1[j == y] - p_j).
     """
     X = np.asarray(X, dtype=np.float64)
     probs = forward_batch(params, X)
     probs, labels, weights = _check_batch(probs, labels, weights)
     loss = weighted_cross_entropy(probs, labels, weights)
-    n = len(labels)
+    if l2_coeff:
+        loss += l2_coeff * float(np.sum(params.W**2))
+    rows = np.arange(len(labels))
     G = probs.copy()
-    G[np.arange(n), labels] -= 1.0
-    G *= weights[labels][:, None] / n
+    G[rows, labels] -= 1.0
+    G *= weights[labels][:, None] / len(labels)
+    if penalty is not None and lam:
+        p_true = probs[rows, labels]
+        value, pen_grad = penalty(p_true)
+        loss += lam * value
+        coef = pen_grad * p_true
+        P = -coef[:, None] * probs
+        P[rows, labels] += coef
+        G = G + lam * P
     grad_W = G.T @ X
     grad_b = G.sum(axis=0)
     if l2_coeff:
-        loss += l2_coeff * float(np.sum(params.W**2))
         grad_W = grad_W + 2.0 * l2_coeff * params.W
     return loss, grad_W, grad_b
 

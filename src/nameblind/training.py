@@ -19,6 +19,7 @@ from .model import (
     ModelParams,
     class_weights,
     forward_batch,
+    loss_and_gradient,
     predict_batch,
     weighted_cross_entropy,
 )
@@ -144,17 +145,20 @@ def adam_step(params: ModelParams, grad_W, grad_b, state: AdamState,
     params.b -= config.learning_rate * mhat_b / (np.sqrt(vhat_b) + eps)
 
 
-def _penalty_logit_grad(probs, labels, pen_grad):
-    """Chain d(penalty)/d(p_true) into logit space.
+def _penalty(config: TrainConfig, num_classes: int, labels, cluster_ids,
+             name_vecs, include, rows):
+    """The configured penalty over records[rows] as p_true -> (value, grad).
 
-    d p_true / d logit_j = p_true * (1[j == y] - p_j), so each record's
-    row is coef * (onehot(y) - probs) with coef = pen_grad * p_true.
+    None when no penalty is on (variant "none" or lam = 0).
     """
-    n = len(labels)
-    coef = pen_grad * probs[np.arange(n), labels]
-    G = -coef[:, None] * probs
-    G[np.arange(n), labels] += coef
-    return G
+    if config.variant == "none" or config.lam == 0:
+        return None
+    arrays = [None if a is None else a[rows]
+              for a in (labels, cluster_ids, name_vecs, include)]
+    return lambda p_true: losses.penalty(
+        losses.PenaltyInputs(p_true, *arrays), config.variant, config.k,
+        num_classes,
+    )
 
 
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
@@ -215,28 +219,12 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         order = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             batch = order[start:start + config.batch_size]
-            Xb, yb = X[batch], y[batch]
-            probs = forward_batch(params, Xb)
-            nb = len(batch)
-            G = probs.copy()
-            G[np.arange(nb), yb] -= 1.0
-            G *= weights[yb][:, None] / nb
-            if penalty_on:
-                inputs = losses.PenaltyInputs(
-                    true_label_probs=probs[np.arange(nb), yb],
-                    labels=yb,
-                    cluster_ids=None if cluster_ids is None else cluster_ids[batch],
-                    name_vectors=None if name_vecs is None else name_vecs[batch],
-                    include_mask=include[batch],
-                )
-                pen_grad = losses.penalty_gradient(
-                    inputs, config.variant, config.k, num_classes
-                )
-                G = G + config.lam * _penalty_logit_grad(probs, yb, pen_grad)
-            grad_W = G.T @ Xb
-            grad_b = G.sum(axis=0)
-            if config.l2_coeff:
-                grad_W = grad_W + 2.0 * config.l2_coeff * params.W
+            batch_penalty = _penalty(config, num_classes, y, cluster_ids,
+                                     name_vecs, include, batch)
+            _, grad_W, grad_b = loss_and_gradient(
+                params, X[batch], y[batch], weights, config.l2_coeff,
+                batch_penalty, config.lam,
+            )
             adam_step(params, grad_W, grad_b, state, config)
 
         base, penalty = evaluate_losses(
@@ -267,20 +255,20 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
 def evaluate_losses(params, X, y, weights, config: TrainConfig,
                     cluster_ids=None, name_vecs=None, include=None):
-    """Base loss and penalty over a full record set (not batch estimates)."""
+    """(base, penalty) over a full record set (not batch estimates).
+
+    base is the weighted cross-entropy plus the l2 term, so base + lam *
+    penalty is model.loss_and_gradient's objective over the same records.
+    """
     probs = forward_batch(params, X)
     base = weighted_cross_entropy(probs, y, weights)
-    if config.variant == "none" or config.lam == 0:
+    if config.l2_coeff:
+        base += config.l2_coeff * float(np.sum(params.W**2))
+    penalty = _penalty(config, params.num_classes, y, cluster_ids, name_vecs,
+                       include, slice(None))
+    if penalty is None:
         return base, 0.0
-    inputs = losses.PenaltyInputs(
-        true_label_probs=probs[np.arange(len(y)), y],
-        labels=y,
-        cluster_ids=cluster_ids,
-        name_vectors=name_vecs,
-        include_mask=include,
-    )
-    num_classes = params.num_classes
-    return base, losses.penalty_value(inputs, config.variant, config.k, num_classes)
+    return base, penalty(probs[np.arange(len(y)), y])[0]
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

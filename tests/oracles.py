@@ -133,6 +133,39 @@ def clucl_loop_gradient(probs, labels, cluster_ids, mask, k, num_classes):
     return grad
 
 
+def cocl_loop_penalty(probs, labels, vectors, mask, num_classes):
+    """Covariance penalty by a per-class loop."""
+    total = 0.0
+    for c in range(num_classes):
+        sel = mask & (labels == c)
+        if np.count_nonzero(sel) < 2:
+            continue
+        p = probs[sel]
+        nv = vectors[sel]
+        cov = ((p - p.mean())[:, None] * (nv - nv.mean(axis=0))).mean(axis=0)
+        total += float(np.linalg.norm(cov))
+    return total / num_classes
+
+
+def cocl_loop_gradient(probs, labels, vectors, mask, num_classes):
+    """Covariance-penalty gradient by a per-class loop."""
+    grad = np.zeros(len(probs))
+    for c in range(num_classes):
+        sel = mask & (labels == c)
+        n_c = int(np.count_nonzero(sel))
+        if n_c < 2:
+            continue
+        p = probs[sel]
+        nv = vectors[sel]
+        centered = nv - nv.mean(axis=0)
+        cov = ((p - p.mean())[:, None] * centered).mean(axis=0)
+        norm = float(np.linalg.norm(cov))
+        if norm == 0.0:
+            continue
+        grad[np.flatnonzero(sel)] = centered @ (cov / norm) / (n_c * num_classes)
+    return grad
+
+
 def count_tpr(predictions, labels, mask, c):
     """Loop-counted TPR; None when the group has no label-c records."""
     total = 0

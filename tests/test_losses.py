@@ -14,6 +14,8 @@ from oracles import (
     central_diff_grad,
     clucl_loop_gradient,
     clucl_loop_penalty,
+    cocl_loop_gradient,
+    cocl_loop_penalty,
     rel_error,
 )
 
@@ -220,6 +222,32 @@ def test_cocl_null_distribution_monte_carlo():
     assert np.mean(penalties) < 3.0 * null_scale
     assert np.mean(penalties) < structured / 5.0
     assert np.linalg.norm(cov_sum / shuffles) < 4.0 * null_scale / np.sqrt(shuffles)
+
+
+def test_cocl_matches_loop_oracle_at_bios_shape():
+    # C=28, d=300: masked records, classes with no records, one record and
+    # many records, and vectors far from the origin.
+    rng = np.random.default_rng(11)
+    num_classes, dim, n = 28, 300, 700
+    for trial in range(4):
+        labels = rng.integers(0, num_classes - 4, size=n)
+        labels[:2] = num_classes - 4      # one included, one masked
+        labels[2] = num_classes - 3       # one masked record only
+        mask = rng.random(n) < 0.8
+        mask[:3] = [True, False, False]
+        probs = rng.uniform(0.0, 1.0, size=n)
+        vectors = rng.normal(size=(n, dim)) + 3.0 * trial
+        inputs = make_inputs(probs, labels, vectors=vectors, mask=mask)
+        args = (probs, labels, vectors, mask, num_classes)
+        assert abs(cocl_penalty(inputs, num_classes)
+                   - cocl_loop_penalty(*args)) <= 1e-12
+        grad = penalty_gradient(inputs, "cocl", 1, num_classes)
+        assert np.max(np.abs(grad - cocl_loop_gradient(*args))) <= 1e-12
+    # probabilities constant within each class give exactly zero
+    constant = make_inputs(0.1 + 0.03 * labels, labels, vectors=vectors,
+                           mask=mask)
+    assert cocl_penalty(constant, num_classes) == 0.0
+    assert np.all(penalty_gradient(constant, "cocl", 1, num_classes) == 0.0)
 
 
 # ---------------------------------------------------------------------- gradients

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nameblind.losses import PenaltyInputs, penalty
 from nameblind.model import (
     ModelParams,
     class_weights,
@@ -136,6 +137,39 @@ def test_gradient_matches_finite_differences():
 
         fd_W = central_diff_grad(loss_of_W, params.W, step=1e-6)
         fd_b = central_diff_grad(loss_of_b, params.b, step=1e-6)
+        assert rel_error(grad_W, fd_W) < 1e-5
+        assert rel_error(grad_b, fd_b) < 1e-5
+
+
+@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
+def test_composite_gradient_matches_finite_differences(variant):
+    # the objective train minimizes: cross-entropy + l2 + lam * penalty,
+    # with some records masked out of the penalty
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        n, M, C, k = 16, 4, 3, 3
+        params = ModelParams(W=rng.normal(size=(C, M)), b=rng.normal(size=C))
+        X = rng.normal(size=(n, M))
+        labels = rng.integers(0, C, size=n)
+        weights = rng.uniform(0.5, 2.0, size=C)
+        clusters = rng.integers(0, k, size=n)
+        vectors = rng.normal(size=(n, 5))
+        mask = rng.random(n) < 0.75
+
+        def pen(p_true):
+            inputs = PenaltyInputs(p_true, labels, clusters, vectors, mask)
+            return penalty(inputs, variant, k, C)
+
+        args = (labels, weights, 0.05, pen, 1.5)
+        _, grad_W, grad_b = loss_and_gradient(params, X, *args)
+        fd_W = central_diff_grad(
+            lambda W: loss_and_gradient(ModelParams(W, params.b), X, *args)[0],
+            params.W,
+        )
+        fd_b = central_diff_grad(
+            lambda b: loss_and_gradient(ModelParams(params.W, b), X, *args)[0],
+            params.b,
+        )
         assert rel_error(grad_W, fd_W) < 1e-5
         assert rel_error(grad_b, fd_b) < 1e-5
 

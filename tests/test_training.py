@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from nameblind.data import Dataset
-from nameblind.embeddings import EmbeddingTable
+from nameblind.embeddings import EmbeddingTable, batch_name_vectors
+from nameblind.losses import PenaltyInputs, penalty
 from nameblind.metrics import GroupAttribute, GroupLabels
-from nameblind.model import ModelParams, predict_batch
+from nameblind.model import (
+    ModelParams,
+    class_weights,
+    loss_and_gradient,
+    predict_batch,
+)
 from nameblind.training import (
     AdamState,
     NumericalError,
@@ -158,6 +164,75 @@ def test_history_length_and_finite_losses():
         )
     assert result.cluster_model is not None
     assert result.cluster_model.k == 3
+
+
+def objective_penalty(dataset, table, result, config, rows):
+    """The training split's penalty callable, restricted to rows of it."""
+    if config.variant == "none":
+        return None
+    train_idx = result.split[0]
+    vectors, _, include = batch_name_vectors(
+        table, dataset.first_names, dataset.last_names
+    )
+    clusters = np.zeros(len(train_idx), dtype=np.int64)
+    if result.cluster_model is not None:
+        clusters[include[train_idx]] = result.cluster_model.assignments
+    labels = dataset.labels[train_idx]
+
+    def pen(p_true):
+        inputs = PenaltyInputs(p_true, labels[rows], clusters[rows],
+                               vectors[train_idx][rows],
+                               include[train_idx][rows])
+        return penalty(inputs, config.variant, config.k, 2)
+
+    return pen
+
+
+@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
+def test_train_steps_apply_objective_gradient(variant):
+    # one batch per epoch: each of train's updates is adam_step on the
+    # gradient of loss_and_gradient over the seeded shuffle of the training
+    # split. Two epochs, because at the zero start every p_true is equal and
+    # the penalty gradient is 0.
+    dataset = separable_dataset(n=60)
+    table = toy_table(dataset.first_names[::2])
+    config = TrainConfig(variant=variant, lam=2.0, k=3, epochs=2, seed=4,
+                         batch_size=64, l2_coeff=0.01, learning_rate=0.05)
+    result = train(dataset, table, config)
+    train_idx = result.split[0]
+    y = dataset.labels[train_idx]
+    weights = class_weights(np.bincount(y, minlength=2))
+    params = ModelParams(W=np.zeros((2, 2)), b=np.zeros(2))
+    state = AdamState.zeros(2, 2)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train_idx))
+        pen = objective_penalty(dataset, table, result, config, order)
+        _, grad_W, grad_b = loss_and_gradient(
+            params, dataset.features[train_idx][order], y[order], weights,
+            config.l2_coeff, pen, config.lam,
+        )
+        adam_step(params, grad_W, grad_b, state, config)
+    assert np.array_equal(result.params.W, params.W)
+    assert np.array_equal(result.params.b, params.b)
+
+
+@pytest.mark.parametrize("variant", ["none", "cocl"])
+def test_history_total_loss_is_the_objective(variant):
+    dataset = separable_dataset()
+    table = toy_table(dataset.first_names)
+    config = TrainConfig(variant=variant, lam=1.5, epochs=3, seed=2,
+                         batch_size=32, l2_coeff=0.02, learning_rate=0.05)
+    result = train(dataset, table, config)
+    train_idx = result.split[0]
+    y = dataset.labels[train_idx]
+    objective = loss_and_gradient(
+        result.params, dataset.features[train_idx], y,
+        class_weights(np.bincount(y, minlength=2)), config.l2_coeff,
+        objective_penalty(dataset, table, result, config, slice(None)),
+        config.lam,
+    )[0]
+    assert abs(result.history[-1].total_loss - objective) <= 1e-12
 
 
 def test_penalty_on_training_reduces_it():
