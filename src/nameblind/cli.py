@@ -44,10 +44,11 @@ from .metrics import (
     summary_values,
     write_bias_report_csv,
 )
-from .model import load_model, predict_batch, save_model
+from .model import load_model, save_model
 from .training import (
     NumericalError,
     TrainConfig,
+    forward_rows,
     train,
     train_val_test_split,
     write_history_csv,
@@ -163,36 +164,39 @@ class _Pipeline:
         self.partition = (
             partition_names(self.demographics) if self.demographics else None
         )
-        self.n_rows = self._count_rows()
+        self.n_rows, name_tokens = self._scan_data()
         self.table = None
         if need_embeddings or spec.embeddings:
             path = _require_file(spec.embeddings, "embeddings file")
-            self.table = load_embeddings(path, allowlist=self._allowlist())
+            if self.partition is not None:
+                name_tokens |= self.partition.all_names()
+            self.table = load_embeddings(path, allowlist=name_tokens)
 
-    def _count_rows(self) -> int:
-        if self.spec.format == "tabular":
-            _, rows = read_csv_rows(self.spec.data)
-            return len(rows)
-        with open(self.spec.data, encoding="utf-8") as fh:
-            return sum(1 for line in fh if line.strip())
+    def _scan_data(self) -> tuple[int, set[str]]:
+        """Record count and name tokens of the data file, from one read.
 
-    def _allowlist(self) -> set[str]:
+        Malformed records are left for the loaders to report.
+        """
         tokens: set[str] = set()
-        if self.partition is not None:
-            tokens |= {t for t in self.partition.all_names()}
         if self.spec.format == "tabular":
             header, rows = read_csv_rows(self.spec.data)
             for col, cspec in self.schema.columns.items():
-                if cspec.role in ("first_name", "last_name"):
+                if cspec.role in ("first_name", "last_name") and col in header:
                     idx = header.index(col)
-                    tokens |= collect_name_tokens([r[idx] for r in rows], [])
-        else:
-            with open(self.spec.data, encoding="utf-8") as fh:
-                for line in fh:
-                    fields = line.rstrip("\n").split("\t")
-                    if len(fields) >= 3:
-                        tokens |= collect_name_tokens(fields[1:2], fields[2:3])
-        return tokens
+                    tokens |= collect_name_tokens(
+                        [r[idx] for r in rows if len(r) > idx], []
+                    )
+            return len(rows), tokens
+        n_rows = 0
+        with open(self.spec.data, encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                n_rows += 1
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) >= 3:
+                    tokens |= collect_name_tokens(fields[1:2], fields[2:3])
+        return n_rows, tokens
 
     def dataset_for_seed(self, seed: int):
         """Seeded split, preprocessing, and name/group assignment."""
@@ -269,7 +273,8 @@ def cmd_train(spec: ExperimentSpec) -> int:
                    out / f"model_seed{seed}.txt")
         write_history_csv(result.history, out / f"history_seed{seed}.csv")
         test_idx = split[2]
-        preds = predict_batch(result.params, dataset.features[test_idx])
+        preds = forward_rows(result.params, dataset.features,
+                             test_idx).argmax(axis=1)
         if dataset.eval_groups is None:
             raise UsageError(
                 "training data has no evaluation group labels; declare a "
@@ -334,7 +339,7 @@ def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
         indices = dict(zip(("train", "val", "test"), split))[subset]
     if dataset.eval_groups is None:
         raise UsageError("data has no evaluation group labels")
-    preds = predict_batch(params, dataset.features[indices])
+    preds = forward_rows(params, dataset.features, indices).argmax(axis=1)
     groups = GroupLabels(
         [_slice_attr(a, indices) for a in dataset.eval_groups.attributes]
     )
@@ -366,7 +371,8 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
         for lam in spec.lambdas:
             result = train(dataset, pipeline.table,
                            _train_config(spec, seed, lam), split=split)
-            preds = predict_batch(result.params, dataset.features[test_idx])
+            preds = forward_rows(result.params, dataset.features,
+                                 test_idx).argmax(axis=1)
             report = bias_report(
                 preds, dataset.labels[test_idx], groups,
                 num_classes=len(dataset.class_names),

@@ -10,6 +10,7 @@ structure and are never joined into the feature matrix.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import re
 import sys
@@ -36,11 +37,80 @@ _WORD_RE = re.compile(r"[a-z0-9']+")
 DATASET_FILE_TAG = "nameblind-dataset v1"
 
 
+class BinaryRows:
+    """Binary feature rows stored as CSR column-index lists.
+
+    Row i holds 1.0 at columns indices[indptr[i]:indptr[i + 1]] and 0.0
+    elsewhere, so memory is O(nonzeros) rather than rows x columns.
+    ``rows[selection]`` (a slice or a 1-d array of row indices) returns
+    the selected rows as a dense float64 block; ``np.asarray(rows)`` gives
+    the whole dense matrix.
+    """
+
+    def __init__(self, indptr, indices, num_columns: int):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.num_columns = int(num_columns)
+        if (self.indptr.ndim != 1 or self.indices.ndim != 1
+                or len(self.indptr) == 0 or self.indptr[0] != 0
+                or self.indptr[-1] != len(self.indices)
+                or np.any(np.diff(self.indptr) < 0)):
+            raise ValueError("indptr must rise from 0 to len(indices)")
+        if len(self.indices) and not (
+            0 <= self.indices.min() and self.indices.max() < self.num_columns
+        ):
+            raise ValueError("column indices out of range")
+
+    @classmethod
+    def from_index_lists(cls, rows, num_columns: int) -> "BinaryRows":
+        """Store built from one list of column indices per row."""
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indices = np.fromiter(itertools.chain.from_iterable(rows),
+                              dtype=np.int32, count=int(indptr[-1]))
+        return cls(indptr, indices, num_columns)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.num_columns
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, rows) -> np.ndarray:
+        n = len(self)
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(n))
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise TypeError("select rows with a slice or a 1-d integer array")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise IndexError(f"row index out of range for {n} rows")
+        rows = rows.astype(np.int64, copy=False)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # position in self.indices of every one in the selected rows
+        take = np.arange(counts.sum()) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
+        block = np.zeros((len(rows), self.num_columns))
+        block[np.repeat(np.arange(len(rows)), counts), self.indices[take]] = 1.0
+        return block
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self[:]
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 @dataclass
 class Dataset:
-    """Feature matrix plus labels, names, and evaluation-only group labels."""
+    """Feature matrix plus labels, names, and evaluation-only group labels.
 
-    features: np.ndarray
+    features is a dense float64 array (tabular data) or a BinaryRows
+    store (text); both give dense float64 rows for features[rows].
+    """
+
+    features: np.ndarray | BinaryRows
     labels: np.ndarray
     first_names: list[str | None]
     last_names: list[str | None]
@@ -49,7 +119,8 @@ class Dataset:
     eval_groups: GroupLabels | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        if not isinstance(self.features, BinaryRows):
+            self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = self.features.shape[0]
         if self.labels.shape != (n,):
@@ -413,7 +484,7 @@ def vectorize_text(documents, min_count: int = 20,
     """
     token_lists = [tokenize(doc) for doc in documents]
     vocabulary = _fit_vocabulary(token_lists, min_count, top_fraction)
-    return _bag_of_words(token_lists, vocabulary), vocabulary
+    return np.asarray(_bag_of_words(token_lists, vocabulary)), vocabulary
 
 
 def _fit_vocabulary(token_lists, min_count: int, top_fraction: float):
@@ -436,13 +507,15 @@ def _fit_vocabulary(token_lists, min_count: int, top_fraction: float):
     return vocabulary
 
 
-def _bag_of_words(token_lists, vocabulary) -> np.ndarray:
-    """Dense binary features: 1 where the document holds the type."""
+def _bag_of_words(token_lists, vocabulary) -> BinaryRows:
+    """Binary features: 1 where the document holds the type."""
     index = {t: j for j, t in enumerate(vocabulary)}
-    features = np.zeros((len(token_lists), len(vocabulary)))
-    for i, tokens in enumerate(token_lists):
-        features[i, [index[t] for t in set(tokens) if t in index]] = 1.0
-    return features
+    rows = []
+    for tokens in token_lists:
+        columns = set(map(index.get, tokens))
+        columns.discard(None)
+        rows.append(sorted(columns))
+    return BinaryRows.from_index_lists(rows, len(vocabulary))
 
 
 def load_text(path, min_count: int = 20, top_fraction: float = 0.10,
@@ -549,24 +622,38 @@ def scrub(document: str, first_name: str | None = None) -> str:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Cache a Dataset in the columnar text format (exact reload)."""
+    """Cache a Dataset in the columnar text format (exact reload).
+
+    Dense features are written as one repr float per column; BinaryRows
+    features (text) as the column indices of each row's ones, flagged by
+    a "layout indices" header line.
+    """
     groups = dataset.eval_groups.attributes if dataset.eval_groups else []
+    features = dataset.features
+    sparse = isinstance(features, BinaryRows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(DATASET_FILE_TAG + "\n")
         fh.write("classes\t" + "\t".join(dataset.class_names) + "\n")
         fh.write("features\t" + "\t".join(dataset.feature_names) + "\n")
+        if sparse:
+            fh.write("layout\tindices\n")
         for attr in groups:
             fh.write(
                 f"attr\t{attr.name}\t{attr.positive_label}\t{attr.negative_label}\n"
             )
         fh.write(f"records\t{len(dataset)}\n")
         for i in range(len(dataset)):
+            if sparse:
+                ones = features.indices[features.indptr[i]:features.indptr[i + 1]]
+                feature_str = " ".join(map(str, ones.tolist()))
+            else:
+                feature_str = " ".join(repr(float(v)) for v in features[i])
             row = [
                 str(int(dataset.labels[i])),
                 dataset.first_names[i] or "",
                 dataset.last_names[i] or "",
                 " ".join(str(int(a.values[i])) for a in groups),
-                " ".join(repr(float(v)) for v in dataset.features[i]),
+                feature_str,
             ]
             fh.write("\t".join(row) + "\n")
 
@@ -581,6 +668,7 @@ def load_dataset(path) -> Dataset:
     feature_names: list[str] = []
     attr_meta: list[tuple[str, str, str]] = []
     n_records = None
+    sparse = False
     pos = 1
     while pos < len(lines):
         fields = lines[pos].split("\t")
@@ -589,6 +677,8 @@ def load_dataset(path) -> Dataset:
             class_names = fields[1:]
         elif tag == "features":
             feature_names = fields[1:]
+        elif tag == "layout" and fields[1:] == ["indices"]:
+            sparse = True
         elif tag == "attr":
             attr_meta.append((fields[1], fields[2], fields[3]))
         elif tag == "records":
@@ -607,7 +697,10 @@ def load_dataset(path) -> Dataset:
     first_names: list[str | None] = []
     last_names: list[str | None] = []
     attr_values = [np.empty(n_records, dtype=np.int8) for _ in attr_meta]
-    features = np.zeros((n_records, len(feature_names)))
+    if sparse:
+        rows = []
+    else:
+        features = np.zeros((n_records, len(feature_names)))
     for i, line in enumerate(body):
         label, first, last, group_str, feat_str = line.split("\t")
         labels[i] = int(label)
@@ -618,8 +711,12 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{path}: record {i}: group value count mismatch")
         for j, v in enumerate(group_vals):
             attr_values[j][i] = int(v)
-        if feat_str:
+        if sparse:
+            rows.append([int(v) for v in feat_str.split()])
+        elif feat_str:
             features[i] = [float(v) for v in feat_str.split()]
+    if sparse:
+        features = BinaryRows.from_index_lists(rows, len(feature_names))
     attributes = [
         GroupAttribute(name=nm, positive_label=p, negative_label=ng, values=vals)
         for (nm, p, ng), vals in zip(attr_meta, attr_values)

@@ -214,3 +214,13 @@ def count_bias_report(predictions, labels, attributes, num_classes):
             per_class.append(t)
     out["balanced_tpr"] = sum(per_class) / len(per_class)
     return out
+
+
+def dense_bag_of_words(token_lists, vocabulary):
+    """Dense binary (documents x vocabulary) matrix: 1 where the document
+    holds the type (the original dense fill loop)."""
+    index = {t: j for j, t in enumerate(vocabulary)}
+    features = np.zeros((len(token_lists), len(vocabulary)))
+    for i, tokens in enumerate(token_lists):
+        features[i, [index[t] for t in set(tokens) if t in index]] = 1.0
+    return features

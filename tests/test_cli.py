@@ -432,8 +432,8 @@ def test_unknown_config_key_exit_1(tmp_path, capsys):
     assert "wiggle" in capsys.readouterr().err
 
 
-def test_text_format_end_to_end(tmp_path):
-    rng = np.random.default_rng(2)
+def write_text_inputs(tmp_path):
+    """Bios-style records, name tables and a small name-vector file."""
     white = [f"wname{i}" for i in range(10)]
     other = [f"oname{i}" for i in range(10)]
     lines = []
@@ -458,6 +458,22 @@ def test_text_format_end_to_end(tmp_path):
     first_male.write_text(
         "\n".join(f"{n}\t0.9" for n in white + other) + "\n", encoding="utf-8"
     )
+    embeddings = tmp_path / "vectors.txt"
+    vec_rng = np.random.default_rng(3)
+    named = white[:8] + other[:6]   # the other names have no vector
+    embeddings.write_text(
+        f"{len(named)} 5\n" + "".join(
+            f"{n} " + " ".join(repr(float(v)) for v in
+                               vec_rng.normal(size=5) + (2.0 if n in white else 0.0))
+            + "\n" for n in named
+        ),
+        encoding="utf-8",
+    )
+    return data, first_white, first_male, embeddings
+
+
+def test_text_format_end_to_end(tmp_path):
+    data, first_white, first_male, _ = write_text_inputs(tmp_path)
     out = tmp_path / "out"
     rc = main(
         [
@@ -471,3 +487,36 @@ def test_text_format_end_to_end(tmp_path):
     assert rc == 0
     rows = read_csv_rows(out / "summary.csv")
     assert rows[0][4] == "gap_rms_race"
+
+
+def test_text_format_penalties_rerun_identically(tmp_path):
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    inputs = [
+        "--data", str(data), "--format", "text", "--embeddings", str(embeddings),
+        "--names-demographics", str(first_white), str(first_male),
+        "--min-count", "1", "--top-fraction", "0", "--scrub",
+    ]
+    common = [*inputs, "--seeds", "0", "1", "--epochs", "3", "--lr", "0.05"]
+    commands = {
+        "sweep": ["sweep", *common, "--variant", "cocl", "--lambdas", "0", "2"],
+        "train": ["train", *common, "--variant", "clucl", "--lambda", "2",
+                  "--k", "3"],
+    }
+    snapshots = []
+    for _ in range(2):
+        files = {}
+        for name, argv in commands.items():
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out)]) == 0
+            files.update({f"{name}/{p.name}": p.read_bytes()
+                          for p in out.iterdir()})
+        snapshots.append(files)
+    assert snapshots[0] == snapshots[1]
+    assert {"sweep/sweep.csv", "train/model_seed1.txt",
+            "train/history_seed0.csv"} <= set(snapshots[0])
+    out = tmp_path / "eval"
+    assert main(["evaluate", *inputs, "--seeds", "1",
+                 "--model", str(tmp_path / "train" / "model_seed1.txt"),
+                 "--split", "all", "--out", str(out)]) == 0
+    rows = read_csv_rows(out / "evaluation.csv")
+    assert len(rows) > 1

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from nameblind.data import (
+    BinaryRows,
     Dataset,
+    _bag_of_words,
     NameDemographics,
     TabularSchema,
     assign_synthetic_names,
@@ -21,6 +23,8 @@ from nameblind.data import (
     vectorize_text,
 )
 from nameblind.metrics import GroupAttribute, GroupLabels
+
+from oracles import dense_bag_of_words
 
 SCHEMA_TEXT = """
 # demo schema
@@ -358,6 +362,75 @@ def test_load_text_end_to_end(tmp_path):
     assert "anna" not in scrubbed.feature_names
 
 
+def random_token_lists(seed, n_docs=40, n_words=30):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    lists = [list(rng.choice(words, size=rng.integers(0, 12)))
+             for _ in range(n_docs)]
+    lists[3] = []                # an empty document
+    lists[7] = ["unknown"] * 3   # a document with no vocabulary word
+    return lists, words[2:]      # w0, w1 are not in the vocabulary either
+
+
+def test_binary_rows_match_dense_oracle():
+    token_lists, vocabulary = random_token_lists(seed=6)
+    features = _bag_of_words(token_lists, vocabulary)
+    dense = dense_bag_of_words(token_lists, vocabulary)
+    assert isinstance(features, BinaryRows)
+    assert features.indptr.dtype == np.int64
+    assert features.indices.dtype == np.int32
+    assert features.shape == dense.shape and len(features) == len(dense)
+    assert features.indptr[4] == features.indptr[3]  # empty rows stay empty
+    assert features.indptr[8] == features.indptr[7]
+    selections = [
+        np.arange(40),                        # sorted
+        np.array([39, 3, 7, 0, 22, 5]),       # unsorted, with empty rows
+        np.array([5, 5, 3, 5, 3]),            # repeated
+        [7, 3],                               # a list
+        np.array([], dtype=np.int64),         # empty selection
+        [],
+        slice(None), slice(3, 8), slice(None, None, -3), slice(30, 10),
+    ]
+    for rows in selections:
+        block = features[rows]
+        assert block.dtype == np.float64
+        assert block.shape == dense[rows].shape
+        # bitwise, so no -0.0 or other representation of the same values
+        assert block.tobytes() == dense[rows].tobytes()
+    assert np.asarray(features).tobytes() == dense.tobytes()
+    assert np.asarray(features, dtype=np.float32).dtype == np.float32
+
+
+def test_binary_rows_reject_bad_selections_and_indices():
+    features = BinaryRows.from_index_lists([[0, 2], [], [1]], 3)
+    with pytest.raises(IndexError):
+        features[np.array([0, 3])]
+    with pytest.raises(IndexError):
+        features[np.array([-1])]
+    with pytest.raises(TypeError):
+        features[np.array([True, False, True])]
+    with pytest.raises(TypeError):
+        features[np.array([[0]])]
+    with pytest.raises(ValueError, match="out of range"):
+        BinaryRows.from_index_lists([[0, 3]], 3)
+    with pytest.raises(ValueError, match="indptr"):
+        BinaryRows(np.array([0, 2, 1]), np.array([0]), 3)
+
+
+def test_load_text_features_are_binary_rows(tmp_path):
+    path = tmp_path / "bios.tsv"
+    docs = ["she is a nurse in town", "he builds a bridge", "a nurse in town"]
+    path.write_text(
+        "".join(f"job{i % 2}\tn{i}\tl{i}\t{doc}\n" for i, doc in enumerate(docs)),
+        encoding="utf-8",
+    )
+    dataset = load_text(path, min_count=2, top_fraction=0.0)
+    dense, vocab = vectorize_text(docs, min_count=2, top_fraction=0.0)
+    assert isinstance(dataset.features, BinaryRows)
+    assert dataset.feature_names == vocab
+    assert np.asarray(dataset.features).tobytes() == dense.tobytes()
+
+
 def test_load_text_malformed_line(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("nurse\tAnna\n", encoding="utf-8")
@@ -428,30 +501,67 @@ def test_tokenize_splits_punctuation():
 
 def test_dataset_cache_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    dataset = Dataset(
-        features=rng.normal(size=(6, 3)),
-        labels=rng.integers(0, 2, size=6),
-        first_names=["anna", None, "bob", "cara", None, "dan"],
-        last_names=[None, "smith", None, "diaz", "wu", None],
-        feature_names=["x0", "x1", "x2"],
-        class_names=["lo", "hi"],
-        eval_groups=GroupLabels(
-            [GroupAttribute("race", "white", "non-white",
-                            np.array([1, 0, -1, 1, 0, 1], dtype=np.int8))]
-        ),
+    dense = rng.normal(size=(6, 3))
+    binary = BinaryRows.from_index_lists(
+        [[0, 2], [], [1], [0, 1, 2], [], [2]], 3
     )
-    path = tmp_path / "cache.tsv"
-    save_dataset(dataset, path)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.features, dataset.features)
+    for kind, features in (("dense", dense), ("binary", binary)):
+        dataset = Dataset(
+            features=features,
+            labels=rng.integers(0, 2, size=6),
+            first_names=["anna", None, "bob", "cara", None, "dan"],
+            last_names=[None, "smith", None, "diaz", "wu", None],
+            feature_names=["x0", "x1", "x2"],
+            class_names=["lo", "hi"],
+            eval_groups=GroupLabels(
+                [GroupAttribute("race", "white", "non-white",
+                                np.array([1, 0, -1, 1, 0, 1], dtype=np.int8))]
+            ),
+        )
+        path = tmp_path / f"cache_{kind}.tsv"
+        save_dataset(dataset, path)
+        loaded = load_dataset(path)
+        assert type(loaded.features) is type(dataset.features)
+        assert np.asarray(loaded.features).tobytes() == (
+            np.asarray(dataset.features).tobytes()
+        )
+        assert np.array_equal(loaded.labels, dataset.labels)
+        assert loaded.first_names == dataset.first_names
+        assert loaded.last_names == dataset.last_names
+        assert loaded.feature_names == dataset.feature_names
+        assert loaded.class_names == dataset.class_names
+        got = loaded.eval_groups.get("race")
+        assert got.values.tolist() == [1, 0, -1, 1, 0, 1]
+        assert got.positive_label == "white"
+    # text features are cached as column indices, not one float per column
+    assert "1.0" not in (tmp_path / "cache_binary.tsv").read_text()
+
+
+def test_text_dataset_cache_round_trip(tmp_path):
+    path = tmp_path / "bios.tsv"
+    path.write_text(
+        "nurse\tAnna\tSmith\tcares for patients in town\n"
+        "engineer\tBob\t\tzzz qqq\n"             # no vocabulary word
+        "nurse\tCara\tDiaz\tcares for town\n"
+        "engineer\t\tJones\tbuilds for town\n",
+        encoding="utf-8",
+    )
+    dataset = load_text(path, min_count=2, top_fraction=0.0)
+    assert dataset.features.indptr[2] == dataset.features.indptr[1]
+    cache = tmp_path / "cache.tsv"
+    save_dataset(dataset, cache)
+    loaded = load_dataset(cache)
+    assert isinstance(loaded.features, BinaryRows)
+    assert np.array_equal(loaded.features.indptr, dataset.features.indptr)
+    assert np.array_equal(loaded.features.indices, dataset.features.indices)
+    assert loaded.features.shape == dataset.features.shape
     assert np.array_equal(loaded.labels, dataset.labels)
     assert loaded.first_names == dataset.first_names
     assert loaded.last_names == dataset.last_names
     assert loaded.feature_names == dataset.feature_names
     assert loaded.class_names == dataset.class_names
-    got = loaded.eval_groups.get("race")
-    assert got.values.tolist() == [1, 0, -1, 1, 0, 1]
-    assert got.positive_label == "white"
+    save_dataset(loaded, tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_bytes() == cache.read_bytes()
 
 
 def test_name_probability_table_parse(tmp_path):

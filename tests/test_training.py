@@ -1,15 +1,17 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nameblind.data import Dataset
+from nameblind.data import BinaryRows, Dataset, load_text
 from nameblind.embeddings import EmbeddingTable, batch_name_vectors
 from nameblind.losses import PenaltyInputs, penalty
 from nameblind.metrics import GroupAttribute, GroupLabels
 from nameblind.model import (
     ModelParams,
     class_weights,
+    forward_batch,
     loss_and_gradient,
     predict_batch,
 )
@@ -18,6 +20,7 @@ from nameblind.training import (
     NumericalError,
     TrainConfig,
     adam_step,
+    forward_rows,
     train,
     train_val_test_split,
     write_history_csv,
@@ -335,3 +338,77 @@ def test_history_csv(tmp_path):
                        "val_balanced_tpr"]
     assert len(rows) == 4
     assert float(rows[1][1]) == result.history[0].base_loss
+
+
+def write_text_corpus(path, n_docs, n_words, seed):
+    """Tab-separated text records whose label shifts the word distribution."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    lines = []
+    for i in range(n_docs):
+        label = i % 3
+        common = rng.choice(words, size=rng.integers(5, 30))
+        marked = rng.choice(words[label::3], size=rng.integers(0, 6))
+        document = " ".join([*common, *marked]) if i % 97 else ""
+        lines.append(f"job{label}\tfirst{i % 40}\tlast{i % 7}\t{document}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
+def test_train_on_binary_rows_matches_dense(variant, tmp_path):
+    path = tmp_path / "bios.tsv"
+    write_text_corpus(path, n_docs=700, n_words=120, seed=1)
+    sparse = load_text(path, min_count=1, top_fraction=0.0)
+    assert isinstance(sparse.features, BinaryRows)
+    dense = Dataset(
+        features=np.asarray(sparse.features),
+        labels=sparse.labels,
+        first_names=sparse.first_names,
+        last_names=sparse.last_names,
+        feature_names=sparse.feature_names,
+        class_names=sparse.class_names,
+    )
+    assert isinstance(dense.features, np.ndarray)
+    table = toy_table([f"first{i}" for i in range(0, 40, 2)], dim=6)
+    config = TrainConfig(variant=variant, lam=2.0, k=4, epochs=3, seed=7,
+                         batch_size=64, learning_rate=0.05, l2_coeff=0.001)
+    a = train(sparse, table, config)
+    b = train(dense, table, config)
+    assert a.params.W.tobytes() == b.params.W.tobytes()
+    assert a.params.b.tobytes() == b.params.b.tobytes()
+    assert a.history == b.history
+
+
+def test_forward_rows_matches_forward_batch():
+    rng = np.random.default_rng(3)
+    rows = [sorted(rng.choice(50, size=rng.integers(0, 6), replace=False))
+            for _ in range(700)]
+    features = BinaryRows.from_index_lists(rows, 50)
+    params = ModelParams(W=rng.normal(size=(3, 50)), b=rng.normal(size=3))
+    dense = np.asarray(features)
+    for selection in (np.arange(700), rng.permutation(700)[:513],
+                      np.array([4]), np.array([], dtype=np.int64)):
+        got = forward_rows(params, features, selection)
+        assert got.tobytes() == forward_rows(params, dense, selection).tobytes()
+        want = forward_batch(params, dense[selection])
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_train_memory_scales_with_nonzeros(tmp_path):
+    # a dense copy of the training rows alone would be four times the bound
+    path = tmp_path / "bios.tsv"
+    write_text_corpus(path, n_docs=4000, n_words=2000, seed=2)
+    dataset = load_text(path, min_count=1, top_fraction=0.0)
+    n_train = int(0.8 * len(dataset))
+    dense_bytes = n_train * len(dataset.feature_names) * 8
+    assert len(dataset.feature_names) >= 1500
+    table = toy_table([f"first{i}" for i in range(40)], dim=8)
+    config = TrainConfig(variant="cocl", lam=1.0, epochs=1, seed=0)
+    tracemalloc.start()
+    try:
+        train(dataset, table, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
