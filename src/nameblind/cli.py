@@ -28,14 +28,16 @@ from .data import (
     NameDemographics,
     TabularSchema,
     assign_synthetic_names,
-    infer_race_labels,
+    draw_race_labels,
+    fit_tabular,
+    fit_text,
     load_name_probabilities,
-    load_tabular,
-    load_text,
+    parse_tabular,
+    parse_text,
     partition_names,
-    read_csv_rows,
+    white_probabilities,
 )
-from .embeddings import batch_name_vectors, collect_name_tokens, load_embeddings
+from .embeddings import collect_name_tokens, load_embeddings
 from .metrics import (
     GroupAttribute,
     GroupLabels,
@@ -47,6 +49,7 @@ from .metrics import (
 from .model import load_model, save_model
 from .training import (
     NumericalError,
+    PenaltyContext,
     TrainConfig,
     forward_rows,
     train,
@@ -151,7 +154,14 @@ def _load_demographics(spec: ExperimentSpec) -> NameDemographics | None:
 
 
 class _Pipeline:
-    """Shared per-command context: schema, demographics, embedding table."""
+    """Per-command context: the data file parsed once, the schema,
+    demographics and embedding table, and the name lookups every seed
+    shares.
+
+    Inputs are checked in a fixed order: every input file must exist
+    (exit 2) before the data file is parsed, and the data file is parsed
+    (a malformed record is exit 1) before the embedding file is read.
+    """
 
     def __init__(self, spec: ExperimentSpec, need_embeddings: bool):
         self.spec = spec
@@ -164,45 +174,35 @@ class _Pipeline:
         self.partition = (
             partition_names(self.demographics) if self.demographics else None
         )
-        self.n_rows, name_tokens = self._scan_data()
-        self.table = None
+        embeddings_path = None
         if need_embeddings or spec.embeddings:
-            path = _require_file(spec.embeddings, "embeddings file")
+            embeddings_path = _require_file(spec.embeddings, "embeddings file")
+        if spec.format == "tabular":
+            self.records = parse_tabular(spec.data, self.schema)
+        else:
+            self.records = parse_text(spec.data, scrub_names=spec.scrub)
+        # synthetic first names are drawn per seed; other names are fixed
+        self._names_per_seed = spec.format == "tabular" and self.partition is not None
+        self.table = None
+        if embeddings_path is not None:
+            tokens = collect_name_tokens(set(self.records.first_names),
+                                         set(self.records.last_names))
             if self.partition is not None:
-                name_tokens |= self.partition.all_names()
-            self.table = load_embeddings(path, allowlist=name_tokens)
-
-    def _scan_data(self) -> tuple[int, set[str]]:
-        """Record count and name tokens of the data file, from one read.
-
-        Malformed records are left for the loaders to report.
-        """
-        tokens: set[str] = set()
-        if self.spec.format == "tabular":
-            header, rows = read_csv_rows(self.spec.data)
-            for col, cspec in self.schema.columns.items():
-                if cspec.role in ("first_name", "last_name") and col in header:
-                    idx = header.index(col)
-                    tokens |= collect_name_tokens(
-                        [r[idx] for r in rows if len(r) > idx], []
-                    )
-            return len(rows), tokens
-        n_rows = 0
-        with open(self.spec.data, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                n_rows += 1
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) >= 3:
-                    tokens |= collect_name_tokens(fields[1:2], fields[2:3])
-        return n_rows, tokens
+                tokens |= self.partition.all_names()
+            self.table = load_embeddings(embeddings_path, allowlist=tokens)
+        self.p_white = None
+        if spec.format == "text" and self.demographics is not None:
+            self.p_white = white_probabilities(
+                self.records.first_names, self.records.last_names,
+                self.demographics,
+            )
+        self._context = None
 
     def dataset_for_seed(self, seed: int):
         """Seeded split, preprocessing, and name/group assignment."""
-        split = train_val_test_split(self.n_rows, seed)
+        split = train_val_test_split(len(self.records), seed)
         if self.spec.format == "tabular":
-            dataset = load_tabular(self.spec.data, self.schema, fit_indices=split[0])
+            dataset = fit_tabular(self.records, fit_indices=split[0])
             if self.partition is not None:
                 assign_synthetic_names(
                     dataset, self.partition, seed,
@@ -210,20 +210,27 @@ class _Pipeline:
                     gender_attr=self.spec.gender_attr,
                 )
         else:
-            dataset = load_text(
-                self.spec.data,
+            dataset = fit_text(
+                self.records,
                 min_count=self.spec.min_count,
                 top_fraction=self.spec.top_fraction,
-                scrub_names=self.spec.scrub,
                 fit_indices=split[0],
             )
-            if self.demographics is not None:
-                race = infer_race_labels(
-                    dataset.first_names, dataset.last_names,
-                    self.demographics, seed, attr_name=self.spec.race_attr,
+            if self.p_white is not None:
+                dataset.eval_groups = GroupLabels(
+                    [draw_race_labels(self.p_white, seed, self.spec.race_attr)]
                 )
-                dataset.eval_groups = GroupLabels([race])
         return dataset, split
+
+    def penalty_context(self, dataset) -> PenaltyContext:
+        """Penalty context of dataset (from dataset_for_seed). Name vectors
+        are built once per command, or once per seed when the first names
+        are drawn per seed; its k-means cache is keyed by seed."""
+        if self._names_per_seed or self._context is None:
+            self._context = PenaltyContext.build(
+                self.table, dataset.first_names, dataset.last_names
+            )
+        return self._context
 
 
 def _write_manifest(spec: ExperimentSpec, command: str, out: Path) -> None:
@@ -262,13 +269,15 @@ def _mean_or_none(values):
 
 def cmd_train(spec: ExperimentSpec) -> int:
     out = _out_dir(spec)
-    pipeline = _Pipeline(spec, need_embeddings=spec.variant != "none" and spec.lam > 0)
+    penalty_on = spec.variant != "none" and spec.lam > 0
+    pipeline = _Pipeline(spec, need_embeddings=penalty_on)
     header = None
     rows = []
     for seed in spec.seeds:
         dataset, split = pipeline.dataset_for_seed(seed)
+        context = pipeline.penalty_context(dataset) if penalty_on else None
         result = train(dataset, pipeline.table, _train_config(spec, seed, spec.lam),
-                       split=split)
+                       split=split, context=context)
         save_model(result.params, dataset.feature_names, dataset.class_names,
                    out / f"model_seed{seed}.txt")
         write_history_csv(result.history, out / f"history_seed{seed}.csv")
@@ -368,9 +377,12 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
         groups = GroupLabels(
             [_slice_attr(a, test_idx) for a in dataset.eval_groups.attributes]
         )
+        context = (pipeline.penalty_context(dataset)
+                   if spec.variant != "none" and max(spec.lambdas) > 0 else None)
         for lam in spec.lambdas:
             result = train(dataset, pipeline.table,
-                           _train_config(spec, seed, lam), split=split)
+                           _train_config(spec, seed, lam), split=split,
+                           context=context)
             preds = forward_rows(result.params, dataset.features,
                                  test_idx).argmax(axis=1)
             report = bias_report(
@@ -402,11 +414,10 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
     dataset, _ = pipeline.dataset_for_seed(seed)
     if dataset.eval_groups is None or not len(dataset.eval_groups):
         raise UsageError("cluster-report needs evaluation group labels")
-    vectors, _, include = batch_name_vectors(
-        pipeline.table, dataset.first_names, dataset.last_names
-    )
+    names = pipeline.penalty_context(dataset)
+    include = names.include
     covered_idx = np.flatnonzero(include)
-    model = kmeans(vectors[covered_idx], spec.k, seed=seed)
+    model = kmeans(names.name_vectors[covered_idx], spec.k, seed=seed)
     write_cluster_model(model, out / "clusters.txt")
     write_assignments(covered_idx, model.assignments, out / "cluster_assignments.txt")
     with open(out / "cluster_report.csv", "w", encoding="utf-8", newline="") as fh:

@@ -9,12 +9,12 @@ structure and are never joined into the feature matrix.
 
 from __future__ import annotations
 
+import array
+import collections
 import csv
 import itertools
 import logging
 import re
-import sys
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +35,17 @@ PRONOUNS = frozenset(
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
 DATASET_FILE_TAG = "nameblind-dataset v1"
+
+
+def _entries_of(indptr, rows):
+    """Positions of the entries of CSR rows (nonnegative int64), in row order,
+    and each row's entry count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    take = np.arange(counts.sum()) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts
+    )
+    return take, counts
 
 
 class BinaryRows:
@@ -86,13 +97,7 @@ class BinaryRows:
             raise TypeError("select rows with a slice or a 1-d integer array")
         if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise IndexError(f"row index out of range for {n} rows")
-        rows = rows.astype(np.int64, copy=False)
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        # position in self.indices of every one in the selected rows
-        take = np.arange(counts.sum()) + np.repeat(
-            starts - (np.cumsum(counts) - counts), counts
-        )
+        take, counts = _entries_of(self.indptr, rows.astype(np.int64, copy=False))
         block = np.zeros((len(rows), self.num_columns))
         block[np.repeat(np.arange(len(rows)), counts), self.indices[take]] = 1.0
         return block
@@ -226,15 +231,40 @@ def read_csv_rows(path):
     return header, rows
 
 
-def load_tabular(path, schema: TabularSchema, fit_indices=None) -> Dataset:
-    """Build a Dataset from a CSV file with a header row.
+@dataclass
+class _FeatureColumn:
+    """One continuous or categorical CSV column, parsed."""
 
-    Continuous columns are min-max scaled using the fit rows' min/max
-    (values outside that range at evaluation time are clamped to [0,1]);
-    categorical columns become one indicator feature per category observed
-    in the fit rows, with unseen categories mapping to all-zero indicators
-    (logged). fit_indices defaults to every row; pass the training-split
-    indices to keep evaluation rows out of the preprocessing statistics.
+    name: str
+    values: np.ndarray                 # floats, or category codes
+    categories: list[str] | None = None  # categorical: every value, sorted
+
+
+@dataclass
+class TabularRecords:
+    """A CSV file parsed against its schema, before any fit statistics.
+
+    parse_tabular reads the file once; fit_tabular builds a Dataset from it
+    per fit split, taking only min/max and the observed categories from
+    the fit rows.
+    """
+
+    columns: list[_FeatureColumn]      # in CSV column order
+    labels: np.ndarray
+    class_names: list[str]
+    first_names: list[str | None]
+    last_names: list[str | None]
+    attributes: list[GroupAttribute]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
+    """Read a CSV file with a header row into TabularRecords.
+
+    Raises ValueError on a header that disagrees with the schema, a row of
+    the wrong width, or an unparseable continuous value.
     """
     header, rows = read_csv_rows(path)
     missing = [c for c in schema.columns if c not in header]
@@ -249,28 +279,15 @@ def load_tabular(path, schema: TabularSchema, fit_indices=None) -> Dataset:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
-    col_idx = {c: header.index(c) for c in schema.columns}
-    if fit_indices is None:
-        fit_rows = rows
-    else:
-        fit_rows = [rows[i] for i in fit_indices]
-        if not fit_rows:
-            raise ValueError("fit_indices selected no rows")
-
-    def column(rows_, name):
-        idx = col_idx[name]
-        return [row[idx] for row in rows_]
-
-    feature_blocks: list[np.ndarray] = []
-    feature_names: list[str] = []
+    n = len(rows)
+    columns: list[_FeatureColumn] = []
     label_column = None
-    first_names: list[str | None] = [None] * len(rows)
-    last_names: list[str | None] = [None] * len(rows)
+    first_names: list[str | None] = [None] * n
+    last_names: list[str | None] = [None] * n
     attributes: list[GroupAttribute] = []
 
-    for name in header:  # preserve CSV column order in the feature layout
+    for name, cells in zip(header, zip(*rows)):
         spec = schema.columns[name]
-        cells = column(rows, name)
         if spec.role == "continuous":
             try:
                 values = np.array([float(v) for v in cells])
@@ -280,32 +297,12 @@ def load_tabular(path, schema: TabularSchema, fit_indices=None) -> Dataset:
                     f"{path}: row {bad + 2}, column {name!r}: "
                     f"unparseable value {cells[bad]!r}"
                 ) from None
-            fit_values = np.array([float(v) for v in column(fit_rows, name)])
-            lo, hi = fit_values.min(), fit_values.max()
-            if hi > lo:
-                scaled = (values - lo) / (hi - lo)
-            else:
-                scaled = np.zeros_like(values)  # constant column
-            feature_blocks.append(np.clip(scaled, 0.0, 1.0)[:, None])
-            feature_names.append(name)
+            columns.append(_FeatureColumn(name, values))
         elif spec.role == "categorical":
-            categories = sorted(set(column(fit_rows, name)))
-            block = np.zeros((len(rows), len(categories)))
-            cat_idx = {cat: j for j, cat in enumerate(categories)}
-            unseen = set()
-            for i, cell in enumerate(cells):
-                j = cat_idx.get(cell)
-                if j is None:
-                    unseen.add(cell)
-                else:
-                    block[i, j] = 1.0
-            for value in sorted(unseen):
-                log.warning(
-                    "column %r: value %r unseen in fit rows; mapped to "
-                    "all-zero indicators", name, value
-                )
-            feature_blocks.append(block)
-            feature_names.extend(f"{name}={cat}" for cat in categories)
+            categories = sorted(set(cells))
+            code = {cat: j for j, cat in enumerate(categories)}
+            values = np.fromiter(map(code.__getitem__, cells), np.int64, n)
+            columns.append(_FeatureColumn(name, values, categories))
         elif spec.role == "label":
             label_column = cells
         elif spec.role == "first_name":
@@ -336,18 +333,79 @@ def load_tabular(path, schema: TabularSchema, fit_indices=None) -> Dataset:
     class_names = sorted(set(label_column))
     class_idx = {cls: i for i, cls in enumerate(class_names)}
     labels = np.array([class_idx[v] for v in label_column], dtype=np.int64)
+    return TabularRecords(columns, labels, class_names, first_names,
+                          last_names, attributes)
+
+
+def _fit_rows(n: int, fit_indices):
+    """fit_indices as nonnegative int64 row numbers (all rows for None)."""
+    if fit_indices is None:
+        return np.arange(n)
+    return np.arange(n)[np.asarray(fit_indices, dtype=np.int64)]
+
+
+def fit_tabular(records: TabularRecords, fit_indices=None) -> Dataset:
+    """Dataset of parsed CSV records, preprocessed on the fit rows.
+
+    Continuous columns are min-max scaled using the fit rows' min/max
+    (values outside that range at evaluation time are clamped to [0,1]);
+    categorical columns become one indicator feature per category observed
+    in the fit rows, with unseen categories mapping to all-zero indicators
+    (logged). fit_indices defaults to every row; pass the training-split
+    indices to keep evaluation rows out of the preprocessing statistics.
+    """
+    n = len(records)
+    rows = _fit_rows(n, fit_indices)
+    if not len(rows):
+        raise ValueError("fit_indices selected no rows")
+    feature_blocks: list[np.ndarray] = []
+    feature_names: list[str] = []
+    for column in records.columns:
+        if column.categories is None:
+            fit_values = column.values[rows]
+            lo, hi = fit_values.min(), fit_values.max()
+            if hi > lo:
+                scaled = (column.values - lo) / (hi - lo)
+            else:
+                scaled = np.zeros_like(column.values)  # constant column
+            feature_blocks.append(np.clip(scaled, 0.0, 1.0)[:, None])
+            feature_names.append(column.name)
+            continue
+        seen = np.zeros(len(column.categories), dtype=bool)
+        seen[column.values[rows]] = True
+        for j in np.flatnonzero(~seen):
+            log.warning(
+                "column %r: value %r unseen in fit rows; mapped to "
+                "all-zero indicators", column.name, column.categories[j]
+            )
+        feature_of = np.cumsum(seen) - 1
+        hit = np.flatnonzero(seen[column.values])
+        block = np.zeros((n, int(seen.sum())))
+        block[hit, feature_of[column.values[hit]]] = 1.0
+        feature_blocks.append(block)
+        feature_names.extend(f"{column.name}={cat}"
+                             for cat, s in zip(column.categories, seen) if s)
     features = (
-        np.hstack(feature_blocks) if feature_blocks else np.zeros((len(rows), 0))
+        np.hstack(feature_blocks) if feature_blocks else np.zeros((n, 0))
     )
     return Dataset(
         features=features,
-        labels=labels,
-        first_names=first_names,
-        last_names=last_names,
+        labels=records.labels,
+        first_names=records.first_names,
+        last_names=records.last_names,
         feature_names=feature_names,
-        class_names=class_names,
-        eval_groups=GroupLabels(attributes) if attributes else None,
+        class_names=list(records.class_names),
+        eval_groups=(GroupLabels(list(records.attributes))
+                     if records.attributes else None),
     )
+
+
+def load_tabular(path, schema: TabularSchema, fit_indices=None) -> Dataset:
+    """Build a Dataset from a CSV file with a header row.
+
+    parse_tabular then fit_tabular, which documents the preprocessing.
+    """
+    return fit_tabular(parse_tabular(path, schema), fit_indices)
 
 
 def _is_float(value: str) -> bool:
@@ -448,28 +506,110 @@ def assign_synthetic_names(dataset: Dataset, partition: NamePartition,
     gender = dataset.eval_groups.get(gender_attr).values
     if np.any(race == -1) or np.any(gender == -1):
         raise ValueError("every record needs race and gender labels")
-    pools = {
-        (white, male): sorted(partition.category(bool(white), bool(male)))
-        for white in (0, 1)
-        for male in (0, 1)
-    }
-    for key, pool in pools.items():
+    # pool 2 * white + male, the four sorted pools laid end to end
+    pools = [sorted(partition.category(bool(white), bool(male)))
+             for white in (0, 1) for male in (0, 1)]
+    for key, pool in enumerate(pools):
         if not pool:
-            raise ValueError(f"empty name category for (white={key[0]}, male={key[1]})")
-    rng = np.random.default_rng(seed)
-    first_names = []
-    for w, m in zip(race, gender):
-        pool = pools[(int(w), int(m))]
-        first_names.append(pool[rng.integers(len(pool))])
-    dataset.first_names = first_names
+            raise ValueError(
+                f"empty name category for (white={key // 2}, male={key % 2})"
+            )
+    sizes = np.array([len(pool) for pool in pools])
+    starts = np.cumsum(sizes) - sizes
+    category = 2 * race.astype(np.int64) + gender
+    # one bounded draw per record, in record order: the same stream as a
+    # scalar rng.integers(len(pool)) per record
+    drawn = np.random.default_rng(seed).integers(0, sizes[category])
+    names = list(itertools.chain.from_iterable(pools))
+    dataset.first_names = [names[i] for i in (starts[category] + drawn).tolist()]
     dataset.last_names = [None] * len(dataset)
     return dataset
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens (whitespace/punctuation split)."""
-    # interned, so token lists kept for many documents share their strings
-    return list(map(sys.intern, _WORD_RE.findall(text.lower())))
+    return _WORD_RE.findall(text.lower())
+
+
+@dataclass
+class TokenizedDocuments:
+    """Documents as a CSR of token ids into one token table.
+
+    tokens is sorted, so token ids ascend alphabetically. Document i holds
+    the distinct ids ids[indptr[i]:indptr[i + 1]] (ascending), the id at
+    position j occurring counts[j] times in it.
+    """
+
+    tokens: list[str]
+    indptr: np.ndarray   # int64, one more than there are documents
+    ids: np.ndarray      # int32
+    counts: np.ndarray   # int32
+
+    @classmethod
+    def from_token_lists(cls, token_lists) -> "TokenizedDocuments":
+        """Tokenized documents from an iterable of token lists, read once."""
+        interned: dict[str, int] = collections.defaultdict()
+        interned.default_factory = interned.__len__  # a new token's id
+        ids = array.array("i")
+        lengths = array.array("q")
+        for tokens in token_lists:
+            ids.extend(map(interned.__getitem__, tokens))
+            lengths.append(len(tokens))
+        first_seen = list(interned)
+        order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        # one sort of (document, id) keys dedupes every document at once
+        width = max(len(order), 1)
+        docs = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, np.int64))
+        keys, counts = np.unique(docs * width + rank[np.frombuffer(ids, np.int32)],
+                                 return_counts=True)
+        per_doc = np.bincount(keys // width, minlength=len(lengths))
+        return cls(
+            tokens=[first_seen[i] for i in order],
+            indptr=np.concatenate(([0], np.cumsum(per_doc))),
+            ids=(keys % width).astype(np.int32),
+            counts=counts.astype(np.int32),
+        )
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def fit_vocabulary(self, rows, min_count: int, top_fraction: float):
+        """Sorted token ids of the vocabulary pruned on documents[rows].
+
+        rows are nonnegative document indices (repeats count again), or
+        None for every document. Drops the top_fraction most common types
+        (by document frequency, ties broken alphabetically so the cut is
+        deterministic) and any type occurring fewer than min_count times
+        in total.
+        """
+        if min_count < 1:
+            raise ValueError("min_count must be >= 1")
+        if not 0.0 <= top_fraction < 1.0:
+            raise ValueError("top_fraction must lie in [0, 1)")
+        take = slice(None) if rows is None else _entries_of(self.indptr, rows)[0]
+        ids = self.ids[take]
+        doc_freq = np.bincount(ids, minlength=len(self.tokens))
+        occurrences = np.bincount(ids, weights=self.counts[take],
+                                  minlength=len(self.tokens))
+        types = np.flatnonzero(doc_freq)
+        ranked = types[np.argsort(-doc_freq[types], kind="stable")]
+        kept = ranked[int(top_fraction * len(types)):]
+        vocabulary = np.sort(kept[occurrences[kept] >= min_count])
+        if not len(vocabulary):
+            raise ValueError("vocabulary is empty after pruning")
+        return vocabulary
+
+    def bag_of_words(self, vocabulary) -> BinaryRows:
+        """Binary features, column j set where a document holds token id
+        vocabulary[j]; ascending ids give each row's columns in order."""
+        column = np.full(len(self.tokens), -1, dtype=np.int64)
+        column[vocabulary] = np.arange(len(vocabulary))
+        columns = column[self.ids]
+        kept = columns >= 0
+        indptr = np.concatenate(([0], np.cumsum(kept)))[self.indptr]
+        return BinaryRows(indptr, columns[kept], len(vocabulary))
 
 
 def vectorize_text(documents, min_count: int = 20,
@@ -482,40 +622,85 @@ def vectorize_text(documents, min_count: int = 20,
     the document contains the type, regardless of repetitions. Returns
     (features, vocabulary) with the vocabulary sorted.
     """
-    token_lists = [tokenize(doc) for doc in documents]
-    vocabulary = _fit_vocabulary(token_lists, min_count, top_fraction)
-    return np.asarray(_bag_of_words(token_lists, vocabulary)), vocabulary
+    docs = TokenizedDocuments.from_token_lists(map(tokenize, documents))
+    ids = docs.fit_vocabulary(None, min_count, top_fraction)
+    return np.asarray(docs.bag_of_words(ids)), [docs.tokens[i] for i in ids]
 
 
-def _fit_vocabulary(token_lists, min_count: int, top_fraction: float):
-    """Sorted vocabulary of tokenized documents, pruned as in vectorize_text."""
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    if not 0.0 <= top_fraction < 1.0:
-        raise ValueError("top_fraction must lie in [0, 1)")
-    occurrences, doc_freq = Counter(), Counter()
-    for tokens in token_lists:
-        occurrences.update(tokens)
-        doc_freq.update(set(tokens))
-    types = sorted(doc_freq, key=lambda t: (-doc_freq[t], t))
-    n_drop = int(top_fraction * len(types))
-    vocabulary = sorted(
-        t for t in types[n_drop:] if occurrences[t] >= min_count
+@dataclass
+class TextRecords:
+    """A text-records file parsed once, before any vocabulary fit.
+
+    fit_text builds a Dataset from it per fit split; only the vocabulary
+    depends on the split.
+    """
+
+    labels: np.ndarray
+    class_names: list[str]
+    first_names: list[str | None]
+    last_names: list[str | None]
+    documents: TokenizedDocuments
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def parse_text(path, scrub_names: bool = False) -> TextRecords:
+    """Read tab-separated text records into TextRecords, one pass.
+
+    Each line holds four fields: label, first name, last name, document.
+    With scrub_names the record's first name and gendered pronouns are
+    removed from the document before it is tokenized. Raises ValueError
+    on a line without four fields or a file without records.
+    """
+    labels_raw: list[str] = []
+    first_names: list[str | None] = []
+    last_names: list[str | None] = []
+
+    def documents():
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 4:
+                    raise ValueError(
+                        f"{path}: line {line_no}: expected 4 tab-separated "
+                        f"fields, got {len(fields)}"
+                    )
+                label, first, last, document = fields
+                labels_raw.append(label.strip())
+                first_names.append(first.strip() or None)
+                last_names.append(last.strip() or None)
+                if scrub_names:
+                    document = scrub(document, first_names[-1])
+                yield tokenize(document)
+
+    tokenized = TokenizedDocuments.from_token_lists(documents())
+    if not labels_raw:
+        raise ValueError(f"{path}: no records")
+    class_names = sorted(set(labels_raw))
+    class_idx = {cls: i for i, cls in enumerate(class_names)}
+    labels = np.array([class_idx[v] for v in labels_raw], dtype=np.int64)
+    return TextRecords(labels, class_names, first_names, last_names, tokenized)
+
+
+def fit_text(records: TextRecords, min_count: int = 20,
+             top_fraction: float = 0.10, fit_indices=None) -> Dataset:
+    """Dataset of parsed text records: binary bag-of-words features over
+    the vocabulary pruned on the fit rows (default: all), as in
+    vectorize_text."""
+    docs = records.documents
+    rows = None if fit_indices is None else _fit_rows(len(records), fit_indices)
+    ids = docs.fit_vocabulary(rows, min_count, top_fraction)
+    return Dataset(
+        features=docs.bag_of_words(ids),
+        labels=records.labels,
+        first_names=records.first_names,
+        last_names=records.last_names,
+        feature_names=[docs.tokens[i] for i in ids],
+        class_names=list(records.class_names),
     )
-    if not vocabulary:
-        raise ValueError("vocabulary is empty after pruning")
-    return vocabulary
-
-
-def _bag_of_words(token_lists, vocabulary) -> BinaryRows:
-    """Binary features: 1 where the document holds the type."""
-    index = {t: j for j, t in enumerate(vocabulary)}
-    rows = []
-    for tokens in token_lists:
-        columns = set(map(index.get, tokens))
-        columns.discard(None)
-        rows.append(sorted(columns))
-    return BinaryRows.from_index_lists(rows, len(vocabulary))
 
 
 def load_text(path, min_count: int = 20, top_fraction: float = 0.10,
@@ -527,46 +712,47 @@ def load_text(path, min_count: int = 20, top_fraction: float = 0.10,
     removed from the document before any vocabulary statistics are
     computed. The vocabulary is pruned on the fit rows (default: all).
     """
-    labels_raw: list[str] = []
-    first_names: list[str | None] = []
-    last_names: list[str | None] = []
-    documents: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 4 tab-separated "
-                    f"fields, got {len(fields)}"
-                )
-            label, first, last, document = fields
-            labels_raw.append(label.strip())
-            first_names.append(first.strip() or None)
-            last_names.append(last.strip() or None)
-            documents.append(document)
-    if not documents:
-        raise ValueError(f"{path}: no records")
-    if scrub_names:
-        documents = [
-            scrub(doc, first) for doc, first in zip(documents, first_names)
-        ]
-    token_lists = [tokenize(doc) for doc in documents]
-    fit_tokens = (token_lists if fit_indices is None
-                  else [token_lists[i] for i in fit_indices])
-    vocabulary = _fit_vocabulary(fit_tokens, min_count, top_fraction)
-    features = _bag_of_words(token_lists, vocabulary)
-    class_names = sorted(set(labels_raw))
-    class_idx = {cls: i for i, cls in enumerate(class_names)}
-    labels = np.array([class_idx[v] for v in labels_raw], dtype=np.int64)
-    return Dataset(
-        features=features,
-        labels=labels,
-        first_names=first_names,
-        last_names=last_names,
-        feature_names=list(vocabulary),
-        class_names=class_names,
+    return fit_text(parse_text(path, scrub_names), min_count, top_fraction,
+                    fit_indices)
+
+
+def white_probabilities(first_names, last_names,
+                        demographics: NameDemographics) -> np.ndarray:
+    """Per record the mean of its first-name and last-name white
+    proportions (one is enough); NaN where neither name is in the tables.
+
+    Each distinct name is normalized and looked up once.
+    """
+    if len(first_names) != len(last_names):
+        raise ValueError("first_names and last_names must align")
+
+    def lookup(names, table):
+        probs = {name: table.get(normalize_token(name), np.nan)
+                 for name in set(names) if name is not None}
+        return np.fromiter(map(probs.get, names, itertools.repeat(np.nan)),
+                           np.float64, len(names))
+
+    first = lookup(first_names, demographics.first_white)
+    last = lookup(last_names, demographics.last_white)
+    first_found, last_found = ~np.isnan(first), ~np.isnan(last)
+    total = np.where(first_found, first, 0.0) + np.where(last_found, last, 0.0)
+    with np.errstate(invalid="ignore"):  # 0 / 0: NaN where neither is found
+        return total / (first_found.astype(np.int64) + last_found)
+
+
+def draw_race_labels(p_white, seed: int, attr_name: str = "race") -> GroupAttribute:
+    """Evaluation-only race labels: one seeded Bernoulli draw per record
+    from its white probability, in record order; records with a NaN
+    probability are marked missing (-1)."""
+    covered = np.flatnonzero(~np.isnan(p_white))
+    values = np.full(len(p_white), -1, dtype=np.int8)
+    draws = np.random.default_rng(seed).random(len(covered))
+    values[covered] = draws < p_white[covered]
+    return GroupAttribute(
+        name=attr_name,
+        positive_label="white",
+        negative_label="non-white",
+        values=values,
     )
 
 
@@ -580,28 +766,9 @@ def infer_race_labels(first_names, last_names,
     seeded Bernoulli draw from it. Records with neither name in the tables
     are marked missing and drop out of bias-report support.
     """
-    if len(first_names) != len(last_names):
-        raise ValueError("first_names and last_names must align")
-    rng = np.random.default_rng(seed)
-    values = np.full(len(first_names), -1, dtype=np.int8)
-    for i, (first, last) in enumerate(zip(first_names, last_names)):
-        probs = []
-        if first is not None:
-            p = demographics.first_white.get(normalize_token(first))
-            if p is not None:
-                probs.append(p)
-        if last is not None:
-            p = demographics.last_white.get(normalize_token(last))
-            if p is not None:
-                probs.append(p)
-        if not probs:
-            continue
-        values[i] = 1 if rng.random() < float(np.mean(probs)) else 0
-    return GroupAttribute(
-        name=attr_name,
-        positive_label="white",
-        negative_label="non-white",
-        values=values,
+    return draw_race_labels(
+        white_probabilities(first_names, last_names, demographics), seed,
+        attr_name,
     )
 
 

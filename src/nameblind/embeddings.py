@@ -9,6 +9,7 @@ predominantly lowercase.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass
 from enum import Enum
@@ -67,6 +68,32 @@ class NameVector:
     coverage: Coverage
 
 
+# the ASCII characters other than " " at which str.split() separates fields
+# and that a line read in text mode can hold (it ends at \n or \r)
+_OTHER_ASCII_BLANKS = "\t\v\f\x1c\x1d\x1e\x1f"
+
+
+def _skippable(body: str, dimension: int, wanted) -> bool:
+    """True when body.split() is a token outside wanted plus dimension fields.
+
+    body is a line with no trailing whitespace. The proof uses C-level
+    string scans, not a split: a line whose only whitespace is single
+    spaces, none leading, splits at exactly its spaces. (An ASCII line is
+    searched for the few other ASCII blanks; any other line must be
+    printable, which excludes every whitespace character but " ".) When
+    the proof fails the caller splits the line, so a line of the wrong
+    length still raises.
+    """
+    space = body.find(" ")
+    if space < 0 or normalize_token(body[:space]) in wanted:
+        return False
+    if body.count(" ") != dimension or space == 0 or "  " in body:
+        return False
+    if body.isascii():
+        return not any(map(body.__contains__, _OTHER_ASCII_BLANKS))
+    return body.isprintable()
+
+
 def load_embeddings(path, allowlist=None) -> EmbeddingTable:
     """Read a word-vector text file into an EmbeddingTable.
 
@@ -76,6 +103,9 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
         allowlist: optional set of tokens to keep. Full embedding files are
             multi-gigabyte, so callers typically pass the set of name tokens
             present in their dataset. Matching happens on normalized tokens.
+            A line whose token is not kept is checked for its field count
+            without being split (see _skippable), so the scan costs little
+            more than reading the file.
 
     Raises:
         EmbeddingFormatError: malformed header, zero dimension, or a line
@@ -105,9 +135,11 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
                 f"{path}: vector dimension must be positive, got {dimension}"
             )
         for line_no, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
+            body = line.rstrip()
+            if not body or (wanted is not None
+                            and _skippable(body, dimension, wanted)):
                 continue
+            fields = body.split()
             token = normalize_token(fields[0])
             values = fields[1:]
             if len(values) != dimension:
@@ -145,33 +177,42 @@ def name_vector(table: EmbeddingTable, first: str | None, last: str | None) -> N
     given a made-up vector, which would add noise to the very quantity
     being constrained.
     """
-    fv = table.get(first)
-    lv = table.get(last)
-    if fv is not None and lv is not None:
-        return NameVector(0.5 * (fv + lv), Coverage.BOTH_FOUND)
-    if fv is not None:
-        return NameVector(fv.copy(), Coverage.FIRST_ONLY)
-    if lv is not None:
-        return NameVector(lv.copy(), Coverage.LAST_ONLY)
-    return NameVector(np.zeros(table.dimension), Coverage.NONE)
+    vectors, coverages, _ = batch_name_vectors(table, [first], [last])
+    return NameVector(vectors[0], coverages[0])
+
+
+_COVERAGES = (Coverage.NONE, Coverage.LAST_ONLY, Coverage.FIRST_ONLY,
+              Coverage.BOTH_FOUND)
 
 
 def batch_name_vectors(table, first_names, last_names):
-    """Name vectors for aligned lists of first/last names.
+    """Name vectors for aligned lists of first/last names (see name_vector).
 
     Returns an (n, dimension) matrix, the per-record Coverage list, and a
-    boolean include mask that is False where neither name was found.
+    boolean include mask that is False where neither name was found. Each
+    distinct name is looked up once; the vectors are one gather from the
+    found names' rows and one mean over the records with both names.
     """
     if len(first_names) != len(last_names):
         raise ValueError("first_names and last_names must have equal length")
-    vectors = np.zeros((len(first_names), table.dimension))
-    coverages = []
-    for i, (first, last) in enumerate(zip(first_names, last_names)):
-        nv = name_vector(table, first, last)
-        vectors[i] = nv.vector
-        coverages.append(nv.coverage)
-    include = np.array([c is not Coverage.NONE for c in coverages], dtype=bool)
-    return vectors, coverages, include
+    row: dict[str | None, int] = {}   # name -> row of found, -1 when absent
+    found = []
+    for name in dict.fromkeys(itertools.chain(first_names, last_names)):
+        vector = table.get(name)
+        row[name] = -1 if vector is None else len(found)
+        if vector is not None:
+            found.append(vector)
+    found.append(np.zeros(table.dimension))  # row -1: neither name found
+    matrix = np.vstack(found)
+    n = len(first_names)
+    first = np.fromiter(map(row.__getitem__, first_names), np.intp, n)
+    last = np.fromiter(map(row.__getitem__, last_names), np.intp, n)
+    vectors = matrix[np.where(first >= 0, first, last)]
+    both = (first >= 0) & (last >= 0)
+    vectors[both] = 0.5 * (vectors[both] + matrix[last[both]])
+    codes = 2 * (first >= 0) + (last >= 0)
+    coverages = [_COVERAGES[c] for c in codes.tolist()]
+    return vectors, coverages, codes > 0
 
 
 def collect_name_tokens(first_names, last_names) -> set[str]:

@@ -121,7 +121,8 @@ def _class_covariances(inputs: PenaltyInputs, num_classes: int):
     if inputs.name_vectors is None:
         raise ValueError("name_vectors are required for the covariance penalty")
     sel, labels, probs = _included(inputs, num_classes)
-    vectors = inputs.name_vectors[sel]
+    # no copy when every record is included (train's per-epoch penalty)
+    vectors = inputs.name_vectors if sel.all() else inputs.name_vectors[sel]
     counts = np.bincount(labels, minlength=num_classes)
     n_c = np.maximum(counts, 1)
     mean_p = np.bincount(labels, weights=probs, minlength=num_classes) / n_c

@@ -8,7 +8,7 @@ Runs are deterministic given a config seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,34 +150,52 @@ def adam_step(params: ModelParams, grad_W, grad_b, state: AdamState,
     params.b -= config.learning_rate * mhat_b / (np.sqrt(vhat_b) + eps)
 
 
-def _penalty(config: TrainConfig, num_classes: int, labels, cluster_ids,
-             name_vecs, include, rows):
-    """The configured penalty over records[rows] as p_true -> (value, grad).
+@dataclass
+class PenaltyContext:
+    """The name data a penalty reads, shared by the fits of one dataset.
 
-    None when no penalty is on (variant "none" or lam = 0).
+    name_vectors (n, dimension) and include (n,) come from
+    embeddings.batch_name_vectors over every record of the dataset; train
+    reads them at its training rows. clusters caches the k-means model of
+    the included training names per (k, seed, training rows), filled by
+    the first cluster-penalty fit that needs it, so a sweep clusters once
+    per seed.
     """
-    if config.variant == "none" or config.lam == 0:
-        return None
-    arrays = [None if a is None else a[rows]
-              for a in (labels, cluster_ids, name_vecs, include)]
-    return lambda p_true: losses.penalty(
-        losses.PenaltyInputs(p_true, *arrays), config.variant, config.k,
-        num_classes,
-    )
+
+    name_vectors: np.ndarray
+    include: np.ndarray
+    clusters: dict = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, embeddings: EmbeddingTable, first_names,
+              last_names) -> "PenaltyContext":
+        """Context of the records with these names (batch_name_vectors)."""
+        vectors, _, include = batch_name_vectors(embeddings, first_names,
+                                                 last_names)
+        return cls(vectors, include)
+
+    def cluster_model(self, k: int, seed: int, train_idx) -> ClusterModel:
+        """k-means of the included training records' name vectors."""
+        key = (k, seed, np.asarray(train_idx).tobytes())
+        if key not in self.clusters:
+            rows = train_idx[self.include[train_idx]]
+            self.clusters[key] = kmeans(self.name_vectors[rows], k, seed=seed)
+        return self.clusters[key]
 
 
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
-          split=None) -> TrainResult:
+          split=None, context: PenaltyContext | None = None) -> TrainResult:
     """Train the classifier with the configured penalty.
 
-    Pipeline: name vectors are computed once (records whose names have no
-    embedding coverage are excluded from penalty statistics); the cluster
-    penalty clusters the training-split name vectors once up front and
-    freezes the assignments; class weights come from the training labels;
-    each epoch shuffles with the seeded RNG and applies Adam per batch.
-    Each batch gathers its rows of dataset.features as one dense block,
-    and full-set passes go through forward_rows, so a sparse (BinaryRows)
-    feature store is never densified whole.
+    Pipeline: name vectors come from context, or are computed once here
+    when none is given (records whose names have no embedding coverage are
+    excluded from penalty statistics); the cluster penalty clusters the
+    training-split name vectors once per context and freezes the
+    assignments; class weights come from the training labels; each epoch
+    shuffles with the seeded RNG and applies Adam per batch. Each batch
+    gathers its rows of dataset.features as one dense block, and full-set
+    passes go through forward_rows, so a sparse (BinaryRows) feature store
+    is never densified whole.
     Identical configs and seeds produce bitwise-identical parameters.
     """
     n = len(dataset)
@@ -194,25 +212,46 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     cluster_model = None
     name_vecs = include = cluster_ids = None
     if penalty_on:
-        if embeddings is None:
-            raise ValueError("the selected penalty needs an embedding table")
-        name_vecs, _, include = batch_name_vectors(
-            embeddings, dataset.first_names, dataset.last_names
-        )
-        name_vecs = name_vecs[train_idx]
-        include = include[train_idx]
+        if context is None:
+            if embeddings is None:
+                raise ValueError("the selected penalty needs an embedding table")
+            context = PenaltyContext.build(embeddings, dataset.first_names,
+                                           dataset.last_names)
+        if len(context.include) != n:
+            raise ValueError("the penalty context must cover every record")
+        include = context.include[train_idx]
         if not include.any():
             raise ValueError(
                 f"the {config.variant} penalty needs embedded names, but 0 of "
                 f"{len(train_idx)} training records have a name in the "
                 "embedding table"
             )
-        if config.variant == "clucl":
-            cluster_model = kmeans(name_vecs[include], config.k, seed=config.seed)
+        if config.variant == "clucl":  # reads only the cluster ids
+            cluster_model = context.cluster_model(config.k, config.seed,
+                                                  train_idx)
             cluster_ids = np.zeros(len(train_idx), dtype=np.int64)
             cluster_ids[include] = cluster_model.assignments
-            name_vecs = None  # the cluster penalty reads only cluster_ids
+        else:
+            name_vecs = context.name_vectors
 
+    def penalty_over(positions):
+        """The penalty over the training records train_idx[positions], as
+        p_true -> (value, grad); None when no penalty is on."""
+        if not penalty_on:
+            return None
+        arrays = (y[positions],
+                  None if cluster_ids is None else cluster_ids[positions],
+                  None if name_vecs is None else name_vecs[train_idx[positions]],
+                  include[positions])
+        return lambda p_true: losses.penalty(
+            losses.PenaltyInputs(p_true, *arrays), config.variant, config.k,
+            num_classes,
+        )
+
+    # the per-epoch penalty, over the included records only: the same
+    # value, and its inputs are gathered once per fit
+    included = None if include is None else np.flatnonzero(include)
+    epoch_penalty = penalty_over(included)
     weights = class_weights(np.bincount(y, minlength=num_classes))
     params = ModelParams(
         W=np.zeros((num_classes, features.shape[1])),
@@ -227,17 +266,15 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         order = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             batch = order[start:start + config.batch_size]
-            batch_penalty = _penalty(config, num_classes, y, cluster_ids,
-                                     name_vecs, include, batch)
             _, grad_W, grad_b = loss_and_gradient(
                 params, features[train_idx[batch]], y[batch], weights,
-                config.l2_coeff, batch_penalty, config.lam,
+                config.l2_coeff, penalty_over(batch), config.lam,
             )
             adam_step(params, grad_W, grad_b, state, config)
 
         base, penalty = evaluate_losses(
-            params, features, train_idx, y, weights, config, cluster_ids,
-            name_vecs, include,
+            params, features, train_idx, y, weights, config, epoch_penalty,
+            included,
         )
         total = losses.total_loss(base, penalty, config.lam)
         if not np.isfinite(total):
@@ -278,22 +315,26 @@ def forward_rows(params, features, rows) -> np.ndarray:
 
 
 def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
-                    cluster_ids=None, name_vecs=None, include=None):
+                    penalty=None, penalty_positions=None):
     """(base, penalty) over the records features[rows] (not batch estimates).
 
-    y and the penalty arrays align with rows. base is the weighted
-    cross-entropy plus the l2 term, so base + lam * penalty is
-    model.loss_and_gradient's objective over the same records.
+    y aligns with rows. base is the weighted cross-entropy plus the l2
+    term, so base + lam * penalty is model.loss_and_gradient's objective
+    over the same records. penalty is the configured penalty as
+    p_true -> (value, grad) over the records at penalty_positions of rows
+    (default: all of them); train passes only the records the penalty
+    statistics include, which gives the same value.
     """
     probs = forward_rows(params, features, rows)
     base = weighted_cross_entropy(probs, y, weights)
     if config.l2_coeff:
         base += config.l2_coeff * float(np.sum(params.W**2))
-    penalty = _penalty(config, params.num_classes, y, cluster_ids, name_vecs,
-                       include, slice(None))
     if penalty is None:
         return base, 0.0
-    return base, penalty(probs[np.arange(len(y)), y])[0]
+    p_true = probs[np.arange(len(y)), y]
+    if penalty_positions is not None:
+        p_true = p_true[penalty_positions]
+    return base, penalty(p_true)[0]
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

@@ -5,8 +5,12 @@ implementation (finite differences, brute-force enumeration, plain
 counting loops), deliberately written in the most obvious way.
 """
 
+import csv
 import itertools
 import math
+import re
+import string
+from collections import Counter
 
 import numpy as np
 
@@ -224,3 +228,199 @@ def dense_bag_of_words(token_lists, vocabulary):
     for i, tokens in enumerate(token_lists):
         features[i, [index[t] for t in set(tokens) if t in index]] = 1.0
     return features
+
+
+# ------------------------------------------------------- ingest reference loops
+#
+# The record-at-a-time ingest code the package used before parsing moved
+# to one pass per file: every function reads its inputs from scratch.
+
+_STRIP_CHARS = string.punctuation + string.whitespace
+_PRONOUNS = {"he", "she", "her", "his", "him", "hers", "himself", "herself",
+             "mr", "mrs", "ms"}
+
+
+def _normalize(token):
+    return token.strip(_STRIP_CHARS).lower()
+
+
+def race_labels_loop(first_names, last_names, first_white, last_white, seed):
+    """One Bernoulli draw per record whose first or last name is in its
+    table, at the mean of the found proportions; -1 elsewhere."""
+    rng = np.random.default_rng(seed)
+    values = np.full(len(first_names), -1, dtype=np.int8)
+    for i, (first, last) in enumerate(zip(first_names, last_names)):
+        probs = []
+        if first is not None:
+            p = first_white.get(_normalize(first))
+            if p is not None:
+                probs.append(p)
+        if last is not None:
+            p = last_white.get(_normalize(last))
+            if p is not None:
+                probs.append(p)
+        if not probs:
+            continue
+        values[i] = 1 if rng.random() < float(np.mean(probs)) else 0
+    return values
+
+
+def synthetic_names_loop(race, gender, pools, seed):
+    """One uniform draw per record from pools[(white, male)] (sorted lists)."""
+    rng = np.random.default_rng(seed)
+    names = []
+    for w, m in zip(race, gender):
+        pool = pools[(int(w), int(m))]
+        names.append(pool[rng.integers(len(pool))])
+    return names
+
+
+def name_vectors_loop(entries, dimension, first_names, last_names):
+    """(vectors, coverages, include): mean of the found name vectors."""
+    vectors = np.zeros((len(first_names), dimension))
+    coverages = []
+    for i, (first, last) in enumerate(zip(first_names, last_names)):
+        fv = None if first is None else entries.get(_normalize(first) or None)
+        lv = None if last is None else entries.get(_normalize(last) or None)
+        if fv is not None and lv is not None:
+            vectors[i] = 0.5 * (fv + lv)
+            coverages.append("both-found")
+        elif fv is not None:
+            vectors[i] = fv
+            coverages.append("first-only")
+        elif lv is not None:
+            vectors[i] = lv
+            coverages.append("last-only")
+        else:
+            coverages.append("none")
+    include = np.array([c != "none" for c in coverages], dtype=bool)
+    return vectors, coverages, include
+
+
+def load_embeddings_split(path, allowlist):
+    """(dimension, {token: vector}) splitting every line; raises ValueError
+    naming the line of a vector of the wrong length."""
+    wanted = {_normalize(t) for t in allowlist}
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        dimension = int(fh.readline().split()[1])
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) - 1 != dimension:
+                raise ValueError(f"line {line_no}")
+            token = _normalize(fields[0])
+            if token and token in wanted:
+                entries[token] = np.array(fields[1:], dtype=np.float64)
+    return dimension, entries
+
+
+def _scrub(document, first_name):
+    remove = set(_PRONOUNS)
+    if first_name is not None and _normalize(first_name):
+        remove.add(_normalize(first_name))
+    return " ".join(t for t in document.split() if _normalize(t) not in remove)
+
+
+def load_text_loop(path, min_count, top_fraction, scrub_names, fit_indices):
+    """Text records with a vocabulary pruned on the fit rows: a dict of
+    labels, class_names, first/last names, vocabulary and, per record, its
+    sorted vocabulary columns."""
+    labels_raw, first_names, last_names, documents = [], [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            label, first, last, document = line.rstrip("\n").split("\t")
+            labels_raw.append(label.strip())
+            first_names.append(first.strip() or None)
+            last_names.append(last.strip() or None)
+            documents.append(document)
+    if scrub_names:
+        documents = [_scrub(d, f) for d, f in zip(documents, first_names)]
+    token_lists = [re.findall(r"[a-z0-9']+", d.lower()) for d in documents]
+    fit = (token_lists if fit_indices is None
+           else [token_lists[i] for i in fit_indices])
+    occurrences, doc_freq = Counter(), Counter()
+    for tokens in fit:
+        occurrences.update(tokens)
+        doc_freq.update(set(tokens))
+    types = sorted(doc_freq, key=lambda t: (-doc_freq[t], t))
+    n_drop = int(top_fraction * len(types))
+    vocabulary = sorted(t for t in types[n_drop:] if occurrences[t] >= min_count)
+    index = {t: j for j, t in enumerate(vocabulary)}
+    class_names = sorted(set(labels_raw))
+    return {
+        "labels": [class_names.index(v) for v in labels_raw],
+        "class_names": class_names,
+        "first_names": first_names,
+        "last_names": last_names,
+        "vocabulary": vocabulary,
+        "rows": [sorted({index[t] for t in tokens if t in index})
+                 for tokens in token_lists],
+    }
+
+
+def load_tabular_loop(path, roles, fit_indices):
+    """CSV records preprocessed on the fit rows, cell by cell.
+
+    roles maps each column to (role, group positive value or None).
+    Returns a dict of dense features, feature_names, labels, class_names,
+    first/last names, attributes [(name, positive, negative, values)] and
+    warnings [(column, value)] for categories unseen in the fit rows.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = [[c.strip() for c in row] for row in reader if row]
+    fit_rows = rows if fit_indices is None else [rows[i] for i in fit_indices]
+    n = len(rows)
+    blocks, names, warnings, attributes = [], [], [], []
+    first_names = last_names = [None] * n
+    label_column = None
+    for j, name in enumerate(header):
+        role, positive = roles[name]
+        cells = [row[j] for row in rows]
+        fit_cells = [row[j] for row in fit_rows]
+        if role == "continuous":
+            values = [float(v) for v in cells]
+            lo = min(float(v) for v in fit_cells)
+            hi = max(float(v) for v in fit_cells)
+            column = np.zeros((n, 1))
+            for i, v in enumerate(values):
+                if hi > lo:
+                    column[i, 0] = min(max((v - lo) / (hi - lo), 0.0), 1.0)
+            blocks.append(column)
+            names.append(name)
+        elif role == "categorical":
+            categories = sorted(set(fit_cells))
+            column = np.zeros((n, len(categories)))
+            for i, cell in enumerate(cells):
+                if cell in categories:
+                    column[i, categories.index(cell)] = 1.0
+            warnings.extend((name, v) for v in sorted(set(cells) - set(categories)))
+            blocks.append(column)
+            names.extend(f"{name}={c}" for c in categories)
+        elif role == "label":
+            label_column = cells
+        elif role == "first_name":
+            first_names = [c or None for c in cells]
+        elif role == "last_name":
+            last_names = [c or None for c in cells]
+        if positive is not None:
+            others = sorted({c for c in cells if c and c != positive})
+            negative = others[0] if len(others) == 1 else f"not-{positive}"
+            values = [-1 if not c else int(c == positive) for c in cells]
+            attributes.append((name, positive, negative, values))
+    class_names = sorted(set(label_column))
+    return {
+        "features": np.hstack(blocks) if blocks else np.zeros((n, 0)),
+        "feature_names": names,
+        "labels": [class_names.index(v) for v in label_column],
+        "class_names": class_names,
+        "first_names": first_names,
+        "last_names": last_names,
+        "attributes": attributes,
+        "warnings": warnings,
+    }

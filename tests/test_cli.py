@@ -520,3 +520,186 @@ def test_text_format_penalties_rerun_identically(tmp_path):
                  "--split", "all", "--out", str(out)]) == 0
     rows = read_csv_rows(out / "evaluation.csv")
     assert len(rows) > 1
+
+
+# ----------------------------------------------- one parse per command, in order
+
+@pytest.fixture()
+def count_opens(monkeypatch):
+    """Counts of open() calls per resolved path, for reads during the test."""
+    import builtins
+    from collections import Counter
+    from pathlib import Path
+
+    counts = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, Path)):
+            counts[Path(file).resolve()] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return counts
+
+
+def test_sweep_reads_data_and_embeddings_once(tiny_tabular, tmp_path, count_opens):
+    data, schema, embeddings = tiny_tabular
+    rc = main(
+        [
+            "sweep", "--data", str(data), "--schema", str(schema),
+            "--embeddings", str(embeddings), "--variant", "cocl",
+            "--lambdas", "0", "1", "--seeds", "0", "1", "2", "--epochs", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0
+    assert count_opens[data.resolve()] == 1
+    assert count_opens[embeddings.resolve()] == 1
+
+
+def test_text_sweep_reads_data_and_embeddings_once(tmp_path, count_opens):
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    rc = main(
+        [
+            "sweep", "--data", str(data), "--format", "text",
+            "--embeddings", str(embeddings),
+            "--names-demographics", str(first_white), str(first_male),
+            "--min-count", "1", "--top-fraction", "0", "--variant", "cocl",
+            "--lambdas", "0", "2", "--seeds", "0", "1", "2", "--epochs", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0
+    assert count_opens[data.resolve()] == 1
+    assert count_opens[embeddings.resolve()] == 1
+
+
+def test_clucl_sweep_clusters_once_per_seed(tmp_path, monkeypatch):
+    import nameblind.training
+
+    calls = []
+    kmeans = nameblind.training.kmeans
+
+    def counting_kmeans(points, *args, **kwargs):
+        calls.append(len(points))
+        return kmeans(points, *args, **kwargs)
+
+    monkeypatch.setattr(nameblind.training, "kmeans", counting_kmeans)
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    rc = main(
+        [
+            "sweep", "--data", str(data), "--format", "text",
+            "--embeddings", str(embeddings),
+            "--names-demographics", str(first_white), str(first_male),
+            "--min-count", "1", "--top-fraction", "0", "--variant", "clucl",
+            "--k", "3", "--lambdas", "1", "2", "--seeds", "0", "1",
+            "--epochs", "1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0
+    assert len(calls) == 2
+
+
+@pytest.fixture()
+def count_name_vectors(monkeypatch):
+    """The number of batch_name_vectors calls during the test."""
+    import nameblind.embeddings
+    import nameblind.training
+
+    calls = []
+    batch_name_vectors = nameblind.embeddings.batch_name_vectors
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batch_name_vectors(*args, **kwargs)
+
+    for module in (nameblind.embeddings, nameblind.training):
+        monkeypatch.setattr(module, "batch_name_vectors", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["tabular", "text"])
+def test_cluster_report_builds_name_vectors_once(fmt, tiny_tabular, tmp_path,
+                                                 count_name_vectors):
+    if fmt == "tabular":
+        data, schema, embeddings = tiny_tabular
+        inputs = ["--schema", str(schema)]
+    else:
+        data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+        inputs = ["--format", "text", "--names-demographics", str(first_white),
+                  str(first_male), "--min-count", "1", "--top-fraction", "0"]
+    rc = main(["cluster-report", "--data", str(data), *inputs,
+               "--embeddings", str(embeddings), "--k", "2", "--seeds", "3",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(count_name_vectors) == 1
+
+
+@pytest.mark.parametrize("names, calls", [("text", 1), ("csv column", 1),
+                                          ("synthetic", 3)])
+def test_name_vectors_built_once_per_command_or_seed(
+        names, calls, tiny_tabular, tmp_path, count_name_vectors):
+    data, schema, embeddings = tiny_tabular
+    inputs = ["--schema", str(schema)]
+    if names == "text":
+        data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+        inputs = ["--format", "text", "--names-demographics", str(first_white),
+                  str(first_male), "--min-count", "1", "--top-fraction", "0"]
+    elif names == "synthetic":  # first names drawn per seed from these
+        tables = [tmp_path / "white.tsv", tmp_path / "male.tsv"]
+        for column, path in enumerate(tables):
+            path.write_text("".join(
+                f"name{i:02d}\t{0.9 if (i >> column) & 1 else 0.1}\n"
+                for i in range(20)), encoding="utf-8")
+        inputs += ["--names-demographics", *map(str, tables)]
+    rc = main(["sweep", "--data", str(data), *inputs,
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--lambdas", "0", "1", "--seeds", "0", "1", "2",
+               "--epochs", "1", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(count_name_vectors) == calls
+
+
+def malformed_copy(data, tmp_path):
+    bad = tmp_path / "bad.csv"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[7] += ",extra"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return bad
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("good", 0, None),
+    ("malformed data", 1, "row 8 has 8 cells"),
+    ("missing embeddings", 2, "nope.txt"),
+    ("malformed data, missing embeddings", 2, "nope.txt"),
+    ("malformed data, malformed embeddings", 1, "row 8 has 8 cells"),
+    ("malformed embeddings", 1, "line 3"),
+    ("numerical failure", 3, "numerical"),
+])
+def test_exit_codes_follow_the_input_order(case, code, message, tiny_tabular,
+                                           tmp_path, capsys):
+    data, schema, embeddings = tiny_tabular
+    if "malformed data" in case:
+        data = malformed_copy(data, tmp_path)
+    if "missing embeddings" in case:
+        embeddings = tmp_path / "nope.txt"
+    if "malformed embeddings" in case:
+        embeddings = tmp_path / "short.txt"
+        embeddings.write_text("2 4\nname00 1 2 3 4\nname01 1 2 3\n",
+                              encoding="utf-8")
+    argv = [
+        "train", "--data", str(data), "--schema", str(schema),
+        "--embeddings", str(embeddings), "--variant", "cocl",
+        "--lambda", "1", "--seeds", "0", "--epochs", "2",
+        "--out", str(tmp_path / "out"),
+    ]
+    if case == "numerical failure":
+        argv += ["--lr", "1e308"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(argv)
+    assert rc == code
+    err = capsys.readouterr().err
+    if message is not None:
+        assert message in err

@@ -7,24 +7,35 @@ import pytest
 from nameblind.data import (
     BinaryRows,
     Dataset,
-    _bag_of_words,
     NameDemographics,
     TabularSchema,
+    TokenizedDocuments,
     assign_synthetic_names,
+    fit_tabular,
+    fit_text,
     infer_race_labels,
     load_dataset,
     load_name_probabilities,
     load_tabular,
     load_text,
+    parse_tabular,
+    parse_text,
     partition_names,
     save_dataset,
     scrub,
     tokenize,
     vectorize_text,
 )
+from nameblind.embeddings import normalize_token
 from nameblind.metrics import GroupAttribute, GroupLabels
 
-from oracles import dense_bag_of_words
+from oracles import (
+    dense_bag_of_words,
+    load_tabular_loop,
+    load_text_loop,
+    race_labels_loop,
+    synthetic_names_loop,
+)
 
 SCHEMA_TEXT = """
 # demo schema
@@ -374,8 +385,10 @@ def random_token_lists(seed, n_docs=40, n_words=30):
 
 def test_binary_rows_match_dense_oracle():
     token_lists, vocabulary = random_token_lists(seed=6)
-    features = _bag_of_words(token_lists, vocabulary)
-    dense = dense_bag_of_words(token_lists, vocabulary)
+    docs = TokenizedDocuments.from_token_lists(token_lists)
+    ids = [docs.tokens.index(t) for t in vocabulary if t in docs.tokens]
+    features = docs.bag_of_words(ids)
+    dense = dense_bag_of_words(token_lists, [docs.tokens[i] for i in ids])
     assert isinstance(features, BinaryRows)
     assert features.indptr.dtype == np.int64
     assert features.indices.dtype == np.int32
@@ -573,3 +586,187 @@ def test_name_probability_table_parse(tmp_path):
     bad.write_text("anna\t1.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="outside"):
         load_name_probabilities(bad)
+
+
+# ------------------------------------------- parse once, fit per split: oracles
+
+def _mixed_names(n, rng):
+    """First/last names with both, one or neither in the tables, plus
+    case, punctuation, blank and missing variants."""
+    firsts = ["Anna", "anna!", " BOB ", "cara", "zed", "", None, "O'Neil"]
+    lasts = ["Smith", "smith,", "JONES", "wu", "nope", None, "", "o'neil."]
+    return ([firsts[i] for i in rng.integers(len(firsts), size=n)],
+            [lasts[i] for i in rng.integers(len(lasts), size=n)])
+
+
+def test_infer_race_labels_matches_loop_oracle():
+    demo = NameDemographics(
+        first_white={"anna": 0.8, "bob": 0.35, "cara": 0.5, "o'neil": 0.9},
+        first_male={},
+        last_white={"smith": 0.6, "jones": 0.05, "o'neil": 0.25},
+    )
+    first, last = _mixed_names(400, np.random.default_rng(5))
+    for seed in range(20):
+        got = infer_race_labels(first, last, demo, seed=seed).values
+        want = race_labels_loop(first, last, demo.first_white,
+                                demo.last_white, seed)
+        assert got.dtype == np.int8
+        assert got.tolist() == want.tolist()
+    # all four coverage cases occur
+    assert {(f is not None and normalize_token(f) in demo.first_white,
+             l is not None and normalize_token(l) in demo.last_white)
+            for f, l in zip(first, last)} == {(True, True), (True, False),
+                                              (False, True), (False, False)}
+
+
+def test_assign_synthetic_names_matches_loop_oracle():
+    # pools of 1, 3, 7 and 250 names
+    sizes = {(0, 0): 1, (0, 1): 3, (1, 0): 7, (1, 1): 250}
+    first_white, first_male = {}, {}
+    for (white, male), size in sizes.items():
+        for i in range(size):
+            name = f"w{white}m{male}n{i}"
+            first_white[name] = 0.9 if white else 0.1
+            first_male[name] = 0.9 if male else 0.1
+    part = partition_names(NameDemographics(first_white, first_male))
+    pools = {key: sorted(part.category(bool(key[0]), bool(key[1])))
+             for key in sizes}
+    assert {key: len(pool) for key, pool in pools.items()} == sizes
+    for seed in range(20):
+        dataset = grouped_dataset(600, np.random.default_rng(100 + seed))
+        race = dataset.eval_groups.get("race").values
+        gender = dataset.eval_groups.get("gender").values
+        assign_synthetic_names(dataset, part, seed=seed)
+        assert dataset.first_names == synthetic_names_loop(race, gender, pools, seed)
+        assert dataset.last_names == [None] * 600
+
+
+def write_text_records(path, documents, names=None):
+    lines = []
+    for i, doc in enumerate(documents):
+        first, last = names[i] if names else (f"First{i % 5}", f"last{i % 3}")
+        lines.append(f"job{i % 3}\t{first or ''}\t{last or ''}\t{doc}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_text_dataset_matches(dataset, want):
+    assert dataset.feature_names == want["vocabulary"]
+    assert dataset.class_names == want["class_names"]
+    assert dataset.labels.tolist() == want["labels"]
+    assert dataset.first_names == want["first_names"]
+    assert dataset.last_names == want["last_names"]
+    rows = want["rows"]
+    counts = [len(r) for r in rows]
+    assert dataset.features.indptr.tolist() == [0, *np.cumsum(counts).tolist()]
+    assert dataset.features.indices.tolist() == [c for r in rows for c in r]
+    assert dataset.features.num_columns == len(want["vocabulary"])
+
+
+def test_fit_text_matches_load_text_oracle(tmp_path):
+    rng = np.random.default_rng(9)
+    words = [f"w{i:02d}" for i in range(40)] + ["She", "his", "Mr."]
+    documents = [" ".join(rng.choice(words, size=rng.integers(1, 25)))
+                 for _ in range(150)]
+    documents[4] = ""                            # an empty document
+    documents[9] = "first1 First1, she HE mrs"   # emptied by --scrub
+    path = tmp_path / "records.tsv"
+    write_text_records(path, documents)
+    splits = [None, list(range(0, 150, 2)), list(range(75)),
+              np.random.default_rng(1).permutation(150)[:100]]
+    for scrub_names in (False, True):
+        records = parse_text(path, scrub_names=scrub_names)
+        for fit_indices in splits:
+            for min_count, top_fraction in ((1, 0.0), (3, 0.1), (5, 0.33)):
+                want = load_text_loop(path, min_count, top_fraction,
+                                      scrub_names, fit_indices)
+                got = fit_text(records, min_count, top_fraction, fit_indices)
+                assert_text_dataset_matches(got, want)
+                same = load_text(path, min_count, top_fraction, scrub_names,
+                                 fit_indices)
+                assert_text_dataset_matches(same, want)
+    assert load_text_loop(path, 1, 0.0, False, None)["rows"][4] == []
+
+
+def test_fit_text_tie_at_cut_and_exact_min_count(tmp_path):
+    # ten types: "common" (df 6), then "tie" and "tied" (df 4 each), so a
+    # top_fraction of 0.2 drops "common" and, alphabetically, "tie" only;
+    # "exact" occurs exactly 3 times, in one document
+    documents = ["common tie tied one", "common tie tied two",
+                 "common tie tied three", "common tie tied four",
+                 "common five exact exact exact", "common six", ""]
+    path = tmp_path / "records.tsv"
+    write_text_records(path, documents)
+    records = parse_text(path)
+    for min_count, want_exact in ((3, True), (4, False)):
+        want = load_text_loop(path, min_count, 0.2, False, None)
+        assert ("tie" in want["vocabulary"], "tied" in want["vocabulary"]) == (
+            False, min_count <= 4)
+        assert ("exact" in want["vocabulary"]) == want_exact
+        assert_text_dataset_matches(fit_text(records, min_count, 0.2), want)
+    want = load_text_loop(path, 1, 0.2, False, None)
+    assert want["vocabulary"] == ["exact", "five", "four", "one", "six",
+                                  "three", "tied", "two"]
+    assert_text_dataset_matches(fit_text(records, 1, 0.2), want)
+    # fit on the first four documents: "common", "tie" and "tied" tie at
+    # the top, and a cut of two drops the first two alphabetically
+    want = load_text_loop(path, 1, 0.3, False, [0, 1, 2, 3])
+    assert want["vocabulary"] == ["four", "one", "three", "tied", "two"]
+    assert_text_dataset_matches(fit_text(records, 1, 0.3, [0, 1, 2, 3]), want)
+
+
+TABULAR_ROLES = {
+    "age": ("continuous", None),
+    "flat": ("continuous", None),
+    "color": ("categorical", None),
+    "sex": ("categorical", "F"),
+    "region": ("group", "north"),
+    "income": ("label", None),
+    "junk": ("ignore", None),
+    "first": ("first_name", None),
+    "last": ("last_name", None),
+}
+
+
+def test_fit_tabular_matches_load_tabular_oracle(tmp_path, caplog):
+    rng = np.random.default_rng(4)
+    n = 60
+    colors = ["red", "blue", "green", "teal", ""]
+    rows = []
+    for i in range(n):
+        rows.append([
+            f"{rng.uniform(-5, 90):.3f}", "7.5",       # flat: a constant column
+            colors[i % 3] if i < 50 else colors[4 if i % 2 else 3],
+            "F" if i % 3 else "M",
+            ["north", "south", ""][i % 3],
+            "hi" if rng.random() < 0.4 else "lo",
+            "x", f"name{i % 9}" if i % 7 else "", f"sur{i % 4}",
+        ])
+    path = write_csv(tmp_path, list(TABULAR_ROLES), rows)
+    schema = TabularSchema.parse("\n".join(
+        f"{c} {role}" + (f" group={pos}" if pos else "")
+        if role != "group" else f"{c} group={pos}"
+        for c, (role, pos) in TABULAR_ROLES.items()
+    ))
+    records = parse_tabular(path, schema)
+    # the last ten rows hold the only "teal" and "" colors
+    for fit_indices in (None, list(range(50)), list(range(0, 50, 3)),
+                        np.random.default_rng(2).permutation(n)[:30]):
+        want = load_tabular_loop(path, TABULAR_ROLES, fit_indices)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="nameblind.data"):
+            got = fit_tabular(records, fit_indices)
+        assert [r.args for r in caplog.records] == want["warnings"]
+        assert got.features.tobytes() == want["features"].tobytes()
+        assert got.feature_names == want["feature_names"]
+        assert got.labels.tolist() == want["labels"]
+        assert got.class_names == want["class_names"]
+        assert got.first_names == want["first_names"]
+        assert got.last_names == want["last_names"]
+        assert [(a.name, a.positive_label, a.negative_label, a.values.tolist())
+                for a in got.eval_groups.attributes] == want["attributes"]
+        same = load_tabular(path, schema, fit_indices=fit_indices)
+        assert same.features.tobytes() == got.features.tobytes()
+        assert same.feature_names == got.feature_names
+    assert load_tabular_loop(path, TABULAR_ROLES, list(range(50)))["warnings"] == [
+        ("color", ""), ("color", "teal")]
+    assert "flat" in want["feature_names"]

@@ -13,6 +13,8 @@ from nameblind.embeddings import (
     save_embeddings,
 )
 
+from oracles import load_embeddings_split, name_vectors_loop
+
 
 def write_vectors(tmp_path, text, name="vectors.txt"):
     path = tmp_path / name
@@ -144,3 +146,108 @@ def test_batch_name_vectors_mask():
 def test_collect_name_tokens():
     tokens = collect_name_tokens(["Anna", None, " Bob,"], ["Smith", "", "anna"])
     assert tokens == {"anna", "bob", "smith"}
+
+
+# ------------------------------------------------- the skip-fast embedding scan
+
+SEPARATORS = {
+    "double space": lambda vals: "  ".join(vals),
+    "tab": lambda vals: "\t".join(vals),
+    "trailing spaces": lambda vals: " ".join(vals) + "   ",
+    "leading spaces": lambda vals: "   " + " ".join(vals),
+    "no-break space": lambda vals: "\xa0".join(vals),
+    "unit separator": lambda vals: "\x1f".join(vals),
+}
+
+
+@pytest.mark.parametrize("separator", sorted(SEPARATORS))
+@pytest.mark.parametrize("skipped", [True, False])
+def test_line_missing_a_component_reports_line(tmp_path, separator, skipped):
+    join = SEPARATORS[separator]
+    token = "skipme" if skipped else "anna"
+    path = write_vectors(
+        tmp_path, f"3 3\nanna 1 0 0\n{token} {join(['0.5', '0.25'])}\nsmith 0 1 0\n"
+    )
+    with pytest.raises(EmbeddingFormatError, match="line 3"):
+        load_embeddings(path, allowlist={"anna", "smith"})
+
+
+@pytest.mark.parametrize("separator", sorted(SEPARATORS))
+def test_skipped_line_with_extra_component_reports_line(tmp_path, separator):
+    line = "xx " + SEPARATORS[separator](["1", "2", "3", "4"])
+    path = write_vectors(tmp_path, f"2 3\nanna 1 0 0\n{line}\n")
+    with pytest.raises(EmbeddingFormatError, match="line 3"):
+        load_embeddings(path, allowlist={"anna"})
+
+
+@pytest.mark.parametrize("blank", ["\t", "\x1f", "\xa0", "\u2003"])
+def test_skipped_line_with_a_hidden_extra_component_reports_line(tmp_path, blank):
+    # as many spaces as a well-formed line, plus one more blank
+    path = write_vectors(tmp_path, f"2 3\nanna 1 0 0\nxx 1 2 3{blank}4\n")
+    with pytest.raises(EmbeddingFormatError, match="line 3"):
+        load_embeddings(path, allowlist={"anna"})
+
+
+def test_well_formed_lines_with_other_blanks_load(tmp_path):
+    text = (
+        "6 3\n"
+        "anna\t1\t0\t0\n"                  # kept, tab-separated
+        "skip\t1\t2\t3\n"                  # skipped, tab-separated
+        "Smith   0  1    0  \n"            # kept, runs of spaces
+        "other  4 5  6\n"                  # skipped, runs of spaces
+        "  bob 7 8 9\n"                    # kept, leading spaces
+        "\u00e9t\u00e9 1 2 3\n"           # skipped, a non-ASCII token
+        "\n"
+        "cara 0.5 0.25 -0.0\n"             # kept, the plain fast layout
+    )
+    path = write_vectors(tmp_path, text)
+    allowlist = {"anna", "smith", "bob", "cara"}
+    table = load_embeddings(path, allowlist=allowlist)
+    dimension, entries = load_embeddings_split(path, allowlist)
+    assert table.dimension == dimension == 3
+    assert list(table.entries) == list(entries) == ["anna", "smith", "bob", "cara"]
+    for token, vector in entries.items():
+        assert table.entries[token].tobytes() == vector.tobytes()
+
+
+def test_scan_matches_split_path_on_bench_layout(tmp_path):
+    # the benchmark's vector-file layout ("%s" + " %.5f" * 300 per line):
+    # names scattered among many distractor lines
+    rng = np.random.default_rng(0)
+    dim = 300
+    names = [f"name{i}" for i in range(60)]
+    tokens = names + [f"xdistract{i}" for i in range(1500)]
+    fmt = "%s" + " %.5f" * dim
+    lines = [fmt % (t, *v) for t, v in
+             zip(tokens, rng.normal(0, 0.3, (len(tokens), dim)).tolist())]
+    order = rng.permutation(len(lines))
+    path = write_vectors(tmp_path, f"{len(lines)} {dim}\n"
+                         + "\n".join(lines[i] for i in order) + "\n")
+    allowlist = set(names[::2]) | {"Name1!", "absent"}
+    table = load_embeddings(path, allowlist=allowlist)
+    dimension, entries = load_embeddings_split(path, allowlist)
+    assert table.dimension == dimension
+    assert list(table.entries) == list(entries)
+    assert len(entries) == 31
+    for token, vector in entries.items():
+        assert table.entries[token].tobytes() == vector.tobytes()
+
+
+def test_batch_name_vectors_matches_loop_oracle():
+    rng = np.random.default_rng(8)
+    entries = {f"n{i}": rng.normal(size=5) for i in range(12)}
+    entries["n3"][2] = -0.0
+    entries["smith"] = rng.normal(size=5)
+    table = make_table(entries)
+    pool = [None, "", "N1", "n2!", " n3", "n4", "nope", "Smith.", "n11", "?"]
+    first = [pool[i] for i in rng.integers(len(pool), size=300)]
+    last = [pool[i] for i in rng.integers(len(pool), size=300)]
+    vectors, coverages, include = batch_name_vectors(table, first, last)
+    want_vectors, want_coverages, want_include = name_vectors_loop(
+        table.entries, table.dimension, first, last)
+    assert vectors.tobytes() == want_vectors.tobytes()
+    assert [c.value for c in coverages] == want_coverages
+    assert set(want_coverages) == {"both-found", "first-only", "last-only", "none"}
+    assert include.tolist() == want_include.tolist()
+    empty, none_coverage, none_include = batch_name_vectors(table, [], [])
+    assert empty.shape == (0, 5) and none_coverage == [] and len(none_include) == 0

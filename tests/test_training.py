@@ -18,6 +18,7 @@ from nameblind.model import (
 from nameblind.training import (
     AdamState,
     NumericalError,
+    PenaltyContext,
     TrainConfig,
     adam_step,
     forward_rows,
@@ -412,3 +413,25 @@ def test_train_memory_scales_with_nonzeros(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 4
+
+
+@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
+def test_train_with_supplied_context_matches_own(variant):
+    dataset = separable_dataset(n=300)
+    table = toy_table(dataset.first_names[::3])
+    config = TrainConfig(variant=variant, lam=2.0, k=3, epochs=3, seed=5,
+                         batch_size=32, learning_rate=0.05)
+    own = train(dataset, table, config)
+    context = PenaltyContext.build(table, dataset.first_names,
+                                   dataset.last_names)
+    fits = [train(dataset, None, config, context=context) for _ in range(2)]
+    for shared in fits:
+        assert shared.params.W.tobytes() == own.params.W.tobytes()
+        assert shared.params.b.tobytes() == own.params.b.tobytes()
+        assert shared.history == own.history
+    # the second fit reuses the first one's k-means model
+    assert len(context.clusters) == (variant == "clucl")
+    assert fits[0].cluster_model is fits[1].cluster_model
+    if variant == "clucl":
+        assert (fits[0].cluster_model.centroids.tobytes()
+                == own.cluster_model.centroids.tobytes())
