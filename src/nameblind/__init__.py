@@ -9,18 +9,17 @@ gaps between groups.
 
 __version__ = "0.1.0"
 
-from .clustering import ClusterModel, assign, kmeans, kmeans_pp_init
+from .clustering import ClusterModel, kmeans, kmeans_pp_init
 from .data import Dataset, NameDemographics, TabularSchema
-from .embeddings import Coverage, EmbeddingTable, load_embeddings, name_vector
+from .embeddings import Coverage, EmbeddingTable, load_embeddings
 from .losses import PenaltyInputs, clucl_penalty, cocl_penalty, total_loss
 from .metrics import BiasReport, GroupAttribute, GroupLabels, bias_report
-from .model import ModelParams, Prediction, forward
+from .model import ModelParams
 from .training import TrainConfig, TrainResult, train
 
 __all__ = [
     "__version__",
     "ClusterModel",
-    "assign",
     "kmeans",
     "kmeans_pp_init",
     "Dataset",
@@ -29,7 +28,6 @@ __all__ = [
     "Coverage",
     "EmbeddingTable",
     "load_embeddings",
-    "name_vector",
     "PenaltyInputs",
     "clucl_penalty",
     "cocl_penalty",
@@ -39,8 +37,6 @@ __all__ = [
     "GroupLabels",
     "bias_report",
     "ModelParams",
-    "Prediction",
-    "forward",
     "TrainConfig",
     "TrainResult",
     "train",

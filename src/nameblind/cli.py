@@ -17,6 +17,8 @@ import csv
 import json
 import re
 import sys
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -105,15 +107,36 @@ def _require_file(path, what: str) -> str:
     return path
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a spec field type; bools are not numbers,
+    and an int fits a float field."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _spec_from_args(args) -> ExperimentSpec:
     values: dict = {}
     if getattr(args, "config", None):
         config_path = _require_file(args.config, "config file")
         with open(config_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(ExperimentSpec.__dataclass_fields__)
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold a JSON object")
+        fields = ExperimentSpec.__dataclass_fields__
+        unknown = set(loaded) - set(fields)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(ExperimentSpec)
+        for key, value in loaded.items():
+            if not _has_type(value, hints[key]):
+                raise UsageError(f"config key {key!r} must be "
+                                 f"{fields[key].type}, got {value!r}")
         values.update(loaded)
     for name in ExperimentSpec.__dataclass_fields__:
         arg = getattr(args, name, None)
@@ -521,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="bias report for a saved model")
     add_io(p_eval)
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--seeds", nargs="+", type=int)
+    p_eval.add_argument("--seeds", nargs="+", type=int,
+                        help="only the first seed is used (split and name draws)")
     p_eval.add_argument("--split", choices=("all", "train", "val", "test"),
                         default="all")
 
@@ -535,7 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_io(p_cluster)
     p_cluster.add_argument("--k", type=int)
-    p_cluster.add_argument("--seeds", nargs="+", type=int)
+    p_cluster.add_argument("--seeds", nargs="+", type=int,
+                           help="only the first seed is used (split, name draws, "
+                           "k-means)")
 
     p_weights = sub.add_parser(
         "weights-report", help="ranked weight table for one class"

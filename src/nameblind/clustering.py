@@ -222,18 +222,6 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
     )
 
 
-def assign(model: ClusterModel, point) -> int:
-    """Index of the centroid nearest to one point (lowest index on ties)."""
-    pt = np.asarray(point, dtype=np.float64)
-    if pt.shape != (model.centroids.shape[1],):
-        raise ValueError(
-            f"point has dimension {pt.shape}, centroids have "
-            f"dimension {model.centroids.shape[1]}"
-        )
-    d2 = np.sum((model.centroids - pt) ** 2, axis=1)
-    return int(np.argmin(d2))
-
-
 def write_cluster_model(model: ClusterModel, path) -> None:
     """Export centroids as text: a "k dim" header, then one row per line."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -34,8 +34,6 @@ PRONOUNS = frozenset(
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
-DATASET_FILE_TAG = "nameblind-dataset v1"
-
 
 def _entries_of(indptr, rows):
     """Positions of the entries of CSR rows (nonnegative int64), in row order,
@@ -71,15 +69,6 @@ class BinaryRows:
             0 <= self.indices.min() and self.indices.max() < self.num_columns
         ):
             raise ValueError("column indices out of range")
-
-    @classmethod
-    def from_index_lists(cls, rows, num_columns: int) -> "BinaryRows":
-        """Store built from one list of column indices per row."""
-        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        indices = np.fromiter(itertools.chain.from_iterable(rows),
-                              dtype=np.int32, count=int(indptr[-1]))
-        return cls(indptr, indices, num_columns)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -612,21 +601,6 @@ class TokenizedDocuments:
         return BinaryRows(indptr, columns[kept], len(vocabulary))
 
 
-def vectorize_text(documents, min_count: int = 20,
-                   top_fraction: float = 0.10):
-    """Binary bag-of-words features with frequency-pruned vocabulary.
-
-    Drops the top_fraction most common word types (by document frequency,
-    ties broken alphabetically so the cut is deterministic) and any type
-    occurring fewer than min_count times in total. Each feature is 1 when
-    the document contains the type, regardless of repetitions. Returns
-    (features, vocabulary) with the vocabulary sorted.
-    """
-    docs = TokenizedDocuments.from_token_lists(map(tokenize, documents))
-    ids = docs.fit_vocabulary(None, min_count, top_fraction)
-    return np.asarray(docs.bag_of_words(ids)), [docs.tokens[i] for i in ids]
-
-
 @dataclass
 class TextRecords:
     """A text-records file parsed once, before any vocabulary fit.
@@ -687,9 +661,15 @@ def parse_text(path, scrub_names: bool = False) -> TextRecords:
 
 def fit_text(records: TextRecords, min_count: int = 20,
              top_fraction: float = 0.10, fit_indices=None) -> Dataset:
-    """Dataset of parsed text records: binary bag-of-words features over
-    the vocabulary pruned on the fit rows (default: all), as in
-    vectorize_text."""
+    """Dataset of parsed text records, its vocabulary pruned on the fit rows.
+
+    Features are binary bag-of-words: 1 when the document contains the
+    type, regardless of repetitions. The vocabulary is fit on the rows in
+    fit_indices (default: all): it drops the top_fraction most common word
+    types (by document frequency, ties broken alphabetically so the cut is
+    deterministic) and any type occurring fewer than min_count times in
+    total, and is sorted.
+    """
     docs = records.documents
     rows = None if fit_indices is None else _fit_rows(len(records), fit_indices)
     ids = docs.fit_vocabulary(rows, min_count, top_fraction)
@@ -786,114 +766,3 @@ def scrub(document: str, first_name: str | None = None) -> str:
             remove.add(token)
     kept = [t for t in document.split() if normalize_token(t) not in remove]
     return " ".join(kept)
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Cache a Dataset in the columnar text format (exact reload).
-
-    Dense features are written as one repr float per column; BinaryRows
-    features (text) as the column indices of each row's ones, flagged by
-    a "layout indices" header line.
-    """
-    groups = dataset.eval_groups.attributes if dataset.eval_groups else []
-    features = dataset.features
-    sparse = isinstance(features, BinaryRows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(DATASET_FILE_TAG + "\n")
-        fh.write("classes\t" + "\t".join(dataset.class_names) + "\n")
-        fh.write("features\t" + "\t".join(dataset.feature_names) + "\n")
-        if sparse:
-            fh.write("layout\tindices\n")
-        for attr in groups:
-            fh.write(
-                f"attr\t{attr.name}\t{attr.positive_label}\t{attr.negative_label}\n"
-            )
-        fh.write(f"records\t{len(dataset)}\n")
-        for i in range(len(dataset)):
-            if sparse:
-                ones = features.indices[features.indptr[i]:features.indptr[i + 1]]
-                feature_str = " ".join(map(str, ones.tolist()))
-            else:
-                feature_str = " ".join(repr(float(v)) for v in features[i])
-            row = [
-                str(int(dataset.labels[i])),
-                dataset.first_names[i] or "",
-                dataset.last_names[i] or "",
-                " ".join(str(int(a.values[i])) for a in groups),
-                feature_str,
-            ]
-            fh.write("\t".join(row) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    """Reload a Dataset cached by save_dataset."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != DATASET_FILE_TAG:
-        raise ValueError(f"{path}: not a recognized dataset cache")
-    class_names: list[str] = []
-    feature_names: list[str] = []
-    attr_meta: list[tuple[str, str, str]] = []
-    n_records = None
-    sparse = False
-    pos = 1
-    while pos < len(lines):
-        fields = lines[pos].split("\t")
-        tag = fields[0]
-        if tag == "classes":
-            class_names = fields[1:]
-        elif tag == "features":
-            feature_names = fields[1:]
-        elif tag == "layout" and fields[1:] == ["indices"]:
-            sparse = True
-        elif tag == "attr":
-            attr_meta.append((fields[1], fields[2], fields[3]))
-        elif tag == "records":
-            n_records = int(fields[1])
-            pos += 1
-            break
-        else:
-            raise ValueError(f"{path}: unexpected line {pos + 1}")
-        pos += 1
-    if n_records is None:
-        raise ValueError(f"{path}: missing records count")
-    body = lines[pos:pos + n_records]
-    if len(body) != n_records:
-        raise ValueError(f"{path}: expected {n_records} records, got {len(body)}")
-    labels = np.empty(n_records, dtype=np.int64)
-    first_names: list[str | None] = []
-    last_names: list[str | None] = []
-    attr_values = [np.empty(n_records, dtype=np.int8) for _ in attr_meta]
-    if sparse:
-        rows = []
-    else:
-        features = np.zeros((n_records, len(feature_names)))
-    for i, line in enumerate(body):
-        label, first, last, group_str, feat_str = line.split("\t")
-        labels[i] = int(label)
-        first_names.append(first or None)
-        last_names.append(last or None)
-        group_vals = group_str.split() if group_str else []
-        if len(group_vals) != len(attr_meta):
-            raise ValueError(f"{path}: record {i}: group value count mismatch")
-        for j, v in enumerate(group_vals):
-            attr_values[j][i] = int(v)
-        if sparse:
-            rows.append([int(v) for v in feat_str.split()])
-        elif feat_str:
-            features[i] = [float(v) for v in feat_str.split()]
-    if sparse:
-        features = BinaryRows.from_index_lists(rows, len(feature_names))
-    attributes = [
-        GroupAttribute(name=nm, positive_label=p, negative_label=ng, values=vals)
-        for (nm, p, ng), vals in zip(attr_meta, attr_values)
-    ]
-    return Dataset(
-        features=features,
-        labels=labels,
-        first_names=first_names,
-        last_names=last_names,
-        feature_names=feature_names,
-        class_names=class_names,
-        eval_groups=GroupLabels(attributes) if attributes else None,
-    )

@@ -60,14 +60,6 @@ class EmbeddingTable:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class NameVector:
-    """A single vector for one individual plus its lookup coverage."""
-
-    vector: np.ndarray
-    coverage: Coverage
-
-
 # the ASCII characters other than " " at which str.split() separates fields
 # and that a line read in text mode can hold (it ends at \n or \r)
 _OTHER_ASCII_BLANKS = "\t\v\f\x1c\x1d\x1e\x1f"
@@ -168,25 +160,18 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(f"{token} {values}\n")
 
 
-def name_vector(table: EmbeddingTable, first: str | None, last: str | None) -> NameVector:
-    """Combine a first and a last name into one vector.
+_COVERAGES = (Coverage.NONE, Coverage.LAST_ONLY, Coverage.FIRST_ONLY,
+              Coverage.BOTH_FOUND)
+
+
+def batch_name_vectors(table, first_names, last_names):
+    """One vector per individual from aligned lists of first/last names.
 
     Both names found: elementwise mean of the two vectors. Exactly one
     found: that vector unchanged. Neither found: zero vector with coverage
     "none" -- such records are excluded from penalty statistics rather than
     given a made-up vector, which would add noise to the very quantity
     being constrained.
-    """
-    vectors, coverages, _ = batch_name_vectors(table, [first], [last])
-    return NameVector(vectors[0], coverages[0])
-
-
-_COVERAGES = (Coverage.NONE, Coverage.LAST_ONLY, Coverage.FIRST_ONLY,
-              Coverage.BOTH_FOUND)
-
-
-def batch_name_vectors(table, first_names, last_names):
-    """Name vectors for aligned lists of first/last names (see name_vector).
 
     Returns an (n, dimension) matrix, the per-record Coverage list, and a
     boolean include mask that is False where neither name was found. Each

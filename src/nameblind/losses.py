@@ -200,16 +200,6 @@ def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
     return penalty(inputs, "cocl", 1, num_classes)[0]
 
 
-def clucl_gradient(inputs: PenaltyInputs, k: int, num_classes: int) -> np.ndarray:
-    """d(cluster penalty)/d(true_label_prob_i), one entry per record."""
-    return penalty(inputs, "clucl", k, num_classes)[1]
-
-
-def cocl_gradient(inputs: PenaltyInputs, num_classes: int) -> np.ndarray:
-    """d(covariance penalty)/d(true_label_prob_i), one entry per record."""
-    return penalty(inputs, "cocl", 1, num_classes)[1]
-
-
 def penalty_value(inputs: PenaltyInputs, variant: str, k: int,
                   num_classes: int) -> float:
     """Value of the selected penalty; variant "none" is 0."""

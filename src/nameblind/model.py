@@ -44,47 +44,12 @@ class ModelParams:
         return ModelParams(self.W.copy(), self.b.copy())
 
 
-@dataclass
-class Prediction:
-    """Class probabilities for one record.
-
-    predicted_class is the argmax of probs with lowest-index tie-break;
-    true_label_prob is filled when the caller supplies the record's label.
-    """
-
-    probs: np.ndarray
-    predicted_class: int
-    true_label_prob: float | None = None
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (max-subtraction)."""
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def forward(params: ModelParams, x, label: int | None = None) -> Prediction:
-    """Class probabilities for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.num_features,):
-        raise ValueError(
-            f"expected {params.num_features} features, got shape {x.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("input features must be finite")
-    probs = softmax(params.W @ x + params.b)
-    true_label_prob = None
-    if label is not None:
-        if not 0 <= label < params.num_classes:
-            raise ValueError(f"label {label} out of range")
-        true_label_prob = float(probs[label])
-    return Prediction(
-        probs=probs,
-        predicted_class=int(np.argmax(probs)),
-        true_label_prob=true_label_prob,
-    )
 
 
 def forward_batch(params: ModelParams, X) -> np.ndarray:
@@ -210,6 +175,8 @@ def load_model(path):
         num_features = int(lines[2].split()[1])
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model header") from exc
+    if len(lines) < 4 + 2 * num_classes + num_features:
+        raise ValueError(f"{path}: truncated model file")
     pos = 3
     class_names = [line[len("class "):] for line in lines[pos:pos + num_classes]]
     pos += num_classes
@@ -220,15 +187,12 @@ def load_model(path):
     rows = []
     for line in lines[pos:pos + num_classes]:
         fields = line.split()
-        if fields[0] != "W" or len(fields) != num_features + 1:
+        if fields[:1] != ["W"] or len(fields) != num_features + 1:
             raise ValueError(f"{path}: malformed weight row")
         rows.append([float(v) for v in fields[1:]])
     pos += num_classes
     fields = lines[pos].split()
-    if fields[0] != "b" or len(fields) != num_classes + 1:
+    if fields[:1] != ["b"] or len(fields) != num_classes + 1:
         raise ValueError(f"{path}: malformed bias row")
     b = [float(v) for v in fields[1:]]
-    params = ModelParams(np.array(rows), np.array(b))
-    if len(class_names) != num_classes or len(feature_names) != num_features:
-        raise ValueError(f"{path}: truncated model file")
-    return params, feature_names, class_names
+    return ModelParams(np.array(rows), np.array(b)), feature_names, class_names

@@ -432,6 +432,56 @@ def test_unknown_config_key_exit_1(tmp_path, capsys):
     assert "wiggle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seeds", 3), ("seeds", [0, 1.5]), ("epochs", "5"), ("epochs", True),
+    ("min_count", None), ("lam", "2"), ("lambdas", [0, "1"]), ("scrub", 1),
+    ("data", 7),
+])
+def test_mistyped_config_value_exit_1(key, value, tiny_tabular, tmp_path, capsys):
+    data, schema, embeddings = tiny_tabular
+    config = {"data": str(data), "schema": str(schema), "seeds": [0],
+              "epochs": 1, "out": str(tmp_path / "out"), key: value}
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(["sweep", "--config", str(config_path), "--lambdas", "0", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and repr(key) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_config_int_for_float_and_non_object(tiny_tabular, tmp_path, capsys):
+    data, schema, embeddings = tiny_tabular
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps(
+        {"data": str(data), "schema": str(schema), "seeds": [0], "epochs": 1,
+         "lam": 0, "lr": 1, "out": str(tmp_path / "out")}), encoding="utf-8")
+    assert main(["train", "--config", str(config_path)]) == 0
+    config_path.write_text(json.dumps(["data"]), encoding="utf-8")
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_truncated_model_exit_1(tiny_tabular, tmp_path, capsys):
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--variant", "none", "--seeds", "0", "--epochs", "1",
+                 "--out", str(out)]) == 0
+    model_path = out / "model_seed0.txt"
+    lines = model_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    model_path.write_text("".join(lines[:-1]), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["weights-report", "--class", "hi"],
+                 ["evaluate", "--data", str(data), "--schema", str(schema),
+                  "--seeds", "0"]):
+        rc = main(argv + ["--model", str(model_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "truncated" in err
+
+
 def write_text_inputs(tmp_path):
     """Bios-style records, name tables and a small name-vector file."""
     white = [f"wname{i}" for i in range(10)]

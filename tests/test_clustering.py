@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nameblind.clustering import (
-    assign,
+    _nearest,
     kmeans,
     kmeans_pp_init,
     write_assignments,
@@ -102,12 +102,16 @@ def test_assign_nearest_tie_and_exact():
     model = kmeans(np.array([[0.0, 0.0], [10.0, 0.0]]), k=2, seed=0)
     # order the centroids deterministically for the checks below
     order = np.argsort(model.centroids[:, 0])
-    model.centroids = model.centroids[order]
-    assert assign(model, [1.0, 0.0]) == 0
-    assert assign(model, [5.0, 0.0]) == 0  # equidistant -> lowest index
-    assert assign(model, [10.0, 0.0]) == 1
-    with pytest.raises(ValueError, match="dimension"):
-        assign(model, [1.0, 0.0, 0.0])
+    centroids = model.centroids[order]
+    assert centroids.tolist() == [[0.0, 0.0], [10.0, 0.0]]
+    assert model.inertia == 0.0
+    assert model.assignments.tolist() == np.argsort(order).tolist()
+    # A converged partition never holds a tied point (moving it would lower
+    # the inertia), so the tie rule is checked on the assignment pass itself.
+    queries = np.array([[1.0, 0.0], [5.0, 0.0], [10.0, 0.0]])
+    sq_norms = np.einsum("nd,nd->n", queries, queries)
+    assert _nearest(queries, sq_norms, centroids).tolist() == [0, 0, 1]
+    assert _nearest(queries, sq_norms, centroids[::-1]).tolist() == [1, 0, 0]
 
 
 def test_kmeans_deterministic():

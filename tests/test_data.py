@@ -14,17 +14,14 @@ from nameblind.data import (
     fit_tabular,
     fit_text,
     infer_race_labels,
-    load_dataset,
     load_name_probabilities,
     load_tabular,
     load_text,
     parse_tabular,
     parse_text,
     partition_names,
-    save_dataset,
     scrub,
     tokenize,
-    vectorize_text,
 )
 from nameblind.embeddings import normalize_token
 from nameblind.metrics import GroupAttribute, GroupLabels
@@ -297,60 +294,72 @@ def test_assign_synthetic_names_missing_label():
 
 # ------------------------------------------------------------------ text pipeline
 
+def vectorize(tmp_path, documents, min_count, top_fraction):
+    """(dense features, vocabulary) of documents through parse_text and
+    fit_text, pruning on every document."""
+    path = tmp_path / "docs.tsv"
+    path.write_text("".join(f"job\tn{i}\tl{i}\t{doc}\n"
+                            for i, doc in enumerate(documents)), encoding="utf-8")
+    dataset = fit_text(parse_text(path), min_count, top_fraction)
+    return np.asarray(dataset.features), dataset.feature_names
+
+
 def test_vectorize_defaults_match_pruning_rule():
-    sig = inspect.signature(vectorize_text)
-    assert sig.parameters["min_count"].default == 20
-    assert sig.parameters["top_fraction"].default == 0.10
+    for fn in (fit_text, load_text):
+        sig = inspect.signature(fn)
+        assert sig.parameters["min_count"].default == 20
+        assert sig.parameters["top_fraction"].default == 0.10
 
 
-def test_vectorize_presence_not_counts():
-    features, vocab = vectorize_text(
-        ["dog dog dog cat", "cat mouse"], min_count=1, top_fraction=0.0
+def test_vectorize_presence_not_counts(tmp_path):
+    features, vocab = vectorize(
+        tmp_path, ["dog dog dog cat", "cat mouse"], min_count=1, top_fraction=0.0
     )
     assert vocab == ["cat", "dog", "mouse"]
     assert features.tolist() == [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
 
 
-def test_vectorize_simple_corpus():
-    features, vocab = vectorize_text(["a b", "a c"], min_count=1, top_fraction=0.0)
+def test_vectorize_simple_corpus(tmp_path):
+    features, vocab = vectorize(tmp_path, ["a b", "a c"], min_count=1,
+                                top_fraction=0.0)
     assert vocab == ["a", "b", "c"]
     assert features.tolist() == [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
 
 
-def test_vectorize_top_fraction_drops_most_common():
+def test_vectorize_top_fraction_drops_most_common(tmp_path):
     docs = ["common alpha", "common beta", "common gamma", "common alpha"]
     # 4 types; top 25% by document frequency drops exactly "common"
-    _, vocab = vectorize_text(docs, min_count=1, top_fraction=0.25)
+    _, vocab = vectorize(tmp_path, docs, min_count=1, top_fraction=0.25)
     assert vocab == ["alpha", "beta", "gamma"]
 
 
-def test_vectorize_top_fraction_tie_broken_alphabetically():
+def test_vectorize_top_fraction_tie_broken_alphabetically(tmp_path):
     docs = ["tie1 tie2 solo", "tie1 tie2"]
     # tie1/tie2 share df=2; dropping 1 of 3 types must drop tie1
-    _, vocab = vectorize_text(docs, min_count=1, top_fraction=1 / 3)
+    _, vocab = vectorize(tmp_path, docs, min_count=1, top_fraction=1 / 3)
     assert vocab == ["solo", "tie2"]
 
 
-def test_vectorize_min_count_uses_total_occurrences():
+def test_vectorize_min_count_uses_total_occurrences(tmp_path):
     docs = ["rare seen seen", "seen"]
     # "rare" occurs once in total, "seen" three times
-    _, vocab = vectorize_text(docs, min_count=2, top_fraction=0.0)
+    _, vocab = vectorize(tmp_path, docs, min_count=2, top_fraction=0.0)
     assert vocab == ["seen"]
 
 
-def test_vectorize_empty_vocabulary():
+def test_vectorize_empty_vocabulary(tmp_path):
     with pytest.raises(ValueError, match="empty"):
-        vectorize_text(["a", "b"], min_count=5, top_fraction=0.0)
+        vectorize(tmp_path, ["a", "b"], min_count=5, top_fraction=0.0)
 
 
-def test_vectorize_outputs_binary_sorted_unique():
+def test_vectorize_outputs_binary_sorted_unique(tmp_path):
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(30)]
     docs = [
         " ".join(rng.choice(words, size=rng.integers(3, 12)))
         for _ in range(40)
     ]
-    features, vocab = vectorize_text(docs, min_count=1, top_fraction=0.1)
+    features, vocab = vectorize(tmp_path, docs, min_count=1, top_fraction=0.1)
     assert vocab == sorted(set(vocab))
     assert np.all(np.isin(features, (0.0, 1.0)))
 
@@ -415,7 +424,7 @@ def test_binary_rows_match_dense_oracle():
 
 
 def test_binary_rows_reject_bad_selections_and_indices():
-    features = BinaryRows.from_index_lists([[0, 2], [], [1]], 3)
+    features = BinaryRows(np.array([0, 2, 2, 3]), np.array([0, 2, 1]), 3)
     with pytest.raises(IndexError):
         features[np.array([0, 3])]
     with pytest.raises(IndexError):
@@ -425,22 +434,25 @@ def test_binary_rows_reject_bad_selections_and_indices():
     with pytest.raises(TypeError):
         features[np.array([[0]])]
     with pytest.raises(ValueError, match="out of range"):
-        BinaryRows.from_index_lists([[0, 3]], 3)
+        BinaryRows(np.array([0, 2]), np.array([0, 3]), 3)
     with pytest.raises(ValueError, match="indptr"):
         BinaryRows(np.array([0, 2, 1]), np.array([0]), 3)
 
 
 def test_load_text_features_are_binary_rows(tmp_path):
     path = tmp_path / "bios.tsv"
-    docs = ["she is a nurse in town", "he builds a bridge", "a nurse in town"]
+    docs = ["she is a nurse in town", "he builds a bridge", "a nurse in town",
+            "zzz qqq"]  # the last holds no vocabulary word
     path.write_text(
         "".join(f"job{i % 2}\tn{i}\tl{i}\t{doc}\n" for i, doc in enumerate(docs)),
         encoding="utf-8",
     )
     dataset = load_text(path, min_count=2, top_fraction=0.0)
-    dense, vocab = vectorize_text(docs, min_count=2, top_fraction=0.0)
+    vocab = ["a", "in", "nurse", "town"]
+    dense = dense_bag_of_words([tokenize(doc) for doc in docs], vocab)
     assert isinstance(dataset.features, BinaryRows)
     assert dataset.feature_names == vocab
+    assert dataset.features.indptr[4] == dataset.features.indptr[3]
     assert np.asarray(dataset.features).tobytes() == dense.tobytes()
 
 
@@ -508,73 +520,6 @@ def test_scrub_idempotent():
 
 def test_tokenize_splits_punctuation():
     assert tokenize("She's a nurse, truly.") == ["she's", "a", "nurse", "truly"]
-
-
-# ------------------------------------------------------------------- cache files
-
-def test_dataset_cache_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    dense = rng.normal(size=(6, 3))
-    binary = BinaryRows.from_index_lists(
-        [[0, 2], [], [1], [0, 1, 2], [], [2]], 3
-    )
-    for kind, features in (("dense", dense), ("binary", binary)):
-        dataset = Dataset(
-            features=features,
-            labels=rng.integers(0, 2, size=6),
-            first_names=["anna", None, "bob", "cara", None, "dan"],
-            last_names=[None, "smith", None, "diaz", "wu", None],
-            feature_names=["x0", "x1", "x2"],
-            class_names=["lo", "hi"],
-            eval_groups=GroupLabels(
-                [GroupAttribute("race", "white", "non-white",
-                                np.array([1, 0, -1, 1, 0, 1], dtype=np.int8))]
-            ),
-        )
-        path = tmp_path / f"cache_{kind}.tsv"
-        save_dataset(dataset, path)
-        loaded = load_dataset(path)
-        assert type(loaded.features) is type(dataset.features)
-        assert np.asarray(loaded.features).tobytes() == (
-            np.asarray(dataset.features).tobytes()
-        )
-        assert np.array_equal(loaded.labels, dataset.labels)
-        assert loaded.first_names == dataset.first_names
-        assert loaded.last_names == dataset.last_names
-        assert loaded.feature_names == dataset.feature_names
-        assert loaded.class_names == dataset.class_names
-        got = loaded.eval_groups.get("race")
-        assert got.values.tolist() == [1, 0, -1, 1, 0, 1]
-        assert got.positive_label == "white"
-    # text features are cached as column indices, not one float per column
-    assert "1.0" not in (tmp_path / "cache_binary.tsv").read_text()
-
-
-def test_text_dataset_cache_round_trip(tmp_path):
-    path = tmp_path / "bios.tsv"
-    path.write_text(
-        "nurse\tAnna\tSmith\tcares for patients in town\n"
-        "engineer\tBob\t\tzzz qqq\n"             # no vocabulary word
-        "nurse\tCara\tDiaz\tcares for town\n"
-        "engineer\t\tJones\tbuilds for town\n",
-        encoding="utf-8",
-    )
-    dataset = load_text(path, min_count=2, top_fraction=0.0)
-    assert dataset.features.indptr[2] == dataset.features.indptr[1]
-    cache = tmp_path / "cache.tsv"
-    save_dataset(dataset, cache)
-    loaded = load_dataset(cache)
-    assert isinstance(loaded.features, BinaryRows)
-    assert np.array_equal(loaded.features.indptr, dataset.features.indptr)
-    assert np.array_equal(loaded.features.indices, dataset.features.indices)
-    assert loaded.features.shape == dataset.features.shape
-    assert np.array_equal(loaded.labels, dataset.labels)
-    assert loaded.first_names == dataset.first_names
-    assert loaded.last_names == dataset.last_names
-    assert loaded.feature_names == dataset.feature_names
-    assert loaded.class_names == dataset.class_names
-    save_dataset(loaded, tmp_path / "again.tsv")
-    assert (tmp_path / "again.tsv").read_bytes() == cache.read_bytes()
 
 
 def test_name_probability_table_parse(tmp_path):

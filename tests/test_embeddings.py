@@ -8,7 +8,6 @@ from nameblind.embeddings import (
     batch_name_vectors,
     collect_name_tokens,
     load_embeddings,
-    name_vector,
     normalize_token,
     save_embeddings,
 )
@@ -79,36 +78,42 @@ def make_table(entries):
     )
 
 
+def one_record(table, first, last):
+    """(vector, coverage) of one record through batch_name_vectors."""
+    vectors, coverages, include = batch_name_vectors(table, [first], [last])
+    assert include[0] == (coverages[0] is not Coverage.NONE)
+    return vectors[0], coverages[0]
+
+
 def test_name_vector_both_found():
     table = make_table({"anna": [1.0, 0.0], "smith": [0.0, 1.0]})
-    nv = name_vector(table, "anna", "smith")
-    assert nv.coverage is Coverage.BOTH_FOUND
-    assert np.array_equal(nv.vector, [0.5, 0.5])
+    vector, coverage = one_record(table, "anna", "smith")
+    assert coverage is Coverage.BOTH_FOUND
+    assert np.array_equal(vector, [0.5, 0.5])
 
 
 def test_name_vector_single_found():
     table = make_table({"anna": [1.0, 0.0]})
-    nv = name_vector(table, "anna", "missing")
-    assert nv.coverage is Coverage.FIRST_ONLY
-    assert np.array_equal(nv.vector, [1.0, 0.0])
-    nv = name_vector(table, None, "anna")
-    assert nv.coverage is Coverage.LAST_ONLY
-    assert np.array_equal(nv.vector, [1.0, 0.0])
+    vector, coverage = one_record(table, "anna", "missing")
+    assert coverage is Coverage.FIRST_ONLY
+    assert np.array_equal(vector, [1.0, 0.0])
+    vector, coverage = one_record(table, None, "anna")
+    assert coverage is Coverage.LAST_ONLY
+    assert np.array_equal(vector, [1.0, 0.0])
 
 
 def test_name_vector_none_found():
     table = make_table({"anna": [1.0, 0.0]})
-    nv = name_vector(table, "bob", "jones")
-    assert nv.coverage is Coverage.NONE
-    assert np.array_equal(nv.vector, [0.0, 0.0])
+    vector, coverage = one_record(table, "bob", "jones")
+    assert coverage is Coverage.NONE
+    assert np.array_equal(vector, [0.0, 0.0])
 
 
 def test_name_vector_symmetric_in_operands():
     rng = np.random.default_rng(7)
     table = make_table({"a": rng.normal(size=5), "b": rng.normal(size=5)})
-    ab = name_vector(table, "a", "b").vector
-    ba = name_vector(table, "b", "a").vector
-    assert np.array_equal(ab, ba)
+    vectors, _, _ = batch_name_vectors(table, ["a", "b"], ["b", "a"])
+    assert np.array_equal(vectors[0], vectors[1])
 
 
 def test_name_vector_componentwise_bounds():
@@ -116,7 +121,7 @@ def test_name_vector_componentwise_bounds():
     for _ in range(25):
         u, v = rng.normal(size=4), rng.normal(size=4)
         table = make_table({"u": u, "v": v})
-        out = name_vector(table, "u", "v").vector
+        out, _ = one_record(table, "u", "v")
         assert np.all(out >= np.minimum(u, v) - 1e-15)
         assert np.all(out <= np.maximum(u, v) + 1e-15)
 

@@ -24,3 +24,37 @@ def test_package_imports_only_stdlib_and_numpy():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+# Public names that no other package code calls: the library's documented
+# entry points and what the acceptance suite imports.
+KEEP = {
+    "load_text", "load_tabular", "infer_race_labels", "kmeans_pp_init",
+    "save_embeddings", "clucl_penalty", "cocl_penalty", "penalty_value",
+    "penalty_gradient", "predict_batch",
+}
+
+
+def test_every_public_definition_has_a_package_caller():
+    """A public top-level function or class that only its own definition,
+    __init__ exports or tests reach is a second code path beside the one the
+    commands run; keep it out unless KEEP names it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(nameblind.__file__).parent.glob("*.py")}
+    referenced = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreached = sorted(
+        f"{name}: {node.name}" for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced | KEEP
+    )
+    assert unreached == []

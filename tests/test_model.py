@@ -7,7 +7,6 @@ from nameblind.losses import PenaltyInputs, penalty
 from nameblind.model import (
     ModelParams,
     class_weights,
-    forward,
     forward_batch,
     load_model,
     loss_and_gradient,
@@ -22,34 +21,35 @@ from oracles import central_diff_grad, rel_error
 
 def test_forward_zero_params_is_uniform():
     params = ModelParams(W=np.zeros((3, 4)), b=np.zeros(3))
-    pred = forward(params, np.ones(4))
-    assert np.allclose(pred.probs, 1 / 3, atol=1e-12)
-    assert pred.predicted_class == 0  # lowest index on ties
+    probs = forward_batch(params, np.ones((2, 4)))
+    assert np.allclose(probs, 1 / 3, atol=1e-12)
+    assert predict_batch(params, np.ones((2, 4))).tolist() == [0, 0]  # ties
 
 
 def test_forward_huge_logits_no_overflow():
     params = ModelParams(W=np.zeros((2, 1)), b=np.array([1000.0, 0.0]))
-    pred = forward(params, np.zeros(1))
-    assert np.isfinite(pred.probs).all()
-    assert pred.probs[0] == pytest.approx(1.0, abs=1e-12)
+    probs = forward_batch(params, np.zeros((1, 1)))
+    assert np.isfinite(probs).all()
+    assert probs[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_forward_hand_computed_softmax():
     params = ModelParams(W=np.eye(2), b=np.zeros(2))
-    pred = forward(params, np.array([math.log(2.0), 0.0]), label=1)
-    assert pred.probs == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
-    assert pred.predicted_class == 0
-    assert pred.true_label_prob == pytest.approx(1 / 3, abs=1e-12)
+    X = np.array([[math.log(2.0), 0.0]])
+    assert forward_batch(params, X)[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+    assert predict_batch(params, X).tolist() == [0]
 
 
 def test_forward_errors():
     params = ModelParams(W=np.zeros((2, 3)), b=np.zeros(2))
     with pytest.raises(ValueError, match="features"):
-        forward(params, np.zeros(4))
+        forward_batch(params, np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="features"):
+        forward_batch(params, np.zeros(3))  # one record must be a (1, M) batch
     with pytest.raises(ValueError, match="finite"):
-        forward(params, np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(ValueError, match="label"):
-        forward(params, np.zeros(3), label=2)
+        forward_batch(params, np.array([[1.0, np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        predict_batch(params, np.array([[np.inf, 0.0, 0.0]]))
 
 
 def test_softmax_normalization_and_argmax_bulk():
@@ -209,11 +209,28 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
 
 
+def test_load_model_rejects_every_truncation(tmp_path):
+    params = ModelParams(W=np.arange(6.0).reshape(2, 3), b=np.array([0.5, -1.0]))
+    path = tmp_path / "model.txt"
+    save_model(params, ["f0", "f1", "f2"], ["lo", "hi"], path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for keep in range(len(lines)):
+        path.write_text("".join(lines[:keep]), encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_model(path)
+    for blank in (len(lines) - 2, len(lines) - 1):  # a W row, the b row
+        path.write_text("".join(lines[:blank] + ["\n"] + lines[blank + 1:]),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed"):
+            load_model(path)
+
+
 def test_forward_batch_matches_forward():
+    # each row of a batch is the softmax of that record's own logits
     rng = np.random.default_rng(6)
     params = ModelParams(W=rng.normal(size=(3, 4)), b=rng.normal(size=3))
     X = rng.normal(size=(7, 4))
     batch = forward_batch(params, X)
     for i in range(7):
-        single = forward(params, X[i])
-        assert np.allclose(batch[i], single.probs, atol=1e-15)
+        single = softmax(params.W @ X[i] + params.b)
+        assert np.allclose(batch[i], single, atol=1e-15)

@@ -384,7 +384,8 @@ def test_forward_rows_matches_forward_batch():
     rng = np.random.default_rng(3)
     rows = [sorted(rng.choice(50, size=rng.integers(0, 6), replace=False))
             for _ in range(700)]
-    features = BinaryRows.from_index_lists(rows, 50)
+    features = BinaryRows(np.cumsum([0] + [len(r) for r in rows]),
+                          [c for r in rows for c in r], 50)
     params = ModelParams(W=rng.normal(size=(3, 50)), b=rng.normal(size=3))
     dense = np.asarray(features)
     for selection in (np.arange(700), rng.permutation(700)[:513],
