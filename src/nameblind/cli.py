@@ -120,6 +120,16 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _as_float_fields(value, hint):
+    """A JSON value that fits hint, its ints made floats where hint wants
+    floats, so a config file gives the same spec as the same flags."""
+    if hint is float:
+        return float(value)
+    if hint == list[float]:
+        return [float(v) for v in value]
+    return value
+
+
 def _spec_from_args(args) -> ExperimentSpec:
     values: dict = {}
     if getattr(args, "config", None):
@@ -137,7 +147,7 @@ def _spec_from_args(args) -> ExperimentSpec:
             if not _has_type(value, hints[key]):
                 raise UsageError(f"config key {key!r} must be "
                                  f"{fields[key].type}, got {value!r}")
-        values.update(loaded)
+            values[key] = _as_float_fields(value, hints[key])
     for name in ExperimentSpec.__dataclass_fields__:
         arg = getattr(args, name, None)
         if arg is not None:

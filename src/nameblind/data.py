@@ -34,6 +34,11 @@ PRONOUNS = frozenset(
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
+# documents deduplicated per sort when text is parsed
+# (TokenizedDocuments.from_token_lists), which bounds the sort's
+# temporaries to one block's tokens
+DEDUPE_DOCS = 1024
+
 
 def _entries_of(indptr, rows):
     """Positions of the entries of CSR rows (nonnegative int64), in row order,
@@ -51,10 +56,17 @@ class BinaryRows:
 
     Row i holds 1.0 at columns indices[indptr[i]:indptr[i + 1]] and 0.0
     elsewhere, so memory is O(nonzeros) rather than rows x columns.
-    ``rows[selection]`` (a slice or a 1-d array of row indices) returns
-    the selected rows as a dense float64 block; ``np.asarray(rows)`` gives
-    the whole dense matrix.
+    ``rows.take(selection, axis=0)`` (a slice or a 1-d array of row
+    indices) returns the selected rows as a BinaryRows, and ``X @ M`` and
+    ``A @ X`` multiply straight from the index lists, so training and
+    prediction never build a dense block. ``rows[selection]`` returns the
+    selected rows as a dense float64 block; ``np.asarray(rows)`` gives the
+    whole dense matrix.
     """
+
+    ndim = 2
+    # numpy hands ``ndarray @ BinaryRows`` to __rmatmul__
+    __array_ufunc__ = None
 
     def __init__(self, indptr, indices, num_columns: int):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -77,7 +89,12 @@ class BinaryRows:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def __getitem__(self, rows) -> np.ndarray:
+    def take(self, rows, axis=0) -> "BinaryRows":
+        """The rows at a slice or 1-d integer array of row indices, in
+        that order, as a BinaryRows (rows only, as ndarray.take(rows,
+        axis=0))."""
+        if axis != 0:
+            raise ValueError("BinaryRows.take selects rows (axis=0) only")
         n = len(self)
         if isinstance(rows, slice):
             rows = np.arange(*rows.indices(n))
@@ -87,13 +104,59 @@ class BinaryRows:
         if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise IndexError(f"row index out of range for {n} rows")
         take, counts = _entries_of(self.indptr, rows.astype(np.int64, copy=False))
-        block = np.zeros((len(rows), self.num_columns))
-        block[np.repeat(np.arange(len(rows)), counts), self.indices[take]] = 1.0
+        return BinaryRows(np.concatenate(([0], np.cumsum(counts))),
+                          self.indices[take], self.num_columns)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        selected = self.take(rows)
+        block = np.zeros(selected.shape)
+        block[selected._entry_rows(), selected.indices] = 1.0
         return block
 
     def __array__(self, dtype=None, copy=None):
         dense = self[:]
         return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of each entry of indices."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def __matmul__(self, other) -> np.ndarray:
+        """X @ M for a (num_columns, m) array M.
+
+        Row i is the sum of M's rows at row i's columns, added in column
+        order, so it does not depend on which other rows are selected
+        with it; a row without entries gives exactly 0.
+        """
+        other = np.asarray(other, dtype=np.float64)
+        if other.ndim != 2 or other.shape[0] != self.num_columns:
+            raise ValueError(f"cannot multiply {self.shape} rows by an array "
+                             f"of shape {other.shape}")
+        out = np.zeros((len(self), other.shape[1]))
+        starts = self.indptr[:-1]
+        # reduceat gives the element at the start for an empty segment (and
+        # rejects a start equal to the length), so only rows with entries
+        # go through it; each segment then runs to the next such row
+        filled = starts < self.indptr[1:]
+        if filled.any():
+            out[filled] = np.add.reduceat(np.take(other, self.indices, axis=0),
+                                          starts[filled], axis=0)
+        return out
+
+    def __rmatmul__(self, other) -> np.ndarray:
+        """A @ X for an (m, len(self)) array A: one np.bincount of the
+        column indices per row of A, weighted by its values at each
+        entry's row."""
+        other = np.asarray(other, dtype=np.float64)
+        if other.ndim != 2 or other.shape[1] != len(self):
+            raise ValueError(f"cannot multiply an array of shape {other.shape} "
+                             f"by {self.shape} rows")
+        columns = self.indices.astype(np.intp)
+        weights = np.take(other, self._entry_rows(), axis=1)
+        out = np.empty((other.shape[0], self.num_columns))
+        for row, w in zip(out, weights):
+            row[:] = np.bincount(columns, weights=w, minlength=self.num_columns)
+        return out
 
 
 @dataclass
@@ -101,7 +164,8 @@ class Dataset:
     """Feature matrix plus labels, names, and evaluation-only group labels.
 
     features is a dense float64 array (tabular data) or a BinaryRows
-    store (text); both give dense float64 rows for features[rows].
+    store (text); features.take(rows, axis=0) gives the rows in the same
+    kind of store, and both multiply with ``@``.
     """
 
     features: np.ndarray | BinaryRows
@@ -548,17 +612,32 @@ class TokenizedDocuments:
         order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
-        # one sort of (document, id) keys dedupes every document at once
+        tokens = np.frombuffer(ids, np.int32)
+        lengths = np.frombuffer(lengths, np.int64)
+        ends = np.cumsum(lengths)
+        # one sort of (document, id) keys per block of documents dedupes the
+        # block; keys sort by document first, so the blocks' results laid
+        # end to end are those of one sort over every document
         width = max(len(order), 1)
-        docs = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, np.int64))
-        keys, counts = np.unique(docs * width + rank[np.frombuffer(ids, np.int32)],
-                                 return_counts=True)
-        per_doc = np.bincount(keys // width, minlength=len(lengths))
+        per_doc = np.zeros(len(lengths), dtype=np.int64)
+        kept_ids, kept_counts = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+        for first in range(0, len(lengths), DEDUPE_DOCS):
+            block = lengths[first:first + DEDUPE_DOCS]
+            docs = np.repeat(np.arange(len(block)), block)
+            start = ends[first] - block[0]
+            keys, counts = np.unique(
+                docs * width + rank[tokens[start:start + len(docs)]],
+                return_counts=True,
+            )
+            per_doc[first:first + len(block)] = np.bincount(
+                keys // width, minlength=len(block))
+            kept_ids.append((keys % width).astype(np.int32))
+            kept_counts.append(counts.astype(np.int32))
         return cls(
             tokens=[first_seen[i] for i in order],
             indptr=np.concatenate(([0], np.cumsum(per_doc))),
-            ids=(keys % width).astype(np.int32),
-            counts=counts.astype(np.int32),
+            ids=np.concatenate(kept_ids),
+            counts=np.concatenate(kept_counts),
         )
 
     def __len__(self) -> int:

@@ -135,6 +135,37 @@ def _class_covariances(inputs: PenaltyInputs, num_classes: int):
     return sel, labels, vectors, means, cov, counts
 
 
+def _statistics(inputs: PenaltyInputs, variant: str, k: int,
+                num_classes: int):
+    """The statistics pass of the selected penalty: _cluster_cells for
+    clucl, _class_covariances for cocl, None where the penalty is 0 by
+    definition (variant "none", clucl with k = 1)."""
+    if num_classes < 1:
+        raise ValueError("num_classes must be positive")
+    if variant == "none":
+        return None
+    if variant == "clucl":
+        if k < 1:
+            raise ValueError("k must be positive")
+        return None if k == 1 else _cluster_cells(inputs, k, num_classes)
+    if variant == "cocl":
+        return _class_covariances(inputs, num_classes)
+    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+
+
+def _value(stats, variant: str, num_classes: int) -> float:
+    """The selected penalty's value from its statistics (see _statistics)."""
+    if stats is None:
+        return 0.0
+    if variant == "clucl":
+        _, _, _, diffs, pairs = stats
+        live = pairs > 0
+        per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
+        return float(per_class.sum()) / num_classes
+    cov = stats[4]
+    return float(np.linalg.norm(cov, axis=1).sum()) / num_classes
+
+
 def penalty(inputs: PenaltyInputs, variant: str, k: int,
             num_classes: int) -> tuple[float, np.ndarray]:
     """(value, grad) of the selected penalty from one statistics pass.
@@ -142,39 +173,29 @@ def penalty(inputs: PenaltyInputs, variant: str, k: int,
     grad holds d value / d true_label_prob_i, one entry per record, 0 for
     masked-out records; variant "none" gives (0.0, zeros).
     """
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
+    stats = _statistics(inputs, variant, k, num_classes)
+    value = _value(stats, variant, num_classes)
     grad = np.zeros(len(inputs))
-    if variant == "none":
-        return 0.0, grad
+    if stats is None:
+        return value, grad
     if variant == "clucl":
-        if k < 1:
-            raise ValueError("k must be positive")
-        if k == 1:
-            return 0.0, grad
-        sel, cells, counts, diffs, pairs = _cluster_cells(inputs, k, num_classes)
-        live = pairs > 0
-        per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
+        sel, cells, counts, diffs, pairs = stats
         # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v), and each
         # record of cell u holds 1 / count_u of mean_u
         denom = pairs[:, None] * counts * num_classes
         cell_grads = np.zeros(counts.shape)
         np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads, where=denom > 0)
         grad[sel] = cell_grads.ravel()[cells]
-        return float(per_class.sum()) / num_classes, grad
-    if variant == "cocl":
-        sel, labels, vectors, means, cov, counts = _class_covariances(
-            inputs, num_classes
-        )
-        norms = np.linalg.norm(cov, axis=1)
-        # d |cov_c| / d p_i = (v_i - vbar_c) . cov_c / (|cov_c| n_c)
-        scale = np.zeros(num_classes)
-        np.divide(1.0, norms * counts * num_classes, out=scale, where=norms > 0)
-        unit = cov * scale[:, None]
-        grad[sel] = ((vectors @ unit.T)[np.arange(len(labels)), labels]
-                     - np.sum(means * unit, axis=1)[labels])
-        return float(norms.sum()) / num_classes, grad
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return value, grad
+    sel, labels, vectors, means, cov, counts = stats
+    norms = np.linalg.norm(cov, axis=1)
+    # d |cov_c| / d p_i = (v_i - vbar_c) . cov_c / (|cov_c| n_c)
+    scale = np.zeros(num_classes)
+    np.divide(1.0, norms * counts * num_classes, out=scale, where=norms > 0)
+    unit = cov * scale[:, None]
+    grad[sel] = ((vectors @ unit.T)[np.arange(len(labels)), labels]
+                 - np.sum(means * unit, axis=1)[labels])
+    return value, grad
 
 
 def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
@@ -186,7 +207,7 @@ def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
     the sum is divided by the number of evaluated ordered pairs. Classes
     with fewer than two populated clusters contribute 0, as does k = 1.
     """
-    return penalty(inputs, "clucl", k, num_classes)[0]
+    return penalty_value(inputs, "clucl", k, num_classes)
 
 
 def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
@@ -197,13 +218,15 @@ def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
     mean of (p_i - mean_p) * (vec_i - mean_vec); the class contributes its
     l2 norm. Classes with fewer than two included records contribute 0.
     """
-    return penalty(inputs, "cocl", 1, num_classes)[0]
+    return penalty_value(inputs, "cocl", 1, num_classes)
 
 
 def penalty_value(inputs: PenaltyInputs, variant: str, k: int,
                   num_classes: int) -> float:
-    """Value of the selected penalty; variant "none" is 0."""
-    return penalty(inputs, variant, k, num_classes)[0]
+    """Value of the selected penalty, without its gradient; variant "none"
+    is 0. The same statistics pass and value as penalty."""
+    return _value(_statistics(inputs, variant, k, num_classes), variant,
+                  num_classes)
 
 
 def penalty_gradient(inputs: PenaltyInputs, variant: str, k: int,

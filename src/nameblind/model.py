@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import BinaryRows
+
 LOG_FLOOR = 1e-12
 MODEL_FILE_TAG = "nameblind-model v1"
 
@@ -52,14 +54,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _features(X):
+    """X unchanged when it is a BinaryRows store, else a float64 array."""
+    return X if isinstance(X, BinaryRows) else np.asarray(X, dtype=np.float64)
+
+
 def forward_batch(params: ModelParams, X) -> np.ndarray:
-    """Probability matrix (n, num_classes) for a feature matrix (n, M)."""
-    X = np.asarray(X, dtype=np.float64)
+    """Probability matrix (n, num_classes) for a feature matrix (n, M).
+
+    X is a float64 array (BLAS multiplies it) or a data.BinaryRows store,
+    multiplied from its CSR index lists: each row's logits then depend on
+    that row alone, and agree with the dense product to rounding.
+    """
+    X = _features(X)
     if X.ndim != 2 or X.shape[1] != params.num_features:
         raise ValueError(
             f"expected (n, {params.num_features}) features, got {X.shape}"
         )
-    if not np.isfinite(X).all():
+    # a store's entries are 1.0 by construction, its indices checked when built
+    if isinstance(X, np.ndarray) and not np.isfinite(X).all():
         raise ValueError("input features must be finite")
     return softmax(X @ params.W.T + params.b)
 
@@ -118,9 +131,10 @@ def loss_and_gradient(params: ModelParams, X, labels, weights,
     where penalty maps the true-label probabilities to (value, d value /
     d p_true). Per item the cross-entropy's logit gradient is
     weight_y * (probs - onehot(y)) / n; the penalty's is chained through
-    d p_true / d logit_j = p_true * (1[j == y] - p_j).
+    d p_true / d logit_j = p_true * (1[j == y] - p_j). X is a float64
+    array or a data.BinaryRows store, as for forward_batch.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _features(X)
     probs = forward_batch(params, X)
     probs, labels, weights = _check_batch(probs, labels, weights)
     loss = weighted_cross_entropy(probs, labels, weights)

@@ -24,10 +24,11 @@ from .model import (
 )
 from .metrics import balanced_tpr
 
-# most rows a full-set pass densifies at once (forward_rows). Over 19,200 x
+# most rows a full-set pass gathers at once (forward_rows). Over 19,200 x
 # 1,818 binary features and 28 classes (one BLAS thread, 2-vCPU VM) a pass
-# took 146 ms in blocks of 256 rows against 210 ms in blocks of 1,024 and
-# 253 ms in blocks of 8,192, with bit-identical probabilities.
+# took 53-68 ms in blocks of 256 rows against 89-99 ms in blocks of 1,024
+# and 166-176 ms in blocks of 8,192 (best of 5, three runs), with
+# bit-identical probabilities.
 BLOCK_ROWS = 256
 
 
@@ -78,13 +79,23 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared timestep."""
+    """First/second moment accumulators and the shared timestep.
+
+    work_W and work_b are two scratch arrays of each parameter's shape, so
+    a step allocates nothing of W's size.
+    """
 
     m_W: np.ndarray
     v_W: np.ndarray
     m_b: np.ndarray
     v_b: np.ndarray
     t: int = 0
+    work_W: np.ndarray = field(init=False, repr=False)
+    work_b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work_W = np.empty((2, *self.m_W.shape))
+        self.work_b = np.empty((2, *self.m_b.shape))
 
     @classmethod
     def zeros(cls, num_classes: int, num_features: int) -> "AdamState":
@@ -136,18 +147,37 @@ def adam_step(params: ModelParams, grad_W, grad_b, state: AdamState,
     grad_b = np.asarray(grad_b, dtype=np.float64)
     if not (np.isfinite(grad_W).all() and np.isfinite(grad_b).all()):
         raise NumericalError("non-finite gradients")
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     state.t += 1
-    state.m_W = b1 * state.m_W + (1 - b1) * grad_W
-    state.v_W = b2 * state.v_W + (1 - b2) * grad_W**2
-    state.m_b = b1 * state.m_b + (1 - b1) * grad_b
-    state.v_b = b2 * state.v_b + (1 - b2) * grad_b**2
-    mhat_W = state.m_W / (1 - b1**state.t)
-    vhat_W = state.v_W / (1 - b2**state.t)
-    mhat_b = state.m_b / (1 - b1**state.t)
-    vhat_b = state.v_b / (1 - b2**state.t)
-    params.W -= config.learning_rate * mhat_W / (np.sqrt(vhat_W) + eps)
-    params.b -= config.learning_rate * mhat_b / (np.sqrt(vhat_b) + eps)
+    _adam_update(params.W, grad_W, state.m_W, state.v_W, state.work_W,
+                 state.t, config)
+    _adam_update(params.b, grad_b, state.m_b, state.v_b, state.work_b,
+                 state.t, config)
+
+
+def _adam_update(param, grad, m, v, work, t: int, config: TrainConfig) -> None:
+    """param -= lr * mhat / (sqrt(vhat) + eps) at timestep t, the moments m
+    and v updated first, all in place through the two scratch arrays of
+    work; the same operations in the same order as the expressions in the
+    comments, so the result is bit-identical to them."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    step, denom = work
+    # m = b1 * m + (1 - b1) * grad
+    np.multiply(m, b1, out=m)
+    np.multiply(grad, 1 - b1, out=step)
+    np.add(m, step, out=m)
+    # v = b2 * v + (1 - b2) * grad**2
+    np.multiply(v, b2, out=v)
+    np.square(grad, out=step)
+    np.multiply(step, 1 - b2, out=step)
+    np.add(v, step, out=v)
+    # param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+    np.divide(m, 1 - b1**t, out=step)
+    np.multiply(step, config.learning_rate, out=step)
+    np.divide(v, 1 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    np.add(denom, config.adam_eps, out=denom)
+    np.divide(step, denom, out=step)
+    np.subtract(param, step, out=param)
 
 
 @dataclass
@@ -193,9 +223,9 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     training-split name vectors once per context and freezes the
     assignments; class weights come from the training labels; each epoch
     shuffles with the seeded RNG and applies Adam per batch. Each batch
-    gathers its rows of dataset.features as one dense block, and full-set
-    passes go through forward_rows, so a sparse (BinaryRows) feature store
-    is never densified whole.
+    gathers its rows with dataset.features.take, which keeps a sparse
+    (BinaryRows) feature store sparse, and full-set passes go through
+    forward_rows, so text features are never densified.
     Identical configs and seeds produce bitwise-identical parameters.
     """
     n = len(dataset)
@@ -234,24 +264,26 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         else:
             name_vecs = context.name_vectors
 
-    def penalty_over(positions):
+    def penalty_over(positions, measure):
         """The penalty over the training records train_idx[positions], as
-        p_true -> (value, grad); None when no penalty is on."""
+        p_true -> measure(inputs, variant, k, num_classes), measure being
+        losses.penalty or losses.penalty_value; None when no penalty is
+        on."""
         if not penalty_on:
             return None
         arrays = (y[positions],
                   None if cluster_ids is None else cluster_ids[positions],
                   None if name_vecs is None else name_vecs[train_idx[positions]],
                   include[positions])
-        return lambda p_true: losses.penalty(
+        return lambda p_true: measure(
             losses.PenaltyInputs(p_true, *arrays), config.variant, config.k,
             num_classes,
         )
 
-    # the per-epoch penalty, over the included records only: the same
-    # value, and its inputs are gathered once per fit
+    # the per-epoch penalty, by value and over the included records only:
+    # the same value, and its inputs are gathered once per fit
     included = None if include is None else np.flatnonzero(include)
-    epoch_penalty = penalty_over(included)
+    epoch_penalty = penalty_over(included, losses.penalty_value)
     weights = class_weights(np.bincount(y, minlength=num_classes))
     params = ModelParams(
         W=np.zeros((num_classes, features.shape[1])),
@@ -267,8 +299,9 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         for start in range(0, n_train, config.batch_size):
             batch = order[start:start + config.batch_size]
             _, grad_W, grad_b = loss_and_gradient(
-                params, features[train_idx[batch]], y[batch], weights,
-                config.l2_coeff, penalty_over(batch), config.lam,
+                params, features.take(train_idx[batch], axis=0), y[batch],
+                weights, config.l2_coeff, penalty_over(batch, losses.penalty),
+                config.lam,
             )
             adam_step(params, grad_W, grad_b, state, config)
 
@@ -300,18 +333,22 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
 
 def forward_rows(params, features, rows) -> np.ndarray:
-    """forward_batch(params, features[rows]) for any number of rows.
+    """forward_batch(params, features.take(rows, axis=0)) for any number
+    of rows.
 
     The rows are walked in near-equal blocks of at most BLOCK_ROWS, so no
-    more than one dense block of features exists at a time. Near-equal,
-    so that every block has at least BLOCK_ROWS / 2 rows when there is
-    more than one: BLAS multiplies a product of a few rows (under about
-    32 with OpenBLAS 0.3.31 on a Haswell-class CPU) through other
-    kernels, whose rounding can differ from the one product over all rows.
+    more than one block of gathered rows exists at a time. A BinaryRows
+    store's logits are row by row sums, the same bytes whatever the
+    blocks. For dense rows the blocks are near-equal so that every block
+    has at least BLOCK_ROWS / 2 rows when there is more than one: BLAS
+    multiplies a product of a few rows (under about 32 with OpenBLAS
+    0.3.31 on a Haswell-class CPU) through other kernels, whose rounding
+    can differ from the one product over all rows.
     """
     rows = np.asarray(rows)
     blocks = np.array_split(rows, max(1, -(-len(rows) // BLOCK_ROWS)))
-    return np.concatenate([forward_batch(params, features[b]) for b in blocks])
+    return np.concatenate([forward_batch(params, features.take(b, axis=0))
+                           for b in blocks])
 
 
 def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
@@ -320,8 +357,8 @@ def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
 
     y aligns with rows. base is the weighted cross-entropy plus the l2
     term, so base + lam * penalty is model.loss_and_gradient's objective
-    over the same records. penalty is the configured penalty as
-    p_true -> (value, grad) over the records at penalty_positions of rows
+    over the same records. penalty is the configured penalty's value as
+    p_true -> value over the records at penalty_positions of rows
     (default: all of them); train passes only the records the penalty
     statistics include, which gives the same value.
     """
@@ -334,7 +371,7 @@ def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
     p_true = probs[np.arange(len(y)), y]
     if penalty_positions is not None:
         p_true = p_true[penalty_positions]
-    return base, penalty(p_true)[0]
+    return base, penalty(p_true)
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

@@ -463,6 +463,21 @@ def test_config_int_for_float_and_non_object(tiny_tabular, tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_config_ints_in_float_fields_write_the_flags_bytes(tiny_tabular, tmp_path):
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    common = ["--data", str(data), "--schema", str(schema), "--variant", "none",
+              "--seeds", "0", "--epochs", "1", "--out", str(out)]
+    assert main(["sweep", *common, "--lambdas", "0", "1"]) == 0
+    from_flags = {name: (out / name).read_bytes()
+                  for name in ("sweep.csv", "manifest.json")}
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps({"lambdas": [0, 1]}), encoding="utf-8")
+    assert main(["sweep", "--config", str(config_path), *common]) == 0
+    for name, want in from_flags.items():
+        assert (out / name).read_bytes() == want, name
+
+
 def test_truncated_model_exit_1(tiny_tabular, tmp_path, capsys):
     data, schema, embeddings = tiny_tabular
     out = tmp_path / "out"

@@ -1,10 +1,13 @@
+import collections
 import inspect
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nameblind.data import (
+    DEDUPE_DOCS,
     BinaryRows,
     Dataset,
     NameDemographics,
@@ -392,6 +395,42 @@ def random_token_lists(seed, n_docs=40, n_words=30):
     return lists, words[2:]      # w0, w1 are not in the vocabulary either
 
 
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_token_dedupe_matches_counting_oracle(block, monkeypatch):
+    monkeypatch.setattr("nameblind.data.DEDUPE_DOCS", block)
+    token_lists, _ = random_token_lists(seed=9)
+    token_lists[13] = token_lists[14] = []  # empty documents at a block edge
+    docs = TokenizedDocuments.from_token_lists(iter(token_lists))
+    assert len(docs) == len(token_lists)
+    assert docs.tokens == sorted({t for tokens in token_lists for t in tokens})
+    for i, tokens in enumerate(token_lists):
+        counted = collections.Counter(tokens)
+        span = slice(docs.indptr[i], docs.indptr[i + 1])
+        assert [docs.tokens[j] for j in docs.ids[span]] == sorted(counted)
+        assert docs.counts[span].tolist() == [counted[t] for t in sorted(counted)]
+
+
+def test_token_dedupe_memory_scales_with_kept_arrays():
+    # one sort over every document at once peaked at 6.6 times the arrays kept
+    n_docs = 8 * DEDUPE_DOCS
+
+    def token_lists():
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(2000)]
+        for _ in range(n_docs):
+            yield [words[i] for i in rng.integers(0, 2000, rng.integers(0, 50))]
+
+    tracemalloc.start()
+    try:
+        docs = TokenizedDocuments.from_token_lists(token_lists())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == n_docs
+    kept = docs.indptr.nbytes + docs.ids.nbytes + docs.counts.nbytes
+    assert peak < 4 * kept
+
+
 def test_binary_rows_match_dense_oracle():
     token_lists, vocabulary = random_token_lists(seed=6)
     docs = TokenizedDocuments.from_token_lists(token_lists)
@@ -437,6 +476,65 @@ def test_binary_rows_reject_bad_selections_and_indices():
         BinaryRows(np.array([0, 2]), np.array([0, 3]), 3)
     with pytest.raises(ValueError, match="indptr"):
         BinaryRows(np.array([0, 2, 1]), np.array([0]), 3)
+
+
+def binary_rows(mask):
+    """The BinaryRows store of a boolean (n, V) matrix."""
+    return BinaryRows(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))),
+                      np.nonzero(mask)[1], mask.shape[1])
+
+
+def test_binary_rows_products_match_dense():
+    rng = np.random.default_rng(8)
+    mask = rng.random((60, 25)) < 0.2
+    empty = [0, 1, 30, 31, 58, 59]  # at the start, in the middle, at the end
+    mask[empty] = False
+    features = binary_rows(mask)
+    dense = mask.astype(np.float64)
+    selections = [
+        np.arange(60),
+        np.array([0, 12, 30, 7, 59]),     # empty rows at start, middle, end
+        np.array([31, 30, 1]),            # only empty rows
+        np.array([], dtype=np.int64),     # no rows
+        rng.permutation(60)[:17],
+    ]
+    for rows in selections:
+        X = features.take(rows, axis=0)
+        assert isinstance(X, BinaryRows)
+        assert X.shape == (len(rows), 25)
+        assert np.asarray(X).tobytes() == dense[rows].tobytes()
+        M = rng.normal(size=(25, 4))
+        A = rng.normal(size=(3, len(rows)))
+        for got, want in ((X @ M, dense[rows] @ M),
+                          (X @ M[:, :1], dense[rows] @ M[:, :1]),
+                          (A @ X, A @ dense[rows])):
+            assert got.shape == want.shape and got.dtype == np.float64
+            scale = max(np.abs(want).max(initial=0.0), 1.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * scale)
+        # rows without entries give exactly 0
+        assert not (X @ M)[~mask[rows].any(axis=1)].any()
+    with pytest.raises(ValueError, match="axis"):
+        features.take([0], axis=1)
+    with pytest.raises(ValueError):
+        features @ np.ones((24, 2))
+    with pytest.raises(ValueError):
+        np.ones((2, 59)) @ features
+
+
+def test_ndarray_matmul_dispatches_to_binary_rows(monkeypatch):
+    features = binary_rows(np.eye(4, dtype=bool)[[2, 0, 3]])
+
+    def densify(self, dtype=None, copy=None):
+        raise AssertionError("the product densified the store")
+
+    monkeypatch.setattr(BinaryRows, "__array__", densify)
+    A = np.arange(6.0).reshape(2, 3)
+    got = A @ features
+    assert isinstance(got, np.ndarray)
+    assert got.tolist() == [[1.0, 0.0, 0.0, 2.0], [4.0, 0.0, 3.0, 5.0]]
+    assert (features @ np.arange(8.0).reshape(4, 2)).tolist() == [
+        [4.0, 5.0], [0.0, 1.0], [6.0, 7.0]]
 
 
 def test_load_text_features_are_binary_rows(tmp_path):

@@ -5,6 +5,7 @@ from nameblind.losses import (
     PenaltyInputs,
     clucl_penalty,
     cocl_penalty,
+    penalty,
     penalty_gradient,
     penalty_value,
     total_loss,
@@ -329,6 +330,13 @@ def test_penalty_value_dispatch():
     assert penalty_value(inputs, "cocl", 2, 1) == pytest.approx(0.05, abs=1e-12)
     with pytest.raises(ValueError, match="variant"):
         penalty_value(inputs, "bogus", 2, 1)
+    # the value alone is the bytes penalty returns beside the gradient
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        inputs = random_inputs(rng)
+        for variant, k in (("none", 3), ("clucl", 1), ("clucl", 3), ("cocl", 3)):
+            assert (penalty_value(inputs, variant, k, 3)
+                    == penalty(inputs, variant, k, 3)[0])
 
 
 def test_missing_required_fields_raise():

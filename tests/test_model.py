@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nameblind.data import BinaryRows
 from nameblind.losses import PenaltyInputs, penalty
 from nameblind.model import (
     ModelParams,
@@ -141,15 +142,15 @@ def test_gradient_matches_finite_differences():
         assert rel_error(grad_b, fd_b) < 1e-5
 
 
-@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
-def test_composite_gradient_matches_finite_differences(variant):
-    # the objective train minimizes: cross-entropy + l2 + lam * penalty,
-    # with some records masked out of the penalty
+def check_composite_gradient(variant, features):
+    """The objective train minimizes: cross-entropy + l2 + lam * penalty,
+    with some records masked out of the penalty, against central finite
+    differences; features(rng, n, M) draws each trial's batch."""
     rng = np.random.default_rng(12)
     for trial in range(10):
         n, M, C, k = 16, 4, 3, 3
         params = ModelParams(W=rng.normal(size=(C, M)), b=rng.normal(size=C))
-        X = rng.normal(size=(n, M))
+        X = features(rng, n, M)
         labels = rng.integers(0, C, size=n)
         weights = rng.uniform(0.5, 2.0, size=C)
         clusters = rng.integers(0, k, size=n)
@@ -172,6 +173,22 @@ def test_composite_gradient_matches_finite_differences(variant):
         )
         assert rel_error(grad_W, fd_W) < 1e-5
         assert rel_error(grad_b, fd_b) < 1e-5
+
+
+@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
+def test_composite_gradient_matches_finite_differences(variant):
+    check_composite_gradient(variant, lambda rng, n, M: rng.normal(size=(n, M)))
+
+
+@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
+def test_composite_gradient_on_binary_rows_matches_finite_differences(variant):
+    def binary_rows(rng, n, M):
+        mask = rng.random((n, M)) < 0.4
+        mask[3] = False  # a row without entries
+        return BinaryRows(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))),
+                          np.nonzero(mask)[1], M)
+
+    check_composite_gradient(variant, binary_rows)
 
 
 def test_symmetric_batch_gives_antisymmetric_bias_gradient():

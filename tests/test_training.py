@@ -64,6 +64,35 @@ def test_adam_repeated_steps_move_against_gradient():
         previous = params.W[0, 0]
 
 
+def test_adam_step_matches_textbook_form_bitwise():
+    # the in-place step against the bias-corrected update written out, over
+    # steps whose gradients change sign and scale
+    rng = np.random.default_rng(11)
+    config = scalar_config(learning_rate=0.03)
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    params = ModelParams(W=rng.normal(size=(3, 5)), b=rng.normal(size=3))
+    W, b = params.W.copy(), params.b.copy()
+    m_W, v_W, m_b, v_b = np.zeros((3, 5)), np.zeros((3, 5)), np.zeros(3), np.zeros(3)
+    state = AdamState.zeros(3, 5)
+    for t in range(1, 8):
+        grad_W = rng.normal(size=(3, 5)) * 10.0 ** rng.integers(-6, 3)
+        grad_b = rng.normal(size=3)
+        adam_step(params, grad_W, grad_b, state, config)
+        m_W = b1 * m_W + (1 - b1) * grad_W
+        v_W = b2 * v_W + (1 - b2) * grad_W**2
+        m_b = b1 * m_b + (1 - b1) * grad_b
+        v_b = b2 * v_b + (1 - b2) * grad_b**2
+        W -= config.learning_rate * (m_W / (1 - b1**t)) / (
+            np.sqrt(v_W / (1 - b2**t)) + eps)
+        b -= config.learning_rate * (m_b / (1 - b1**t)) / (
+            np.sqrt(v_b / (1 - b2**t)) + eps)
+        assert state.t == t
+        assert params.W.tobytes() == W.tobytes()
+        assert params.b.tobytes() == b.tobytes()
+        assert state.m_W.tobytes() == m_W.tobytes()
+        assert state.v_W.tobytes() == v_W.tobytes()
+
+
 def test_adam_rejects_non_finite_gradients():
     params = ModelParams(W=np.zeros((1, 1)), b=np.zeros(1))
     state = AdamState.zeros(1, 1)
@@ -357,6 +386,8 @@ def write_text_corpus(path, n_docs, n_words, seed):
 
 @pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
 def test_train_on_binary_rows_matches_dense(variant, tmp_path):
+    # the CSR products add in another order than BLAS, so sparse and dense
+    # fits agree to rounding; sparse reruns agree bit for bit
     path = tmp_path / "bios.tsv"
     write_text_corpus(path, n_docs=700, n_words=120, seed=1)
     sparse = load_text(path, min_count=1, top_fraction=0.0)
@@ -375,9 +406,19 @@ def test_train_on_binary_rows_matches_dense(variant, tmp_path):
                          batch_size=64, learning_rate=0.05, l2_coeff=0.001)
     a = train(sparse, table, config)
     b = train(dense, table, config)
-    assert a.params.W.tobytes() == b.params.W.tobytes()
-    assert a.params.b.tobytes() == b.params.b.tobytes()
-    assert a.history == b.history
+    np.testing.assert_allclose(a.params.W, b.params.W, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.params.b, b.params.b, rtol=0, atol=1e-12)
+    assert len(a.history) == len(b.history) == 3
+    for got, want in zip(a.history, b.history):
+        assert got.epoch == want.epoch
+        np.testing.assert_allclose(
+            [got.base_loss, got.penalty, got.total_loss, got.val_balanced_tpr],
+            [want.base_loss, want.penalty, want.total_loss, want.val_balanced_tpr],
+            rtol=0, atol=1e-12)
+    again = train(sparse, table, config)
+    assert again.params.W.tobytes() == a.params.W.tobytes()
+    assert again.params.b.tobytes() == a.params.b.tobytes()
+    assert again.history == a.history
 
 
 def test_forward_rows_matches_forward_batch():
@@ -388,13 +429,21 @@ def test_forward_rows_matches_forward_batch():
                           [c for r in rows for c in r], 50)
     params = ModelParams(W=rng.normal(size=(3, 50)), b=rng.normal(size=3))
     dense = np.asarray(features)
+    everything = forward_rows(params, features, np.arange(700))
     for selection in (np.arange(700), rng.permutation(700)[:513],
-                      np.array([4]), np.array([], dtype=np.int64)):
+                      np.arange(700)[::-1], np.array([4]),
+                      np.array([], dtype=np.int64)):
         got = forward_rows(params, features, selection)
-        assert got.tobytes() == forward_rows(params, dense, selection).tobytes()
         want = forward_batch(params, dense[selection])
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(forward_rows(params, dense, selection), want,
+                           rtol=0, atol=1e-12)
+        # a row's probabilities are the same bytes in any selection, order
+        # or block: here blocks of at most 256 rows, and one block of all
+        assert got.tobytes() == everything[selection].tobytes()
+        one_block = forward_batch(params, features.take(selection, axis=0))
+        assert one_block.tobytes() == got.tobytes()
 
 
 def test_train_memory_scales_with_nonzeros(tmp_path):
