@@ -256,10 +256,15 @@ class _Pipeline:
         return dataset, split
 
     def penalty_context(self, dataset) -> PenaltyContext:
-        """Penalty context of dataset (from dataset_for_seed). Name vectors
-        are built once per command, or once per seed when the first names
-        are drawn per seed; its k-means cache is keyed by seed."""
-        if self._names_per_seed or self._context is None:
+        """Penalty context of dataset (from dataset_for_seed). The name
+        table is built once per command and kept, or once per seed and not
+        kept when the first names are drawn per seed; its k-means cache is
+        keyed by seed."""
+        if self._names_per_seed:
+            return PenaltyContext.build(
+                self.table, dataset.first_names, dataset.last_names
+            )
+        if self._context is None:
             self._context = PenaltyContext.build(
                 self.table, dataset.first_names, dataset.last_names
             )
@@ -307,30 +312,7 @@ def cmd_train(spec: ExperimentSpec) -> int:
     header = None
     rows = []
     for seed in spec.seeds:
-        dataset, split = pipeline.dataset_for_seed(seed)
-        context = pipeline.penalty_context(dataset) if penalty_on else None
-        result = train(dataset, pipeline.table, _train_config(spec, seed, spec.lam),
-                       split=split, context=context)
-        save_model(result.params, dataset.feature_names, dataset.class_names,
-                   out / f"model_seed{seed}.txt")
-        write_history_csv(result.history, out / f"history_seed{seed}.csv")
-        test_idx = split[2]
-        preds = forward_rows(result.params, dataset.features,
-                             test_idx).argmax(axis=1)
-        if dataset.eval_groups is None:
-            raise UsageError(
-                "training data has no evaluation group labels; declare a "
-                "group= column or pass --names-demographics"
-            )
-        groups = GroupLabels(
-            [_slice_attr(a, test_idx) for a in dataset.eval_groups.attributes]
-        )
-        report = bias_report(
-            preds, dataset.labels[test_idx], groups,
-            num_classes=len(dataset.class_names),
-            class_names=dataset.class_names,
-        )
-        write_bias_report_csv(report, out / f"bias_report_seed{seed}.csv")
+        report = _train_seed(pipeline, seed, out, penalty_on)
         if header is None:
             header = summary_header(report)
         rows.append((seed, summary_values(report)))
@@ -350,6 +332,38 @@ def cmd_train(spec: ExperimentSpec) -> int:
     for name in sorted(p.name for p in out.iterdir()):
         print(f"wrote {out / name}")
     return 0
+
+
+def _train_seed(pipeline: _Pipeline, seed: int, out: Path, penalty_on: bool):
+    """One seed of cmd_train: fit, write the model, history and bias report
+    files, and return the report. The seed's dataset, context and fit are
+    freed on return, before the next seed's are built."""
+    spec = pipeline.spec
+    dataset, split = pipeline.dataset_for_seed(seed)
+    context = pipeline.penalty_context(dataset) if penalty_on else None
+    result = train(dataset, pipeline.table, _train_config(spec, seed, spec.lam),
+                   split=split, context=context)
+    save_model(result.params, dataset.feature_names, dataset.class_names,
+               out / f"model_seed{seed}.txt")
+    write_history_csv(result.history, out / f"history_seed{seed}.csv")
+    test_idx = split[2]
+    preds = forward_rows(result.params, dataset.features,
+                         test_idx).argmax(axis=1)
+    if dataset.eval_groups is None:
+        raise UsageError(
+            "training data has no evaluation group labels; declare a "
+            "group= column or pass --names-demographics"
+        )
+    groups = GroupLabels(
+        [_slice_attr(a, test_idx) for a in dataset.eval_groups.attributes]
+    )
+    report = bias_report(
+        preds, dataset.labels[test_idx], groups,
+        num_classes=len(dataset.class_names),
+        class_names=dataset.class_names,
+    )
+    write_bias_report_csv(report, out / f"bias_report_seed{seed}.csv")
+    return report
 
 
 def _slice_attr(attr, indices):
@@ -403,26 +417,7 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     header = None
     results: dict[float, list[list]] = {lam: [] for lam in spec.lambdas}
     for seed in spec.seeds:
-        dataset, split = pipeline.dataset_for_seed(seed)
-        if dataset.eval_groups is None:
-            raise UsageError("sweep data has no evaluation group labels")
-        test_idx = split[2]
-        groups = GroupLabels(
-            [_slice_attr(a, test_idx) for a in dataset.eval_groups.attributes]
-        )
-        context = (pipeline.penalty_context(dataset)
-                   if spec.variant != "none" and max(spec.lambdas) > 0 else None)
-        for lam in spec.lambdas:
-            result = train(dataset, pipeline.table,
-                           _train_config(spec, seed, lam), split=split,
-                           context=context)
-            preds = forward_rows(result.params, dataset.features,
-                                 test_idx).argmax(axis=1)
-            report = bias_report(
-                preds, dataset.labels[test_idx], groups,
-                num_classes=len(dataset.class_names),
-                class_names=dataset.class_names,
-            )
+        for lam, report in zip(spec.lambdas, _sweep_seed(pipeline, seed)):
             if header is None:
                 header = summary_header(report)
             results[lam].append(summary_values(report))
@@ -440,6 +435,35 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     return 0
 
 
+def _sweep_seed(pipeline: _Pipeline, seed: int):
+    """One seed of cmd_sweep: the bias report of each lambda's fit, in
+    spec.lambdas order. The seed's dataset and context are freed on
+    return, before the next seed's are built."""
+    spec = pipeline.spec
+    dataset, split = pipeline.dataset_for_seed(seed)
+    if dataset.eval_groups is None:
+        raise UsageError("sweep data has no evaluation group labels")
+    test_idx = split[2]
+    groups = GroupLabels(
+        [_slice_attr(a, test_idx) for a in dataset.eval_groups.attributes]
+    )
+    context = (pipeline.penalty_context(dataset)
+               if spec.variant != "none" and max(spec.lambdas) > 0 else None)
+    reports = []
+    for lam in spec.lambdas:
+        result = train(dataset, pipeline.table,
+                       _train_config(spec, seed, lam), split=split,
+                       context=context)
+        preds = forward_rows(result.params, dataset.features,
+                             test_idx).argmax(axis=1)
+        reports.append(bias_report(
+            preds, dataset.labels[test_idx], groups,
+            num_classes=len(dataset.class_names),
+            class_names=dataset.class_names,
+        ))
+    return reports
+
+
 def cmd_cluster_report(spec: ExperimentSpec) -> int:
     out = _out_dir(spec)
     pipeline = _Pipeline(spec, need_embeddings=True)
@@ -447,10 +471,10 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
     dataset, _ = pipeline.dataset_for_seed(seed)
     if dataset.eval_groups is None or not len(dataset.eval_groups):
         raise UsageError("cluster-report needs evaluation group labels")
-    names = pipeline.penalty_context(dataset)
+    names = pipeline.penalty_context(dataset).names
     include = names.include
     covered_idx = np.flatnonzero(include)
-    model = kmeans(names.name_vectors[covered_idx], spec.k, seed=seed)
+    model = kmeans(names.take(covered_idx), spec.k, seed=seed)
     write_cluster_model(model, out / "clusters.txt")
     write_assignments(covered_idx, model.assignments, out / "cluster_assignments.txt")
     with open(out / "cluster_report.csv", "w", encoding="utf-8", newline="") as fh:

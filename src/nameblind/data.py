@@ -600,44 +600,64 @@ class TokenizedDocuments:
 
     @classmethod
     def from_token_lists(cls, token_lists) -> "TokenizedDocuments":
-        """Tokenized documents from an iterable of token lists, read once."""
+        """Tokenized documents from an iterable of token lists, read once.
+
+        Each block of DEDUPE_DOCS documents is deduplicated as it is read,
+        by one sort of (document, first-seen id) keys, so no more than one
+        block's raw token ids exist at a time. Once every token is known,
+        each block's ids are remapped to alphabetical ranks and re-sorted
+        within their documents.
+        """
         interned: dict[str, int] = collections.defaultdict()
         interned.default_factory = interned.__len__  # a new token's id
-        ids = array.array("i")
-        lengths = array.array("q")
-        for tokens in token_lists:
-            ids.extend(map(interned.__getitem__, tokens))
-            lengths.append(len(tokens))
+        token_lists = iter(token_lists)
+
+        def next_block(lengths):
+            """The next DEDUPE_DOCS token lists, each one's length appended
+            to lengths as it is read."""
+            for tokens in itertools.islice(token_lists, DEDUPE_DOCS):
+                lengths.append(len(tokens))
+                yield tokens
+
+        per_doc, kept_ids, kept_counts = [], [], []
+        while True:
+            lengths = array.array("q")
+            tokens = itertools.chain.from_iterable(next_block(lengths))
+            ids = np.fromiter(map(interned.__getitem__, tokens), np.int32)
+            if not lengths:
+                break
+            keys = np.repeat(np.arange(len(lengths), dtype=np.int64) << 32,
+                             np.frombuffer(lengths, np.int64))
+            keys |= ids
+            del ids
+            keys, counts = np.unique(keys, return_counts=True)
+            per_doc.append(np.bincount(keys >> 32, minlength=len(lengths)))
+            kept_ids.append((keys & 0xFFFFFFFF).astype(np.int32))
+            kept_counts.append(counts.astype(np.int32))
         first_seen = list(interned)
         order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-        rank = np.empty(len(order), dtype=np.int64)
+        rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order))
-        tokens = np.frombuffer(ids, np.int32)
-        lengths = np.frombuffer(lengths, np.int64)
-        ends = np.cumsum(lengths)
-        # one sort of (document, id) keys per block of documents dedupes the
-        # block; keys sort by document first, so the blocks' results laid
-        # end to end are those of one sort over every document
         width = max(len(order), 1)
-        per_doc = np.zeros(len(lengths), dtype=np.int64)
-        kept_ids, kept_counts = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-        for first in range(0, len(lengths), DEDUPE_DOCS):
-            block = lengths[first:first + DEDUPE_DOCS]
-            docs = np.repeat(np.arange(len(block)), block)
-            start = ends[first] - block[0]
-            keys, counts = np.unique(
-                docs * width + rank[tokens[start:start + len(docs)]],
-                return_counts=True,
-            )
-            per_doc[first:first + len(block)] = np.bincount(
-                keys // width, minlength=len(block))
-            kept_ids.append((keys % width).astype(np.int32))
-            kept_counts.append(counts.astype(np.int32))
+        total = sum(map(len, kept_ids))
+        ids, counts = np.empty(total, np.int32), np.empty(total, np.int32)
+        end = 0
+        for i, sizes in enumerate(per_doc):
+            # ascending ids within each document, blocks laid end to end
+            block_ids = rank[kept_ids[i]]
+            docs = np.repeat(np.arange(len(sizes)), sizes)
+            resort = np.argsort(docs * width + block_ids)
+            span = slice(end, end + len(resort))
+            ids[span] = block_ids[resort]
+            counts[span] = kept_counts[i][resort]
+            kept_ids[i] = kept_counts[i] = None
+            end = span.stop
         return cls(
             tokens=[first_seen[i] for i in order],
-            indptr=np.concatenate(([0], np.cumsum(per_doc))),
-            ids=np.concatenate(kept_ids),
-            counts=np.concatenate(kept_counts),
+            indptr=np.concatenate(([0], np.cumsum(np.concatenate(
+                per_doc or [np.empty(0, np.int64)])))),
+            ids=ids,
+            counts=counts,
         )
 
     def __len__(self) -> int:

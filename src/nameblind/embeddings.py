@@ -164,19 +164,51 @@ _COVERAGES = (Coverage.NONE, Coverage.LAST_ONLY, Coverage.FIRST_ONLY,
               Coverage.BOTH_FOUND)
 
 
-def batch_name_vectors(table, first_names, last_names):
-    """One vector per individual from aligned lists of first/last names.
+@dataclass(frozen=True)
+class NameTable:
+    """Per-record name vectors, stored once per distinct found name.
+
+    vectors holds one row per distinct name found in the embedding table,
+    then a zero row; first and last give each record's first- and
+    last-name row, -1 (the zero row) when the name was not found, and
+    include is True where either was. Memory is O(distinct names x
+    dimension + records): no per-record matrix is kept, and take gathers
+    the records' vectors when they are read.
+    """
+
+    vectors: np.ndarray   # (found names + 1, dimension) float64
+    first: np.ndarray     # (n,) intp
+    last: np.ndarray      # (n,) intp
+    include: np.ndarray   # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def take(self, rows) -> np.ndarray:
+        """The (len(rows), dimension) name vectors of records[rows]: the
+        mean 0.5 * (first + last) where both names were found, the one
+        found vector, or zeros."""
+        first, last = self.first[rows], self.last[rows]
+        out = self.vectors[np.where(first >= 0, first, last)]
+        both = (first >= 0) & (last >= 0)
+        out[both] = 0.5 * (out[both] + self.vectors[last[both]])
+        return out
+
+    def coverages(self) -> list[Coverage]:
+        """Which of each record's two names were found."""
+        codes = 2 * (self.first >= 0) + (self.last >= 0)
+        return [_COVERAGES[c] for c in codes.tolist()]
+
+
+def batch_name_vectors(table, first_names, last_names) -> NameTable:
+    """The NameTable of records given by aligned lists of first/last names.
 
     Both names found: elementwise mean of the two vectors. Exactly one
     found: that vector unchanged. Neither found: zero vector with coverage
     "none" -- such records are excluded from penalty statistics rather than
     given a made-up vector, which would add noise to the very quantity
-    being constrained.
-
-    Returns an (n, dimension) matrix, the per-record Coverage list, and a
-    boolean include mask that is False where neither name was found. Each
-    distinct name is looked up once; the vectors are one gather from the
-    found names' rows and one mean over the records with both names.
+    being constrained. Each distinct name is looked up once and each found
+    one's vector is stored once.
     """
     if len(first_names) != len(last_names):
         raise ValueError("first_names and last_names must have equal length")
@@ -188,16 +220,10 @@ def batch_name_vectors(table, first_names, last_names):
         if vector is not None:
             found.append(vector)
     found.append(np.zeros(table.dimension))  # row -1: neither name found
-    matrix = np.vstack(found)
     n = len(first_names)
     first = np.fromiter(map(row.__getitem__, first_names), np.intp, n)
     last = np.fromiter(map(row.__getitem__, last_names), np.intp, n)
-    vectors = matrix[np.where(first >= 0, first, last)]
-    both = (first >= 0) & (last >= 0)
-    vectors[both] = 0.5 * (vectors[both] + matrix[last[both]])
-    codes = 2 * (first >= 0) + (last >= 0)
-    coverages = [_COVERAGES[c] for c in codes.tolist()]
-    return vectors, coverages, codes > 0
+    return NameTable(np.vstack(found), first, last, (first >= 0) | (last >= 0))
 
 
 def collect_name_tokens(first_names, last_names) -> set[str]:

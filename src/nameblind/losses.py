@@ -66,18 +66,30 @@ class PenaltyInputs:
         return self.true_label_probs.shape[0]
 
 
-def _included(inputs: PenaltyInputs, num_classes: int):
-    """(sel, labels, probs) of the included records, each probability taken
+def _included(labels, probs, include, num_classes: int):
+    """(labels, probs) of the included records, each probability taken
     about its class's first included one: the offset cancels in every
     statistic the penalties read, and equal probabilities give exact zeros.
     """
-    sel = inputs.include_mask
-    labels = inputs.labels[sel]
-    probs = inputs.true_label_probs[sel]
+    labels = labels[include]
+    probs = probs[include]
     classes, first = np.unique(labels, return_index=True)
     offset = np.zeros(num_classes)
     offset[classes] = probs[first]
-    return sel, labels, probs - offset[labels]
+    return labels, probs - offset[labels]
+
+
+def _centred(labels, probs, include, num_classes: int):
+    """(weights, counts): each record's true-label probability about its
+    class's mean over the included records, 0 for excluded records, and
+    the class counts of the included records."""
+    kept, centred = _included(labels, probs, include, num_classes)
+    counts = np.bincount(kept, minlength=num_classes)
+    mean_p = (np.bincount(kept, weights=centred, minlength=num_classes)
+              / np.maximum(counts, 1))
+    weights = np.zeros(len(labels))
+    weights[include] = centred - mean_p[kept]
+    return weights, counts
 
 
 def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
@@ -92,7 +104,9 @@ def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
     """
     if inputs.cluster_ids is None:
         raise ValueError("cluster_ids are required for the cluster penalty")
-    sel, labels, probs = _included(inputs, num_classes)
+    sel = inputs.include_mask
+    labels, probs = _included(inputs.labels, inputs.true_label_probs, sel,
+                              num_classes)
     ids = inputs.cluster_ids[sel]
     if len(ids) and (ids.min() < 0 or ids.max() >= k):
         raise ValueError(f"cluster ids must lie in [0, {k})")
@@ -109,36 +123,93 @@ def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
     return sel, cells, counts, diffs, v * (v - 1)
 
 
-def _class_covariances(inputs: PenaltyInputs, num_classes: int):
-    """Per-class covariance between true-label probability and name vector.
+def _class_covariances(weights, rows, counts, means=None):
+    """Per-class covariance between true-label probability and name vector,
+    from one product of class weights over name-vector rows.
 
-    GEMM form: row c of the (C, n) matrix A holds each included class-c
-    record's probability about the class mean, so cov_c = (A @ V -
-    rowsum(A) * vbar_c) / n_c with vbar_c the class's mean name vector
-    (rowsum(A) is 0 up to rounding). Returns (sel, labels, vectors, means,
-    cov, counts) for the included records; means and cov are (C, dim).
+    rows are the vectors read: a batch's gathered name vectors, or a name
+    table's rows. Row c of weights holds, per vector row, the sum of the
+    centred probabilities (see _centred) of the class-c records reading
+    it, each times the record's share of that row, so
+    cov_c = (weights_c @ rows - sum(weights_c) * vbar_c) / n_c with vbar_c
+    the class's mean name vector (the sum is 0 up to rounding). Without
+    means, weights stacks the C class-membership rows above those C rows
+    and the means come from the same product. Returns (means, cov), each
+    (C, dim).
     """
+    n_c = np.maximum(counts, 1)[:, None]
+    product = weights @ rows
+    if means is None:
+        num_classes = len(counts)
+        means = product[:num_classes] / n_c
+        weights, product = weights[num_classes:], product[num_classes:]
+    return means, (product - weights.sum(axis=1)[:, None] * means) / n_c
+
+
+def _batch_covariances(inputs: PenaltyInputs, num_classes: int):
+    """_class_covariances over the records of inputs, excluded records
+    weighted 0; returns (include, labels, vectors, means, cov, counts)."""
     if inputs.name_vectors is None:
         raise ValueError("name_vectors are required for the covariance penalty")
-    sel, labels, probs = _included(inputs, num_classes)
-    # no copy when every record is included (train's per-epoch penalty)
-    vectors = inputs.name_vectors if sel.all() else inputs.name_vectors[sel]
-    counts = np.bincount(labels, minlength=num_classes)
-    n_c = np.maximum(counts, 1)
-    mean_p = np.bincount(labels, weights=probs, minlength=num_classes) / n_c
-    rows = np.arange(len(labels))
-    members, A = np.zeros((2, num_classes, len(labels)))
-    members[labels, rows] = 1.0
-    A[labels, rows] = probs - mean_p[labels]
-    means = members @ vectors / n_c[:, None]
-    cov = (A @ vectors - A.sum(axis=1)[:, None] * means) / n_c[:, None]
-    return sel, labels, vectors, means, cov, counts
+    labels, include = inputs.labels, inputs.include_mask
+    centred, counts = _centred(labels, inputs.true_label_probs, include,
+                               num_classes)
+    records = np.arange(len(labels))
+    stacked = np.zeros((2 * num_classes, len(labels)))
+    stacked[labels, records] = include
+    stacked[num_classes + labels, records] = centred
+    means, cov = _class_covariances(stacked, inputs.name_vectors, counts)
+    return include, labels, inputs.name_vectors, means, cov, counts
+
+
+class CoclTable:
+    """The covariance penalty by value over fixed records whose name
+    vectors are name-table rows (embeddings.NameTable): a record's vector
+    is the mean of its found names' rows.
+
+    The class counts, the (class, table row) key and share of each found
+    name, and the class mean vectors are constants of the records,
+    computed once; each value is then one np.bincount over the keys and
+    one (C, rows) @ (rows, dim) product, whatever the number of records.
+    """
+
+    def __init__(self, labels, vectors, first, last, num_classes: int):
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.vectors = vectors
+        self.num_classes = num_classes
+        found_first, found_last = first >= 0, last >= 0
+        self.include = found_first | found_last
+        share = np.where(found_first & found_last, 0.5, 1.0)
+        self.records = np.concatenate((np.flatnonzero(found_first),
+                                       np.flatnonzero(found_last)))
+        self.shares = share[self.records]
+        self.keys = (self.labels[self.records] * len(vectors)
+                     + np.concatenate((first[found_first], last[found_last])))
+        self.counts = np.bincount(self.labels[self.include],
+                                  minlength=num_classes)
+        members = self._per_class(self.shares)
+        self.means = members @ vectors / np.maximum(self.counts, 1)[:, None]
+
+    def _per_class(self, weights) -> np.ndarray:
+        """(C, rows): the weights summed per (class, table row) key."""
+        size = self.num_classes * len(self.vectors)
+        return np.bincount(self.keys, weights=weights,
+                           minlength=size).reshape(self.num_classes, -1)
+
+    def value(self, true_label_probs) -> float:
+        """The covariance penalty at these true-label probabilities."""
+        centred, _ = _centred(self.labels, true_label_probs, self.include,
+                              self.num_classes)
+        weights = self._per_class(centred[self.records] * self.shares)
+        _, cov = _class_covariances(weights, self.vectors, self.counts,
+                                    self.means)
+        return _cocl_value(cov, self.num_classes)
 
 
 def _statistics(inputs: PenaltyInputs, variant: str, k: int,
                 num_classes: int):
     """The statistics pass of the selected penalty: _cluster_cells for
-    clucl, _class_covariances for cocl, None where the penalty is 0 by
+    clucl, _batch_covariances for cocl, None where the penalty is 0 by
     definition (variant "none", clucl with k = 1)."""
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
@@ -149,7 +220,7 @@ def _statistics(inputs: PenaltyInputs, variant: str, k: int,
             raise ValueError("k must be positive")
         return None if k == 1 else _cluster_cells(inputs, k, num_classes)
     if variant == "cocl":
-        return _class_covariances(inputs, num_classes)
+        return _batch_covariances(inputs, num_classes)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
@@ -162,7 +233,11 @@ def _value(stats, variant: str, num_classes: int) -> float:
         live = pairs > 0
         per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
         return float(per_class.sum()) / num_classes
-    cov = stats[4]
+    return _cocl_value(stats[4], num_classes)
+
+
+def _cocl_value(cov, num_classes: int) -> float:
+    """The covariance penalty from the per-class covariances."""
     return float(np.linalg.norm(cov, axis=1).sum()) / num_classes
 
 
@@ -193,9 +268,9 @@ def penalty(inputs: PenaltyInputs, variant: str, k: int,
     scale = np.zeros(num_classes)
     np.divide(1.0, norms * counts * num_classes, out=scale, where=norms > 0)
     unit = cov * scale[:, None]
-    grad[sel] = ((vectors @ unit.T)[np.arange(len(labels)), labels]
-                 - np.sum(means * unit, axis=1)[labels])
-    return value, grad
+    picked = ((vectors @ unit.T)[np.arange(len(labels)), labels]
+              - np.sum(means * unit, axis=1)[labels])
+    return value, np.where(sel, picked, 0.0)
 
 
 def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:

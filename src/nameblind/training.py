@@ -14,7 +14,7 @@ import numpy as np
 
 from . import losses
 from .clustering import ClusterModel, kmeans
-from .embeddings import EmbeddingTable, batch_name_vectors
+from .embeddings import EmbeddingTable, NameTable, batch_name_vectors
 from .model import (
     ModelParams,
     class_weights,
@@ -184,32 +184,29 @@ def _adam_update(param, grad, m, v, work, t: int, config: TrainConfig) -> None:
 class PenaltyContext:
     """The name data a penalty reads, shared by the fits of one dataset.
 
-    name_vectors (n, dimension) and include (n,) come from
-    embeddings.batch_name_vectors over every record of the dataset; train
-    reads them at its training rows. clusters caches the k-means model of
-    the included training names per (k, seed, training rows), filled by
-    the first cluster-penalty fit that needs it, so a sweep clusters once
-    per seed.
+    names is the embeddings.NameTable of every record of the dataset (one
+    vector row per distinct found name, each record's first- and
+    last-name row, and include); train reads it at its training rows.
+    clusters caches the k-means model of the included training names per
+    (k, seed, training rows), filled by the first cluster-penalty fit that
+    needs it, so a sweep clusters once per seed.
     """
 
-    name_vectors: np.ndarray
-    include: np.ndarray
+    names: NameTable
     clusters: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, embeddings: EmbeddingTable, first_names,
               last_names) -> "PenaltyContext":
         """Context of the records with these names (batch_name_vectors)."""
-        vectors, _, include = batch_name_vectors(embeddings, first_names,
-                                                 last_names)
-        return cls(vectors, include)
+        return cls(batch_name_vectors(embeddings, first_names, last_names))
 
     def cluster_model(self, k: int, seed: int, train_idx) -> ClusterModel:
         """k-means of the included training records' name vectors."""
         key = (k, seed, np.asarray(train_idx).tobytes())
         if key not in self.clusters:
-            rows = train_idx[self.include[train_idx]]
-            self.clusters[key] = kmeans(self.name_vectors[rows], k, seed=seed)
+            rows = train_idx[self.names.include[train_idx]]
+            self.clusters[key] = kmeans(self.names.take(rows), k, seed=seed)
         return self.clusters[key]
 
 
@@ -217,9 +214,11 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
           split=None, context: PenaltyContext | None = None) -> TrainResult:
     """Train the classifier with the configured penalty.
 
-    Pipeline: name vectors come from context, or are computed once here
+    Pipeline: the name table comes from context, or is built once here
     when none is given (records whose names have no embedding coverage are
-    excluded from penalty statistics); the cluster penalty clusters the
+    excluded from penalty statistics); each batch gathers its records'
+    name vectors from it, and the per-epoch covariance penalty sums over
+    its rows (losses.CoclTable); the cluster penalty clusters the
     training-split name vectors once per context and freezes the
     assignments; class weights come from the training labels; each epoch
     shuffles with the seeded RNG and applies Adam per batch. Each batch
@@ -240,16 +239,16 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
     penalty_on = config.variant != "none" and config.lam > 0
     cluster_model = None
-    name_vecs = include = cluster_ids = None
+    names = include = cluster_ids = None
     if penalty_on:
         if context is None:
             if embeddings is None:
                 raise ValueError("the selected penalty needs an embedding table")
             context = PenaltyContext.build(embeddings, dataset.first_names,
                                            dataset.last_names)
-        if len(context.include) != n:
+        if len(context.names) != n:
             raise ValueError("the penalty context must cover every record")
-        include = context.include[train_idx]
+        include = context.names.include[train_idx]
         if not include.any():
             raise ValueError(
                 f"the {config.variant} penalty needs embedded names, but 0 of "
@@ -262,7 +261,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             cluster_ids = np.zeros(len(train_idx), dtype=np.int64)
             cluster_ids[include] = cluster_model.assignments
         else:
-            name_vecs = context.name_vectors
+            names = context.names
 
     def penalty_over(positions, measure):
         """The penalty over the training records train_idx[positions], as
@@ -273,17 +272,25 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             return None
         arrays = (y[positions],
                   None if cluster_ids is None else cluster_ids[positions],
-                  None if name_vecs is None else name_vecs[train_idx[positions]],
+                  None if names is None else names.take(train_idx[positions]),
                   include[positions])
         return lambda p_true: measure(
             losses.PenaltyInputs(p_true, *arrays), config.variant, config.k,
             num_classes,
         )
 
-    # the per-epoch penalty, by value and over the included records only:
-    # the same value, and its inputs are gathered once per fit
+    # the per-epoch penalty, by value and over the included records only
+    # (the same value); cocl's reads the name table's rows, not the
+    # records' vectors
     included = None if include is None else np.flatnonzero(include)
-    epoch_penalty = penalty_over(included, losses.penalty_value)
+    if names is None:
+        epoch_penalty = penalty_over(included, losses.penalty_value)
+    else:
+        rows = train_idx[included]
+        epoch_penalty = losses.CoclTable(
+            y[included], names.vectors, names.first[rows], names.last[rows],
+            num_classes,
+        ).value
     weights = class_weights(np.bincount(y, minlength=num_classes))
     params = ModelParams(
         W=np.zeros((num_classes, features.shape[1])),

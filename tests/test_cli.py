@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -768,3 +769,47 @@ def test_exit_codes_follow_the_input_order(case, code, message, tiny_tabular,
     err = capsys.readouterr().err
     if message is not None:
         assert message in err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
+                                                  tmp_path, monkeypatch):
+    # seed 0's dataset and penalty context must be gone (by reference
+    # count, no gc pass) when dataset_for_seed builds seed 1's
+    import nameblind.cli
+    import nameblind.training
+
+    pipeline = nameblind.cli._Pipeline
+    dataset_for_seed = pipeline.dataset_for_seed
+    build = nameblind.training.PenaltyContext.build.__func__
+    held, seen = [], []
+
+    def tracked_dataset(self, seed):
+        seen.append([ref() is not None for ref in held])
+        dataset, split = dataset_for_seed(self, seed)
+        held.append(weakref.ref(dataset))
+        return dataset, split
+
+    def tracked_context(cls, *args):
+        context = build(cls, *args)
+        held.append(weakref.ref(context))
+        return context
+
+    monkeypatch.setattr(pipeline, "dataset_for_seed", tracked_dataset)
+    monkeypatch.setattr(nameblind.training.PenaltyContext, "build",
+                        classmethod(tracked_context))
+    tables = [tmp_path / "white.tsv", tmp_path / "male.tsv"]
+    for column, path in enumerate(tables):
+        path.write_text("".join(
+            f"name{i:02d}\t{0.9 if (i >> column) & 1 else 0.1}\n"
+            for i in range(20)), encoding="utf-8")
+    data, schema, embeddings = tiny_tabular
+    lambdas = ["--lambdas", "0", "1"] if command == "sweep" else ["--lambda", "1"]
+    rc = main([command, "--data", str(data), "--schema", str(schema),
+               "--names-demographics", *map(str, tables),
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               *lambdas, "--seeds", "0", "1", "2", "--epochs", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(held) == 6  # a dataset and a context per seed
+    assert seen == [[], [False, False], [False, False, False, False]]

@@ -431,6 +431,30 @@ def test_token_dedupe_memory_scales_with_kept_arrays():
     assert peak < 4 * kept
 
 
+def test_token_dedupe_memory_with_repeated_tokens():
+    # 40 words, up to 400 tokens a document: a block's raw token ids far
+    # outnumber the entries kept. Holding every raw id until the last block
+    # is sorted peaked at 6.4 times the arrays kept; deduping each block as
+    # it is read peaks at 2.8 times
+    n_docs = 8 * DEDUPE_DOCS
+
+    def token_lists():
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(40)]
+        for _ in range(n_docs):
+            yield [words[i] for i in rng.integers(0, 40, rng.integers(0, 401))]
+
+    tracemalloc.start()
+    try:
+        docs = TokenizedDocuments.from_token_lists(token_lists())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == n_docs and len(docs.tokens) == 40
+    kept = docs.indptr.nbytes + docs.ids.nbytes + docs.counts.nbytes
+    assert peak < 4 * kept
+
+
 def test_binary_rows_match_dense_oracle():
     token_lists, vocabulary = random_token_lists(seed=6)
     docs = TokenizedDocuments.from_token_lists(token_lists)

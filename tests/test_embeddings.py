@@ -78,9 +78,16 @@ def make_table(entries):
     )
 
 
+def gathered(table, first_names, last_names):
+    """(vectors, coverages, include) of every record through
+    batch_name_vectors and its NameTable.take."""
+    names = batch_name_vectors(table, first_names, last_names)
+    return names.take(np.arange(len(names))), names.coverages(), names.include
+
+
 def one_record(table, first, last):
     """(vector, coverage) of one record through batch_name_vectors."""
-    vectors, coverages, include = batch_name_vectors(table, [first], [last])
+    vectors, coverages, include = gathered(table, [first], [last])
     assert include[0] == (coverages[0] is not Coverage.NONE)
     return vectors[0], coverages[0]
 
@@ -112,7 +119,7 @@ def test_name_vector_none_found():
 def test_name_vector_symmetric_in_operands():
     rng = np.random.default_rng(7)
     table = make_table({"a": rng.normal(size=5), "b": rng.normal(size=5)})
-    vectors, _, _ = batch_name_vectors(table, ["a", "b"], ["b", "a"])
+    vectors, _, _ = gathered(table, ["a", "b"], ["b", "a"])
     assert np.array_equal(vectors[0], vectors[1])
 
 
@@ -140,7 +147,7 @@ def test_save_load_round_trip_exact(tmp_path):
 
 def test_batch_name_vectors_mask():
     table = make_table({"anna": [1.0, 0.0], "smith": [0.0, 1.0]})
-    vectors, coverages, include = batch_name_vectors(
+    vectors, coverages, include = gathered(
         table, ["anna", "nope"], ["smith", None]
     )
     assert np.array_equal(vectors[0], [0.5, 0.5])
@@ -247,12 +254,18 @@ def test_batch_name_vectors_matches_loop_oracle():
     pool = [None, "", "N1", "n2!", " n3", "n4", "nope", "Smith.", "n11", "?"]
     first = [pool[i] for i in rng.integers(len(pool), size=300)]
     last = [pool[i] for i in rng.integers(len(pool), size=300)]
-    vectors, coverages, include = batch_name_vectors(table, first, last)
+    vectors, coverages, include = gathered(table, first, last)
     want_vectors, want_coverages, want_include = name_vectors_loop(
         table.entries, table.dimension, first, last)
     assert vectors.tobytes() == want_vectors.tobytes()
     assert [c.value for c in coverages] == want_coverages
     assert set(want_coverages) == {"both-found", "first-only", "last-only", "none"}
     assert include.tolist() == want_include.tolist()
-    empty, none_coverage, none_include = batch_name_vectors(table, [], [])
+    # a batch's gather: any subset of the records, unsorted and repeated
+    names = batch_name_vectors(table, first, last)
+    assert len(names.vectors) == 6 + 1   # the pool's found names, zero row
+    rows = rng.integers(0, 300, size=120)
+    assert names.take(rows).tobytes() == want_vectors[rows].tobytes()
+    assert names.take(rows[:0]).shape == (0, 5)
+    empty, none_coverage, none_include = gathered(table, [], [])
     assert empty.shape == (0, 5) and none_coverage == [] and len(none_include) == 0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from nameblind.embeddings import EmbeddingTable, batch_name_vectors
 from nameblind.losses import (
+    CoclTable,
     PenaltyInputs,
     clucl_penalty,
     cocl_penalty,
@@ -249,6 +251,58 @@ def test_cocl_matches_loop_oracle_at_bios_shape():
                            mask=mask)
     assert cocl_penalty(constant, num_classes) == 0.0
     assert np.all(penalty_gradient(constant, "cocl", 1, num_classes) == 0.0)
+
+
+def test_cocl_matches_loop_oracle_two_classes():
+    # the stacked-GEMM batch statistics at C=2, with excluded records
+    # whose vectors are not zero (they must weigh nothing)
+    rng = np.random.default_rng(12)
+    for trial in range(6):
+        n = int(rng.integers(5, 300))
+        labels = rng.integers(0, 2, size=n)
+        mask = rng.random(n) < 0.7
+        probs = rng.uniform(0.0, 1.0, size=n)
+        vectors = rng.normal(size=(n, 300)) + 2.0 * trial
+        inputs = make_inputs(probs, labels, vectors=vectors, mask=mask)
+        args = (probs, labels, vectors, mask, 2)
+        value, grad = penalty(inputs, "cocl", 1, 2)
+        assert abs(value - cocl_loop_penalty(*args)) <= 1e-12
+        assert np.max(np.abs(grad - cocl_loop_gradient(*args))) <= 1e-12
+        assert np.all(grad[~mask] == 0.0)
+
+
+def name_records(rng, n, dim, num_names=40):
+    """A name table over n records with both names, one name or none
+    found, and vectors far from the origin."""
+    entries = {f"n{i}": rng.normal(size=dim) + 4.0 for i in range(num_names)}
+    table = EmbeddingTable(dimension=dim, entries=entries)
+    pool = list(entries) + ["absent1", "absent2", None]
+    first = [pool[i] for i in rng.integers(len(pool), size=n)]
+    last = [pool[i] for i in rng.integers(len(pool), size=n)]
+    return batch_name_vectors(table, first, last)
+
+
+@pytest.mark.parametrize("num_classes", [2, 28])
+def test_cocl_table_value_matches_gathered_vectors(num_classes):
+    # the per-epoch value from name-table sums against penalty_value over
+    # the records' gathered vectors, on a subset of the records
+    rng = np.random.default_rng(13 + num_classes)
+    names = name_records(rng, n=900, dim=300)
+    assert set(c.value for c in names.coverages()) == {
+        "both-found", "first-only", "last-only", "none"}
+    rows = np.sort(rng.choice(len(names), size=700, replace=False))
+    labels = rng.integers(0, num_classes, size=len(rows))
+    labels[labels == num_classes - 1] = 0  # a class with no records
+    table = CoclTable(labels, names.vectors, names.first[rows],
+                      names.last[rows], num_classes)
+    for trial in range(3):
+        probs = rng.uniform(0.0, 1.0, size=len(rows))
+        gathered = make_inputs(probs, labels, vectors=names.take(rows),
+                               mask=names.include[rows])
+        assert abs(table.value(probs)
+                   - penalty_value(gathered, "cocl", 1, num_classes)) <= 1e-12
+    # probabilities constant within each class give exactly zero
+    assert table.value(0.1 + 0.02 * labels) == 0.0
 
 
 # ---------------------------------------------------------------------- gradients

@@ -204,9 +204,8 @@ def objective_penalty(dataset, table, result, config, rows):
     if config.variant == "none":
         return None
     train_idx = result.split[0]
-    vectors, _, include = batch_name_vectors(
-        table, dataset.first_names, dataset.last_names
-    )
+    names = batch_name_vectors(table, dataset.first_names, dataset.last_names)
+    vectors, include = names.take(np.arange(len(dataset))), names.include
     clusters = np.zeros(len(train_idx), dtype=np.int64)
     if result.cluster_model is not None:
         clusters[include[train_idx]] = result.cluster_model.assignments
@@ -293,9 +292,8 @@ def test_penalty_on_training_reduces_it():
     from nameblind.embeddings import batch_name_vectors
 
     train_idx = free.split[0]
-    vectors, _, include = batch_name_vectors(
-        table, dataset.first_names, dataset.last_names
-    )
+    names = batch_name_vectors(table, dataset.first_names, dataset.last_names)
+    vectors, include = names.take(np.arange(len(dataset))), names.include
 
     def end_penalty(result):
         probs = forward_batch(result.params, dataset.features[train_idx])
@@ -485,3 +483,23 @@ def test_train_with_supplied_context_matches_own(variant):
     if variant == "clucl":
         assert (fits[0].cluster_model.centroids.tobytes()
                 == own.cluster_model.centroids.tobytes())
+
+
+def test_penalty_context_memory_scales_with_distinct_names():
+    # 50k records drawn from 500 names, d=300: a per-record (n, d) matrix
+    # alone would be 120 MB; the name table holds 500 rows plus two row
+    # indices per record
+    rng = np.random.default_rng(0)
+    n, dim = 50_000, 300
+    pool = [f"name{i}" for i in range(500)]
+    table = toy_table(pool, dim=dim)
+    first = [pool[i] for i in rng.integers(0, 500, size=n)]
+    last = [pool[i] for i in rng.integers(0, 500, size=n)]
+    tracemalloc.start()
+    try:
+        context = PenaltyContext.build(table, first, last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(context.names) == n and context.names.include.all()
+    assert peak < n * dim * 8 / 20
