@@ -4,11 +4,16 @@ Clustering runs once on the training-set name vectors and the assignments
 are frozen for the rest of training; distances are squared Euclidean
 throughout. Deterministic for a given (points, k, seed, max_iters, tol).
 
-Assignment passes find the nearest centroid from the n×k distance matrix
-in GEMM form. Everything that reads a distance value (inertia, its
-history, k-means++ weights, empty-cluster reseeding) uses the direct form
-instead, so a point equal to its centroid is at exactly 0. Working memory
-is O(n·k) beyond the points.
+Name vectors repeat (records share names), so each call finds the m
+distinct rows once and takes every distance per distinct row, expanding
+it to the n points through each point's row index. Assignment passes
+find the nearest centroid from the m×k distance matrix in GEMM form.
+Everything that reads a distance value (inertia, its history, k-means++
+weights, empty-cluster reseeding) uses the direct form instead, so a
+point equal to its centroid is at exactly 0. Sampling, reseeding, sums
+and centroid updates stay per point, so results are bit-identical to
+measuring each point on its own. Working memory is O(m·d + n·k) beyond
+the points.
 """
 
 from __future__ import annotations
@@ -52,6 +57,38 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _distinct_rows(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of pts and, for each point, its row among them.
+
+    Rows are distinct by value, as in np.unique(axis=0): adding 0.0 turns
+    -0.0 into 0.0, so equal rows have equal bytes. Each distinct row is
+    the first point that holds it, in order of first appearance. Only one
+    block of rows and one key per distinct row are held, so memory is
+    O(distinct·d) beyond the points.
+    """
+    first: dict[bytes, int] = {}
+    reps: list[int] = []
+    inverse = np.empty(len(pts), dtype=np.intp)
+    width = pts.shape[1] * pts.itemsize
+    for start in range(0, len(pts), _BLOCK_ROWS):
+        block = (pts[start:start + _BLOCK_ROWS] + 0.0).tobytes()
+        for i, offset in enumerate(range(0, len(block), width), start):
+            key = block[offset:offset + width]
+            row = first.get(key)
+            if row is None:
+                row = first[key] = len(reps)
+                reps.append(i)
+            inverse[i] = row
+    distinct = pts[reps]
+    if not np.isfinite(distinct).all():
+        raise ValueError("points must be finite")
+    if len(distinct) < k:
+        raise ValueError(
+            f"need at least k={k} distinct points, got {len(distinct)}"
+        )
+    return distinct, inverse
+
+
 def _nearest(pts: np.ndarray, sq_norms: np.ndarray,
              centroids: np.ndarray) -> np.ndarray:
     """Index of each point's nearest centroid (lowest index on ties).
@@ -69,27 +106,21 @@ def _nearest(pts: np.ndarray, sq_norms: np.ndarray,
 
 
 def _sq_dists_to(pts: np.ndarray, centroids: np.ndarray,
-                 index: np.ndarray) -> np.ndarray:
+                 index: np.ndarray | None = None) -> np.ndarray:
     """Squared distance from each point i to centroids[index[i]].
 
-    Direct O(n·d) form, so a point equal to its centroid is at exactly 0.
-    Rows go in blocks so each block's differences stay in cache.
+    With index None, centroids is one (d,) centroid that every point is
+    measured against. Direct O(n·d) form, so a point equal to its
+    centroid is at exactly 0. Rows go in blocks so each block's
+    differences stay in cache.
     """
     out = np.empty(len(pts))
     for start in range(0, len(pts), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        diff = centroids[index[rows]] - pts[rows]
+        target = centroids if index is None else centroids[index[rows]]
+        diff = target - pts[rows]
         out[rows] = np.einsum("nd,nd->n", diff, diff)
     return out
-
-
-def _distinct(pts: np.ndarray, k: int) -> np.ndarray:
-    distinct = np.unique(pts, axis=0)
-    if len(distinct) < k:
-        raise ValueError(
-            f"need at least k={k} distinct points, got {len(distinct)}"
-        )
-    return distinct
 
 
 def kmeans_pp_init(points, k: int, seed: int) -> np.ndarray:
@@ -97,29 +128,33 @@ def kmeans_pp_init(points, k: int, seed: int) -> np.ndarray:
 
     The first centroid is uniform over the points (seeded); each further
     centroid is sampled with probability proportional to its squared
-    distance to the nearest centroid chosen so far.
+    distance to the nearest centroid chosen so far. Raises ValueError
+    for non-finite points or fewer than k distinct ones.
     """
     pts = _as_points(points)
     if k < 1:
         raise ValueError("k must be positive")
-    _distinct(pts, k)
-    return _pp_init(pts, k, seed)
+    distinct, inverse = _distinct_rows(pts, k)
+    return _pp_init(pts, distinct, inverse, k, seed)
 
 
-def _pp_init(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k-means++ seeding of points known to hold at least k distinct rows."""
+def _pp_init(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
+             k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding of points known to hold at least k distinct rows.
+
+    Distances are taken once per distinct row and expanded to the points
+    (distinct[inverse] equals pts by value), so every draw is over the
+    same n weights as when each point is measured on its own.
+    """
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, pts.shape[1]))
     centroids[0] = pts[rng.integers(len(pts))]
-    if k == 1:
-        return centroids
-    row0 = np.zeros(len(pts), dtype=np.intp)  # every point to one centroid
-    d2 = _sq_dists_to(pts, centroids[:1], row0)
+    d2 = _sq_dists_to(distinct, centroids[0])
     for j in range(1, k):
-        probs = d2 / d2.sum()
-        idx = rng.choice(len(pts), p=probs)
+        weights = d2[inverse]
+        idx = rng.choice(len(pts), p=weights / weights.sum())
         centroids[j] = pts[idx]
-        d2 = np.minimum(d2, _sq_dists_to(pts, centroids[j:j + 1], row0))
+        d2 = np.minimum(d2, _sq_dists_to(distinct, centroids[j]))
     return centroids
 
 
@@ -136,6 +171,8 @@ def kmeans(points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS,
     provably cannot reach some optima of tiny instances no matter how
     many restarts it gets. Deterministic for a given
     (points, k, seed, max_iters, tol, n_init).
+
+    Raises ValueError for non-finite points or fewer than k distinct ones.
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
@@ -146,16 +183,21 @@ def kmeans(points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS,
     if k < 1:
         raise ValueError("k must be positive")
     pts = _as_points(points)
-    distinct = _distinct(pts, k)
-    sq_norms = np.einsum("nd,nd->n", pts, pts)
+    distinct, inverse = _distinct_rows(pts, k)
+    sq_norms = np.einsum("nd,nd->n", distinct, distinct)
     best = None
     for i in range(n_init):
-        model = _lloyd(pts, sq_norms, _pp_init(pts, k, seed + i), max_iters, tol)
+        init = _pp_init(pts, distinct, inverse, k, seed + i)
+        model = _lloyd(pts, distinct, inverse, sq_norms, init, max_iters, tol)
         if best is None or model.inertia < best.inertia:
             best = model
     if _n_subsets(len(distinct), k) <= EXHAUSTIVE_INIT_CAP:
-        for subset in combinations(range(len(distinct)), k):
-            model = _lloyd(pts, sq_norms, distinct[list(subset)], max_iters, tol)
+        # sorted rows, so the subsets (and which wins a tie) do not
+        # depend on the order the points came in
+        ordered = np.unique(distinct, axis=0)
+        for subset in combinations(range(len(ordered)), k):
+            model = _lloyd(pts, distinct, inverse, sq_norms,
+                           ordered[list(subset)], max_iters, tol)
             if model.inertia < best.inertia:
                 best = model
     return best
@@ -168,23 +210,29 @@ def _n_subsets(n: int, k: int) -> float:
         return 0
 
 
-def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
-           max_iters: int, tol: float) -> ClusterModel:
+def _lloyd(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
+           sq_norms: np.ndarray, centroids: np.ndarray, max_iters: int,
+           tol: float) -> ClusterModel:
     """Standard Lloyd iterations from the given initial centroids.
 
     Stops when every centroid moves less than tol (Euclidean) or after
     max_iters. A cluster left empty by an assignment pass is reseeded to
     the point currently farthest from its assigned centroid, which keeps
-    all k clusters alive without increasing the objective. Each centroid
-    update is one (k, n) one-hot matrix times the points.
+    all k clusters alive without increasing the objective. Nearest
+    centroids and distances are found per distinct row (sq_norms holds
+    their squared norms) and expanded through inverse; the reseed, the
+    inertia sums and the centroid update (one (k, n) one-hot matrix
+    times the points) stay per point, so duplicates weigh as often as
+    they occur and every sum adds in the same order.
     """
     k = len(centroids)
     history: list[float] = []
     iterations_run = 0
     for _ in range(max_iters):
         iterations_run += 1
-        assignments = _nearest(pts, sq_norms, centroids)
-        per_point = _sq_dists_to(pts, centroids, assignments)
+        nearest = _nearest(distinct, sq_norms, centroids)
+        assignments = nearest[inverse]
+        per_point = _sq_dists_to(distinct, centroids, nearest)[inverse]
         # Reseeding can itself empty a cluster (by stealing its only
         # member), so sweep until none are empty; k passes always suffice.
         for _sweep in range(k):
@@ -209,13 +257,13 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
         centroids = new_centroids
         if shift < tol:
             break
-    assignments = _nearest(pts, sq_norms, centroids)
-    inertia = float(_sq_dists_to(pts, centroids, assignments).sum())
+    nearest = _nearest(distinct, sq_norms, centroids)
+    inertia = float(_sq_dists_to(distinct, centroids, nearest)[inverse].sum())
     history.append(inertia)
     return ClusterModel(
         k=k,
         centroids=centroids,
-        assignments=assignments,
+        assignments=nearest[inverse],
         inertia=inertia,
         iterations_run=iterations_run,
         inertia_history=history,

@@ -100,9 +100,10 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
             more than reading the file.
 
     Raises:
-        EmbeddingFormatError: malformed header, zero dimension, or a line
-            whose vector length disagrees with the header (the message
-            reports the offending line number).
+        EmbeddingFormatError: malformed header, zero dimension, a line
+            whose vector length disagrees with the header, or a kept line
+            with a non-numeric or non-finite (nan, inf) component (the
+            message reports the offending line number).
     """
     wanted = None
     if allowlist is not None:
@@ -147,6 +148,10 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
                 raise EmbeddingFormatError(
                     f"{path}: line {line_no}: non-numeric vector component"
                 ) from exc
+            if not np.isfinite(vector).all():
+                raise EmbeddingFormatError(
+                    f"{path}: line {line_no}: non-finite vector component"
+                )
             entries[token] = vector
     return EmbeddingTable(dimension=dimension, entries=entries)
 

@@ -424,3 +424,106 @@ def load_tabular_loop(path, roles, fit_indices):
         "attributes": attributes,
         "warnings": warnings,
     }
+
+
+# Per-point k-means: the library's algorithm with every distance measured
+# for every point, duplicates included. The library measures each distinct
+# row once; tests/test_clustering.py requires equal bytes, not a tolerance.
+
+def _oracle_sq_dists_to(pts, centroids, index):
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), 256):
+        rows = slice(start, start + 256)
+        diff = centroids[index[rows]] - pts[rows]
+        out[rows] = np.einsum("nd,nd->n", diff, diff)
+    return out
+
+
+def _oracle_nearest(pts, sq_norms, centroids):
+    d2 = pts @ centroids.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += np.einsum("kd,kd->k", centroids, centroids)
+    np.maximum(d2, 0.0, out=d2)
+    return np.argmin(d2, axis=1)
+
+
+def kmeans_pp_init_per_point(pts, k, seed):
+    """k-means++ seeding with distances to every point, duplicates included."""
+    pts = np.asarray(pts, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[rng.integers(len(pts))]
+    if k == 1:
+        return centroids
+    row0 = np.zeros(len(pts), dtype=np.intp)
+    d2 = _oracle_sq_dists_to(pts, centroids[:1], row0)
+    for j in range(1, k):
+        probs = d2 / d2.sum()
+        idx = rng.choice(len(pts), p=probs)
+        centroids[j] = pts[idx]
+        d2 = np.minimum(d2, _oracle_sq_dists_to(pts, centroids[j:j + 1], row0))
+    return centroids
+
+
+def lloyd_per_point(pts, sq_norms, centroids, max_iters, tol):
+    k = len(centroids)
+    history = []
+    iterations_run = 0
+    for _ in range(max_iters):
+        iterations_run += 1
+        assignments = _oracle_nearest(pts, sq_norms, centroids)
+        per_point = _oracle_sq_dists_to(pts, centroids, assignments)
+        for _sweep in range(k):
+            empty = np.flatnonzero(np.bincount(assignments, minlength=k) == 0)
+            if len(empty) == 0:
+                break
+            for j in empty:
+                idx = int(np.argmax(per_point))
+                if per_point[idx] == 0.0:
+                    break
+                centroids[j] = pts[idx]
+                assignments[idx] = j
+                per_point[idx] = 0.0
+        history.append(float(per_point.sum()))
+        counts = np.bincount(assignments, minlength=k)
+        alive = counts > 0
+        onehot = np.zeros((k, len(pts)))
+        onehot[assignments, np.arange(len(pts))] = 1.0
+        new_centroids = centroids.copy()
+        new_centroids[alive] = (onehot @ pts)[alive] / counts[alive, None]
+        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+        centroids = new_centroids
+        if shift < tol:
+            break
+    assignments = _oracle_nearest(pts, sq_norms, centroids)
+    inertia = float(_oracle_sq_dists_to(pts, centroids, assignments).sum())
+    history.append(inertia)
+    return {"centroids": centroids, "assignments": assignments,
+            "inertia": inertia, "iterations_run": iterations_run,
+            "inertia_history": history}
+
+
+def kmeans_per_point(points, k, seed, max_iters=100, tol=1e-4, n_init=10):
+    """Best of n_init k-means++ runs, every distance taken per point.
+
+    Same contract as the library's kmeans (including the exhaustive
+    k-subset inits over np.unique's rows on tiny instances); returns a
+    dict of the ClusterModel fields.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    distinct = np.unique(pts, axis=0)
+    sq_norms = np.einsum("nd,nd->n", pts, pts)
+    best = None
+    for i in range(n_init):
+        init = kmeans_pp_init_per_point(pts, k, seed + i)
+        model = lloyd_per_point(pts, sq_norms, init, max_iters, tol)
+        if best is None or model["inertia"] < best["inertia"]:
+            best = model
+    if len(distinct) >= k and math.comb(len(distinct), k) <= 200:
+        for subset in itertools.combinations(range(len(distinct)), k):
+            model = lloyd_per_point(pts, sq_norms, distinct[list(subset)],
+                                     max_iters, tol)
+            if model["inertia"] < best["inertia"]:
+                best = model
+    return best

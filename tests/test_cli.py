@@ -771,6 +771,29 @@ def test_exit_codes_follow_the_input_order(case, code, message, tiny_tabular,
         assert message in err
 
 
+@pytest.mark.parametrize("variant", ["cocl", "clucl"])
+def test_non_finite_embedding_component_exit_1(variant, tiny_tabular, tmp_path,
+                                              capsys):
+    # Loaded silently, a nan component failed later: cocl as a numerical
+    # failure (exit 3), clucl in k-means++ sampling.
+    data, schema, embeddings = tiny_tabular
+    lines = embeddings.read_text(encoding="utf-8").splitlines()
+    fields = lines[3].split()
+    lines[3] = " ".join([fields[0], "nan", *fields[2:]])
+    bad = tmp_path / "nan.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main([
+        "train", "--data", str(data), "--schema", str(schema),
+        "--embeddings", str(bad), "--variant", variant, "--k", "2",
+        "--lambda", "1", "--seeds", "0", "--epochs", "1",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 4: non-finite vector component" in err
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
                                                   tmp_path, monkeypatch):

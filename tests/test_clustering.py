@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nameblind.clustering import (
+    _distinct_rows,
+    _lloyd,
     _nearest,
     kmeans,
     kmeans_pp_init,
@@ -11,7 +13,13 @@ from nameblind.clustering import (
     write_cluster_model,
 )
 
-from oracles import lloyd_oracle_best, optimal_partition_inertia
+from oracles import (
+    kmeans_per_point,
+    kmeans_pp_init_per_point,
+    lloyd_oracle_best,
+    lloyd_per_point,
+    optimal_partition_inertia,
+)
 
 
 def two_blobs(rng, n_per_blob=50, offset=100.0):
@@ -30,6 +38,26 @@ def test_init_two_points_picks_both():
 def test_init_insufficient_distinct_points():
     points = np.array([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="distinct"):
+        kmeans_pp_init(points, k=2, seed=0)
+
+
+def test_distinct_means_equal_values():
+    # -0.0 equals 0.0, so these are two distinct rows, as in np.unique;
+    # a set of the rows' bytes would count three.
+    points = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="need at least k=3 distinct points, got 2"):
+        kmeans(points, k=3, seed=0)
+    with pytest.raises(ValueError, match="need at least k=3 distinct points, got 2"):
+        kmeans_pp_init(points, k=3, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    points = np.arange(12.0).reshape(6, 2)
+    points[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans(points, k=2, seed=0)
+    with pytest.raises(ValueError, match="finite"):
         kmeans_pp_init(points, k=2, seed=0)
 
 
@@ -96,6 +124,89 @@ def test_kmeans_memory_is_linear_in_points():
     finally:
         tracemalloc.stop()
     assert peak < 4 * points.nbytes
+
+
+def test_kmeans_memory_below_points_with_duplicates():
+    # Distances are taken over the 1,000 distinct rows and the dedupe
+    # holds one key per distinct row, so the working set stays below the
+    # 4,000 points themselves.
+    rng = np.random.default_rng(12)
+    points = np.repeat(rng.normal(size=(1000, 300)), 4, axis=0)
+    points = points[rng.permutation(len(points))]
+    tracemalloc.start()
+    try:
+        kmeans(points, k=12, seed=0, n_init=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * points.nbytes
+
+
+def assert_same_model(model, oracle):
+    assert model.centroids.tobytes() == oracle["centroids"].tobytes()
+    assert model.assignments.tobytes() == oracle["assignments"].tobytes()
+    assert model.inertia == oracle["inertia"]
+    assert model.inertia_history == oracle["inertia_history"]
+    assert model.iterations_run == oracle["iterations_run"]
+
+
+def shuffled_duplicates(seed, n_distinct, dim, repeats=3):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n_distinct, dim))
+    return rows[rng.integers(n_distinct, size=repeats * n_distinct)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kmeans_bitwise_matches_per_point_oracle(seed):
+    points = shuffled_duplicates(seed, n_distinct=120 + 40 * seed, dim=300)
+    k = 4 + 3 * seed
+    assert_same_model(kmeans(points, k=k, seed=seed),
+                      kmeans_per_point(points, k=k, seed=seed))
+
+
+def test_kmeans_pp_init_bitwise_matches_per_point_oracle():
+    points = shuffled_duplicates(7, n_distinct=150, dim=300)
+    for seed in range(10):
+        got = kmeans_pp_init(points, k=9, seed=seed)
+        assert got.tobytes() == kmeans_pp_init_per_point(points, 9, seed).tobytes()
+
+
+def test_exhaustive_init_bitwise_matches_per_point_oracle():
+    # 6 distinct rows (one also written with -0.0), k=2: 15 subsets, so
+    # the exhaustive inits run, taking np.unique's row order.
+    rows = np.array([[0.0, 1.0], [3.0, 0.5], [1.0, 1.0], [4.0, 4.0],
+                     [0.5, 3.0], [3.5, 3.5], [-0.0, 1.0]])
+    rng = np.random.default_rng(5)
+    points = rows[rng.integers(len(rows), size=30)]
+    for seed in range(5):
+        assert_same_model(kmeans(points, k=2, seed=seed, n_init=2),
+                          kmeans_per_point(points, k=2, seed=seed, n_init=2))
+
+
+def test_lloyd_reseed_bitwise_matches_per_point_oracle():
+    rows = np.array([[0.0, 3.0], [0.0, 4.0], [0.0, 5.0], [2.0, 0.0],
+                     [2.0, 2.0], [4.0, 0.0], [5.0, 2.0], [5.0, 3.0],
+                     [5.0, 4.0]])
+    counts = [9, 3, 3, 1, 7, 3, 4, 3, 3]
+    rng = np.random.default_rng(0)
+    points = rows[rng.permutation(np.repeat(np.arange(len(rows)), counts))]
+    init = rows[[3, 5, 6, 7, 8]]
+
+    def nearest(centroids):
+        return ((points[:, None] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+
+    # After the first update no point is nearest to cluster 4.
+    first = nearest(init)
+    means = np.array([points[first == j].mean(axis=0) for j in range(5)])
+    assert np.bincount(nearest(means), minlength=5).min() == 0
+    distinct, inverse = _distinct_rows(points, 5)
+    sq_norms = np.einsum("nd,nd->n", distinct, distinct)
+    model = _lloyd(points, distinct, inverse, sq_norms, init.copy(), 100, 1e-4)
+    oracle = lloyd_per_point(points, np.einsum("nd,nd->n", points, points),
+                              init.copy(), 100, 1e-4)
+    assert_same_model(model, oracle)
+    assert_same_model(kmeans(points, k=5, seed=196),
+                      kmeans_per_point(points, k=5, seed=196))
 
 
 def test_assign_nearest_tie_and_exact():

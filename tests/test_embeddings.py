@@ -172,6 +172,18 @@ SEPARATORS = {
 }
 
 
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_component_reports_line(tmp_path, component):
+    path = write_vectors(
+        tmp_path, f"3 3\nanna 1 0 0\nsmith 0 {component} 0\nzed 0 0 1\n"
+    )
+    with pytest.raises(EmbeddingFormatError, match="line 3: non-finite"):
+        load_embeddings(path, allowlist={"anna", "smith"})
+    # a skipped line's components are not parsed
+    table = load_embeddings(path, allowlist={"anna", "zed"})
+    assert sorted(table.entries) == ["anna", "zed"]
+
+
 @pytest.mark.parametrize("separator", sorted(SEPARATORS))
 @pytest.mark.parametrize("skipped", [True, False])
 def test_line_missing_a_component_reports_line(tmp_path, separator, skipped):
