@@ -178,7 +178,7 @@ class NameTable:
     last-name row, -1 (the zero row) when the name was not found, and
     include is True where either was. Memory is O(distinct names x
     dimension + records): no per-record matrix is kept, and take gathers
-    the records' vectors when they are read.
+    the records' vectors for k-means (losses.CoclTable reads the rows).
     """
 
     vectors: np.ndarray   # (found names + 1, dimension) float64

@@ -14,7 +14,9 @@ embedding of the record's name:
 Both are averaged over classes and added to the base loss scaled by a
 nonnegative strength. Gradients flow only through the true-label
 probabilities; cluster assignments and name vectors are constants during
-training.
+training. cocl has one implementation, CoclTable, over the name-table
+rows the records read; a matrix of per-record vectors is the table whose
+row i is record i's vector.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class PenaltyInputs:
 
     Records with include_mask False (e.g. names with no embedding
     coverage) are ignored by every statistic. cluster_ids are only needed
-    for the cluster penalty, name_vectors only for the covariance penalty.
+    for the cluster penalty, name_vectors only for the covariance penalty
+    (read as a CoclTable). Each penalty checks the labels it reads.
     """
 
     true_label_probs: np.ndarray
@@ -43,7 +46,7 @@ class PenaltyInputs:
 
     def __post_init__(self):
         self.true_label_probs = np.asarray(self.true_label_probs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
         n = self.true_label_probs.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must align with true_label_probs")
@@ -66,6 +69,20 @@ class PenaltyInputs:
         return self.true_label_probs.shape[0]
 
 
+def _class_labels(labels, num_classes: int) -> np.ndarray:
+    """labels as int64 class indices, checked once over the whole array:
+    ValueError unless each is an integer in [0, num_classes)."""
+    if num_classes < 1:
+        raise ValueError("num_classes must be positive")
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu" and not np.array_equal(labels,
+                                                             np.trunc(labels)):
+        raise ValueError("class labels must be integers")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"class labels must lie in [0, {num_classes})")
+    return labels.astype(np.int64, copy=False)
+
+
 def _included(labels, probs, include, num_classes: int):
     """(labels, probs) of the included records, each probability taken
     about its class's first included one: the offset cancels in every
@@ -77,19 +94,6 @@ def _included(labels, probs, include, num_classes: int):
     offset = np.zeros(num_classes)
     offset[classes] = probs[first]
     return labels, probs - offset[labels]
-
-
-def _centred(labels, probs, include, num_classes: int):
-    """(weights, counts): each record's true-label probability about its
-    class's mean over the included records, 0 for excluded records, and
-    the class counts of the included records."""
-    kept, centred = _included(labels, probs, include, num_classes)
-    counts = np.bincount(kept, minlength=num_classes)
-    mean_p = (np.bincount(kept, weights=centred, minlength=num_classes)
-              / np.maximum(counts, 1))
-    weights = np.zeros(len(labels))
-    weights[include] = centred - mean_p[kept]
-    return weights, counts
 
 
 def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
@@ -105,8 +109,8 @@ def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
     if inputs.cluster_ids is None:
         raise ValueError("cluster_ids are required for the cluster penalty")
     sel = inputs.include_mask
-    labels, probs = _included(inputs.labels, inputs.true_label_probs, sel,
-                              num_classes)
+    labels, probs = _included(_class_labels(inputs.labels, num_classes),
+                              inputs.true_label_probs, sel, num_classes)
     ids = inputs.cluster_ids[sel]
     if len(ids) and (ids.min() < 0 or ids.max() >= k):
         raise ValueError(f"cluster ids must lie in [0, {k})")
@@ -123,59 +127,22 @@ def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
     return sel, cells, counts, diffs, v * (v - 1)
 
 
-def _class_covariances(weights, rows, counts, means=None):
-    """Per-class covariance between true-label probability and name vector,
-    from one product of class weights over name-vector rows.
-
-    rows are the vectors read: a batch's gathered name vectors, or a name
-    table's rows. Row c of weights holds, per vector row, the sum of the
-    centred probabilities (see _centred) of the class-c records reading
-    it, each times the record's share of that row, so
-    cov_c = (weights_c @ rows - sum(weights_c) * vbar_c) / n_c with vbar_c
-    the class's mean name vector (the sum is 0 up to rounding). Without
-    means, weights stacks the C class-membership rows above those C rows
-    and the means come from the same product. Returns (means, cov), each
-    (C, dim).
-    """
-    n_c = np.maximum(counts, 1)[:, None]
-    product = weights @ rows
-    if means is None:
-        num_classes = len(counts)
-        means = product[:num_classes] / n_c
-        weights, product = weights[num_classes:], product[num_classes:]
-    return means, (product - weights.sum(axis=1)[:, None] * means) / n_c
-
-
-def _batch_covariances(inputs: PenaltyInputs, num_classes: int):
-    """_class_covariances over the records of inputs, excluded records
-    weighted 0; returns (include, labels, vectors, means, cov, counts)."""
-    if inputs.name_vectors is None:
-        raise ValueError("name_vectors are required for the covariance penalty")
-    labels, include = inputs.labels, inputs.include_mask
-    centred, counts = _centred(labels, inputs.true_label_probs, include,
-                               num_classes)
-    records = np.arange(len(labels))
-    stacked = np.zeros((2 * num_classes, len(labels)))
-    stacked[labels, records] = include
-    stacked[num_classes + labels, records] = centred
-    means, cov = _class_covariances(stacked, inputs.name_vectors, counts)
-    return include, labels, inputs.name_vectors, means, cov, counts
-
-
 class CoclTable:
-    """The covariance penalty by value over fixed records whose name
-    vectors are name-table rows (embeddings.NameTable): a record's vector
-    is the mean of its found names' rows.
+    """The covariance penalty over fixed records whose name vectors are
+    name-table rows (embeddings.NameTable): a record's vector is the mean
+    of its found names' rows (first, last; -1 where not found), and a
+    record with neither found is excluded.
 
-    The class counts, the (class, table row) key and share of each found
-    name, and the class mean vectors are constants of the records,
-    computed once; each value is then one np.bincount over the keys and
-    one (C, rows) @ (rows, dim) product, whatever the number of records.
+    Only the R <= 2 x records rows the found names read are kept, under
+    local ids. Each found name's (class, local row) key and share, the
+    class counts and the (C, R) weights of the class mean vectors over the
+    rows are computed once; a value is then one np.bincount over the keys
+    and one (C, R) @ (R, dim) product, and the gradient one more
+    (R, dim) @ (dim, C) product. No per-record vector is built.
     """
 
     def __init__(self, labels, vectors, first, last, num_classes: int):
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.vectors = vectors
+        self.labels = _class_labels(labels, num_classes)
         self.num_classes = num_classes
         found_first, found_last = first >= 0, last >= 0
         self.include = found_first | found_last
@@ -183,34 +150,80 @@ class CoclTable:
         self.records = np.concatenate((np.flatnonzero(found_first),
                                        np.flatnonzero(found_last)))
         self.shares = share[self.records]
-        self.keys = (self.labels[self.records] * len(vectors)
-                     + np.concatenate((first[found_first], last[found_last])))
+        used, self.local = np.unique(
+            np.concatenate((first[found_first], last[found_last])),
+            return_inverse=True)
+        self.rows = vectors[used]
+        self.keys = self.labels[self.records] * len(used) + self.local
         self.counts = np.bincount(self.labels[self.include],
                                   minlength=num_classes)
-        members = self._per_class(self.shares)
-        self.means = members @ vectors / np.maximum(self.counts, 1)[:, None]
+        # means_c = mean_weights_c @ rows
+        self.mean_weights = (self._per_class(self.shares)
+                             / np.maximum(self.counts, 1)[:, None])
 
     def _per_class(self, weights) -> np.ndarray:
-        """(C, rows): the weights summed per (class, table row) key."""
-        size = self.num_classes * len(self.vectors)
+        """(C, R): the weights summed per (class, local row) key."""
+        size = self.num_classes * len(self.rows)
         return np.bincount(self.keys, weights=weights,
                            minlength=size).reshape(self.num_classes, -1)
 
+    def _covariances(self, true_label_probs) -> np.ndarray:
+        """(C, dim) per-class covariances. Row c of weights sums, per local
+        row, the class-c records' probabilities (about the class mean)
+        times their shares of it, so cov_c = (weights_c - sum(weights_c) *
+        mean_weights_c) @ rows / n_c (the sum is 0 up to rounding)."""
+        num_classes, n_c = self.num_classes, np.maximum(self.counts, 1)
+        kept, probs = _included(self.labels, true_label_probs, self.include,
+                                num_classes)
+        mean_p = np.bincount(kept, weights=probs, minlength=num_classes) / n_c
+        centred = np.zeros(len(self.labels))
+        centred[self.include] = probs - mean_p[kept]
+        weights = self._per_class(centred[self.records] * self.shares)
+        weights = weights - weights.sum(axis=1)[:, None] * self.mean_weights
+        return weights @ self.rows / n_c[:, None]
+
     def value(self, true_label_probs) -> float:
         """The covariance penalty at these true-label probabilities."""
-        centred, _ = _centred(self.labels, true_label_probs, self.include,
-                              self.num_classes)
-        weights = self._per_class(centred[self.records] * self.shares)
-        _, cov = _class_covariances(weights, self.vectors, self.counts,
-                                    self.means)
-        return _cocl_value(cov, self.num_classes)
+        norms = np.linalg.norm(self._covariances(true_label_probs), axis=1)
+        return float(norms.sum()) / self.num_classes
+
+    def penalty(self, true_label_probs) -> tuple[float, np.ndarray]:
+        """(value(p), d value / d p_i per record, 0 if excluded). With
+        u_c = cov_c / (|cov_c| C n_c), record i of class c gets
+        (v_i - means_c) . u_c: the share-weighted sum of proj[row, c] over
+        its found names (the shares sum to 1), proj = rows @ U.T less
+        means_c . u_c = mean_weights_c @ (rows @ U.T)[:, c]."""
+        num_classes = self.num_classes
+        cov = self._covariances(true_label_probs)
+        norms = np.linalg.norm(cov, axis=1)
+        scale = np.zeros(num_classes)
+        np.divide(1.0, norms * self.counts * num_classes, out=scale,
+                  where=norms > 0)
+        unit = cov * scale[:, None]
+        proj = self.rows @ unit.T
+        proj -= np.sum(self.mean_weights * proj.T, axis=1)
+        picked = proj[self.local, self.labels[self.records]] * self.shares
+        grad = np.bincount(self.records, weights=picked,
+                           minlength=len(self.labels))
+        return float(norms.sum()) / num_classes, grad
+
+
+def _table(inputs: PenaltyInputs, num_classes: int) -> CoclTable:
+    """The CoclTable whose row i is record i's name vector: first =
+    arange(n) where included, last = -1."""
+    if inputs.name_vectors is None:
+        raise ValueError("name_vectors are required for the covariance penalty")
+    n = len(inputs)
+    return CoclTable(inputs.labels, inputs.name_vectors,
+                     np.where(inputs.include_mask, np.arange(n), -1),
+                     np.full(n, -1), num_classes)
 
 
 def _statistics(inputs: PenaltyInputs, variant: str, k: int,
                 num_classes: int):
-    """The statistics pass of the selected penalty: _cluster_cells for
-    clucl, _batch_covariances for cocl, None where the penalty is 0 by
-    definition (variant "none", clucl with k = 1)."""
+    """The statistics pass of a penalty other than cocl (see CoclTable):
+    _cluster_cells for clucl, None where the penalty is 0 by definition
+    (variant "none", clucl with k = 1)."""
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
     if variant == "none":
@@ -219,26 +232,17 @@ def _statistics(inputs: PenaltyInputs, variant: str, k: int,
         if k < 1:
             raise ValueError("k must be positive")
         return None if k == 1 else _cluster_cells(inputs, k, num_classes)
-    if variant == "cocl":
-        return _batch_covariances(inputs, num_classes)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _value(stats, variant: str, num_classes: int) -> float:
-    """The selected penalty's value from its statistics (see _statistics)."""
+def _value(stats, num_classes: int) -> float:
+    """The cluster penalty from its statistics (see _statistics)."""
     if stats is None:
         return 0.0
-    if variant == "clucl":
-        _, _, _, diffs, pairs = stats
-        live = pairs > 0
-        per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
-        return float(per_class.sum()) / num_classes
-    return _cocl_value(stats[4], num_classes)
-
-
-def _cocl_value(cov, num_classes: int) -> float:
-    """The covariance penalty from the per-class covariances."""
-    return float(np.linalg.norm(cov, axis=1).sum()) / num_classes
+    _, _, _, diffs, pairs = stats
+    live = pairs > 0
+    per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
+    return float(per_class.sum()) / num_classes
 
 
 def penalty(inputs: PenaltyInputs, variant: str, k: int,
@@ -248,29 +252,21 @@ def penalty(inputs: PenaltyInputs, variant: str, k: int,
     grad holds d value / d true_label_prob_i, one entry per record, 0 for
     masked-out records; variant "none" gives (0.0, zeros).
     """
+    if variant == "cocl":
+        return _table(inputs, num_classes).penalty(inputs.true_label_probs)
     stats = _statistics(inputs, variant, k, num_classes)
-    value = _value(stats, variant, num_classes)
+    value = _value(stats, num_classes)
     grad = np.zeros(len(inputs))
     if stats is None:
         return value, grad
-    if variant == "clucl":
-        sel, cells, counts, diffs, pairs = stats
-        # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v), and each
-        # record of cell u holds 1 / count_u of mean_u
-        denom = pairs[:, None] * counts * num_classes
-        cell_grads = np.zeros(counts.shape)
-        np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads, where=denom > 0)
-        grad[sel] = cell_grads.ravel()[cells]
-        return value, grad
-    sel, labels, vectors, means, cov, counts = stats
-    norms = np.linalg.norm(cov, axis=1)
-    # d |cov_c| / d p_i = (v_i - vbar_c) . cov_c / (|cov_c| n_c)
-    scale = np.zeros(num_classes)
-    np.divide(1.0, norms * counts * num_classes, out=scale, where=norms > 0)
-    unit = cov * scale[:, None]
-    picked = ((vectors @ unit.T)[np.arange(len(labels)), labels]
-              - np.sum(means * unit, axis=1)[labels])
-    return value, np.where(sel, picked, 0.0)
+    sel, cells, counts, diffs, pairs = stats
+    # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v), and each
+    # record of cell u holds 1 / count_u of mean_u
+    denom = pairs[:, None] * counts * num_classes
+    cell_grads = np.zeros(counts.shape)
+    np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads, where=denom > 0)
+    grad[sel] = cell_grads.ravel()[cells]
+    return value, grad
 
 
 def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
@@ -300,8 +296,9 @@ def penalty_value(inputs: PenaltyInputs, variant: str, k: int,
                   num_classes: int) -> float:
     """Value of the selected penalty, without its gradient; variant "none"
     is 0. The same statistics pass and value as penalty."""
-    return _value(_statistics(inputs, variant, k, num_classes), variant,
-                  num_classes)
+    if variant == "cocl":
+        return _table(inputs, num_classes).value(inputs.true_label_probs)
+    return _value(_statistics(inputs, variant, k, num_classes), num_classes)
 
 
 def penalty_gradient(inputs: PenaltyInputs, variant: str, k: int,

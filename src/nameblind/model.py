@@ -114,13 +114,17 @@ def _check_batch(probs, labels, weights):
     return probs, labels, weights
 
 
-def weighted_cross_entropy(probs, labels, weights) -> float:
-    """Mean over the batch of -weight_y * log(p_y), with p_y floored at 1e-12."""
-    probs, labels, weights = _check_batch(probs, labels, weights)
+def _cross_entropy(probs, labels, weights) -> float:
+    """weighted_cross_entropy of arrays _check_batch has checked."""
     p_true = probs[np.arange(len(labels)), labels]
     return float(
         np.mean(-weights[labels] * np.log(np.maximum(p_true, LOG_FLOOR)))
     )
+
+
+def weighted_cross_entropy(probs, labels, weights) -> float:
+    """Mean over the batch of -weight_y * log(p_y), with p_y floored at 1e-12."""
+    return _cross_entropy(*_check_batch(probs, labels, weights))
 
 
 def loss_and_gradient(params: ModelParams, X, labels, weights,
@@ -134,10 +138,12 @@ def loss_and_gradient(params: ModelParams, X, labels, weights,
     d p_true / d logit_j = p_true * (1[j == y] - p_j). X is a float64
     array or a data.BinaryRows store, as for forward_batch.
     """
+    if lam < 0:
+        raise ValueError("penalty strength must be nonnegative")
     X = _features(X)
     probs = forward_batch(params, X)
     probs, labels, weights = _check_batch(probs, labels, weights)
-    loss = weighted_cross_entropy(probs, labels, weights)
+    loss = _cross_entropy(probs, labels, weights)
     if l2_coeff:
         loss += l2_coeff * float(np.sum(params.W**2))
     rows = np.arange(len(labels))

@@ -186,10 +186,11 @@ class PenaltyContext:
 
     names is the embeddings.NameTable of every record of the dataset (one
     vector row per distinct found name, each record's first- and
-    last-name row, and include); train reads it at its training rows.
-    clusters caches the k-means model of the included training names per
-    (k, seed, training rows), filled by the first cluster-penalty fit that
-    needs it, so a sweep clusters once per seed.
+    last-name row, and include); train reads it at its training rows, the
+    covariance penalty through losses.CoclTable. clusters caches the
+    k-means model of the included training names per (k, seed, training
+    rows), filled by the first cluster-penalty fit that needs it, so a
+    sweep clusters once per seed.
     """
 
     names: NameTable
@@ -216,15 +217,16 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
     Pipeline: the name table comes from context, or is built once here
     when none is given (records whose names have no embedding coverage are
-    excluded from penalty statistics); each batch gathers its records'
-    name vectors from it, and the per-epoch covariance penalty sums over
-    its rows (losses.CoclTable); the cluster penalty clusters the
-    training-split name vectors once per context and freezes the
-    assignments; class weights come from the training labels; each epoch
-    shuffles with the seeded RNG and applies Adam per batch. Each batch
-    gathers its rows with dataset.features.take, which keeps a sparse
-    (BinaryRows) feature store sparse, and full-set passes go through
-    forward_rows, so text features are never densified.
+    excluded from penalty statistics); the covariance penalty of each
+    batch, and the per-epoch one built once per fit, read the table rows
+    of their records' names (losses.CoclTable), never gathering a
+    per-record vector; the cluster penalty clusters the training-split
+    name vectors once per context and freezes the assignments; class
+    weights come from the training labels; each epoch shuffles with the
+    seeded RNG and applies Adam per batch. Each batch gathers its rows
+    with dataset.features.take, which keeps a sparse (BinaryRows) feature
+    store sparse, and full-set passes go through forward_rows, so text
+    features are never densified.
     Identical configs and seeds produce bitwise-identical parameters.
     """
     n = len(dataset)
@@ -237,18 +239,18 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     features = dataset.features
     y = dataset.labels[train_idx]
 
-    penalty_on = config.variant != "none" and config.lam > 0
     cluster_model = None
-    names = include = cluster_ids = None
-    if penalty_on:
+    batch_penalty = epoch_penalty = None
+    if config.variant != "none" and config.lam > 0:
         if context is None:
             if embeddings is None:
                 raise ValueError("the selected penalty needs an embedding table")
             context = PenaltyContext.build(embeddings, dataset.first_names,
                                            dataset.last_names)
-        if len(context.names) != n:
+        names = context.names
+        if len(names) != n:
             raise ValueError("the penalty context must cover every record")
-        include = context.names.include[train_idx]
+        include = names.include[train_idx]
         if not include.any():
             raise ValueError(
                 f"the {config.variant} penalty needs embedded names, but 0 of "
@@ -260,37 +262,23 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
                                                   train_idx)
             cluster_ids = np.zeros(len(train_idx), dtype=np.int64)
             cluster_ids[include] = cluster_model.assignments
-        else:
-            names = context.names
 
-    def penalty_over(positions, measure):
-        """The penalty over the training records train_idx[positions], as
-        p_true -> measure(inputs, variant, k, num_classes), measure being
-        losses.penalty or losses.penalty_value; None when no penalty is
-        on."""
-        if not penalty_on:
-            return None
-        arrays = (y[positions],
-                  None if cluster_ids is None else cluster_ids[positions],
-                  None if names is None else names.take(train_idx[positions]),
-                  include[positions])
-        return lambda p_true: measure(
-            losses.PenaltyInputs(p_true, *arrays), config.variant, config.k,
-            num_classes,
-        )
+            def batch_penalty(positions, measure=losses.penalty):
+                return lambda p_true: measure(
+                    losses.PenaltyInputs(p_true, y[positions],
+                                         cluster_ids[positions],
+                                         include_mask=include[positions]),
+                    "clucl", config.k, num_classes,
+                )
+            epoch_penalty = batch_penalty(slice(None), losses.penalty_value)
+        else:  # cocl reads the name-table rows of the records' names
+            first, last = names.first[train_idx], names.last[train_idx]
 
-    # the per-epoch penalty, by value and over the included records only
-    # (the same value); cocl's reads the name table's rows, not the
-    # records' vectors
-    included = None if include is None else np.flatnonzero(include)
-    if names is None:
-        epoch_penalty = penalty_over(included, losses.penalty_value)
-    else:
-        rows = train_idx[included]
-        epoch_penalty = losses.CoclTable(
-            y[included], names.vectors, names.first[rows], names.last[rows],
-            num_classes,
-        ).value
+            def batch_penalty(batch):
+                return losses.CoclTable(y[batch], names.vectors, first[batch],
+                                        last[batch], num_classes).penalty
+            epoch_penalty = losses.CoclTable(y, names.vectors, first, last,
+                                             num_classes).value
     weights = class_weights(np.bincount(y, minlength=num_classes))
     params = ModelParams(
         W=np.zeros((num_classes, features.shape[1])),
@@ -307,14 +295,14 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             batch = order[start:start + config.batch_size]
             _, grad_W, grad_b = loss_and_gradient(
                 params, features.take(train_idx[batch], axis=0), y[batch],
-                weights, config.l2_coeff, penalty_over(batch, losses.penalty),
+                weights, config.l2_coeff,
+                None if batch_penalty is None else batch_penalty(batch),
                 config.lam,
             )
             adam_step(params, grad_W, grad_b, state, config)
 
         base, penalty = evaluate_losses(
             params, features, train_idx, y, weights, config, epoch_penalty,
-            included,
         )
         total = losses.total_loss(base, penalty, config.lam)
         if not np.isfinite(total):
@@ -359,15 +347,13 @@ def forward_rows(params, features, rows) -> np.ndarray:
 
 
 def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
-                    penalty=None, penalty_positions=None):
+                    penalty=None):
     """(base, penalty) over the records features[rows] (not batch estimates).
 
     y aligns with rows. base is the weighted cross-entropy plus the l2
     term, so base + lam * penalty is model.loss_and_gradient's objective
     over the same records. penalty is the configured penalty's value as
-    p_true -> value over the records at penalty_positions of rows
-    (default: all of them); train passes only the records the penalty
-    statistics include, which gives the same value.
+    p_true -> value over those records.
     """
     probs = forward_rows(params, features, rows)
     base = weighted_cross_entropy(probs, y, weights)
@@ -375,10 +361,7 @@ def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
         base += config.l2_coeff * float(np.sum(params.W**2))
     if penalty is None:
         return base, 0.0
-    p_true = probs[np.arange(len(y)), y]
-    if penalty_positions is not None:
-        p_true = p_true[penalty_positions]
-    return base, penalty(p_true)
+    return base, penalty(probs[np.arange(len(y)), y])
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

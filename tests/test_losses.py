@@ -19,6 +19,7 @@ from oracles import (
     clucl_loop_penalty,
     cocl_loop_gradient,
     cocl_loop_penalty,
+    name_vectors_loop,
     rel_error,
 )
 
@@ -254,8 +255,8 @@ def test_cocl_matches_loop_oracle_at_bios_shape():
 
 
 def test_cocl_matches_loop_oracle_two_classes():
-    # the stacked-GEMM batch statistics at C=2, with excluded records
-    # whose vectors are not zero (they must weigh nothing)
+    # the public vector path at C=2, with excluded records whose vectors
+    # are not zero (they must weigh nothing)
     rng = np.random.default_rng(12)
     for trial in range(6):
         n = int(rng.integers(5, 300))
@@ -271,38 +272,79 @@ def test_cocl_matches_loop_oracle_two_classes():
         assert np.all(grad[~mask] == 0.0)
 
 
+# the last records of name_records: two records per class read one name
+# row ("n0"), then two read none
+ONE_ROW = [("n0", "n0", 0), ("n0", None, 0), ("absent1", "n0", 1),
+           (None, "n0", 1), (None, "absent2", 0), (None, None, 1)]
+
+
 def name_records(rng, n, dim, num_names=40):
-    """A name table over n records with both names, one name or none
-    found, and vectors far from the origin."""
+    """(names, vectors, include) of n random records then the ONE_ROW
+    ones: the NameTable, and the loop oracle's per-record vectors and
+    include mask. Names are shared, with both, one or none found, and
+    vectors far from the origin."""
     entries = {f"n{i}": rng.normal(size=dim) + 4.0 for i in range(num_names)}
     table = EmbeddingTable(dimension=dim, entries=entries)
     pool = list(entries) + ["absent1", "absent2", None]
     first = [pool[i] for i in rng.integers(len(pool), size=n)]
     last = [pool[i] for i in rng.integers(len(pool), size=n)]
-    return batch_name_vectors(table, first, last)
+    first += [f for f, _, _ in ONE_ROW]
+    last += [l for _, l, _ in ONE_ROW]
+    vectors, coverages, include = name_vectors_loop(entries, dim, first, last)
+    assert set(coverages) == {"both-found", "first-only", "last-only", "none"}
+    return batch_name_vectors(table, first, last), vectors, include
 
 
 @pytest.mark.parametrize("num_classes", [2, 28])
 def test_cocl_table_value_matches_gathered_vectors(num_classes):
-    # the per-epoch value from name-table sums against penalty_value over
-    # the records' gathered vectors, on a subset of the records
+    # CoclTable over name-table rows against the loop oracle over the
+    # records' vectors built by another loop, by value and gradient, and
+    # against the public path over gathered vectors
     rng = np.random.default_rng(13 + num_classes)
-    names = name_records(rng, n=900, dim=300)
-    assert set(c.value for c in names.coverages()) == {
-        "both-found", "first-only", "last-only", "none"}
-    rows = np.sort(rng.choice(len(names), size=700, replace=False))
-    labels = rng.integers(0, num_classes, size=len(rows))
-    labels[labels == num_classes - 1] = 0  # a class with no records
-    table = CoclTable(labels, names.vectors, names.first[rows],
-                      names.last[rows], num_classes)
-    for trial in range(3):
-        probs = rng.uniform(0.0, 1.0, size=len(rows))
-        gathered = make_inputs(probs, labels, vectors=names.take(rows),
-                               mask=names.include[rows])
-        assert abs(table.value(probs)
-                   - penalty_value(gathered, "cocl", 1, num_classes)) <= 1e-12
-    # probabilities constant within each class give exactly zero
-    assert table.value(0.1 + 0.02 * labels) == 0.0
+    names, vectors, include = name_records(rng, n=900, dim=300)
+    assert np.array_equal(names.include, include)
+    labels = rng.integers(0, num_classes, size=len(include))
+    labels[-len(ONE_ROW):] = [c for _, _, c in ONE_ROW]
+    last = num_classes - 1
+    mixed = np.sort(rng.choice(900, size=700, replace=False))
+    single = mixed[:300].copy()  # class `last` has one included record
+    single_labels = np.where(labels[single] == last, 0, labels[single])
+    single_labels[np.flatnonzero(include[single])[0]] = last
+    empty = mixed[300:600]       # class `last` has no records
+    empty_labels = np.where(labels[empty] == last, 0, labels[empty])
+    one_row = np.arange(900, 900 + len(ONE_ROW))
+    dead = np.flatnonzero(~include)[:50]
+    batches = [(mixed, labels[mixed]), (single, single_labels),
+               (empty, empty_labels), (one_row, labels[one_row]),
+               (dead, labels[dead])]
+    for rows, batch_labels in batches:
+        table = CoclTable(batch_labels, names.vectors, names.first[rows],
+                          names.last[rows], num_classes)
+        for trial in range(2):
+            probs = rng.uniform(0.0, 1.0, size=len(rows))
+            args = (probs, batch_labels, vectors[rows], include[rows],
+                    num_classes)
+            value, grad = table.penalty(probs)
+            expected = cocl_loop_penalty(*args)
+            assert value == table.value(probs)
+            assert abs(value - expected) <= 1e-12 * expected
+            assert rel_error(grad, cocl_loop_gradient(*args)) <= 1e-12
+            assert np.all(grad[~include[rows]] == 0.0)
+            if rows is one_row:
+                # as rows of their own, its equal vectors leave rounding
+                # noise about the zero covariance
+                continue
+            gathered = make_inputs(probs, batch_labels,
+                                   vectors=names.take(rows),
+                                   mask=names.include[rows])
+            public = penalty(gathered, "cocl", 1, num_classes)
+            assert abs(public[0] - expected) <= 1e-12 * expected
+            assert rel_error(public[1], grad) <= 1e-12
+        if rows is one_row or rows is dead:
+            assert value == 0.0 and np.all(grad == 0.0)
+        # probabilities constant within each class give exactly zero
+        value, grad = table.penalty(0.1 + 0.02 * batch_labels)
+        assert value == 0.0 and np.all(grad == 0.0)
 
 
 # ---------------------------------------------------------------------- gradients
@@ -399,3 +441,15 @@ def test_missing_required_fields_raise():
         clucl_penalty(inputs, k=2, num_classes=1)
     with pytest.raises(ValueError, match="name_vectors"):
         cocl_penalty(inputs, num_classes=1)
+    # labels out of range or not integral fail once per call, not per record
+    for labels in ([0, 2], [-1, 0], [0, 0.5], [0, np.nan]):
+        bad = make_inputs([0.2, 0.4], labels, clusters=[0, 1],
+                          vectors=[[0.0], [1.0]])
+        for variant in ("clucl", "cocl"):
+            with pytest.raises(ValueError, match="class labels"):
+                penalty(bad, variant, 2, 2)
+            with pytest.raises(ValueError, match="class labels"):
+                penalty_value(bad, variant, 2, 2)
+        with pytest.raises(ValueError, match="class labels"):
+            CoclTable(bad.labels, np.ones((1, 1)), np.zeros(2, dtype=np.intp),
+                      np.full(2, -1), 2)

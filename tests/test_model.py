@@ -117,6 +117,22 @@ def test_zero_weights_give_zero_gradients():
     assert np.all(grad_b == 0.0)
 
 
+def test_loss_is_the_weighted_cross_entropy_and_lam_is_nonnegative():
+    rng = np.random.default_rng(5)
+    params = ModelParams(W=rng.normal(size=(3, 4)), b=rng.normal(size=3))
+    X = rng.normal(size=(6, 4))
+    labels = rng.integers(0, 3, size=6)
+    weights = rng.uniform(0.5, 2.0, size=3)
+    loss = loss_and_gradient(params, X, labels, weights)[0]
+    assert loss == weighted_cross_entropy(forward_batch(params, X), labels,
+                                          weights)
+    with pytest.raises(ValueError, match="nonnegative"):
+        loss_and_gradient(params, X, labels, weights, lam=-1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        loss_and_gradient(params, X, labels, weights,
+                          penalty=lambda p: (1.0, np.zeros_like(p)), lam=-1.0)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     for trial in range(10):

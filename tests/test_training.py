@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nameblind.data import BinaryRows, Dataset, load_text
-from nameblind.embeddings import EmbeddingTable, batch_name_vectors
-from nameblind.losses import PenaltyInputs, penalty
+from nameblind.embeddings import EmbeddingTable, NameTable, batch_name_vectors
+from nameblind.losses import CoclTable, PenaltyInputs, penalty
 from nameblind.metrics import GroupAttribute, GroupLabels
 from nameblind.model import (
     ModelParams,
@@ -200,21 +200,24 @@ def test_history_length_and_finite_losses():
 
 
 def objective_penalty(dataset, table, result, config, rows):
-    """The training split's penalty callable, restricted to rows of it."""
+    """The training split's penalty callable, restricted to rows of it:
+    for cocl over the name-table rows of the records' names, as train
+    reads them (test_losses checks the table against gathered vectors)."""
     if config.variant == "none":
         return None
     train_idx = result.split[0]
     names = batch_name_vectors(table, dataset.first_names, dataset.last_names)
-    vectors, include = names.take(np.arange(len(dataset))), names.include
+    labels = dataset.labels[train_idx][rows]
+    if config.variant == "cocl":
+        return CoclTable(labels, names.vectors, names.first[train_idx][rows],
+                         names.last[train_idx][rows], 2).penalty
+    include = names.include[train_idx]
     clusters = np.zeros(len(train_idx), dtype=np.int64)
-    if result.cluster_model is not None:
-        clusters[include[train_idx]] = result.cluster_model.assignments
-    labels = dataset.labels[train_idx]
+    clusters[include] = result.cluster_model.assignments
 
     def pen(p_true):
-        inputs = PenaltyInputs(p_true, labels[rows], clusters[rows],
-                               vectors[train_idx][rows],
-                               include[train_idx][rows])
+        inputs = PenaltyInputs(p_true, labels, clusters[rows],
+                               include_mask=include[rows])
         return penalty(inputs, config.variant, config.k, 2)
 
     return pen
@@ -483,6 +486,21 @@ def test_train_with_supplied_context_matches_own(variant):
     if variant == "clucl":
         assert (fits[0].cluster_model.centroids.tobytes()
                 == own.cluster_model.centroids.tobytes())
+
+
+def test_cocl_train_never_gathers_name_vectors(monkeypatch):
+    # each batch and each epoch reads name-table rows through CoclTable;
+    # no per-record vector is built
+    def take(self, rows):
+        raise AssertionError("NameTable.take called")
+
+    monkeypatch.setattr(NameTable, "take", take)
+    dataset = separable_dataset(n=300)
+    table = toy_table(dataset.first_names[::3])
+    result = train(dataset, table,
+                   TrainConfig(variant="cocl", lam=2.0, epochs=2, seed=5,
+                               batch_size=32, learning_rate=0.05))
+    assert all(rec.penalty > 0 for rec in result.history)
 
 
 def test_penalty_context_memory_scales_with_distinct_names():
