@@ -346,33 +346,32 @@ def _train_seed(pipeline: _Pipeline, seed: int, out: Path, penalty_on: bool):
     save_model(result.params, dataset.feature_names, dataset.class_names,
                out / f"model_seed{seed}.txt")
     write_history_csv(result.history, out / f"history_seed{seed}.csv")
-    test_idx = split[2]
-    preds = forward_rows(result.params, dataset.features,
-                         test_idx).argmax(axis=1)
-    if dataset.eval_groups is None:
-        raise UsageError(
-            "training data has no evaluation group labels; declare a "
-            "group= column or pass --names-demographics"
-        )
-    groups = GroupLabels(
-        [_slice_attr(a, test_idx) for a in dataset.eval_groups.attributes]
-    )
-    report = bias_report(
-        preds, dataset.labels[test_idx], groups,
-        num_classes=len(dataset.class_names),
-        class_names=dataset.class_names,
-    )
+    report = _bias_report(result.params, dataset, split[2])
     write_bias_report_csv(report, out / f"bias_report_seed{seed}.csv")
     return report
 
 
-def _slice_attr(attr, indices):
-    return GroupAttribute(
-        name=attr.name,
-        positive_label=attr.positive_label,
-        negative_label=attr.negative_label,
-        values=attr.values[indices],
-    )
+def _eval_groups(dataset) -> GroupLabels:
+    """dataset's evaluation group labels; UsageError when it has none."""
+    if dataset.eval_groups is None or not len(dataset.eval_groups):
+        raise UsageError(
+            "the data has no evaluation group labels; declare a group= "
+            "column or pass --names-demographics"
+        )
+    return dataset.eval_groups
+
+
+def _bias_report(params, dataset, rows):
+    """The bias report of params' predictions on dataset's records rows."""
+    groups = GroupLabels([
+        GroupAttribute(a.name, a.positive_label, a.negative_label,
+                       a.values[rows])
+        for a in _eval_groups(dataset).attributes
+    ])
+    preds = forward_rows(params, dataset.features, rows).argmax(axis=1)
+    return bias_report(preds, dataset.labels[rows], groups,
+                       num_classes=len(dataset.class_names),
+                       class_names=dataset.class_names)
 
 
 def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
@@ -393,17 +392,8 @@ def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
         indices = np.arange(len(dataset))
     else:
         indices = dict(zip(("train", "val", "test"), split))[subset]
-    if dataset.eval_groups is None:
-        raise UsageError("data has no evaluation group labels")
-    preds = forward_rows(params, dataset.features, indices).argmax(axis=1)
-    groups = GroupLabels(
-        [_slice_attr(a, indices) for a in dataset.eval_groups.attributes]
-    )
-    report = bias_report(
-        preds, dataset.labels[indices], groups,
-        num_classes=len(class_names), class_names=class_names,
-    )
-    write_bias_report_csv(report, out / "evaluation.csv")
+    write_bias_report_csv(_bias_report(params, dataset, indices),
+                          out / "evaluation.csv")
     _write_manifest(spec, "evaluate", out)
     print(f"wrote {out / 'evaluation.csv'}")
     return 0
@@ -412,6 +402,8 @@ def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
 def cmd_sweep(spec: ExperimentSpec) -> int:
     if len(spec.lambdas) < 2:
         raise UsageError("sweep needs at least two --lambdas values")
+    if len(set(spec.lambdas)) < len(spec.lambdas):
+        raise UsageError("--lambdas values must be distinct")
     out = _out_dir(spec)
     pipeline = _Pipeline(spec, need_embeddings=spec.variant != "none")
     header = None
@@ -441,12 +433,7 @@ def _sweep_seed(pipeline: _Pipeline, seed: int):
     return, before the next seed's are built."""
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
-    if dataset.eval_groups is None:
-        raise UsageError("sweep data has no evaluation group labels")
-    test_idx = split[2]
-    groups = GroupLabels(
-        [_slice_attr(a, test_idx) for a in dataset.eval_groups.attributes]
-    )
+    _eval_groups(dataset)  # before any fit
     context = (pipeline.penalty_context(dataset)
                if spec.variant != "none" and max(spec.lambdas) > 0 else None)
     reports = []
@@ -454,13 +441,7 @@ def _sweep_seed(pipeline: _Pipeline, seed: int):
         result = train(dataset, pipeline.table,
                        _train_config(spec, seed, lam), split=split,
                        context=context)
-        preds = forward_rows(result.params, dataset.features,
-                             test_idx).argmax(axis=1)
-        reports.append(bias_report(
-            preds, dataset.labels[test_idx], groups,
-            num_classes=len(dataset.class_names),
-            class_names=dataset.class_names,
-        ))
+        reports.append(_bias_report(result.params, dataset, split[2]))
     return reports
 
 
@@ -469,8 +450,7 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
     pipeline = _Pipeline(spec, need_embeddings=True)
     seed = spec.seeds[0]
     dataset, _ = pipeline.dataset_for_seed(seed)
-    if dataset.eval_groups is None or not len(dataset.eval_groups):
-        raise UsageError("cluster-report needs evaluation group labels")
+    groups = _eval_groups(dataset)
     names = pipeline.penalty_context(dataset).names
     include = names.include
     covered_idx = np.flatnonzero(include)
@@ -487,7 +467,7 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
         if len(unassigned):
             clusters.append(("unassigned", unassigned))
         for cluster_name, members in clusters:
-            for attr in dataset.eval_groups.attributes:
+            for attr in groups.attributes:
                 vals = attr.values[members]
                 for value_name, code in (
                     (attr.positive_label, 1),

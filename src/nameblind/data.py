@@ -317,7 +317,7 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
     """Read a CSV file with a header row into TabularRecords.
 
     Raises ValueError on a header that disagrees with the schema, a row of
-    the wrong width, or an unparseable continuous value.
+    the wrong width, or an unparseable or non-finite continuous value.
     """
     header, rows = read_csv_rows(path)
     missing = [c for c in schema.columns if c not in header]
@@ -350,6 +350,11 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
                     f"{path}: row {bad + 2}, column {name!r}: "
                     f"unparseable value {cells[bad]!r}"
                 ) from None
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise ValueError(f"{path}: row {bad + 2}, column {name!r}: "
+                                 f"non-finite value {cells[bad]!r}")
             columns.append(_FeatureColumn(name, values))
         elif spec.role == "categorical":
             categories = sorted(set(cells))

@@ -14,9 +14,10 @@ embedding of the record's name:
 Both are averaged over classes and added to the base loss scaled by a
 nonnegative strength. Gradients flow only through the true-label
 probabilities; cluster assignments and name vectors are constants during
-training. cocl has one implementation, CoclTable, over the name-table
-rows the records read; a matrix of per-record vectors is the table whose
-row i is record i's vector.
+training. Each penalty has one implementation, a table built over fixed
+records with value(p) and penalty(p): CluclTable over the records' cluster
+ids, CoclTable over the name-table rows the records read (a matrix of
+per-record vectors is the table whose row i is record i's vector).
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ VARIANTS = ("none", "clucl", "cocl")
 
 @dataclass
 class PenaltyInputs:
-    """Aligned per-record arrays consumed by the penalties.
+    """Aligned per-record arrays read by the public penalty functions.
 
     Records with include_mask False (e.g. names with no embedding
     coverage) are ignored by every statistic. cluster_ids are only needed
-    for the cluster penalty, name_vectors only for the covariance penalty
-    (read as a CoclTable). Each penalty checks the labels it reads.
+    for the cluster penalty (read as a CluclTable), name_vectors only for
+    the covariance penalty (read as a CoclTable). Each table checks the
+    labels it reads.
     """
 
     true_label_probs: np.ndarray
@@ -96,35 +98,60 @@ def _included(labels, probs, include, num_classes: int):
     return labels, probs - offset[labels]
 
 
-def _cluster_cells(inputs: PenaltyInputs, k: int, num_classes: int):
-    """Per-(class, cluster) cell statistics read by the cluster penalty.
+class CluclTable:
+    """The cluster penalty over fixed records: record i of class labels[i]
+    sits in cluster cluster_ids[i] of k, and a record with include False is
+    excluded (its cluster id is not read).
 
-    Counts and mean true-label probabilities of the included records come
-    from np.bincount over label * k + cluster. Returns (sel, cells, counts,
-    diffs, pairs): the included records, their cell indices, the (C, k)
-    counts, diffs[c, u, w] = mean[c, u] - mean[c, w] where both cells are
-    populated (0 elsewhere), and per class the number v * (v - 1) of
-    ordered pairs of populated cells.
+    Each included record's (class, cluster) cell, the (C, k) cell counts
+    and, per class, the number v * (v - 1) of ordered pairs of its v
+    populated cells are computed once; a penalty is then one np.bincount of
+    the probabilities over the cells and O(C k^2) work on the cell means.
     """
-    if inputs.cluster_ids is None:
-        raise ValueError("cluster_ids are required for the cluster penalty")
-    sel = inputs.include_mask
-    labels, probs = _included(_class_labels(inputs.labels, num_classes),
-                              inputs.true_label_probs, sel, num_classes)
-    ids = inputs.cluster_ids[sel]
-    if len(ids) and (ids.min() < 0 or ids.max() >= k):
-        raise ValueError(f"cluster ids must lie in [0, {k})")
-    cells = labels * k + ids
-    size = num_classes * k
-    counts = np.bincount(cells, minlength=size).reshape(num_classes, k)
-    sums = np.bincount(cells, weights=probs, minlength=size)
-    populated = counts > 0
-    means = np.zeros((num_classes, k))
-    np.divide(sums.reshape(num_classes, k), counts, out=means, where=populated)
-    both = populated[:, :, None] & populated[:, None, :]
-    diffs = np.where(both, means[:, :, None] - means[:, None, :], 0.0)
-    v = populated.sum(axis=1)
-    return sel, cells, counts, diffs, v * (v - 1)
+
+    def __init__(self, labels, cluster_ids, include, k: int, num_classes: int):
+        self.labels = _class_labels(labels, num_classes)
+        self.include = np.asarray(include, dtype=bool)
+        self.k, self.num_classes = k, num_classes
+        ids = np.asarray(cluster_ids)[self.include]
+        if len(ids) and (ids.min() < 0 or ids.max() >= k):
+            raise ValueError(f"cluster ids must lie in [0, {k})")
+        self.cells = self.labels[self.include] * k + ids
+        self.counts = np.bincount(self.cells, minlength=num_classes * k
+                                  ).reshape(num_classes, k)
+        self.populated = self.counts > 0
+        v = self.populated.sum(axis=1)
+        self.pairs = v * (v - 1)
+
+    def value(self, true_label_probs) -> float:
+        """The cluster penalty at these true-label probabilities."""
+        return self.penalty(true_label_probs)[0]
+
+    def penalty(self, true_label_probs) -> tuple[float, np.ndarray]:
+        """(value(p), d value / d p_i per record, 0 if excluded). With
+        diffs[c, u, w] = mean[c, u] - mean[c, w] where both cells are
+        populated (0 elsewhere), class c contributes sum(diffs[c]^2) /
+        pairs[c]; d l_c / d mean_u = (4 / pairs) * sum_w diffs[c, u, w],
+        and each record of cell u holds 1 / count_u of mean_u."""
+        num_classes, k, counts = self.num_classes, self.k, self.counts
+        _, probs = _included(self.labels, true_label_probs, self.include,
+                             num_classes)
+        sums = np.bincount(self.cells, weights=probs,
+                           minlength=num_classes * k)
+        means = np.zeros((num_classes, k))
+        np.divide(sums.reshape(num_classes, k), counts, out=means,
+                  where=self.populated)
+        both = self.populated[:, :, None] & self.populated[:, None, :]
+        diffs = np.where(both, means[:, :, None] - means[:, None, :], 0.0)
+        live = self.pairs > 0
+        per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / self.pairs[live]
+        denom = self.pairs[:, None] * counts * num_classes
+        cell_grads = np.zeros(counts.shape)
+        np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads,
+                  where=denom > 0)
+        grad = np.zeros(len(self.labels))
+        grad[self.include] = cell_grads.ravel()[self.cells]
+        return float(per_class.sum()) / num_classes, grad
 
 
 class CoclTable:
@@ -208,22 +235,11 @@ class CoclTable:
         return float(norms.sum()) / num_classes, grad
 
 
-def _table(inputs: PenaltyInputs, num_classes: int) -> CoclTable:
-    """The CoclTable whose row i is record i's name vector: first =
-    arange(n) where included, last = -1."""
-    if inputs.name_vectors is None:
-        raise ValueError("name_vectors are required for the covariance penalty")
-    n = len(inputs)
-    return CoclTable(inputs.labels, inputs.name_vectors,
-                     np.where(inputs.include_mask, np.arange(n), -1),
-                     np.full(n, -1), num_classes)
-
-
-def _statistics(inputs: PenaltyInputs, variant: str, k: int,
-                num_classes: int):
-    """The statistics pass of a penalty other than cocl (see CoclTable):
-    _cluster_cells for clucl, None where the penalty is 0 by definition
-    (variant "none", clucl with k = 1)."""
+def _table(inputs: PenaltyInputs, variant: str, k: int, num_classes: int):
+    """The table of the selected penalty over inputs' records, or None
+    where the penalty is 0 by definition (variant "none", clucl with
+    k = 1). cocl reads the CoclTable whose row i is record i's name
+    vector: first = arange(n) where included, last = -1."""
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
     if variant == "none":
@@ -231,42 +247,34 @@ def _statistics(inputs: PenaltyInputs, variant: str, k: int,
     if variant == "clucl":
         if k < 1:
             raise ValueError("k must be positive")
-        return None if k == 1 else _cluster_cells(inputs, k, num_classes)
+        if k == 1:
+            return None
+        if inputs.cluster_ids is None:
+            raise ValueError("cluster_ids are required for the cluster penalty")
+        return CluclTable(inputs.labels, inputs.cluster_ids,
+                          inputs.include_mask, k, num_classes)
+    if variant == "cocl":
+        if inputs.name_vectors is None:
+            raise ValueError(
+                "name_vectors are required for the covariance penalty")
+        n = len(inputs)
+        return CoclTable(inputs.labels, inputs.name_vectors,
+                         np.where(inputs.include_mask, np.arange(n), -1),
+                         np.full(n, -1), num_classes)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-def _value(stats, num_classes: int) -> float:
-    """The cluster penalty from its statistics (see _statistics)."""
-    if stats is None:
-        return 0.0
-    _, _, _, diffs, pairs = stats
-    live = pairs > 0
-    per_class = np.sum(diffs[live] ** 2, axis=(1, 2)) / pairs[live]
-    return float(per_class.sum()) / num_classes
 
 
 def penalty(inputs: PenaltyInputs, variant: str, k: int,
             num_classes: int) -> tuple[float, np.ndarray]:
-    """(value, grad) of the selected penalty from one statistics pass.
+    """(value, grad) of the selected penalty from its table's one pass.
 
     grad holds d value / d true_label_prob_i, one entry per record, 0 for
     masked-out records; variant "none" gives (0.0, zeros).
     """
-    if variant == "cocl":
-        return _table(inputs, num_classes).penalty(inputs.true_label_probs)
-    stats = _statistics(inputs, variant, k, num_classes)
-    value = _value(stats, num_classes)
-    grad = np.zeros(len(inputs))
-    if stats is None:
-        return value, grad
-    sel, cells, counts, diffs, pairs = stats
-    # d l_c / d mean_u = (4 / pairs) * sum_v (mean_u - mean_v), and each
-    # record of cell u holds 1 / count_u of mean_u
-    denom = pairs[:, None] * counts * num_classes
-    cell_grads = np.zeros(counts.shape)
-    np.divide(4.0 * diffs.sum(axis=2), denom, out=cell_grads, where=denom > 0)
-    grad[sel] = cell_grads.ravel()[cells]
-    return value, grad
+    table = _table(inputs, variant, k, num_classes)
+    if table is None:
+        return 0.0, np.zeros(len(inputs))
+    return table.penalty(inputs.true_label_probs)
 
 
 def clucl_penalty(inputs: PenaltyInputs, k: int, num_classes: int) -> float:
@@ -294,11 +302,10 @@ def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
 
 def penalty_value(inputs: PenaltyInputs, variant: str, k: int,
                   num_classes: int) -> float:
-    """Value of the selected penalty, without its gradient; variant "none"
-    is 0. The same statistics pass and value as penalty."""
-    if variant == "cocl":
-        return _table(inputs, num_classes).value(inputs.true_label_probs)
-    return _value(_statistics(inputs, variant, k, num_classes), num_classes)
+    """Value of the selected penalty; variant "none" is 0. The same table
+    and value as penalty."""
+    table = _table(inputs, variant, k, num_classes)
+    return 0.0 if table is None else table.value(inputs.true_label_probs)
 
 
 def penalty_gradient(inputs: PenaltyInputs, variant: str, k: int,

@@ -217,16 +217,17 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
     Pipeline: the name table comes from context, or is built once here
     when none is given (records whose names have no embedding coverage are
-    excluded from penalty statistics); the covariance penalty of each
-    batch, and the per-epoch one built once per fit, read the table rows
-    of their records' names (losses.CoclTable), never gathering a
-    per-record vector; the cluster penalty clusters the training-split
-    name vectors once per context and freezes the assignments; class
-    weights come from the training labels; each epoch shuffles with the
-    seeded RNG and applies Adam per batch. Each batch gathers its rows
-    with dataset.features.take, which keeps a sparse (BinaryRows) feature
-    store sparse, and full-set passes go through forward_rows, so text
-    features are never densified.
+    excluded from penalty statistics); the cluster penalty clusters the
+    training-split name vectors once per context and freezes the
+    assignments; each penalty is a table over fixed records
+    (losses.CluclTable over the cluster ids, losses.CoclTable over the
+    name-table rows of the records' names, never gathering a per-record
+    vector), built per batch for its gradient and once per fit for the
+    per-epoch value; class weights come from the training labels; each
+    epoch shuffles with the seeded RNG and applies Adam per batch. Each
+    batch gathers its rows with dataset.features.take, which keeps a
+    sparse (BinaryRows) feature store sparse, and full-set passes go
+    through forward_rows, so text features are never densified.
     Identical configs and seeds produce bitwise-identical parameters.
     """
     n = len(dataset)
@@ -263,22 +264,17 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             cluster_ids = np.zeros(len(train_idx), dtype=np.int64)
             cluster_ids[include] = cluster_model.assignments
 
-            def batch_penalty(positions, measure=losses.penalty):
-                return lambda p_true: measure(
-                    losses.PenaltyInputs(p_true, y[positions],
-                                         cluster_ids[positions],
-                                         include_mask=include[positions]),
-                    "clucl", config.k, num_classes,
-                )
-            epoch_penalty = batch_penalty(slice(None), losses.penalty_value)
+            def table(rows):
+                return losses.CluclTable(y[rows], cluster_ids[rows],
+                                         include[rows], config.k, num_classes)
         else:  # cocl reads the name-table rows of the records' names
             first, last = names.first[train_idx], names.last[train_idx]
 
-            def batch_penalty(batch):
-                return losses.CoclTable(y[batch], names.vectors, first[batch],
-                                        last[batch], num_classes).penalty
-            epoch_penalty = losses.CoclTable(y, names.vectors, first, last,
-                                             num_classes).value
+            def table(rows):
+                return losses.CoclTable(y[rows], names.vectors, first[rows],
+                                        last[rows], num_classes)
+        batch_penalty = lambda batch: table(batch).penalty
+        epoch_penalty = table(slice(None)).value
     weights = class_weights(np.bincount(y, minlength=num_classes))
     params = ModelParams(
         W=np.zeros((num_classes, features.shape[1])),

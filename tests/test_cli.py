@@ -208,6 +208,41 @@ def test_sweep_needs_two_lambdas(tiny_tabular, tmp_path, capsys):
     assert "two" in capsys.readouterr().err
 
 
+def test_sweep_rejects_duplicate_lambdas(tiny_tabular, tmp_path, capsys):
+    # equal as floats: 0.3 and 0.30 would interleave their seeds' rows
+    data, schema, _ = tiny_tabular
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "sweep", "--data", str(data), "--schema", str(schema),
+            "--variant", "none", "--lambdas", "0", "0.3", "0.30",
+            "--seeds", "0", "1", "--epochs", "1", "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_non_finite_continuous_cell_exit_1(tiny_tabular, tmp_path, capsys):
+    data, schema, _ = tiny_tabular
+    lines = data.read_text(encoding="utf-8").splitlines()
+    cells = lines[3].split(",")
+    cells[0] = "nan"
+    lines[3] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(
+        [
+            "train", "--data", str(data), "--schema", str(schema),
+            "--variant", "none", "--seeds", "0", "--epochs", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    assert "row 4, column 'num': non-finite value 'nan'" in (
+        capsys.readouterr().err)
+
+
 def test_sweep_row_counts_and_averages(tiny_tabular, tmp_path):
     data, schema, embeddings = tiny_tabular
     out = tmp_path / "out"

@@ -147,6 +147,18 @@ def test_load_tabular_unparseable_cell(tmp_path):
         load_tabular(path, schema)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_parse_tabular_rejects_non_finite_cell(tmp_path, cell):
+    # a nan would make the column's min and max nan and zero the whole
+    # scaled column; an inf would give nan features
+    path = write_csv(tmp_path, ["age", "income"],
+                     [[30, "low"], [cell, "high"], [40, "low"], [25, "high"]])
+    schema = TabularSchema.parse("age continuous\nincome label\n")
+    with pytest.raises(ValueError,
+                       match=f"row 3, column 'age': non-finite value '{cell}'"):
+        parse_tabular(path, schema)
+
+
 def test_load_tabular_schema_csv_mismatch(tmp_path):
     path = write_csv(tmp_path, ["age", "income"], [[1, "low"]])
     schema = TabularSchema.parse("age continuous\nheight continuous\nincome label\n")

@@ -3,6 +3,7 @@ import pytest
 
 from nameblind.embeddings import EmbeddingTable, batch_name_vectors
 from nameblind.losses import (
+    CluclTable,
     CoclTable,
     PenaltyInputs,
     clucl_penalty,
@@ -125,10 +126,30 @@ def test_clucl_matches_loop_oracle_at_bios_shape():
         probs = rng.uniform(0.0, 1.0, size=n)
         inputs = make_inputs(probs, labels, clusters=clusters, mask=mask)
         args = (probs, labels, clusters, mask, k, num_classes)
-        assert abs(clucl_penalty(inputs, k, num_classes)
-                   - clucl_loop_penalty(*args)) <= 1e-12
+        expected = clucl_loop_penalty(*args)
+        expected_grad = clucl_loop_gradient(*args)
+        assert abs(clucl_penalty(inputs, k, num_classes) - expected) <= 1e-12
         grad = penalty_gradient(inputs, "clucl", k, num_classes)
-        assert np.max(np.abs(grad - clucl_loop_gradient(*args))) <= 1e-12
+        assert np.max(np.abs(grad - expected_grad)) <= 1e-12
+        # the table train builds, read directly
+        table = CluclTable(labels, clusters, mask, k, num_classes)
+        assert abs(table.value(probs) - expected) <= 1e-12
+        value, grad = table.penalty(probs)
+        assert value == table.value(probs)
+        assert np.max(np.abs(grad - expected_grad)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad_id", [-1, 3])
+def test_clucl_table_rejects_out_of_range_cluster_ids(bad_id):
+    labels = np.array([0, 1, 0, 1])
+    clusters = np.array([0, 2, bad_id, 1])
+    with pytest.raises(ValueError, match=r"cluster ids must lie in \[0, 3\)"):
+        CluclTable(labels, clusters, np.ones(4, dtype=bool), 3, 2)
+    # an excluded record's id is not read
+    table = CluclTable(labels, clusters, np.array([True, True, False, True]),
+                       3, 2)
+    value, grad = table.penalty(np.array([0.2, 0.4, 0.6, 0.8]))
+    assert value > 0.0 and grad[2] == 0.0
 
 
 # ------------------------------------------------------------- covariance penalty

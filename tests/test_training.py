@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nameblind import losses
 from nameblind.data import BinaryRows, Dataset, load_text
 from nameblind.embeddings import EmbeddingTable, NameTable, batch_name_vectors
-from nameblind.losses import CoclTable, PenaltyInputs, penalty
+from nameblind.losses import CluclTable, CoclTable
 from nameblind.metrics import GroupAttribute, GroupLabels
 from nameblind.model import (
     ModelParams,
@@ -201,8 +202,9 @@ def test_history_length_and_finite_losses():
 
 def objective_penalty(dataset, table, result, config, rows):
     """The training split's penalty callable, restricted to rows of it:
-    for cocl over the name-table rows of the records' names, as train
-    reads them (test_losses checks the table against gathered vectors)."""
+    the table train builds, for cocl over the name-table rows of the
+    records' names (test_losses checks both tables against loop
+    oracles)."""
     if config.variant == "none":
         return None
     train_idx = result.split[0]
@@ -214,13 +216,8 @@ def objective_penalty(dataset, table, result, config, rows):
     include = names.include[train_idx]
     clusters = np.zeros(len(train_idx), dtype=np.int64)
     clusters[include] = result.cluster_model.assignments
-
-    def pen(p_true):
-        inputs = PenaltyInputs(p_true, labels, clusters[rows],
-                               include_mask=include[rows])
-        return penalty(inputs, config.variant, config.k, 2)
-
-    return pen
+    return CluclTable(labels, clusters[rows], include[rows], config.k,
+                      2).penalty
 
 
 @pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
@@ -499,6 +496,21 @@ def test_cocl_train_never_gathers_name_vectors(monkeypatch):
     table = toy_table(dataset.first_names[::3])
     result = train(dataset, table,
                    TrainConfig(variant="cocl", lam=2.0, epochs=2, seed=5,
+                               batch_size=32, learning_rate=0.05))
+    assert all(rec.penalty > 0 for rec in result.history)
+
+
+def test_clucl_train_builds_no_penalty_inputs(monkeypatch):
+    # each batch and each epoch reads a losses.CluclTable; PenaltyInputs
+    # serves only the public penalty functions
+    def build(*args, **kwargs):
+        raise AssertionError("PenaltyInputs built")
+
+    monkeypatch.setattr(losses, "PenaltyInputs", build)
+    dataset = separable_dataset(n=300)
+    table = toy_table(dataset.first_names[::3])
+    result = train(dataset, table,
+                   TrainConfig(variant="clucl", lam=2.0, k=3, epochs=2, seed=5,
                                batch_size=32, learning_rate=0.05))
     assert all(rec.penalty > 0 for rec in result.history)
 
