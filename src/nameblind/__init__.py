@@ -15,7 +15,7 @@ from .embeddings import Coverage, EmbeddingTable, load_embeddings
 from .losses import PenaltyInputs, clucl_penalty, cocl_penalty, total_loss
 from .metrics import BiasReport, GroupAttribute, GroupLabels, bias_report
 from .model import ModelParams
-from .training import TrainConfig, TrainResult, train
+from .training import GridResult, TrainConfig, TrainResult, train
 
 __all__ = [
     "__version__",
@@ -37,6 +37,7 @@ __all__ = [
     "GroupLabels",
     "bias_report",
     "ModelParams",
+    "GridResult",
     "TrainConfig",
     "TrainResult",
     "train",

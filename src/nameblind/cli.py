@@ -93,6 +93,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise UsageError("at least one seed is required")
+        for option, values in (("--lambda", [self.lam]),
+                               ("--lambdas", self.lambdas),
+                               ("--lr", [self.lr]), ("--l2", [self.l2])):
+            bad = [v for v in values if not np.isfinite(v)]
+            if bad:
+                raise UsageError(f"{option} values must be finite, got {bad[0]!r}")
         if any(l < 0 for l in self.lambdas) or self.lam < 0:
             raise UsageError("lambda values must be nonnegative")
         if self.format not in ("tabular", "text"):
@@ -155,9 +161,9 @@ def _spec_from_args(args) -> ExperimentSpec:
     return ExperimentSpec(**values)
 
 
-def _train_config(spec: ExperimentSpec, seed: int, lam: float) -> TrainConfig:
+def _train_config(spec: ExperimentSpec, seed: int) -> TrainConfig:
     return TrainConfig(
-        lam=lam,
+        lam=spec.lam,
         variant=spec.variant,
         k=spec.k,
         learning_rate=spec.lr,
@@ -341,7 +347,7 @@ def _train_seed(pipeline: _Pipeline, seed: int, out: Path, penalty_on: bool):
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
     context = pipeline.penalty_context(dataset) if penalty_on else None
-    result = train(dataset, pipeline.table, _train_config(spec, seed, spec.lam),
+    result = train(dataset, pipeline.table, _train_config(spec, seed),
                    split=split, context=context)
     save_model(result.params, dataset.feature_names, dataset.class_names,
                out / f"model_seed{seed}.txt")
@@ -429,20 +435,18 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
 
 def _sweep_seed(pipeline: _Pipeline, seed: int):
     """One seed of cmd_sweep: the bias report of each lambda's fit, in
-    spec.lambdas order. The seed's dataset and context are freed on
-    return, before the next seed's are built."""
+    spec.lambdas order, from one train call that fits the lambdas in
+    lockstep (each fit the bytes of its own train run). The seed's
+    dataset and context are freed on return, before the next seed's are
+    built."""
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
     _eval_groups(dataset)  # before any fit
     context = (pipeline.penalty_context(dataset)
                if spec.variant != "none" and max(spec.lambdas) > 0 else None)
-    reports = []
-    for lam in spec.lambdas:
-        result = train(dataset, pipeline.table,
-                       _train_config(spec, seed, lam), split=split,
-                       context=context)
-        reports.append(_bias_report(result.params, dataset, split[2]))
-    return reports
+    grid = train(dataset, pipeline.table, _train_config(spec, seed),
+                 split=split, context=context, lams=spec.lambdas)
+    return [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
 
 
 def cmd_cluster_report(spec: ExperimentSpec) -> int:

@@ -122,41 +122,48 @@ class BinaryRows:
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     def __matmul__(self, other) -> np.ndarray:
-        """X @ M for a (num_columns, m) array M.
+        """X @ M for a (num_columns, m) array M, or for a stack (L,
+        num_columns, m) of L such arrays, one product per slice.
 
         Row i is the sum of M's rows at row i's columns, added in column
         order, so it does not depend on which other rows are selected
         with it; a row without entries gives exactly 0.
         """
         other = np.asarray(other, dtype=np.float64)
-        if other.ndim != 2 or other.shape[0] != self.num_columns:
+        if other.ndim not in (2, 3) or other.shape[-2] != self.num_columns:
             raise ValueError(f"cannot multiply {self.shape} rows by an array "
                              f"of shape {other.shape}")
-        out = np.zeros((len(self), other.shape[1]))
+        stack = other if other.ndim == 3 else other[None]
+        out = np.zeros((len(stack), len(self), other.shape[-1]))
         starts = self.indptr[:-1]
         # reduceat gives the element at the start for an empty segment (and
         # rejects a start equal to the length), so only rows with entries
         # go through it; each segment then runs to the next such row
         filled = starts < self.indptr[1:]
         if filled.any():
-            out[filled] = np.add.reduceat(np.take(other, self.indices, axis=0),
-                                          starts[filled], axis=0)
-        return out
+            for block, matrix in zip(out, stack):
+                block[filled] = np.add.reduceat(
+                    np.take(matrix, self.indices, axis=0), starts[filled],
+                    axis=0)
+        return out if other.ndim == 3 else out[0]
 
     def __rmatmul__(self, other) -> np.ndarray:
-        """A @ X for an (m, len(self)) array A: one np.bincount of the
-        column indices per row of A, weighted by its values at each
-        entry's row."""
+        """A @ X for an (m, len(self)) array A, or for a stack (L, m,
+        len(self)) of L such arrays: one np.bincount of the column indices
+        per row of A, weighted by its values at each entry's row."""
         other = np.asarray(other, dtype=np.float64)
-        if other.ndim != 2 or other.shape[1] != len(self):
+        if other.ndim not in (2, 3) or other.shape[-1] != len(self):
             raise ValueError(f"cannot multiply an array of shape {other.shape} "
                              f"by {self.shape} rows")
         columns = self.indices.astype(np.intp)
-        weights = np.take(other, self._entry_rows(), axis=1)
-        out = np.empty((other.shape[0], self.num_columns))
-        for row, w in zip(out, weights):
-            row[:] = np.bincount(columns, weights=w, minlength=self.num_columns)
-        return out
+        stack = other if other.ndim == 3 else other[None]
+        weights = np.take(stack, self._entry_rows(), axis=-1)
+        out = np.empty((*stack.shape[:-1], self.num_columns))
+        for rows, model_weights in zip(out, weights):
+            for row, w in zip(rows, model_weights):
+                row[:] = np.bincount(columns, weights=w,
+                                     minlength=self.num_columns)
+        return out if other.ndim == 3 else out[0]
 
 
 @dataclass

@@ -85,17 +85,24 @@ def _class_labels(labels, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
-def _included(labels, probs, include, num_classes: int):
-    """(labels, probs) of the included records, each probability taken
-    about its class's first included one: the offset cancels in every
-    statistic the penalties read, and equal probabilities give exact zeros.
-    """
-    labels = labels[include]
-    probs = probs[include]
-    classes, first = np.unique(labels, return_index=True)
-    offset = np.zeros(num_classes)
-    offset[classes] = probs[first]
-    return labels, probs - offset[labels]
+class _Included:
+    """The included records of a table: their labels, and each present
+    class with the position of its first included record, found once."""
+
+    def __init__(self, labels, include, num_classes: int):
+        self.include = include
+        self.labels = labels[include]
+        self.classes, self.first = np.unique(self.labels, return_index=True)
+        self.num_classes = num_classes
+
+    def probs(self, probs) -> np.ndarray:
+        """The included records' probabilities, each taken about its
+        class's first included one: the offset cancels in every statistic
+        the penalties read, and equal probabilities give exact zeros."""
+        probs = probs[self.include]
+        offset = np.zeros(self.num_classes)
+        offset[self.classes] = probs[self.first]
+        return probs - offset[self.labels]
 
 
 class CluclTable:
@@ -116,7 +123,8 @@ class CluclTable:
         ids = np.asarray(cluster_ids)[self.include]
         if len(ids) and (ids.min() < 0 or ids.max() >= k):
             raise ValueError(f"cluster ids must lie in [0, {k})")
-        self.cells = self.labels[self.include] * k + ids
+        self.included = _Included(self.labels, self.include, num_classes)
+        self.cells = self.included.labels * k + ids
         self.counts = np.bincount(self.cells, minlength=num_classes * k
                                   ).reshape(num_classes, k)
         self.populated = self.counts > 0
@@ -134,8 +142,7 @@ class CluclTable:
         pairs[c]; d l_c / d mean_u = (4 / pairs) * sum_w diffs[c, u, w],
         and each record of cell u holds 1 / count_u of mean_u."""
         num_classes, k, counts = self.num_classes, self.k, self.counts
-        _, probs = _included(self.labels, true_label_probs, self.include,
-                             num_classes)
+        probs = self.included.probs(true_label_probs)
         sums = np.bincount(self.cells, weights=probs,
                            minlength=num_classes * k)
         means = np.zeros((num_classes, k))
@@ -173,6 +180,7 @@ class CoclTable:
         self.num_classes = num_classes
         found_first, found_last = first >= 0, last >= 0
         self.include = found_first | found_last
+        self.included = _Included(self.labels, self.include, num_classes)
         share = np.where(found_first & found_last, 0.5, 1.0)
         self.records = np.concatenate((np.flatnonzero(found_first),
                                        np.flatnonzero(found_last)))
@@ -182,8 +190,7 @@ class CoclTable:
             return_inverse=True)
         self.rows = vectors[used]
         self.keys = self.labels[self.records] * len(used) + self.local
-        self.counts = np.bincount(self.labels[self.include],
-                                  minlength=num_classes)
+        self.counts = np.bincount(self.included.labels, minlength=num_classes)
         # means_c = mean_weights_c @ rows
         self.mean_weights = (self._per_class(self.shares)
                              / np.maximum(self.counts, 1)[:, None])
@@ -200,8 +207,7 @@ class CoclTable:
         times their shares of it, so cov_c = (weights_c - sum(weights_c) *
         mean_weights_c) @ rows / n_c (the sum is 0 up to rounding)."""
         num_classes, n_c = self.num_classes, np.maximum(self.counts, 1)
-        kept, probs = _included(self.labels, true_label_probs, self.include,
-                                num_classes)
+        kept, probs = self.included.labels, self.included.probs(true_label_probs)
         mean_p = np.bincount(kept, weights=probs, minlength=num_classes) / n_c
         centred = np.zeros(len(self.labels))
         centred[self.include] = probs - mean_p[kept]
@@ -314,8 +320,15 @@ def penalty_gradient(inputs: PenaltyInputs, variant: str, k: int,
     return penalty(inputs, variant, k, num_classes)[1]
 
 
+def penalty_strength(lam) -> float:
+    """lam as a float; ValueError unless it is finite and nonnegative."""
+    lam = float(lam)
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(
+            f"penalty strength must be finite and nonnegative, got {lam!r}")
+    return lam
+
+
 def total_loss(base: float, penalty: float, lam: float) -> float:
     """Composite objective: base + lam * penalty."""
-    if lam < 0:
-        raise ValueError("penalty strength must be nonnegative")
-    return base + lam * penalty
+    return base + penalty_strength(lam) * penalty

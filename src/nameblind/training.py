@@ -8,7 +8,7 @@ Runs are deterministic given a config seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,14 @@ from .metrics import balanced_tpr
 # and 166-176 ms in blocks of 8,192 (best of 5, three runs), with
 # bit-identical probabilities.
 BLOCK_ROWS = 256
+# most entries one block of an Adam update walks (_adam_update). On two
+# stacked Bios-shaped models (2 x 28 x 1,818, one BLAS thread, a 2-vCPU VM
+# with 4 MiB of L2) adam_step took 868 us in a block per model against
+# 960 us in one pass over the stack (best of 45 x 50 steps): a pass reads
+# and writes six arrays of the block's size. Three stacked Adult-shaped
+# models (3 x 2 x 93) take one pass, 34 us against 72 us for three
+# separate steps.
+ADAM_BLOCK = 65536
 
 
 class NumericalError(RuntimeError):
@@ -57,6 +65,10 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("lam", "learning_rate", "l2_coeff", "adam_eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.variant not in losses.VARIANTS:
@@ -79,10 +91,12 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared timestep.
+    """First/second moment accumulators and the shared timestep, of the
+    shapes of W and b (with their model axis for a stack of models).
 
-    work_W and work_b are two scratch arrays of each parameter's shape, so
-    a step allocates nothing of W's size.
+    work holds two flat scratch rows, long enough for the largest block
+    _adam_update walks, shared by W and b: a step allocates nothing of
+    W's size.
     """
 
     m_W: np.ndarray
@@ -90,21 +104,22 @@ class AdamState:
     m_b: np.ndarray
     v_b: np.ndarray
     t: int = 0
-    work_W: np.ndarray = field(init=False, repr=False)
-    work_b: np.ndarray = field(init=False, repr=False)
+    work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.work_W = np.empty((2, *self.m_W.shape))
-        self.work_b = np.empty((2, *self.m_b.shape))
+        # b has no more entries than W, nor more per leading index
+        self.work = np.empty(
+            (2, max(min(self.m_W.size, ADAM_BLOCK), self.m_W[:1].size)))
 
     @classmethod
-    def zeros(cls, num_classes: int, num_features: int) -> "AdamState":
-        shape = (num_classes, num_features)
+    def zeros(cls, *shape: int) -> "AdamState":
+        """The state of a W of this shape, (num_classes, num_features) or
+        (L, num_classes, num_features), and of its b."""
         return cls(
             m_W=np.zeros(shape),
             v_W=np.zeros(shape),
-            m_b=np.zeros(num_classes),
-            v_b=np.zeros(num_classes),
+            m_b=np.zeros(shape[:-1]),
+            v_b=np.zeros(shape[:-1]),
         )
 
 
@@ -122,6 +137,15 @@ class TrainResult:
     params: ModelParams
     history: list[EpochRecord]
     cluster_model: ClusterModel | None
+    split: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass
+class GridResult:
+    """The fits of one train call over a grid of penalty strengths: one
+    TrainResult per lambda, in grid order, all on this split."""
+
+    fits: list[TrainResult]
     split: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -148,36 +172,47 @@ def adam_step(params: ModelParams, grad_W, grad_b, state: AdamState,
     if not (np.isfinite(grad_W).all() and np.isfinite(grad_b).all()):
         raise NumericalError("non-finite gradients")
     state.t += 1
-    _adam_update(params.W, grad_W, state.m_W, state.v_W, state.work_W,
+    _adam_update(params.W, grad_W, state.m_W, state.v_W, state.work,
                  state.t, config)
-    _adam_update(params.b, grad_b, state.m_b, state.v_b, state.work_b,
+    _adam_update(params.b, grad_b, state.m_b, state.v_b, state.work,
                  state.t, config)
 
 
 def _adam_update(param, grad, m, v, work, t: int, config: TrainConfig) -> None:
     """param -= lr * mhat / (sqrt(vhat) + eps) at timestep t, the moments m
-    and v updated first, all in place through the two scratch arrays of
+    and v updated first, all in place through the two flat scratch rows of
     work; the same operations in the same order as the expressions in the
-    comments, so the result is bit-identical to them."""
+    comments, so the result is bit-identical to them.
+
+    The update walks near-equal blocks of whole leading indices (models
+    of a stack, classes of one model), each of at most ADAM_BLOCK entries
+    or one leading index, so a block's arrays stay in cache.
+    """
     b1, b2 = config.adam_beta1, config.adam_beta2
-    step, denom = work
-    # m = b1 * m + (1 - b1) * grad
-    np.multiply(m, b1, out=m)
-    np.multiply(grad, 1 - b1, out=step)
-    np.add(m, step, out=m)
-    # v = b2 * v + (1 - b2) * grad**2
-    np.multiply(v, b2, out=v)
-    np.square(grad, out=step)
-    np.multiply(step, 1 - b2, out=step)
-    np.add(v, step, out=v)
-    # param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
-    np.divide(m, 1 - b1**t, out=step)
-    np.multiply(step, config.learning_rate, out=step)
-    np.divide(v, 1 - b2**t, out=denom)
-    np.sqrt(denom, out=denom)
-    np.add(denom, config.adam_eps, out=denom)
-    np.divide(step, denom, out=step)
-    np.subtract(param, step, out=param)
+    rows = len(param)
+    per_block = max(1, ADAM_BLOCK // max(1, param[:1].size))
+    count = -(-rows // per_block)
+    for i in range(count):
+        lo, hi = rows * i // count, rows * (i + 1) // count
+        p, g, m_, v_ = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
+        step, denom = (row[:p.size].reshape(p.shape) for row in work)
+        # m = b1 * m + (1 - b1) * grad
+        np.multiply(m_, b1, out=m_)
+        np.multiply(g, 1 - b1, out=step)
+        np.add(m_, step, out=m_)
+        # v = b2 * v + (1 - b2) * grad**2
+        np.multiply(v_, b2, out=v_)
+        np.square(g, out=step)
+        np.multiply(step, 1 - b2, out=step)
+        np.add(v_, step, out=v_)
+        # param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+        np.divide(m_, 1 - b1**t, out=step)
+        np.multiply(step, config.learning_rate, out=step)
+        np.divide(v_, 1 - b2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, config.adam_eps, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(p, step, out=p)
 
 
 @dataclass
@@ -212,7 +247,7 @@ class PenaltyContext:
 
 
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
-          split=None, context: PenaltyContext | None = None) -> TrainResult:
+          split=None, context: PenaltyContext | None = None, lams=None):
     """Train the classifier with the configured penalty.
 
     Pipeline: the name table comes from context, or is built once here
@@ -222,14 +257,29 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     assignments; each penalty is a table over fixed records
     (losses.CluclTable over the cluster ids, losses.CoclTable over the
     name-table rows of the records' names, never gathering a per-record
-    vector), built per batch for its gradient and once per fit for the
+    vector), built per batch for its gradient and once per call for the
     per-epoch value; class weights come from the training labels; each
     epoch shuffles with the seeded RNG and applies Adam per batch. Each
     batch gathers its rows with dataset.features.take, which keeps a
     sparse (BinaryRows) feature store sparse, and full-set passes go
     through forward_rows, so text features are never densified.
     Identical configs and seeds produce bitwise-identical parameters.
+
+    lams, a sequence of penalty strengths, trains one model per strength
+    in place of config.lam and returns a GridResult. The models run in
+    lockstep over the one shuffle: each batch is gathered, checked and
+    given its penalty table once, then one loss_and_gradient and one Adam
+    step serve the stack, and each epoch's full-set passes gather each
+    block once. A model's penalty is computed only when its strength is
+    positive, and each fit is bitwise the TrainResult of train with
+    config.lam set to its strength.
     """
+    grid = lams is not None
+    # replace re-runs TrainConfig's checks on each strength
+    lams = ([replace(config, lam=lam).lam for lam in lams] if grid
+            else [config.lam])
+    if not lams:
+        raise ValueError("lams must hold at least one penalty strength")
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
@@ -240,9 +290,8 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     features = dataset.features
     y = dataset.labels[train_idx]
 
-    cluster_model = None
-    batch_penalty = epoch_penalty = None
-    if config.variant != "none" and config.lam > 0:
+    cluster_model = table = epoch_penalty = None
+    if config.variant != "none" and max(lams) > 0:
         if context is None:
             if embeddings is None:
                 raise ValueError("the selected penalty needs an embedding table")
@@ -273,91 +322,97 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             def table(rows):
                 return losses.CoclTable(y[rows], names.vectors, first[rows],
                                         last[rows], num_classes)
-        batch_penalty = lambda batch: table(batch).penalty
         epoch_penalty = table(slice(None)).value
     weights = class_weights(np.bincount(y, minlength=num_classes))
-    params = ModelParams(
-        W=np.zeros((num_classes, features.shape[1])),
-        b=np.zeros(num_classes),
-    )
-    state = AdamState.zeros(params.num_classes, params.num_features)
+    shape = (len(lams), num_classes, features.shape[1])
+    params = ModelParams(W=np.zeros(shape), b=np.zeros(shape[:-1]))
+    state = AdamState.zeros(*shape)
     rng = np.random.default_rng(config.seed)
-    history: list[EpochRecord] = []
+    histories: list[list[EpochRecord]] = [[] for _ in lams]
     n_train = len(train_idx)
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             batch = order[start:start + config.batch_size]
+            batch_penalty = None if table is None else table(batch).penalty
             _, grad_W, grad_b = loss_and_gradient(
                 params, features.take(train_idx[batch], axis=0), y[batch],
                 weights, config.l2_coeff,
-                None if batch_penalty is None else batch_penalty(batch),
-                config.lam,
+                [batch_penalty if lam > 0 else None for lam in lams], lams,
             )
             adam_step(params, grad_W, grad_b, state, config)
 
-        base, penalty = evaluate_losses(
-            params, features, train_idx, y, weights, config, epoch_penalty,
-        )
-        total = losses.total_loss(base, penalty, config.lam)
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"non-finite loss at epoch {epoch}: base={base}, penalty={penalty}"
-            )
+        records = []
+        for lam, (base, penalty) in zip(lams, evaluate_losses(
+                params, features, train_idx, y, weights, config,
+                [epoch_penalty if lam > 0 else None for lam in lams])):
+            total = losses.total_loss(base, penalty, lam)
+            if not np.isfinite(total):
+                raise NumericalError(
+                    f"non-finite loss at epoch {epoch}: base={base}, "
+                    f"penalty={penalty}"
+                )
+            records.append((epoch, base, penalty, total))
         if len(val_idx):
-            val_preds = forward_rows(params, features, val_idx).argmax(axis=1)
-            val_tpr = balanced_tpr(
-                val_preds, dataset.labels[val_idx], num_classes,
-                require_all_classes=False,
-            )
+            val_preds = forward_rows(params, features, val_idx).argmax(axis=-1)
+            val_tprs = [balanced_tpr(preds, dataset.labels[val_idx],
+                                     num_classes, require_all_classes=False)
+                        for preds in val_preds]
         else:
-            val_tpr = float("nan")
-        history.append(EpochRecord(epoch, base, penalty, total, val_tpr))
+            val_tprs = [float("nan")] * len(lams)
+        for history, record, val_tpr in zip(histories, records, val_tprs):
+            history.append(EpochRecord(*record, val_tpr))
 
-    return TrainResult(
-        params=params,
-        history=history,
-        cluster_model=cluster_model,
-        split=split,
-    )
+    fits = [TrainResult(params=ModelParams(W, b), history=history,
+                        cluster_model=cluster_model, split=split)
+            for W, b, history in zip(params.W, params.b, histories)]
+    if grid:
+        return GridResult(fits=fits, split=split)
+    return fits[0]
 
 
 def forward_rows(params, features, rows) -> np.ndarray:
     """forward_batch(params, features.take(rows, axis=0)) for any number
-    of rows.
+    of rows, and for one model or a stack.
 
     The rows are walked in near-equal blocks of at most BLOCK_ROWS, so no
-    more than one block of gathered rows exists at a time. A BinaryRows
-    store's logits are row by row sums, the same bytes whatever the
-    blocks. For dense rows the blocks are near-equal so that every block
-    has at least BLOCK_ROWS / 2 rows when there is more than one: BLAS
-    multiplies a product of a few rows (under about 32 with OpenBLAS
-    0.3.31 on a Haswell-class CPU) through other kernels, whose rounding
-    can differ from the one product over all rows.
+    more than one block of gathered rows exists at a time (one gather
+    serves every model of a stack). A BinaryRows store's logits are row
+    by row sums, the same bytes whatever the blocks. For dense rows the
+    blocks are near-equal so that every block has at least BLOCK_ROWS / 2
+    rows when there is more than one: BLAS multiplies a product of a few
+    rows (under about 32 with OpenBLAS 0.3.31 on a Haswell-class CPU)
+    through other kernels, whose rounding can differ from the one product
+    over all rows.
     """
     rows = np.asarray(rows)
     blocks = np.array_split(rows, max(1, -(-len(rows) // BLOCK_ROWS)))
     return np.concatenate([forward_batch(params, features.take(b, axis=0))
-                           for b in blocks])
+                           for b in blocks], axis=-2)
 
 
 def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
-                    penalty=None):
-    """(base, penalty) over the records features[rows] (not batch estimates).
+                    penalties):
+    """(base, penalty) over the records features[rows] (not batch
+    estimates), one pair per model of the stack params.
 
     y aligns with rows. base is the weighted cross-entropy plus the l2
     term, so base + lam * penalty is model.loss_and_gradient's objective
-    over the same records. penalty is the configured penalty's value as
-    p_true -> value over those records.
+    over the same records. penalties holds, per model, the penalty's
+    value as p_true -> value over those records, or None for a penalty
+    of 0. The rows are gathered once for all models (forward_rows).
     """
     probs = forward_rows(params, features, rows)
-    base = weighted_cross_entropy(probs, y, weights)
-    if config.l2_coeff:
-        base += config.l2_coeff * float(np.sum(params.W**2))
-    if penalty is None:
-        return base, 0.0
-    return base, penalty(probs[np.arange(len(y)), y])
+    picked = np.arange(len(y))
+    pairs = []
+    for W, model_probs, penalty in zip(params.W, probs, penalties):
+        base = weighted_cross_entropy(model_probs, y, weights)
+        if config.l2_coeff:
+            base += config.l2_coeff * float(np.sum(W**2))
+        pairs.append((base, 0.0 if penalty is None
+                      else penalty(model_probs[picked, y])))
+    return pairs
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

@@ -224,6 +224,72 @@ def test_sweep_rejects_duplicate_lambdas(tiny_tabular, tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, option, values", [
+    ("train", "--lambda", ["nan"]),
+    ("train", "--lambda", ["inf"]),
+    ("sweep", "--lambdas", ["0", "nan"]),
+    ("train", "--lr", ["nan"]),
+    ("train", "--lr", ["inf"]),
+    ("sweep", "--l2", ["nan"]),
+])
+def test_non_finite_hyperparameter_exit_1(command, option, values,
+                                          tiny_tabular, tmp_path, capsys,
+                                          monkeypatch):
+    # nan passes the sign checks (nan < 0 is False); rejected before any fit
+    import nameblind.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train called")
+
+    monkeypatch.setattr(nameblind.cli, "train", no_fit)
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    grid = [] if option == "--lambdas" else (
+        ["--lambdas", "0", "1"] if command == "sweep" else [])
+    rc = main([command, "--data", str(data), "--schema", str(schema),
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--seeds", "0", "--epochs", "1", *grid, option, *values,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err and "finite" in err
+    assert not out.exists()
+
+
+def test_non_finite_config_value_exit_1(tiny_tabular, tmp_path, capsys):
+    data, schema, _ = tiny_tabular
+    config = tmp_path / "config.json"
+    config.write_text('{"lr": NaN}', encoding="utf-8")
+    rc = main(["train", "--config", str(config), "--data", str(data),
+               "--schema", str(schema), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "--lr" in capsys.readouterr().err
+
+
+def test_sweep_with_one_diverging_lambda_exit_3(tiny_tabular, tmp_path,
+                                                capsys):
+    # name vectors of norm ~1e150 make lambda 1e200's penalty overflow;
+    # lambda 0 alone would train: the sweep fails as a whole
+    data, schema, embeddings = tiny_tabular
+    lines = embeddings.read_text(encoding="utf-8").splitlines()
+    huge = tmp_path / "huge.txt"
+    huge.write_text("\n".join([lines[0]] + [
+        " ".join([line.split()[0]]
+                 + [repr(float(v) * 1e150) for v in line.split()[1:]])
+        for line in lines[1:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["sweep", "--data", str(data), "--schema", str(schema),
+            "--embeddings", str(huge), "--variant", "cocl", "--seeds", "0",
+            "--epochs", "2", "--out", str(out)]
+    assert main([*argv, "--lambdas", "0", "1e-300"]) == 0
+    (out / "sweep.csv").unlink()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([*argv, "--lambdas", "0", "1e200"])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_non_finite_continuous_cell_exit_1(tiny_tabular, tmp_path, capsys):
     data, schema, _ = tiny_tabular
     lines = data.read_text(encoding="utf-8").splitlines()
@@ -266,6 +332,69 @@ def test_sweep_row_counts_and_averages(tiny_tabular, tmp_path):
         for col in range(2, len(rows[0])):
             values = [float(r[col]) for r in matching if r[col] != ""]
             assert float(mean_row[col]) == float(np.mean(values))
+
+
+def _sweep_and_train_rows(argv, lambdas, seeds, tmp_path):
+    """sweep.csv's (lambda, seed) rows, and the same rows from one train
+    run per lambda (summary.csv without its variant column)."""
+    seed_args = ["--seeds", *map(str, seeds)]
+    assert main(["sweep", *argv, *seed_args, "--lambdas", *lambdas,
+                 "--out", str(tmp_path / "sweep")]) == 0
+    swept = [r for r in read_csv_rows(tmp_path / "sweep" / "sweep.csv")[1:]
+             if r[1] != "mean"]
+    trained = []
+    for i, lam in enumerate(lambdas):
+        out = tmp_path / f"train{i}"
+        assert main(["train", *argv, *seed_args, "--lambda", lam,
+                     "--out", str(out)]) == 0
+        trained += [r[1:] for r in read_csv_rows(out / "summary.csv")[1:]
+                    if r[2] != "mean"]
+    return swept, trained
+
+
+def test_sweep_rows_are_the_train_runs(tiny_tabular, tmp_path):
+    # each (lambda, seed) fit of a sweep, trained in lockstep with the
+    # other lambdas, is the fit of its own train run: dense rows, cocl
+    data, schema, embeddings = tiny_tabular
+    argv = ["--data", str(data), "--schema", str(schema),
+            "--embeddings", str(embeddings), "--variant", "cocl",
+            "--epochs", "3", "--lr", "0.05", "--batch-size", "16"]
+    swept, trained = _sweep_and_train_rows(argv, ["0.0", "0.5", "2.0"],
+                                           [0, 1], tmp_path)
+    assert len(swept) == 6 and swept == trained
+
+
+def test_text_sweep_rows_are_the_train_runs(tmp_path):
+    # the same for BinaryRows features and the cluster penalty
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    argv = ["--data", str(data), "--format", "text",
+            "--embeddings", str(embeddings),
+            "--names-demographics", str(first_white), str(first_male),
+            "--min-count", "1", "--top-fraction", "0", "--variant", "clucl",
+            "--k", "3", "--epochs", "3", "--lr", "0.05", "--batch-size", "16"]
+    swept, trained = _sweep_and_train_rows(argv, ["2.0", "0.0"], [0, 1],
+                                           tmp_path)
+    assert len(swept) == 4 and swept == trained
+
+
+def test_sweep_trains_once_per_seed(tiny_tabular, tmp_path, monkeypatch):
+    import nameblind.cli
+
+    calls = []
+    train = nameblind.cli.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(kwargs.get("lams"))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(nameblind.cli, "train", counting_train)
+    data, schema, embeddings = tiny_tabular
+    rc = main(["sweep", "--data", str(data), "--schema", str(schema),
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--lambdas", "0", "0.5", "1", "--seeds", "0", "1", "2",
+               "--epochs", "1", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert calls == [[0.0, 0.5, 1.0]] * 3
 
 
 def test_sweep_on_benchmark_gap_non_increasing(benchmark_files, tmp_path):

@@ -550,12 +550,22 @@ def test_binary_rows_products_match_dense():
                                        atol=1e-12 * scale)
         # rows without entries give exactly 0
         assert not (X @ M)[~mask[rows].any(axis=1)].any()
+        # a stack of arrays multiplies slice by slice, the same bytes
+        Ms, As = rng.normal(size=(2, 25, 4)), rng.normal(size=(2, 3, len(rows)))
+        stacked, rstacked = X @ Ms, As @ X
+        assert stacked.shape == (2, len(rows), 4)
+        assert rstacked.shape == (2, 3, 25)
+        for i in range(2):
+            assert stacked[i].tobytes() == (X @ Ms[i]).tobytes()
+            assert rstacked[i].tobytes() == (As[i] @ X).tobytes()
     with pytest.raises(ValueError, match="axis"):
         features.take([0], axis=1)
     with pytest.raises(ValueError):
         features @ np.ones((24, 2))
     with pytest.raises(ValueError):
         np.ones((2, 59)) @ features
+    with pytest.raises(ValueError):
+        features @ np.ones((1, 2, 25, 2))
 
 
 def test_ndarray_matmul_dispatches_to_binary_rows(monkeypatch):

@@ -207,6 +207,52 @@ def test_composite_gradient_on_binary_rows_matches_finite_differences(variant):
     check_composite_gradient(variant, binary_rows)
 
 
+@pytest.mark.parametrize("store", ["dense", "binary"])
+def test_stacked_loss_and_gradient_is_each_models_own_call(store):
+    # L models on one batch: each model's loss, gradients and
+    # probabilities are the bytes of its own 2-d call, and its logits the
+    # bytes of its own 2-d product; a penalty at lam 0 is never called
+    rng = np.random.default_rng(21)
+    L, n, M, C = 3, 40, 6, 4
+    W, b = rng.normal(size=(L, C, M)), rng.normal(size=(L, C))
+    mask = rng.random((n, M)) < 0.4
+    mask[5] = False  # a row without entries
+    X = (BinaryRows(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))),
+                    np.nonzero(mask)[1], M)
+         if store == "binary" else rng.normal(size=(n, M)))
+    labels = rng.integers(0, C, size=n)
+    weights = rng.uniform(0.5, 2.0, size=C)
+    vectors = rng.normal(size=(n, 5))
+    include = rng.random(n) < 0.75
+
+    def cocl(p_true):
+        return penalty(PenaltyInputs(p_true, labels, None, vectors, include),
+                       "cocl", 1, C)
+
+    def unused(p_true):
+        raise AssertionError("penalty called at lam 0")
+
+    penalties, lams = [cocl, unused, cocl], [0.5, 0.0, 2.0]
+    stack = ModelParams(W, b)
+    loss, grad_W, grad_b = loss_and_gradient(stack, X, labels, weights, 0.05,
+                                             penalties, lams)
+    probs = forward_batch(stack, X)
+    assert loss.shape == (L,) and grad_W.shape == (L, C, M)
+    assert grad_b.shape == (L, C) and probs.shape == (L, n, C)
+    for i in range(L):
+        one = ModelParams(W[i], b[i])
+        got = loss_and_gradient(one, X, labels, weights, 0.05, penalties[i],
+                                lams[i])
+        assert loss[i] == got[0]
+        assert grad_W[i].tobytes() == got[1].tobytes()
+        assert grad_b[i].tobytes() == got[2].tobytes()
+        assert probs[i].tobytes() == forward_batch(one, X).tobytes()
+        assert probs[i].tobytes() == softmax(X @ W[i].T + b[i]).tobytes()
+    with pytest.raises(ValueError, match="one penalty and one lam"):
+        loss_and_gradient(stack, X, labels, weights, 0.0, penalties[:2],
+                          lams[:2])
+
+
 def test_symmetric_batch_gives_antisymmetric_bias_gradient():
     params = ModelParams(W=np.zeros((2, 3)), b=np.zeros(2))
     x = np.array([0.4, -1.2, 0.7])
@@ -233,6 +279,24 @@ def test_save_load_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.b, params.b)
     assert got_features == features
     assert got_classes == classes
+
+
+def test_save_model_writes_numpy_scalar_formatting(tmp_path):
+    # each value is written as the float64 scalar formats it at 17
+    # significant digits; save_model formats Python floats
+    values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
+              0.1, 1 / 3, -1.7976931348623157e308, 123456789.0]
+    params = ModelParams(W=np.array([values[:5], values[4:]]),
+                         b=np.array([values[2], values[7]]))
+    path = tmp_path / "model.txt"
+    save_model(params, [f"f{i}" for i in range(5)], ["lo", "hi"], path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    want = ["W " + " ".join(f"{v:.17g}" for v in row) for row in params.W]
+    want.append("b " + " ".join(f"{v:.17g}" for v in params.b))
+    assert lines[-3:] == want
+    with pytest.raises(ValueError, match="stack"):
+        save_model(ModelParams(params.W[None], params.b[None]),
+                   [f"f{i}" for i in range(5)], ["lo", "hi"], path)
 
 
 def test_load_model_rejects_garbage(tmp_path):

@@ -1,10 +1,11 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nameblind import losses
+from nameblind import losses, training
 from nameblind.data import BinaryRows, Dataset, load_text
 from nameblind.embeddings import EmbeddingTable, NameTable, batch_name_vectors
 from nameblind.losses import CluclTable, CoclTable
@@ -17,6 +18,7 @@ from nameblind.model import (
     predict_batch,
 )
 from nameblind.training import (
+    ADAM_BLOCK,
     AdamState,
     NumericalError,
     PenaltyContext,
@@ -65,19 +67,21 @@ def test_adam_repeated_steps_move_against_gradient():
         previous = params.W[0, 0]
 
 
-def test_adam_step_matches_textbook_form_bitwise():
-    # the in-place step against the bias-corrected update written out, over
-    # steps whose gradients change sign and scale
+def check_adam_textbook_form(shape):
+    """adam_step on a W of this shape (a stack with a leading model axis)
+    against the bias-corrected update written out, over steps whose
+    gradients change sign and scale, bit for bit."""
     rng = np.random.default_rng(11)
     config = scalar_config(learning_rate=0.03)
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    params = ModelParams(W=rng.normal(size=(3, 5)), b=rng.normal(size=3))
+    params = ModelParams(W=rng.normal(size=shape), b=rng.normal(size=shape[:-1]))
     W, b = params.W.copy(), params.b.copy()
-    m_W, v_W, m_b, v_b = np.zeros((3, 5)), np.zeros((3, 5)), np.zeros(3), np.zeros(3)
-    state = AdamState.zeros(3, 5)
+    m_W, v_W = np.zeros(shape), np.zeros(shape)
+    m_b, v_b = np.zeros(shape[:-1]), np.zeros(shape[:-1])
+    state = AdamState.zeros(*shape)
     for t in range(1, 8):
-        grad_W = rng.normal(size=(3, 5)) * 10.0 ** rng.integers(-6, 3)
-        grad_b = rng.normal(size=3)
+        grad_W = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+        grad_b = rng.normal(size=shape[:-1])
         adam_step(params, grad_W, grad_b, state, config)
         m_W = b1 * m_W + (1 - b1) * grad_W
         v_W = b2 * v_W + (1 - b2) * grad_W**2
@@ -92,6 +96,19 @@ def test_adam_step_matches_textbook_form_bitwise():
         assert params.b.tobytes() == b.tobytes()
         assert state.m_W.tobytes() == m_W.tobytes()
         assert state.v_W.tobytes() == v_W.tobytes()
+
+
+def test_adam_step_matches_textbook_form_bitwise():
+    check_adam_textbook_form((3, 5))
+
+
+@pytest.mark.parametrize("block", [1, 7, 15, ADAM_BLOCK])
+def test_adam_step_on_a_stack_in_blocks_matches_textbook_form(block,
+                                                              monkeypatch):
+    # blocks of one class row, of one model (15 entries) or of the whole
+    # stack give the same bytes
+    monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    check_adam_textbook_form((4, 3, 5))
 
 
 def test_adam_rejects_non_finite_gradients():
@@ -110,6 +127,28 @@ def test_train_config_validation():
         TrainConfig(adam_beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", np.nan), ("lam", np.inf), ("learning_rate", np.nan),
+    ("learning_rate", np.inf), ("l2_coeff", np.nan), ("adam_eps", np.nan),
+])
+def test_train_config_rejects_non_finite_values(field, value):
+    # nan passes every comparison check (nan < 0 is False)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_objective_rejects_bad_penalty_strength(lam):
+    params = ModelParams(W=np.zeros((2, 2)), b=np.zeros(2))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        loss_and_gradient(params, np.ones((3, 2)), np.array([0, 1, 0]),
+                          np.ones(2), lam=lam)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        losses.total_loss(1.0, 0.5, lam)
+    with pytest.raises(ValueError, match="lam must be"):
+        train(separable_dataset(), None, TrainConfig(epochs=1), lams=[0.0, lam])
 
 
 def test_split_sizes_disjoint_deterministic():
@@ -417,6 +456,68 @@ def test_train_on_binary_rows_matches_dense(variant, tmp_path):
     assert again.params.W.tobytes() == a.params.W.tobytes()
     assert again.params.b.tobytes() == a.params.b.tobytes()
     assert again.history == a.history
+
+
+def grid_dataset(store, tmp_path):
+    """A dense or a BinaryRows dataset, with a name table covering part of
+    its first names."""
+    if store == "dense":
+        dataset = separable_dataset(n=300)
+        return dataset, toy_table(dataset.first_names[::3])
+    path = tmp_path / "bios.tsv"
+    write_text_corpus(path, n_docs=700, n_words=120, seed=1)
+    dataset = load_text(path, min_count=1, top_fraction=0.0)
+    assert isinstance(dataset.features, BinaryRows)
+    return dataset, toy_table([f"first{i}" for i in range(0, 40, 2)], dim=6)
+
+
+@pytest.mark.parametrize("variant", ["cocl", "clucl"])
+@pytest.mark.parametrize("store", ["dense", "binary"])
+def test_grid_fits_are_the_solo_fits(store, variant, tmp_path):
+    # one train call over a lambda grid trains the models in lockstep over
+    # one shuffle; each is bit for bit the train run at its own lambda,
+    # lambda 0 (no penalty at all) included
+    dataset, table = grid_dataset(store, tmp_path)
+    config = TrainConfig(variant=variant, k=3, epochs=3, seed=5,
+                         batch_size=64, learning_rate=0.05, l2_coeff=0.001)
+    lams = [0.5, 0.0, 2.0]
+    grid = train(dataset, table, config, lams=lams)
+    assert len(grid.fits) == len(lams)
+    for lam, fit in zip(lams, grid.fits):
+        solo = train(dataset, table, replace(config, lam=lam))
+        assert fit.params.W.tobytes() == solo.params.W.tobytes()
+        assert fit.params.b.tobytes() == solo.params.b.tobytes()
+        assert fit.history == solo.history
+        assert fit.split is grid.split
+        assert all(np.array_equal(a, b) for a, b in zip(fit.split, solo.split))
+        assert fit.cluster_model is grid.fits[0].cluster_model
+    assert grid.fits[1].history[-1].penalty == 0.0
+    assert (grid.fits[0].cluster_model is None) == (variant == "cocl")
+
+
+def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
+    # the models share each batch's table (and the epoch table); a model
+    # at lambda 0 never reads it
+    built, calls = [], []
+    real = losses.CoclTable
+
+    class Counting(real):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(len(self.labels))
+
+        def penalty(self, p):
+            calls.append(len(p))
+            return super().penalty(p)
+
+    monkeypatch.setattr(losses, "CoclTable", Counting)
+    dataset = separable_dataset(n=300)
+    config = TrainConfig(variant="cocl", epochs=2, seed=5, batch_size=64)
+    train(dataset, toy_table(dataset.first_names[::3]), config,
+          lams=[0.0, 1.0, 2.0])
+    batches = 2 * 4  # 240 training records in batches of 64, two epochs
+    assert built == [240] + [64, 64, 64, 48] * 2
+    assert len(calls) == 2 * batches
 
 
 def test_forward_rows_matches_forward_batch():
