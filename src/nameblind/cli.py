@@ -19,7 +19,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,12 @@ from .data import (
     partition_names,
     white_probabilities,
 )
-from .embeddings import collect_name_tokens, load_embeddings
+from .embeddings import (
+    NameTable,
+    batch_name_vectors,
+    collect_name_tokens,
+    load_embeddings,
+)
 from .metrics import (
     GroupAttribute,
     GroupLabels,
@@ -51,7 +56,6 @@ from .metrics import (
 from .model import load_model, save_model
 from .training import (
     NumericalError,
-    PenaltyContext,
     TrainConfig,
     forward_rows,
     train,
@@ -199,7 +203,9 @@ class _Pipeline:
 
     Inputs are checked in a fixed order: every input file must exist
     (exit 2) before the data file is parsed, and the data file is parsed
-    (a malformed record is exit 1) before the embedding file is read.
+    (a malformed record is exit 1) before the embedding file is read. The
+    embedding file is read only when need_embeddings; table is None
+    otherwise.
     """
 
     def __init__(self, spec: ExperimentSpec, need_embeddings: bool):
@@ -213,9 +219,8 @@ class _Pipeline:
         self.partition = (
             partition_names(self.demographics) if self.demographics else None
         )
-        embeddings_path = None
         if need_embeddings or spec.embeddings:
-            embeddings_path = _require_file(spec.embeddings, "embeddings file")
+            _require_file(spec.embeddings, "embeddings file")
         if spec.format == "tabular":
             self.records = parse_tabular(spec.data, self.schema)
         else:
@@ -223,19 +228,19 @@ class _Pipeline:
         # synthetic first names are drawn per seed; other names are fixed
         self._names_per_seed = spec.format == "tabular" and self.partition is not None
         self.table = None
-        if embeddings_path is not None:
+        if need_embeddings:
             tokens = collect_name_tokens(set(self.records.first_names),
                                          set(self.records.last_names))
             if self.partition is not None:
                 tokens |= self.partition.all_names()
-            self.table = load_embeddings(embeddings_path, allowlist=tokens)
+            self.table = load_embeddings(spec.embeddings, allowlist=tokens)
         self.p_white = None
         if spec.format == "text" and self.demographics is not None:
             self.p_white = white_probabilities(
                 self.records.first_names, self.records.last_names,
                 self.demographics,
             )
-        self._context = None
+        self._names = None
 
     def dataset_for_seed(self, seed: int):
         """Seeded split, preprocessing, and name/group assignment."""
@@ -261,20 +266,17 @@ class _Pipeline:
                 )
         return dataset, split
 
-    def penalty_context(self, dataset) -> PenaltyContext:
-        """Penalty context of dataset (from dataset_for_seed). The name
-        table is built once per command and kept, or once per seed and not
-        kept when the first names are drawn per seed; its k-means cache is
-        keyed by seed."""
-        if self._names_per_seed:
-            return PenaltyContext.build(
-                self.table, dataset.first_names, dataset.last_names
-            )
-        if self._context is None:
-            self._context = PenaltyContext.build(
-                self.table, dataset.first_names, dataset.last_names
-            )
-        return self._context
+    def names(self, dataset) -> NameTable:
+        """The name table of dataset's records (dataset from
+        dataset_for_seed): built once per command and kept, or once per
+        seed and not kept when the first names are drawn per seed."""
+        names = self._names
+        if names is None:
+            names = batch_name_vectors(self.table, dataset.first_names,
+                                       dataset.last_names)
+            if not self._names_per_seed:
+                self._names = names
+        return names
 
 
 def _write_manifest(spec: ExperimentSpec, command: str, out: Path) -> None:
@@ -312,49 +314,72 @@ def _mean_or_none(values):
 
 
 def cmd_train(spec: ExperimentSpec) -> int:
-    out = _out_dir(spec)
-    penalty_on = spec.variant != "none" and spec.lam > 0
-    pipeline = _Pipeline(spec, need_embeddings=penalty_on)
-    header = None
-    rows = []
-    for seed in spec.seeds:
-        report = _train_seed(pipeline, seed, out, penalty_on)
-        if header is None:
-            header = summary_header(report)
-        rows.append((seed, summary_values(report)))
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "lambda", "seed"] + header)
-        for seed, values in rows:
-            writer.writerow(
-                [spec.variant, repr(spec.lam), seed]
-                + [_csv_cell(v) for v in values]
-            )
-        means = [_mean_or_none(col) for col in zip(*(v for _, v in rows))]
-        writer.writerow(
-            [spec.variant, repr(spec.lam), "mean"] + [_csv_cell(v) for v in means]
-        )
+    out, pipeline = _fit_setup(spec, [spec.lam])
+    reports = [_fit_seed(pipeline, seed, [spec.lam], out) for seed in spec.seeds]
+    _write_summary(out / "summary.csv", {"variant": spec.variant}, spec.seeds,
+                   [spec.lam], reports)
     _write_manifest(spec, "train", out)
     for name in sorted(p.name for p in out.iterdir()):
         print(f"wrote {out / name}")
     return 0
 
 
-def _train_seed(pipeline: _Pipeline, seed: int, out: Path, penalty_on: bool):
-    """One seed of cmd_train: fit, write the model, history and bias report
-    files, and return the report. The seed's dataset, context and fit are
-    freed on return, before the next seed's are built."""
+def _fit_setup(spec: ExperimentSpec, lams) -> tuple[Path, _Pipeline]:
+    """The output directory and pipeline of a command that fits lams.
+
+    Every fit's hyperparameters are checked (TrainConfig's own checks)
+    before --out is made or any input is read; the embedding file is read
+    only when a penalty is on.
+    """
+    config = _train_config(spec, spec.seeds[0])
+    for lam in lams:
+        replace(config, lam=lam)
+    out = _out_dir(spec)
+    penalty_on = spec.variant != "none" and max(lams) > 0
+    return out, _Pipeline(spec, need_embeddings=penalty_on)
+
+
+def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
+    """One seed's fits: the bias report of each lambda's fit, in lams
+    order, from one train call that fits the lambdas in lockstep (each
+    fit the bytes of its own train run). With out (cmd_train, one lambda)
+    the fit's model, history and bias report files are written there too.
+    The seed's dataset, name table and fits are freed on return, before
+    the next seed's are built."""
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
-    context = pipeline.penalty_context(dataset) if penalty_on else None
-    result = train(dataset, pipeline.table, _train_config(spec, seed),
-                   split=split, context=context)
-    save_model(result.params, dataset.feature_names, dataset.class_names,
-               out / f"model_seed{seed}.txt")
-    write_history_csv(result.history, out / f"history_seed{seed}.csv")
-    report = _bias_report(result.params, dataset, split[2])
-    write_bias_report_csv(report, out / f"bias_report_seed{seed}.csv")
-    return report
+    _eval_groups(dataset)  # before any fit
+    names = None if pipeline.table is None else pipeline.names(dataset)
+    grid = train(dataset, pipeline.table, _train_config(spec, seed),
+                 split=split, names=names, lams=lams)
+    reports = [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
+    if out is not None:
+        (fit,), (report,) = grid.fits, reports
+        save_model(fit.params, dataset.feature_names, dataset.class_names,
+                   out / f"model_seed{seed}.txt")
+        write_history_csv(fit.history, out / f"history_seed{seed}.csv")
+        write_bias_report_csv(report, out / f"bias_report_seed{seed}.csv")
+    return reports
+
+
+def _write_summary(path: Path, lead: dict, seeds, lams, reports) -> None:
+    """The summary of reports[i][j], the bias report of lams[j] at
+    seeds[i]: a row per lambda and seed, lambda by lambda, then each
+    lambda's mean row (the mean of its seeds' defined values). Each row
+    starts with lead's values, under lead's keys."""
+    values = [[summary_values(report) for report in row] for row in reports]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*lead, "lambda", "seed"]
+                        + summary_header(reports[0][0]))
+        for j, lam in enumerate(lams):
+            for seed, row in zip(seeds, values):
+                writer.writerow([*lead.values(), repr(lam), seed]
+                                + [_csv_cell(v) for v in row[j]])
+        for j, lam in enumerate(lams):
+            means = [_mean_or_none(col) for col in zip(*(row[j] for row in values))]
+            writer.writerow([*lead.values(), repr(lam), "mean"]
+                            + [_csv_cell(v) for v in means])
 
 
 def _eval_groups(dataset) -> GroupLabels:
@@ -410,43 +435,12 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
         raise UsageError("sweep needs at least two --lambdas values")
     if len(set(spec.lambdas)) < len(spec.lambdas):
         raise UsageError("--lambdas values must be distinct")
-    out = _out_dir(spec)
-    pipeline = _Pipeline(spec, need_embeddings=spec.variant != "none")
-    header = None
-    results: dict[float, list[list]] = {lam: [] for lam in spec.lambdas}
-    for seed in spec.seeds:
-        for lam, report in zip(spec.lambdas, _sweep_seed(pipeline, seed)):
-            if header is None:
-                header = summary_header(report)
-            results[lam].append(summary_values(report))
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "seed"] + header)
-        for lam in spec.lambdas:
-            for seed, values in zip(spec.seeds, results[lam]):
-                writer.writerow([repr(lam), seed] + [_csv_cell(v) for v in values])
-        for lam in spec.lambdas:
-            means = [_mean_or_none(col) for col in zip(*results[lam])]
-            writer.writerow([repr(lam), "mean"] + [_csv_cell(v) for v in means])
+    out, pipeline = _fit_setup(spec, spec.lambdas)
+    reports = [_fit_seed(pipeline, seed, spec.lambdas) for seed in spec.seeds]
+    _write_summary(out / "sweep.csv", {}, spec.seeds, spec.lambdas, reports)
     _write_manifest(spec, "sweep", out)
     print(f"wrote {out / 'sweep.csv'}")
     return 0
-
-
-def _sweep_seed(pipeline: _Pipeline, seed: int):
-    """One seed of cmd_sweep: the bias report of each lambda's fit, in
-    spec.lambdas order, from one train call that fits the lambdas in
-    lockstep (each fit the bytes of its own train run). The seed's
-    dataset and context are freed on return, before the next seed's are
-    built."""
-    spec = pipeline.spec
-    dataset, split = pipeline.dataset_for_seed(seed)
-    _eval_groups(dataset)  # before any fit
-    context = (pipeline.penalty_context(dataset)
-               if spec.variant != "none" and max(spec.lambdas) > 0 else None)
-    grid = train(dataset, pipeline.table, _train_config(spec, seed),
-                 split=split, context=context, lams=spec.lambdas)
-    return [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
 
 
 def cmd_cluster_report(spec: ExperimentSpec) -> int:
@@ -455,9 +449,13 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
     seed = spec.seeds[0]
     dataset, _ = pipeline.dataset_for_seed(seed)
     groups = _eval_groups(dataset)
-    names = pipeline.penalty_context(dataset).names
+    names = pipeline.names(dataset)
     include = names.include
     covered_idx = np.flatnonzero(include)
+    if not len(covered_idx):
+        raise UsageError(f"cluster-report needs embedded names, but 0 of "
+                         f"{len(dataset)} records have a name in the "
+                         "embedding table")
     model = kmeans(names.take(covered_idx), spec.k, seed=seed)
     write_cluster_model(model, out / "clusters.txt")
     write_assignments(covered_idx, model.assignments, out / "cluster_assignments.txt")

@@ -215,49 +215,18 @@ def _adam_update(param, grad, m, v, work, t: int, config: TrainConfig) -> None:
         np.subtract(p, step, out=p)
 
 
-@dataclass
-class PenaltyContext:
-    """The name data a penalty reads, shared by the fits of one dataset.
-
-    names is the embeddings.NameTable of every record of the dataset (one
-    vector row per distinct found name, each record's first- and
-    last-name row, and include); train reads it at its training rows, the
-    covariance penalty through losses.CoclTable. clusters caches the
-    k-means model of the included training names per (k, seed, training
-    rows), filled by the first cluster-penalty fit that needs it, so a
-    sweep clusters once per seed.
-    """
-
-    names: NameTable
-    clusters: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, embeddings: EmbeddingTable, first_names,
-              last_names) -> "PenaltyContext":
-        """Context of the records with these names (batch_name_vectors)."""
-        return cls(batch_name_vectors(embeddings, first_names, last_names))
-
-    def cluster_model(self, k: int, seed: int, train_idx) -> ClusterModel:
-        """k-means of the included training records' name vectors."""
-        key = (k, seed, np.asarray(train_idx).tobytes())
-        if key not in self.clusters:
-            rows = train_idx[self.names.include[train_idx]]
-            self.clusters[key] = kmeans(self.names.take(rows), k, seed=seed)
-        return self.clusters[key]
-
-
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
-          split=None, context: PenaltyContext | None = None, lams=None):
+          split=None, names: NameTable | None = None, lams=None):
     """Train the classifier with the configured penalty.
 
-    Pipeline: the name table comes from context, or is built once here
-    when none is given (records whose names have no embedding coverage are
-    excluded from penalty statistics); the cluster penalty clusters the
-    training-split name vectors once per context and freezes the
-    assignments; each penalty is a table over fixed records
-    (losses.CluclTable over the cluster ids, losses.CoclTable over the
-    name-table rows of the records' names, never gathering a per-record
-    vector), built per batch for its gradient and once per call for the
+    Pipeline: names is the embeddings.NameTable of every record of the
+    dataset, built here from embeddings when none is given (records whose
+    names have no embedding coverage are excluded from penalty
+    statistics); the cluster penalty clusters the included training
+    records' name vectors once per call and freezes the assignments; each
+    penalty is a table over fixed records (losses.CluclTable over the
+    cluster ids, losses.CoclTable over the name-table rows of the records'
+    names, never gathering a per-record vector), built per batch for its gradient and once per call for the
     per-epoch value; class weights come from the training labels; each
     epoch shuffles with the seeded RNG and applies Adam per batch. Each
     batch gathers its rows with dataset.features.take, which keeps a
@@ -292,14 +261,14 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
     cluster_model = table = epoch_penalty = None
     if config.variant != "none" and max(lams) > 0:
-        if context is None:
+        if names is None:
             if embeddings is None:
                 raise ValueError("the selected penalty needs an embedding table")
-            context = PenaltyContext.build(embeddings, dataset.first_names,
-                                           dataset.last_names)
-        names = context.names
+            names = batch_name_vectors(embeddings, dataset.first_names,
+                                       dataset.last_names)
         if len(names) != n:
-            raise ValueError("the penalty context must cover every record")
+            raise ValueError(f"names has {len(names)} rows for a dataset of "
+                             f"{n} records")
         include = names.include[train_idx]
         if not include.any():
             raise ValueError(
@@ -308,8 +277,8 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
                 "embedding table"
             )
         if config.variant == "clucl":  # reads only the cluster ids
-            cluster_model = context.cluster_model(config.k, config.seed,
-                                                  train_idx)
+            cluster_model = kmeans(names.take(train_idx[include]), config.k,
+                                   seed=config.seed)
             cluster_ids = np.zeros(len(train_idx), dtype=np.int64)
             cluster_ids[include] = cluster_model.assignments
 

@@ -181,6 +181,41 @@ def test_zero_name_coverage_exit_1(tiny_tabular, tmp_path, capsys):
     assert "cocl penalty" in err and "0 of 96 training records" in err
 
 
+def test_cluster_report_zero_name_coverage_exit_1(tiny_tabular, tmp_path,
+                                                  capsys):
+    data, schema, _ = tiny_tabular
+    vectors = tmp_path / "unrelated.txt"
+    vectors.write_text("2 2\nalpha 1.0 0.0\nbeta 0.0 1.0\n", encoding="utf-8")
+    rc = main(["cluster-report", "--data", str(data), "--schema", str(schema),
+               "--embeddings", str(vectors), "--k", "2", "--seeds", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "0 of 120 records have a name in the embedding table" in err
+
+
+def test_train_without_group_labels_exit_1_before_any_fit(
+        tiny_tabular, tmp_path, capsys, monkeypatch):
+    import nameblind.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train called")
+
+    monkeypatch.setattr(nameblind.cli, "train", no_fit)
+    data, schema, _ = tiny_tabular
+    schema.write_text(schema.read_text(encoding="utf-8")
+                      .replace(" group=F", "").replace(" group=W", ""),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(data), "--schema", str(schema),
+               "--variant", "none", "--seeds", "0", "1", "--epochs", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "no evaluation group labels" in capsys.readouterr().err
+    assert not list(out.glob("model_seed*.txt"))
+
+
 def test_numerical_failure_exit_3(tiny_tabular, tmp_path, capsys):
     data, schema, _ = tiny_tabular
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,6 +289,38 @@ def test_non_finite_hyperparameter_exit_1(command, option, values,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("train", "--epochs", "0", "epochs must be positive"),
+    ("train", "--batch-size", "0", "batch_size and epochs must be positive"),
+    ("sweep", "--lr", "-1", "learning_rate must be positive"),
+    ("train", "--k", "0", "k must be positive"),
+    ("sweep", "--l2", "-1", "l2_coeff must be nonnegative"),
+])
+def test_out_of_range_hyperparameter_exit_1(command, option, value, message,
+                                            tiny_tabular, tmp_path, capsys,
+                                            monkeypatch, count_opens):
+    # TrainConfig's checks run before --out is made or any input is read
+    import nameblind.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train called")
+
+    monkeypatch.setattr(nameblind.cli, "train", no_fit)
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    grid = ["--lambdas", "0", "1"] if command == "sweep" else ["--lambda", "1"]
+    rc = main([command, "--data", str(data), "--schema", str(schema),
+               "--embeddings", str(embeddings), "--variant", "clucl",
+               "--seeds", "0", "--epochs", "1", *grid, option, value,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+    assert count_opens[data.resolve()] == 0
+    assert count_opens[embeddings.resolve()] == 0
 
 
 def test_non_finite_config_value_exit_1(tiny_tabular, tmp_path, capsys):
@@ -805,6 +872,21 @@ def test_text_sweep_reads_data_and_embeddings_once(tmp_path, count_opens):
     assert count_opens[embeddings.resolve()] == 1
 
 
+def test_evaluate_never_opens_the_embeddings_file(tiny_tabular, tmp_path,
+                                                  capsys, count_opens):
+    # a named file is still checked: a missing one is exit 2
+    data, schema, embeddings = tiny_tabular
+    inputs = ["--data", str(data), "--schema", str(schema), "--seeds", "0"]
+    assert main(["train", *inputs, "--variant", "none", "--epochs", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    evaluate = ["evaluate", *inputs, "--out", str(tmp_path / "eval"),
+                "--model", str(tmp_path / "out" / "model_seed0.txt")]
+    assert main([*evaluate, "--embeddings", str(embeddings)]) == 0
+    assert count_opens[embeddings.resolve()] == 0
+    assert main([*evaluate, "--embeddings", str(tmp_path / "nope.txt")]) == 2
+    assert "nope.txt" in capsys.readouterr().err
+
+
 def test_clucl_sweep_clusters_once_per_seed(tmp_path, monkeypatch):
     import nameblind.training
 
@@ -834,6 +916,7 @@ def test_clucl_sweep_clusters_once_per_seed(tmp_path, monkeypatch):
 @pytest.fixture()
 def count_name_vectors(monkeypatch):
     """The number of batch_name_vectors calls during the test."""
+    import nameblind.cli
     import nameblind.embeddings
     import nameblind.training
 
@@ -844,7 +927,7 @@ def count_name_vectors(monkeypatch):
         calls.append(1)
         return batch_name_vectors(*args, **kwargs)
 
-    for module in (nameblind.embeddings, nameblind.training):
+    for module in (nameblind.cli, nameblind.embeddings, nameblind.training):
         monkeypatch.setattr(module, "batch_name_vectors", counting)
     return calls
 
@@ -961,14 +1044,13 @@ def test_non_finite_embedding_component_exit_1(variant, tiny_tabular, tmp_path,
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
                                                   tmp_path, monkeypatch):
-    # seed 0's dataset and penalty context must be gone (by reference
-    # count, no gc pass) when dataset_for_seed builds seed 1's
+    # seed 0's dataset and name table must be gone (by reference count,
+    # no gc pass) when dataset_for_seed builds seed 1's
     import nameblind.cli
-    import nameblind.training
 
     pipeline = nameblind.cli._Pipeline
     dataset_for_seed = pipeline.dataset_for_seed
-    build = nameblind.training.PenaltyContext.build.__func__
+    batch_name_vectors = nameblind.cli.batch_name_vectors
     held, seen = [], []
 
     def tracked_dataset(self, seed):
@@ -977,14 +1059,13 @@ def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
         held.append(weakref.ref(dataset))
         return dataset, split
 
-    def tracked_context(cls, *args):
-        context = build(cls, *args)
-        held.append(weakref.ref(context))
-        return context
+    def tracked_names(*args):
+        names = batch_name_vectors(*args)
+        held.append(weakref.ref(names))
+        return names
 
     monkeypatch.setattr(pipeline, "dataset_for_seed", tracked_dataset)
-    monkeypatch.setattr(nameblind.training.PenaltyContext, "build",
-                        classmethod(tracked_context))
+    monkeypatch.setattr(nameblind.cli, "batch_name_vectors", tracked_names)
     tables = [tmp_path / "white.tsv", tmp_path / "male.tsv"]
     for column, path in enumerate(tables):
         path.write_text("".join(
@@ -998,5 +1079,5 @@ def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
                *lambdas, "--seeds", "0", "1", "2", "--epochs", "1",
                "--out", str(tmp_path / "out")])
     assert rc == 0
-    assert len(held) == 6  # a dataset and a context per seed
+    assert len(held) == 6  # a dataset and a name table per seed
     assert seen == [[], [False, False], [False, False, False, False]]

@@ -21,7 +21,6 @@ from nameblind.training import (
     ADAM_BLOCK,
     AdamState,
     NumericalError,
-    PenaltyContext,
     TrainConfig,
     adam_step,
     forward_rows,
@@ -570,20 +569,26 @@ def test_train_with_supplied_context_matches_own(variant):
     table = toy_table(dataset.first_names[::3])
     config = TrainConfig(variant=variant, lam=2.0, k=3, epochs=3, seed=5,
                          batch_size=32, learning_rate=0.05)
+    # the context a caller supplies is the records' name table
     own = train(dataset, table, config)
-    context = PenaltyContext.build(table, dataset.first_names,
-                                   dataset.last_names)
-    fits = [train(dataset, None, config, context=context) for _ in range(2)]
-    for shared in fits:
-        assert shared.params.W.tobytes() == own.params.W.tobytes()
-        assert shared.params.b.tobytes() == own.params.b.tobytes()
-        assert shared.history == own.history
-    # the second fit reuses the first one's k-means model
-    assert len(context.clusters) == (variant == "clucl")
-    assert fits[0].cluster_model is fits[1].cluster_model
+    names = batch_name_vectors(table, dataset.first_names, dataset.last_names)
+    shared = train(dataset, None, config, names=names)
+    assert shared.params.W.tobytes() == own.params.W.tobytes()
+    assert shared.params.b.tobytes() == own.params.b.tobytes()
+    assert shared.history == own.history
     if variant == "clucl":
-        assert (fits[0].cluster_model.centroids.tobytes()
+        assert (shared.cluster_model.centroids.tobytes()
                 == own.cluster_model.centroids.tobytes())
+
+
+def test_train_rejects_names_of_another_length():
+    dataset = separable_dataset(n=300)
+    table = toy_table(dataset.first_names[::3])
+    names = batch_name_vectors(table, dataset.first_names[:-1],
+                               dataset.last_names[:-1])
+    with pytest.raises(ValueError, match="299 rows for a dataset of 300"):
+        train(dataset, None, TrainConfig(variant="cocl", lam=1.0, epochs=1),
+              names=names)
 
 
 def test_cocl_train_never_gathers_name_vectors(monkeypatch):
@@ -616,7 +621,7 @@ def test_clucl_train_builds_no_penalty_inputs(monkeypatch):
     assert all(rec.penalty > 0 for rec in result.history)
 
 
-def test_penalty_context_memory_scales_with_distinct_names():
+def test_name_table_memory_scales_with_distinct_names():
     # 50k records drawn from 500 names, d=300: a per-record (n, d) matrix
     # alone would be 120 MB; the name table holds 500 rows plus two row
     # indices per record
@@ -628,9 +633,9 @@ def test_penalty_context_memory_scales_with_distinct_names():
     last = [pool[i] for i in rng.integers(0, 500, size=n)]
     tracemalloc.start()
     try:
-        context = PenaltyContext.build(table, first, last)
+        names = batch_name_vectors(table, first, last)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(context.names) == n and context.names.include.all()
+    assert len(names) == n and names.include.all()
     assert peak < n * dim * 8 / 20
