@@ -444,6 +444,8 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
 
 
 def cmd_cluster_report(spec: ExperimentSpec) -> int:
+    if spec.k < 1:  # kmeans's own check, before --out is made or any input read
+        raise ValueError("k must be positive")
     out = _out_dir(spec)
     pipeline = _Pipeline(spec, need_embeddings=True)
     seed = spec.seeds[0]

@@ -14,7 +14,6 @@ import collections
 import csv
 import itertools
 import logging
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +31,18 @@ PRONOUNS = frozenset(
      "mr", "mrs", "ms"]
 )
 
-_WORD_RE = re.compile(r"[a-z0-9']+")
+# byte -> itself for the token bytes [a-z0-9'], a space for every other
+# byte. A non-ASCII character encodes to bytes >= 0x80 in UTF-8, so it
+# separates tokens like any other character outside [a-z0-9'].
+_TOKEN_BYTES = bytes(
+    b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'" else 0x20
+    for b in range(256)
+)
 
-# documents deduplicated per sort when text is parsed
-# (TokenizedDocuments.from_token_lists), which bounds the sort's
-# temporaries to one block's tokens
+# documents per block when text is parsed (deduplicated per sort in
+# TokenizedDocuments.from_token_lists) and when a vocabulary is counted
+# (TokenizedDocuments.fit_vocabulary), which bounds either step's
+# temporaries to one block's entries
 DEDUPE_DOCS = 1024
 
 
@@ -423,18 +429,12 @@ def fit_tabular(records: TabularRecords, fit_indices=None) -> Dataset:
     rows = _fit_rows(n, fit_indices)
     if not len(rows):
         raise ValueError("fit_indices selected no rows")
-    feature_blocks: list[np.ndarray] = []
-    feature_names: list[str] = []
+    # each column's categories seen in the fit rows (None: continuous),
+    # so the matrix is laid out and allocated once before it is filled
+    seen_of: list[np.ndarray | None] = []
     for column in records.columns:
         if column.categories is None:
-            fit_values = column.values[rows]
-            lo, hi = fit_values.min(), fit_values.max()
-            if hi > lo:
-                scaled = (column.values - lo) / (hi - lo)
-            else:
-                scaled = np.zeros_like(column.values)  # constant column
-            feature_blocks.append(np.clip(scaled, 0.0, 1.0)[:, None])
-            feature_names.append(column.name)
+            seen_of.append(None)
             continue
         seen = np.zeros(len(column.categories), dtype=bool)
         seen[column.values[rows]] = True
@@ -443,16 +443,26 @@ def fit_tabular(records: TabularRecords, fit_indices=None) -> Dataset:
                 "column %r: value %r unseen in fit rows; mapped to "
                 "all-zero indicators", column.name, column.categories[j]
             )
+        seen_of.append(seen)
+    width = sum(1 if seen is None else int(seen.sum()) for seen in seen_of)
+    features = np.zeros((n, width))
+    feature_names: list[str] = []
+    for column, seen in zip(records.columns, seen_of):
+        start = len(feature_names)
+        if seen is None:
+            fit_values = column.values[rows]
+            lo, hi = fit_values.min(), fit_values.max()
+            if hi > lo:
+                scaled = (column.values - lo) / (hi - lo)
+                features[:, start] = np.clip(scaled, 0.0, 1.0)
+            # a constant column stays all zeros
+            feature_names.append(column.name)
+            continue
         feature_of = np.cumsum(seen) - 1
         hit = np.flatnonzero(seen[column.values])
-        block = np.zeros((n, int(seen.sum())))
-        block[hit, feature_of[column.values[hit]]] = 1.0
-        feature_blocks.append(block)
+        features[hit, start + feature_of[column.values[hit]]] = 1.0
         feature_names.extend(f"{column.name}={cat}"
                              for cat, s in zip(column.categories, seen) if s)
-    features = (
-        np.hstack(feature_blocks) if feature_blocks else np.zeros((n, 0))
-    )
     return Dataset(
         features=features,
         labels=records.labels,
@@ -592,8 +602,15 @@ def assign_synthetic_names(dataset: Dataset, partition: NamePartition,
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased word tokens (whitespace/punctuation split)."""
-    return _WORD_RE.findall(text.lower())
+    """The maximal runs of [a-z0-9'] in the lowercased text, in order.
+
+    One pass of C-level string methods: every byte of the text's UTF-8
+    encoding outside [a-z0-9'] becomes a space, then the text is split on
+    spaces. A lone surrogate encodes (surrogatepass) to bytes >= 0x80, so
+    it separates tokens instead of raising.
+    """
+    return (text.lower().encode("utf-8", "surrogatepass")
+            .translate(_TOKEN_BYTES).decode("ascii").split())
 
 
 @dataclass
@@ -682,17 +699,24 @@ class TokenizedDocuments:
         None for every document. Drops the top_fraction most common types
         (by document frequency, ties broken alphabetically so the cut is
         deterministic) and any type occurring fewer than min_count times
-        in total.
+        in total. The counts are summed over blocks of DEDUPE_DOCS rows,
+        so no temporary spans every row's entries; each sum is of
+        integers, exact in any order.
         """
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
         if not 0.0 <= top_fraction < 1.0:
             raise ValueError("top_fraction must lie in [0, 1)")
-        take = slice(None) if rows is None else _entries_of(self.indptr, rows)[0]
-        ids = self.ids[take]
-        doc_freq = np.bincount(ids, minlength=len(self.tokens))
-        occurrences = np.bincount(ids, weights=self.counts[take],
-                                  minlength=len(self.tokens))
+        if rows is None:
+            rows = np.arange(len(self))
+        doc_freq = np.zeros(len(self.tokens), np.int64)
+        occurrences = np.zeros(len(self.tokens))
+        for start in range(0, len(rows), DEDUPE_DOCS):
+            take = _entries_of(self.indptr, rows[start:start + DEDUPE_DOCS])[0]
+            ids = self.ids[take]
+            doc_freq += np.bincount(ids, minlength=len(self.tokens))
+            occurrences += np.bincount(ids, weights=self.counts[take],
+                                       minlength=len(self.tokens))
         types = np.flatnonzero(doc_freq)
         ranked = types[np.argsort(-doc_freq[types], kind="stable")]
         kept = ranked[int(top_fraction * len(types)):]
@@ -704,12 +728,22 @@ class TokenizedDocuments:
     def bag_of_words(self, vocabulary) -> BinaryRows:
         """Binary features, column j set where a document holds token id
         vocabulary[j]; ascending ids give each row's columns in order."""
-        column = np.full(len(self.tokens), -1, dtype=np.int64)
-        column[vocabulary] = np.arange(len(vocabulary))
+        column = np.full(len(self.tokens), -1, dtype=np.int32)
+        column[vocabulary] = np.arange(len(vocabulary), dtype=np.int32)
         columns = column[self.ids]
         kept = columns >= 0
-        indptr = np.concatenate(([0], np.cumsum(kept)))[self.indptr]
-        return BinaryRows(indptr, columns[kept], len(vocabulary))
+        # each document's kept entries; reduceat takes only documents with
+        # entries (see BinaryRows.__matmul__). It sums a full-length copy of
+        # kept in its dtype: int32 holds any count, as a document holds
+        # each int32 id at most once
+        per_doc = np.zeros(len(self), np.int64)
+        starts = self.indptr[:-1]
+        filled = starts < self.indptr[1:]
+        if filled.any():
+            per_doc[filled] = np.add.reduceat(kept, starts[filled],
+                                              dtype=np.int32)
+        return BinaryRows(np.concatenate(([0], np.cumsum(per_doc))),
+                          columns[kept], len(vocabulary))
 
 
 @dataclass

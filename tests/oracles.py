@@ -316,6 +316,12 @@ def load_embeddings_split(path, allowlist):
     return dimension, entries
 
 
+def regex_tokens(document):
+    """The word tokens of a document, by regular expression: the maximal
+    runs of [a-z0-9'] in the lowercased text."""
+    return re.findall(r"[a-z0-9']+", document.lower())
+
+
 def _scrub(document, first_name):
     remove = set(_PRONOUNS)
     if first_name is not None and _normalize(first_name):
@@ -339,7 +345,7 @@ def load_text_loop(path, min_count, top_fraction, scrub_names, fit_indices):
             documents.append(document)
     if scrub_names:
         documents = [_scrub(d, f) for d, f in zip(documents, first_names)]
-    token_lists = [re.findall(r"[a-z0-9']+", d.lower()) for d in documents]
+    token_lists = [regex_tokens(d) for d in documents]
     fit = (token_lists if fit_indices is None
            else [token_lists[i] for i in fit_indices])
     occurrences, doc_freq = Counter(), Counter()

@@ -195,6 +195,20 @@ def test_cluster_report_zero_name_coverage_exit_1(tiny_tabular, tmp_path,
     assert "0 of 120 records have a name in the embedding table" in err
 
 
+def test_cluster_report_bad_k_exit_1_before_any_input(tiny_tabular, tmp_path,
+                                                      capsys, count_opens):
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    rc = main(["cluster-report", "--data", str(data), "--schema", str(schema),
+               "--embeddings", str(embeddings), "--k", "0", "--seeds", "0",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: k must be positive\n"
+    assert count_opens[data.resolve()] == 0
+    assert count_opens[embeddings.resolve()] == 0
+    assert not out.exists()
+
+
 def test_train_without_group_labels_exit_1_before_any_fit(
         tiny_tabular, tmp_path, capsys, monkeypatch):
     import nameblind.cli

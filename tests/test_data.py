@@ -1,6 +1,7 @@
 import collections
 import inspect
 import logging
+import string
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from oracles import (
     load_tabular_loop,
     load_text_loop,
     race_labels_loop,
+    regex_tokens,
     synthetic_names_loop,
 )
 
@@ -467,6 +469,39 @@ def test_token_dedupe_memory_with_repeated_tokens():
     assert peak < 4 * kept
 
 
+def test_vocabulary_fit_and_bag_of_words_memory():
+    # 64 blocks of documents with about 10 distinct words each. Counting
+    # the vocabulary over every fit row's entries at once peaked at 4.8
+    # times the store's ids, and the bag of words with int64 temporaries
+    # over every entry at 6.3 times (output included)
+    n_docs, n_types = 64 * DEDUPE_DOCS, 2000
+    rng = np.random.default_rng(0)
+    keys = np.unique(np.repeat(np.arange(n_docs) * n_types, 10)
+                     + rng.integers(0, n_types, 10 * n_docs))
+    docs = TokenizedDocuments(
+        tokens=[f"w{i:04d}" for i in range(n_types)],
+        indptr=np.concatenate(([0], np.cumsum(
+            np.bincount(keys // n_types, minlength=n_docs)))),
+        ids=(keys % n_types).astype(np.int32),
+        counts=rng.integers(1, 4, len(keys)).astype(np.int32),
+    )
+    del keys
+    rows = rng.permutation(n_docs)[:n_docs * 3 // 5]
+    tracemalloc.start()
+    try:
+        vocabulary = docs.fit_vocabulary(rows, 1, 0.1)
+        fit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        features = docs.bag_of_words(vocabulary)
+        bag_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(vocabulary) < n_types and len(features) == n_docs
+    assert fit_peak < 0.5 * docs.ids.nbytes
+    assert bag_peak < 3.5 * docs.ids.nbytes
+
+
 def test_binary_rows_match_dense_oracle():
     token_lists, vocabulary = random_token_lists(seed=6)
     docs = TokenizedDocuments.from_token_lists(token_lists)
@@ -496,6 +531,28 @@ def test_binary_rows_match_dense_oracle():
         assert block.tobytes() == dense[rows].tobytes()
     assert np.asarray(features).tobytes() == dense.tobytes()
     assert np.asarray(features, dtype=np.float32).dtype == np.float32
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_bag_of_words_with_empty_documents_at_block_edges(block, monkeypatch):
+    monkeypatch.setattr("nameblind.data.DEDUPE_DOCS", block)
+    token_lists, vocabulary = random_token_lists(seed=6)
+    # empty documents and documents with no vocabulary word at both ends
+    # and on both sides of block edges
+    token_lists[0] = token_lists[-1] = token_lists[20] = []
+    token_lists[13] = token_lists[14] = ["w0", "w1", "w0"]
+    token_lists[21] = ["unknown"]
+    docs = TokenizedDocuments.from_token_lists(token_lists)
+    ids = [docs.tokens.index(t) for t in vocabulary if t in docs.tokens]
+    features = docs.bag_of_words(ids)
+    dense = dense_bag_of_words(token_lists, [docs.tokens[i] for i in ids])
+    assert features.indptr.dtype == np.int64
+    assert features.indices.dtype == np.int32
+    assert np.asarray(features).tobytes() == dense.tobytes()
+    # a vocabulary that only two documents hold: every other row is empty
+    sparse = docs.bag_of_words([docs.tokens.index("unknown")])
+    assert np.diff(sparse.indptr).tolist() == [int("unknown" in t)
+                                               for t in token_lists]
 
 
 def test_binary_rows_reject_bad_selections_and_indices():
@@ -666,6 +723,22 @@ def test_tokenize_splits_punctuation():
     assert tokenize("She's a nurse, truly.") == ["she's", "a", "nurse", "truly"]
 
 
+def test_tokenize_matches_regex_oracle():
+    # control characters and Unicode spaces (\x1c, \x85, NBSP), characters
+    # whose lowercase form is ASCII or two characters (Kelvin sign, İ),
+    # non-ASCII letters, an astral emoji and a lone surrogate
+    alphabet = list(string.ascii_letters + string.digits + "'\"-_ ")
+    alphabet += ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\x00",
+                 "\u2019", "\xdf", "\u0130", "\u212a", "\uff21",
+                 "\U0001f600", "\ud800"]
+    rng = np.random.default_rng(15)
+    for _ in range(50_000):
+        text = "".join([alphabet[i] for i in
+                        rng.integers(0, len(alphabet), rng.integers(0, 25))])
+        assert tokenize(text) == regex_tokens(text), repr(text)
+    assert tokenize("\u212aelvin \u0130stanbul") == ["kelvin", "i", "stanbul"]
+
+
 def test_name_probability_table_parse(tmp_path):
     path = tmp_path / "probs.tsv"
     path.write_text("Anna\t0.9\nBOB\t0.25\n", encoding="utf-8")
@@ -761,7 +834,8 @@ def test_fit_text_matches_load_text_oracle(tmp_path):
     path = tmp_path / "records.tsv"
     write_text_records(path, documents)
     splits = [None, list(range(0, 150, 2)), list(range(75)),
-              np.random.default_rng(1).permutation(150)[:100]]
+              np.random.default_rng(1).permutation(150)[:100],
+              np.random.default_rng(2).integers(0, 150, 200)]  # repeats
     for scrub_names in (False, True):
         records = parse_text(path, scrub_names=scrub_names)
         for fit_indices in splits:
@@ -774,6 +848,28 @@ def test_fit_text_matches_load_text_oracle(tmp_path):
                                  fit_indices)
                 assert_text_dataset_matches(same, want)
     assert load_text_loop(path, 1, 0.0, False, None)["rows"][4] == []
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_vocabulary_fit_over_blocks_matches_oracle(block, tmp_path,
+                                                   monkeypatch):
+    # the vocabulary is counted per block of fit rows: many blocks, and
+    # repeated rows that count again, within and across blocks
+    monkeypatch.setattr("nameblind.data.DEDUPE_DOCS", block)
+    rng = np.random.default_rng(10)
+    words = [f"w{i:02d}" for i in range(30)]
+    documents = [" ".join(rng.choice(words, size=rng.integers(0, 15)))
+                 for _ in range(60)]
+    path = tmp_path / "records.tsv"
+    write_text_records(path, documents)
+    records = parse_text(path)
+    for fit_indices in (None, rng.integers(0, 60, 90),
+                        [5, 5, 5, 6, 7, 5, 40, 40, *range(8, 30)]):
+        for min_count, top_fraction in ((1, 0.0), (4, 0.2)):
+            want = load_text_loop(path, min_count, top_fraction, False,
+                                  fit_indices)
+            assert_text_dataset_matches(
+                fit_text(records, min_count, top_fraction, fit_indices), want)
 
 
 def test_fit_text_tie_at_cut_and_exact_min_count(tmp_path):
@@ -859,3 +955,26 @@ def test_fit_tabular_matches_load_tabular_oracle(tmp_path, caplog):
     assert load_tabular_loop(path, TABULAR_ROLES, list(range(50)))["warnings"] == [
         ("color", ""), ("color", "teal")]
     assert "flat" in want["feature_names"]
+
+
+def test_fit_tabular_allocates_the_feature_matrix_once(tmp_path):
+    # one block per column joined by np.hstack held the matrix twice
+    rng = np.random.default_rng(5)
+    n, categorical = 5000, 10
+    header = ["x", "y", *(f"c{j}" for j in range(categorical)), "label"]
+    rows = [[f"{rng.random():.4f}", f"{rng.random():.4f}",
+             *(f"v{v}" for v in rng.integers(0, 10, categorical)),
+             "ab"[i % 2]] for i in range(n)]
+    path = write_csv(tmp_path, header, rows)
+    schema = TabularSchema.parse("x continuous\ny continuous\nlabel label\n"
+                                 + "".join(f"c{j} categorical\n"
+                                           for j in range(categorical)))
+    records = parse_tabular(path, schema)
+    tracemalloc.start()
+    try:
+        dataset = fit_tabular(records, np.arange(0, n, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.features.shape == (n, 2 + 10 * categorical)
+    assert peak < 1.5 * dataset.features.nbytes
