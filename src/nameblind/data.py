@@ -66,8 +66,9 @@ class BinaryRows:
     indices) returns the selected rows as a BinaryRows, and ``X @ M`` and
     ``A @ X`` multiply straight from the index lists, so training and
     prediction never build a dense block. ``rows[selection]`` returns the
-    selected rows as a dense float64 block; ``np.asarray(rows)`` gives the
-    whole dense matrix.
+    selected rows as a dense float64 block. ``np.asarray(rows)`` raises
+    TypeError rather than densify every row, which at the paper's Bios
+    shape would allocate 64 GB.
     """
 
     ndim = 2
@@ -120,8 +121,10 @@ class BinaryRows:
         return block
 
     def __array__(self, dtype=None, copy=None):
-        dense = self[:]
-        return dense if dtype is None else dense.astype(dtype, copy=False)
+        raise TypeError(
+            f"a dense copy of {self.shape[0]} x {self.shape[1]} binary rows "
+            f"would allocate {8 * self.shape[0] * self.shape[1]:,} bytes; "
+            "multiply with @ or take rows[selection]")
 
     def _entry_rows(self) -> np.ndarray:
         """The row of each entry of indices."""

@@ -230,6 +230,16 @@ def dense_bag_of_words(token_lists, vocabulary):
     return features
 
 
+def densify(rows):
+    """The dense float64 matrix of a CSR binary store (indptr, indices and
+    num_columns, as data.BinaryRows holds them): 1.0 at each row's listed
+    columns, filled row by row."""
+    dense = np.zeros((len(rows.indptr) - 1, rows.num_columns))
+    for i, (start, end) in enumerate(zip(rows.indptr[:-1], rows.indptr[1:])):
+        dense[i, rows.indices[start:end]] = 1.0
+    return dense
+
+
 # ------------------------------------------------------- ingest reference loops
 #
 # The record-at-a-time ingest code the package used before parsing moved

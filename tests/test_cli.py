@@ -1055,6 +1055,23 @@ def test_non_finite_embedding_component_exit_1(variant, tiny_tabular, tmp_path,
     assert "line 4: non-finite vector component" in err
 
 
+def test_invalid_utf8_in_the_embeddings_file_exit_1(tiny_tabular, tmp_path,
+                                                     capsys):
+    # the bad bytes are on a line whose token is not wanted
+    data, schema, embeddings = tiny_tabular
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(embeddings.read_bytes() + b"zz\xff 1 2 3 4\n")
+    rc = main([
+        "train", "--data", str(data), "--schema", str(schema),
+        "--embeddings", str(bad), "--variant", "cocl",
+        "--lambda", "1", "--seeds", "0", "--epochs", "1",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "can't decode byte 0xff" in err
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
                                                   tmp_path, monkeypatch):

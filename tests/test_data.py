@@ -32,6 +32,7 @@ from nameblind.metrics import GroupAttribute, GroupLabels
 
 from oracles import (
     dense_bag_of_words,
+    densify,
     load_tabular_loop,
     load_text_loop,
     race_labels_loop,
@@ -318,7 +319,7 @@ def vectorize(tmp_path, documents, min_count, top_fraction):
     path.write_text("".join(f"job\tn{i}\tl{i}\t{doc}\n"
                             for i, doc in enumerate(documents)), encoding="utf-8")
     dataset = fit_text(parse_text(path), min_count, top_fraction)
-    return np.asarray(dataset.features), dataset.feature_names
+    return densify(dataset.features), dataset.feature_names
 
 
 def test_vectorize_defaults_match_pruning_rule():
@@ -529,8 +530,10 @@ def test_binary_rows_match_dense_oracle():
         assert block.shape == dense[rows].shape
         # bitwise, so no -0.0 or other representation of the same values
         assert block.tobytes() == dense[rows].tobytes()
-    assert np.asarray(features).tobytes() == dense.tobytes()
-    assert np.asarray(features, dtype=np.float32).dtype == np.float32
+    assert densify(features).tobytes() == dense.tobytes()
+    n, v = dense.shape
+    with pytest.raises(TypeError, match=f"{n} x {v} .* {8 * n * v:,} bytes"):
+        np.asarray(features)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
@@ -548,11 +551,19 @@ def test_bag_of_words_with_empty_documents_at_block_edges(block, monkeypatch):
     dense = dense_bag_of_words(token_lists, [docs.tokens[i] for i in ids])
     assert features.indptr.dtype == np.int64
     assert features.indices.dtype == np.int32
-    assert np.asarray(features).tobytes() == dense.tobytes()
+    assert densify(features).tobytes() == dense.tobytes()
     # a vocabulary that only two documents hold: every other row is empty
     sparse = docs.bag_of_words([docs.tokens.index("unknown")])
     assert np.diff(sparse.indptr).tolist() == [int("unknown" in t)
                                                for t in token_lists]
+
+
+def test_binary_rows_refuse_a_dense_copy():
+    # the Bios shape: 400k documents over a 20k-word vocabulary
+    features = BinaryRows(np.zeros(400_001, dtype=np.int64), [], 20_000)
+    with pytest.raises(TypeError,
+                       match="400000 x 20000 .* 64,000,000,000 bytes"):
+        np.asarray(features)
 
 
 def test_binary_rows_reject_bad_selections_and_indices():
@@ -595,7 +606,7 @@ def test_binary_rows_products_match_dense():
         X = features.take(rows, axis=0)
         assert isinstance(X, BinaryRows)
         assert X.shape == (len(rows), 25)
-        assert np.asarray(X).tobytes() == dense[rows].tobytes()
+        assert densify(X).tobytes() == dense[rows].tobytes()
         M = rng.normal(size=(25, 4))
         A = rng.normal(size=(3, len(rows)))
         for got, want in ((X @ M, dense[rows] @ M),
@@ -654,7 +665,7 @@ def test_load_text_features_are_binary_rows(tmp_path):
     assert isinstance(dataset.features, BinaryRows)
     assert dataset.feature_names == vocab
     assert dataset.features.indptr[4] == dataset.features.indptr[3]
-    assert np.asarray(dataset.features).tobytes() == dense.tobytes()
+    assert densify(dataset.features).tobytes() == dense.tobytes()
 
 
 def test_load_text_malformed_line(tmp_path):

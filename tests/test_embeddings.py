@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from nameblind import embeddings
 from nameblind.embeddings import (
+    SCAN_BLOCK,
     Coverage,
     EmbeddingFormatError,
     EmbeddingTable,
+    _checked_lines,
     batch_name_vectors,
     collect_name_tokens,
     load_embeddings,
@@ -162,6 +165,25 @@ def test_collect_name_tokens():
 
 # ------------------------------------------------- the skip-fast embedding scan
 
+@pytest.fixture(params=[1, 7, 64, SCAN_BLOCK])
+def scan_block(request, monkeypatch):
+    """The characters per read of the block scan: tiny blocks put block
+    edges in every line, the default is what runs."""
+    monkeypatch.setattr("nameblind.embeddings.SCAN_BLOCK", request.param)
+
+
+def assert_matches_split_path(path, allowlist):
+    """load_embeddings gives the tokens, order and vector bytes of the
+    oracle that splits every line; returns the table."""
+    table = load_embeddings(path, allowlist=allowlist)
+    dimension, entries = load_embeddings_split(path, allowlist)
+    assert table.dimension == dimension
+    assert list(table.entries) == list(entries)
+    for token, vector in entries.items():
+        assert table.entries[token].tobytes() == vector.tobytes()
+    return table
+
+
 SEPARATORS = {
     "double space": lambda vals: "  ".join(vals),
     "tab": lambda vals: "\t".join(vals),
@@ -204,10 +226,30 @@ def test_skipped_line_with_extra_component_reports_line(tmp_path, separator):
         load_embeddings(path, allowlist={"anna"})
 
 
-@pytest.mark.parametrize("blank", ["\t", "\x1f", "\xa0", "\u2003"])
+@pytest.mark.parametrize(
+    "blank", ["\t", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"])
 def test_skipped_line_with_a_hidden_extra_component_reports_line(tmp_path, blank):
     # as many spaces as a well-formed line, plus one more blank
     path = write_vectors(tmp_path, f"2 3\nanna 1 0 0\nxx 1 2 3{blank}4\n")
+    with pytest.raises(EmbeddingFormatError, match="line 3"):
+        load_embeddings(path, allowlist={"anna"})
+
+
+@pytest.mark.parametrize("blank", ["\x85", "\xa0", "\u2003", "\u3000"])
+def test_skipped_line_with_a_blank_in_its_token_reports_line(tmp_path, scan_block,
+                                                             blank):
+    # as many spaces as a well-formed line, and a non-ASCII blank that
+    # splits the token in two
+    path = write_vectors(tmp_path, f"2 3\nanna 1 0 0\nx{blank}y 1 2 3\n")
+    with pytest.raises(EmbeddingFormatError, match="line 3: expected 3"):
+        load_embeddings(path, allowlist={"anna"})
+
+
+@pytest.mark.parametrize("line", [" xx 1 2", "xx 1 2 ", "xx 1  2"])
+def test_skipped_line_with_misplaced_spaces_reports_line(tmp_path, scan_block,
+                                                         line):
+    # as many spaces as a well-formed line, but one field short
+    path = write_vectors(tmp_path, f"2 3\nanna 1 0 0\n{line}\n")
     with pytest.raises(EmbeddingFormatError, match="line 3"):
         load_embeddings(path, allowlist={"anna"})
 
@@ -225,13 +267,9 @@ def test_well_formed_lines_with_other_blanks_load(tmp_path):
         "cara 0.5 0.25 -0.0\n"             # kept, the plain fast layout
     )
     path = write_vectors(tmp_path, text)
-    allowlist = {"anna", "smith", "bob", "cara"}
-    table = load_embeddings(path, allowlist=allowlist)
-    dimension, entries = load_embeddings_split(path, allowlist)
-    assert table.dimension == dimension == 3
-    assert list(table.entries) == list(entries) == ["anna", "smith", "bob", "cara"]
-    for token, vector in entries.items():
-        assert table.entries[token].tobytes() == vector.tobytes()
+    table = assert_matches_split_path(path, {"anna", "smith", "bob", "cara"})
+    assert table.dimension == 3
+    assert list(table.entries) == ["anna", "smith", "bob", "cara"]
 
 
 def test_scan_matches_split_path_on_bench_layout(tmp_path):
@@ -247,14 +285,130 @@ def test_scan_matches_split_path_on_bench_layout(tmp_path):
     order = rng.permutation(len(lines))
     path = write_vectors(tmp_path, f"{len(lines)} {dim}\n"
                          + "\n".join(lines[i] for i in order) + "\n")
-    allowlist = set(names[::2]) | {"Name1!", "absent"}
-    table = load_embeddings(path, allowlist=allowlist)
-    dimension, entries = load_embeddings_split(path, allowlist)
-    assert table.dimension == dimension
-    assert list(table.entries) == list(entries)
-    assert len(entries) == 31
-    for token, vector in entries.items():
-        assert table.entries[token].tobytes() == vector.tobytes()
+    table = assert_matches_split_path(path, set(names[::2]) | {"Name1!", "absent"})
+    assert len(table) == 31
+    # every line of this layout is checked, so only kept lines are split
+    data = path.read_bytes()
+    data = data[data.index(b"\n") + 1:]
+    assert _checked_lines(data, dim)[2].all()
+
+
+def scan_lines(newline):
+    """The lines of a vector file of dimension 3 that the block scan must
+    judge as the split path does: every SEPARATORS layout, blank lines,
+    non-ASCII and DEL bytes and a duplicate token, each kept and skipped."""
+    lines = ["26 3"]
+    for i, separator in enumerate(sorted(SEPARATORS)):
+        values = [f"{i}.5", "-0.0", f"1e-{i}"]
+        lines += [f"keep{i} " + SEPARATORS[separator](values),
+                  f"skip{i} " + SEPARATORS[separator](values)]
+    lines += [
+        "anna 1 2 3",
+        "",
+        "   ",
+        "\t",
+        "skip 4 5 6",
+        "\u00e9t\u00e9 0.25 0.5 0.75",  # kept, a non-ASCII token
+        "\u00fcber 7 8 9",  # skipped, a non-ASCII token
+        "de\x7fl 1 0 1",  # kept, DEL is not a blank
+        "zz\x7f 0 1 0",  # skipped
+        "skip 1 2 3\x7f",
+        "anna 4 5 6",  # the last anna wins
+        "cara -1 -2 -3",  # no newline after the last line
+    ]
+    return newline.join(lines)
+
+
+SCAN_KEEP = {f"keep{i}" for i in range(len(SEPARATORS))} | {
+    "anna", "\u00e9t\u00e9", "de\x7fl", "cara"}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_block_scan_matches_split_path(tmp_path, scan_block, newline):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(scan_lines(newline).encode("utf-8"))
+    table = assert_matches_split_path(path, SCAN_KEEP)
+    assert set(table.entries) == SCAN_KEEP
+    assert list(table.entries)[-2:] == ["de\x7fl", "cara"]
+    assert table.get("anna").tolist() == [4.0, 5.0, 6.0]
+    # the same lines with a malformed one at the end
+    path.write_bytes((scan_lines(newline) + newline + "skip 1 2").encode("utf-8"))
+    with pytest.raises(EmbeddingFormatError, match="line 26: expected 3"):
+        load_embeddings(path, allowlist=SCAN_KEEP)
+
+
+def limit_line(token, length):
+    """A well-formed line of dimension 3, length bytes long."""
+    return token + "x" * (length - len(token) - 6) + " 1 2 3"
+
+
+@pytest.mark.parametrize("length", [65535, 65536, 65537])
+def test_lines_at_the_checked_length_limit(tmp_path, scan_block, length):
+    # a line of at most 65,535 bytes is checked; a longer one is split
+    kept = limit_line("keep", length)
+    text = "\n".join(["3 3", kept, limit_line("skip", length), "anna 1 2 3"])
+    path = write_vectors(tmp_path, text + "\n")
+    token = kept.split()[0]
+    table = assert_matches_split_path(path, {token, "anna"})
+    assert list(table.entries) == [token, "anna"]
+    data = text.split("\n", 1)[1].encode()
+    assert _checked_lines(data, 3)[2].tolist() == [length <= 65535] * 2 + [True]
+
+
+def test_skipped_line_with_a_wrapped_space_count_reports_line(tmp_path,
+                                                              scan_block):
+    # 65,536 extra spaces: a 16-bit count of them would read 3
+    line = "xx" + " 1" * (3 + 65536)
+    path = write_vectors(tmp_path, f"2 3\nanna 1 0 0\n{line}\nzed 0 1 0\n")
+    with pytest.raises(EmbeddingFormatError, match="line 3: expected 3"):
+        load_embeddings(path, allowlist={"anna"})
+
+
+def test_checked_lines():
+    lines = {
+        "tok 1 2 3": True,
+        "": False,
+        "t\x7f 1 2 3": True,
+        "t\u00f6k 1 2 3": True,  # non-ASCII bytes are judged by the scan
+        "tok 1 2 3\u00a04": True,
+        "tok 1 2": False,  # too few spaces
+        "tok 1 2 3 4": False,  # too many
+        "tok  1 2": False,  # a double space
+        " tok 1 2": False,  # a leading space
+        "tok 1 2 ": False,  # a trailing space
+        "tok 1 2\t3": False,  # a byte below 32
+        "t\u00f6k 1\x1f2 3": False,
+    }
+    for last_newline in ("\n", ""):
+        data = ("\n".join(lines) + last_newline).encode()
+        starts, ends, checked = _checked_lines(data, 3)
+        assert [data[s:e].decode() for s, e in zip(starts, ends)] == list(lines)
+        assert checked.tolist() == list(lines.values())
+
+
+def test_non_ascii_tokens_are_not_split(tmp_path, scan_block, monkeypatch):
+    path = write_vectors(tmp_path, (
+        "4 3\n"
+        "\u00e9t\u00e9 1 2 3\n"  # kept
+        "\u00fcber 4 5 6\n"  # skipped unsplit
+        "\u65e5\u672c 7 8 9\n"  # skipped unsplit
+        "zz 1\u00e9 2 3\n"  # split: a non-ASCII field
+    ))
+    split = []
+    split_line = embeddings._split_line
+    monkeypatch.setattr(embeddings, "_split_line",
+                        lambda line, *args: split.append(line)
+                        or split_line(line, *args))
+    table = assert_matches_split_path(path, {"\u00e9t\u00e9", "anna"})
+    assert list(table.entries) == ["\u00e9t\u00e9"]
+    assert split == ["\u00e9t\u00e9 1 2 3", "zz 1\u00e9 2 3"]
+
+
+def test_invalid_utf8_in_a_skipped_line_raises(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"2 3\nanna 1 0 0\nzz\xff 1 2 3\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_embeddings(path, allowlist={"anna"})
 
 
 def test_batch_name_vectors_matches_loop_oracle():

@@ -29,6 +29,8 @@ from nameblind.training import (
     write_history_csv,
 )
 
+from oracles import densify
+
 
 def scalar_config(**kwargs):
     defaults = dict(learning_rate=0.1, batch_size=4, epochs=1, seed=0)
@@ -429,7 +431,7 @@ def test_train_on_binary_rows_matches_dense(variant, tmp_path):
     sparse = load_text(path, min_count=1, top_fraction=0.0)
     assert isinstance(sparse.features, BinaryRows)
     dense = Dataset(
-        features=np.asarray(sparse.features),
+        features=densify(sparse.features),
         labels=sparse.labels,
         first_names=sparse.first_names,
         last_names=sparse.last_names,
@@ -526,7 +528,7 @@ def test_forward_rows_matches_forward_batch():
     features = BinaryRows(np.cumsum([0] + [len(r) for r in rows]),
                           [c for r in rows for c in r], 50)
     params = ModelParams(W=rng.normal(size=(3, 50)), b=rng.normal(size=3))
-    dense = np.asarray(features)
+    dense = densify(features)
     everything = forward_rows(params, features, np.arange(700))
     for selection in (np.arange(700), rng.permutation(700)[:513],
                       np.arange(700)[::-1], np.array([4]),
