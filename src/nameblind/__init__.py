@@ -9,7 +9,7 @@ gaps between groups.
 
 __version__ = "0.1.0"
 
-from .clustering import ClusterModel, kmeans, kmeans_pp_init
+from .clustering import ClusterModel, kmeans
 from .data import Dataset, NameDemographics, TabularSchema
 from .embeddings import Coverage, EmbeddingTable, load_embeddings
 from .losses import PenaltyInputs, clucl_penalty, cocl_penalty, total_loss
@@ -21,7 +21,6 @@ __all__ = [
     "__version__",
     "ClusterModel",
     "kmeans",
-    "kmeans_pp_init",
     "Dataset",
     "NameDemographics",
     "TabularSchema",

@@ -123,21 +123,6 @@ def _sq_dists_to(pts: np.ndarray, centroids: np.ndarray,
     return out
 
 
-def kmeans_pp_init(points, k: int, seed: int) -> np.ndarray:
-    """Choose k initial centroids with the k-means++ rule.
-
-    The first centroid is uniform over the points (seeded); each further
-    centroid is sampled with probability proportional to its squared
-    distance to the nearest centroid chosen so far. Raises ValueError
-    for non-finite points or fewer than k distinct ones.
-    """
-    pts = _as_points(points)
-    if k < 1:
-        raise ValueError("k must be positive")
-    distinct, inverse = _distinct_rows(pts, k)
-    return _pp_init(pts, distinct, inverse, k, seed)
-
-
 def _pp_init(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
              k: int, seed: int) -> np.ndarray:
     """k-means++ seeding of points known to hold at least k distinct rows.

@@ -289,7 +289,8 @@ class TabularSchema:
 
 
 def read_csv_rows(path):
-    """Header and data rows of a CSV file, cells stripped of whitespace."""
+    """Header and data rows of a CSV file, cells stripped of whitespace;
+    blank lines hold no row."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -298,6 +299,23 @@ def read_csv_rows(path):
             raise ValueError(f"{path}: empty CSV file") from None
         rows = [[cell.strip() for cell in row] for row in reader if row]
     return header, rows
+
+
+def _row_line(path, index: int) -> int:
+    """The file line that data row index of read_csv_rows(path) starts on.
+
+    Read again only to report an error, so the parse holds no line
+    number per row.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        starts, start = [], reader.line_num + 1
+        for row in reader:
+            if row:
+                starts.append(start)
+            start = reader.line_num + 1
+    return starts[index]
 
 
 @dataclass
@@ -333,7 +351,8 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
     """Read a CSV file with a header row into TabularRecords.
 
     Raises ValueError on a header that disagrees with the schema, a row of
-    the wrong width, or an unparseable or non-finite continuous value.
+    the wrong width, an unparseable or non-finite continuous value or an
+    empty label, naming the row's file line.
     """
     header, rows = read_csv_rows(path)
     missing = [c for c in schema.columns if c not in header]
@@ -347,7 +366,8 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+            raise ValueError(f"{path}: row {_row_line(path, i)} has "
+                             f"{len(row)} cells, expected {width}")
     n = len(rows)
     columns: list[_FeatureColumn] = []
     label_column = None
@@ -363,14 +383,14 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
             except ValueError:
                 bad = next(i for i, v in enumerate(cells) if not _is_float(v))
                 raise ValueError(
-                    f"{path}: row {bad + 2}, column {name!r}: "
+                    f"{path}: row {_row_line(path, bad)}, column {name!r}: "
                     f"unparseable value {cells[bad]!r}"
                 ) from None
             finite = np.isfinite(values)
             if not finite.all():
                 bad = int(np.argmin(finite))
-                raise ValueError(f"{path}: row {bad + 2}, column {name!r}: "
-                                 f"non-finite value {cells[bad]!r}")
+                raise ValueError(f"{path}: row {_row_line(path, bad)}, "
+                                 f"column {name!r}: non-finite value {cells[bad]!r}")
             columns.append(_FeatureColumn(name, values))
         elif spec.role == "categorical":
             categories = sorted(set(cells))
@@ -378,6 +398,10 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
             values = np.fromiter(map(code.__getitem__, cells), np.int64, n)
             columns.append(_FeatureColumn(name, values, categories))
         elif spec.role == "label":
+            if "" in cells:
+                bad = cells.index("")
+                raise ValueError(f"{path}: row {_row_line(path, bad)}, "
+                                 f"column {name!r}: empty label")
             label_column = cells
         elif spec.role == "first_name":
             first_names = [cell or None for cell in cells]
@@ -548,23 +572,20 @@ class NamePartition:
                 | self.nonwhite_male | self.nonwhite_female)
 
 
-def partition_names(demographics: NameDemographics,
-                    threshold: float = 0.5) -> NamePartition:
+def partition_names(demographics: NameDemographics) -> NamePartition:
     """Split names present in both tables by thresholding each probability.
 
     A name counts as "white" only when its proportion is strictly above
-    the threshold (likewise "male"), so a probability exactly at the
-    threshold lands in the complement category.
+    0.5 (likewise "male"), so a probability of exactly 0.5 lands in the
+    complement category.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
     shared = set(demographics.first_white) & set(demographics.first_male)
     if not shared:
         raise ValueError("no names present in both demographics tables")
     part = NamePartition(set(), set(), set(), set())
     for name in shared:
-        white = demographics.first_white[name] > threshold
-        male = demographics.first_male[name] > threshold
+        white = demographics.first_white[name] > 0.5
+        male = demographics.first_male[name] > 0.5
         part.category(white, male).add(name)
     return part
 
@@ -773,7 +794,8 @@ def parse_text(path, scrub_names: bool = False) -> TextRecords:
     Each line holds four fields: label, first name, last name, document.
     With scrub_names the record's first name and gendered pronouns are
     removed from the document before it is tokenized. Raises ValueError
-    on a line without four fields or a file without records.
+    on a line without four fields or with an empty label, or a file
+    without records.
     """
     labels_raw: list[str] = []
     first_names: list[str | None] = []
@@ -791,7 +813,10 @@ def parse_text(path, scrub_names: bool = False) -> TextRecords:
                         f"fields, got {len(fields)}"
                     )
                 label, first, last, document = fields
-                labels_raw.append(label.strip())
+                label = label.strip()
+                if not label:
+                    raise ValueError(f"{path}: line {line_no}: empty label")
+                labels_raw.append(label)
                 first_names.append(first.strip() or None)
                 last_names.append(last.strip() or None)
                 if scrub_names:
@@ -831,19 +856,6 @@ def fit_text(records: TextRecords, min_count: int = 20,
     )
 
 
-def load_text(path, min_count: int = 20, top_fraction: float = 0.10,
-              scrub_names: bool = False, fit_indices=None) -> Dataset:
-    """Build a Dataset from tab-separated text records.
-
-    Each line holds four fields: label, first name, last name, document.
-    With scrub_names the record's first name and gendered pronouns are
-    removed from the document before any vocabulary statistics are
-    computed. The vocabulary is pruned on the fit rows (default: all).
-    """
-    return fit_text(parse_text(path, scrub_names), min_count, top_fraction,
-                    fit_indices)
-
-
 def white_probabilities(first_names, last_names,
                         demographics: NameDemographics) -> np.ndarray:
     """Per record the mean of its first-name and last-name white
@@ -881,22 +893,6 @@ def draw_race_labels(p_white, seed: int, attr_name: str = "race") -> GroupAttrib
         positive_label="white",
         negative_label="non-white",
         values=values,
-    )
-
-
-def infer_race_labels(first_names, last_names,
-                      demographics: NameDemographics, seed: int,
-                      attr_name: str = "race") -> GroupAttribute:
-    """Evaluation-only race labels sampled from name statistics.
-
-    Per record the "white" probability is the mean of the available
-    first-name and last-name proportions (one is enough); the label is a
-    seeded Bernoulli draw from it. Records with neither name in the tables
-    are marked missing and drop out of bias-report support.
-    """
-    return draw_race_labels(
-        white_probabilities(first_names, last_names, demographics), seed,
-        attr_name,
     )
 
 

@@ -53,9 +53,6 @@ class GroupLabels:
                 return attr
         raise KeyError(f"no group attribute named {name!r}")
 
-    def names(self) -> list[str]:
-        return [a.name for a in self.attributes]
-
     def __len__(self) -> int:
         return len(self.attributes)
 
@@ -93,14 +90,11 @@ def gap_max(gaps) -> float:
     return float(max(defined))
 
 
-def balanced_tpr(predictions, labels, num_classes: int | None = None,
-                 require_all_classes: bool = True) -> float:
+def balanced_tpr(predictions, labels, num_classes: int | None = None) -> float:
     """Unweighted mean of per-class TPRs.
 
-    The natural accuracy measure under class imbalance. With
-    require_all_classes (the default) a class absent from labels is an
-    error; otherwise absent classes are skipped, which is useful on small
-    validation splits.
+    The natural accuracy measure under class imbalance. A class absent
+    from labels, as on a small validation or test split, is skipped.
     """
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
@@ -112,11 +106,8 @@ def balanced_tpr(predictions, labels, num_classes: int | None = None,
     values = []
     for c in range(num_classes):
         t = tpr(predictions, labels, everyone, c)
-        if t is None:
-            if require_all_classes:
-                raise ValueError(f"class {c} has no records")
-            continue
-        values.append(t)
+        if t is not None:
+            values.append(t)
     if not values:
         raise ValueError("no class has any records")
     return float(np.mean(values))
@@ -204,9 +195,7 @@ def bias_report(predictions, labels, group_labels: GroupLabels,
         )
     if group_labels.attributes and not any_defined:
         raise ValueError("no attribute has any defined gap")
-    overall = balanced_tpr(
-        predictions, labels, num_classes, require_all_classes=False
-    )
+    overall = balanced_tpr(predictions, labels, num_classes)
     return BiasReport(
         num_classes=num_classes,
         class_names=list(class_names),

@@ -49,9 +49,6 @@ class ModelParams:
     def num_features(self) -> int:
         return self.W.shape[-1]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.W.copy(), self.b.copy())
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (max-subtraction)."""

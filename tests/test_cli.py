@@ -390,6 +390,25 @@ def test_non_finite_continuous_cell_exit_1(tiny_tabular, tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_empty_label_exit_1(tiny_tabular, tmp_path, capsys):
+    data, schema, _ = tiny_tabular
+    lines = data.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    cells[header.index("income")] = ""
+    lines[3] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(
+        [
+            "train", "--data", str(data), "--schema", str(schema),
+            "--variant", "none", "--seeds", "0", "--epochs", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    assert "row 4, column 'income': empty label" in capsys.readouterr().err
+
+
 def test_sweep_row_counts_and_averages(tiny_tabular, tmp_path):
     data, schema, embeddings = tiny_tabular
     out = tmp_path / "out"

@@ -7,8 +7,8 @@ from nameblind.clustering import (
     _distinct_rows,
     _lloyd,
     _nearest,
+    _pp_init,
     kmeans,
-    kmeans_pp_init,
     write_assignments,
     write_cluster_model,
 )
@@ -28,9 +28,16 @@ def two_blobs(rng, n_per_blob=50, offset=100.0):
     return np.vstack([a, b])
 
 
+def pp_init(points, k, seed):
+    """The k-means++ seeding kmeans runs: _pp_init over the points'
+    distinct rows."""
+    distinct, inverse = _distinct_rows(points, k)
+    return _pp_init(points, distinct, inverse, k, seed)
+
+
 def test_init_two_points_picks_both():
     points = np.array([[0.0, 0.0], [10.0, 10.0]])
-    centroids = kmeans_pp_init(points, k=2, seed=5)
+    centroids = pp_init(points, k=2, seed=5)
     got = {tuple(c) for c in centroids}
     assert got == {(0.0, 0.0), (10.0, 10.0)}
 
@@ -38,7 +45,7 @@ def test_init_two_points_picks_both():
 def test_init_insufficient_distinct_points():
     points = np.array([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="distinct"):
-        kmeans_pp_init(points, k=2, seed=0)
+        kmeans(points, k=2, seed=0)
 
 
 def test_distinct_means_equal_values():
@@ -47,8 +54,6 @@ def test_distinct_means_equal_values():
     points = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="need at least k=3 distinct points, got 2"):
         kmeans(points, k=3, seed=0)
-    with pytest.raises(ValueError, match="need at least k=3 distinct points, got 2"):
-        kmeans_pp_init(points, k=3, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -57,8 +62,6 @@ def test_non_finite_points_rejected(bad):
     points[4, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         kmeans(points, k=2, seed=0)
-    with pytest.raises(ValueError, match="finite"):
-        kmeans_pp_init(points, k=2, seed=0)
 
 
 def test_init_separated_blobs_monte_carlo():
@@ -68,7 +71,7 @@ def test_init_separated_blobs_monte_carlo():
     centers = np.array([[0.0, 0.0], [100.0, 100.0]])
     hits = 0
     for seed in range(1000):
-        centroids = kmeans_pp_init(points, k=2, seed=seed)
+        centroids = pp_init(points, k=2, seed=seed)
         nearest = set()
         for c in centroids:
             dists = [np.sum((c - center) ** 2) for center in centers]
@@ -84,7 +87,7 @@ def test_init_duplicates_of_a_chosen_point_get_zero_weight():
     distinct = np.array([[0.1, 0.2, 0.3], [1.7, -0.4, 2.2], [-3.1, 0.9, 0.05]])
     points = np.repeat(distinct, 500, axis=0)
     for seed in range(50):
-        centroids = kmeans_pp_init(points, k=3, seed=seed)
+        centroids = pp_init(points, k=3, seed=seed)
         assert {tuple(c) for c in centroids} == {tuple(p) for p in distinct}
 
 
@@ -167,7 +170,7 @@ def test_kmeans_bitwise_matches_per_point_oracle(seed):
 def test_kmeans_pp_init_bitwise_matches_per_point_oracle():
     points = shuffled_duplicates(7, n_distinct=150, dim=300)
     for seed in range(10):
-        got = kmeans_pp_init(points, k=9, seed=seed)
+        got = pp_init(points, k=9, seed=seed)
         assert got.tobytes() == kmeans_pp_init_per_point(points, 9, seed).tobytes()
 
 

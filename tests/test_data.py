@@ -15,17 +15,17 @@ from nameblind.data import (
     TabularSchema,
     TokenizedDocuments,
     assign_synthetic_names,
+    draw_race_labels,
     fit_tabular,
     fit_text,
-    infer_race_labels,
     load_name_probabilities,
     load_tabular,
-    load_text,
     parse_tabular,
     parse_text,
     partition_names,
     scrub,
     tokenize,
+    white_probabilities,
 )
 from nameblind.embeddings import normalize_token
 from nameblind.metrics import GroupAttribute, GroupLabels
@@ -159,6 +159,32 @@ def test_parse_tabular_rejects_non_finite_cell(tmp_path, cell):
     schema = TabularSchema.parse("age continuous\nincome label\n")
     with pytest.raises(ValueError,
                        match=f"row 3, column 'age': non-finite value '{cell}'"):
+        parse_tabular(path, schema)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("oops,high", "row 6, column 'age': unparseable value 'oops'"),
+    ("inf,high", "row 6, column 'age': non-finite value 'inf'"),
+    ("1,high,2", "row 6 has 3 cells, expected 2"),
+], ids=["unparseable", "non-finite", "width"])
+def test_parse_tabular_errors_name_the_file_line(tmp_path, bad, message):
+    # blank lines hold no record but still count as lines of the file
+    path = tmp_path / "data.csv"
+    path.write_text(f"age,income\n30,low\n\n40,high\n\n{bad}\n25,low\n",
+                    encoding="utf-8")
+    schema = TabularSchema.parse("age continuous\nincome label\n")
+    with pytest.raises(ValueError, match=f"data.csv: {message}"):
+        parse_tabular(path, schema)
+
+
+@pytest.mark.parametrize("label", ["", "  "], ids=["empty", "blank"])
+def test_parse_tabular_rejects_empty_label(tmp_path, label):
+    # a quoted record over two lines: the next record starts on line 4
+    path = tmp_path / "data.csv"
+    path.write_text(f'age,income\n30,"lo\nw"\n40,{label}\n25,high\n',
+                    encoding="utf-8")
+    schema = TabularSchema.parse("age continuous\nincome label\n")
+    with pytest.raises(ValueError, match="row 4, column 'income': empty label"):
         parse_tabular(path, schema)
 
 
@@ -323,10 +349,9 @@ def vectorize(tmp_path, documents, min_count, top_fraction):
 
 
 def test_vectorize_defaults_match_pruning_rule():
-    for fn in (fit_text, load_text):
-        sig = inspect.signature(fn)
-        assert sig.parameters["min_count"].default == 20
-        assert sig.parameters["top_fraction"].default == 0.10
+    sig = inspect.signature(fit_text)
+    assert sig.parameters["min_count"].default == 20
+    assert sig.parameters["top_fraction"].default == 0.10
 
 
 def test_vectorize_presence_not_counts(tmp_path):
@@ -390,12 +415,13 @@ def test_load_text_end_to_end(tmp_path):
         "nurse\tCara\tDiaz\tShe helps patients in town\n",
         encoding="utf-8",
     )
-    dataset = load_text(path, min_count=1, top_fraction=0.0)
+    dataset = fit_text(parse_text(path), min_count=1, top_fraction=0.0)
     assert dataset.class_names == ["engineer", "nurse"]
     assert dataset.labels.tolist() == [1, 0, 1]
     assert dataset.first_names == ["Anna", "Bob", "Cara"]
     assert "she" in dataset.feature_names
-    scrubbed = load_text(path, min_count=1, top_fraction=0.0, scrub_names=True)
+    scrubbed = fit_text(parse_text(path, scrub_names=True), min_count=1,
+                        top_fraction=0.0)
     assert "she" not in scrubbed.feature_names
     assert "anna" not in scrubbed.feature_names
 
@@ -659,7 +685,7 @@ def test_load_text_features_are_binary_rows(tmp_path):
         "".join(f"job{i % 2}\tn{i}\tl{i}\t{doc}\n" for i, doc in enumerate(docs)),
         encoding="utf-8",
     )
-    dataset = load_text(path, min_count=2, top_fraction=0.0)
+    dataset = fit_text(parse_text(path), min_count=2, top_fraction=0.0)
     vocab = ["a", "in", "nurse", "town"]
     dense = dense_bag_of_words([tokenize(doc) for doc in docs], vocab)
     assert isinstance(dataset.features, BinaryRows)
@@ -672,7 +698,16 @@ def test_load_text_malformed_line(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("nurse\tAnna\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
-        load_text(path)
+        parse_text(path)
+
+
+@pytest.mark.parametrize("label", ["", " "], ids=["empty", "blank"])
+def test_parse_text_rejects_empty_label(tmp_path, label):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"nurse\tAnna\tSmith\tdoc\n\n{label}\tBob\tJones\tdoc\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: empty label"):
+        parse_text(path)
 
 
 # ------------------------------------------------------------------- race labels
@@ -680,7 +715,8 @@ def test_load_text_malformed_line(tmp_path):
 def test_infer_race_degenerate_probabilities():
     demo = NameDemographics(first_white={"anna": 1.0}, first_male={},
                             last_white={"smith": 1.0})
-    attr = infer_race_labels(["anna"] * 5, ["smith"] * 5, demo, seed=0)
+    p_white = white_probabilities(["anna"] * 5, ["smith"] * 5, demo)
+    attr = draw_race_labels(p_white, seed=0)
     assert attr.values.tolist() == [1] * 5
 
 
@@ -688,7 +724,8 @@ def test_infer_race_bernoulli_rate():
     demo = NameDemographics(first_white={"anna": 0.6}, first_male={},
                             last_white={"smith": 0.2})
     n = 10_000
-    attr = infer_race_labels(["anna"] * n, ["smith"] * n, demo, seed=1)
+    p_white = white_probabilities(["anna"] * n, ["smith"] * n, demo)
+    attr = draw_race_labels(p_white, seed=1)
     rate = attr.values.mean()  # average of 0/1 draws at p = 0.4
     assert abs(rate - 0.4) <= 0.015
 
@@ -696,7 +733,8 @@ def test_infer_race_bernoulli_rate():
 def test_infer_race_missing_names():
     demo = NameDemographics(first_white={"anna": 0.9}, first_male={},
                             last_white={})
-    attr = infer_race_labels(["anna", "zoe"], [None, None], demo, seed=2)
+    p_white = white_probabilities(["anna", "zoe"], [None, None], demo)
+    attr = draw_race_labels(p_white, seed=2)
     assert attr.values[0] in (0, 1)
     assert attr.values[1] == -1
 
@@ -704,7 +742,8 @@ def test_infer_race_missing_names():
 def test_infer_race_single_table_fallback():
     demo = NameDemographics(first_white={}, first_male={},
                             last_white={"smith": 1.0})
-    attr = infer_race_labels(["anna"], ["smith"], demo, seed=3)
+    p_white = white_probabilities(["anna"], ["smith"], demo)
+    attr = draw_race_labels(p_white, seed=3)
     assert attr.values.tolist() == [1]
 
 
@@ -780,7 +819,8 @@ def test_infer_race_labels_matches_loop_oracle():
     )
     first, last = _mixed_names(400, np.random.default_rng(5))
     for seed in range(20):
-        got = infer_race_labels(first, last, demo, seed=seed).values
+        got = draw_race_labels(white_probabilities(first, last, demo),
+                               seed=seed).values
         want = race_labels_loop(first, last, demo.first_white,
                                 demo.last_white, seed)
         assert got.dtype == np.int8
@@ -855,8 +895,8 @@ def test_fit_text_matches_load_text_oracle(tmp_path):
                                       scrub_names, fit_indices)
                 got = fit_text(records, min_count, top_fraction, fit_indices)
                 assert_text_dataset_matches(got, want)
-                same = load_text(path, min_count, top_fraction, scrub_names,
-                                 fit_indices)
+                same = fit_text(parse_text(path, scrub_names), min_count,
+                                top_fraction, fit_indices)
                 assert_text_dataset_matches(same, want)
     assert load_text_loop(path, 1, 0.0, False, None)["rows"][4] == []
 
