@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .clustering import ClusterModel, kmeans
 from .data import Dataset, NameDemographics, TabularSchema
 from .embeddings import Coverage, EmbeddingTable, load_embeddings
-from .losses import PenaltyInputs, clucl_penalty, cocl_penalty, total_loss
+from .losses import PenaltyInputs, clucl_penalty, cocl_penalty
 from .metrics import BiasReport, GroupAttribute, GroupLabels, bias_report
 from .model import ModelParams
 from .training import GridResult, TrainConfig, TrainResult, train
@@ -30,7 +30,6 @@ __all__ = [
     "PenaltyInputs",
     "clucl_penalty",
     "cocl_penalty",
-    "total_loss",
     "BiasReport",
     "GroupAttribute",
     "GroupLabels",

@@ -49,6 +49,7 @@ from .metrics import (
     GroupAttribute,
     GroupLabels,
     bias_report,
+    csv_cell,
     summary_header,
     summary_values,
     write_bias_report_csv,
@@ -298,14 +299,6 @@ def _out_dir(spec: ExperimentSpec) -> Path:
     return out
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _mean_or_none(values):
     defined = [v for v in values if v is not None]
     if not defined:
@@ -375,11 +368,11 @@ def _write_summary(path: Path, lead: dict, seeds, lams, reports) -> None:
         for j, lam in enumerate(lams):
             for seed, row in zip(seeds, values):
                 writer.writerow([*lead.values(), repr(lam), seed]
-                                + [_csv_cell(v) for v in row[j]])
+                                + [csv_cell(v) for v in row[j]])
         for j, lam in enumerate(lams):
             means = [_mean_or_none(col) for col in zip(*(row[j] for row in values))]
             writer.writerow([*lead.values(), repr(lam), "mean"]
-                            + [_csv_cell(v) for v in means])
+                            + [csv_cell(v) for v in means])
 
 
 def _eval_groups(dataset) -> GroupLabels:

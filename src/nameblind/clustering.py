@@ -2,7 +2,7 @@
 
 Clustering runs once on the training-set name vectors and the assignments
 are frozen for the rest of training; distances are squared Euclidean
-throughout. Deterministic for a given (points, k, seed, max_iters, tol).
+throughout. Deterministic for a given (points, k, seed, n_init).
 
 Name vectors repeat (records share names), so each call finds the m
 distinct rows once and takes every distance per distinct row, expanding
@@ -24,8 +24,8 @@ from math import comb
 
 import numpy as np
 
-DEFAULT_MAX_ITERS = 100
-DEFAULT_TOL = 1e-4
+MAX_ITERS = 100  # Lloyd passes per run at most
+TOL = 1e-4  # a run stops once no centroid moves this far
 DEFAULT_N_INIT = 10
 EXHAUSTIVE_INIT_CAP = 200  # try all k-subsets as inits when this cheap
 _BLOCK_ROWS = 256  # rows per block of direct distances
@@ -143,8 +143,8 @@ def _pp_init(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
     return centroids
 
 
-def kmeans(points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS,
-           tol: float = DEFAULT_TOL, n_init: int = DEFAULT_N_INIT) -> ClusterModel:
+def kmeans(points, k: int, seed: int,
+           n_init: int = DEFAULT_N_INIT) -> ClusterModel:
     """Best of n_init seeded k-means++ runs (by final inertia).
 
     Single-run Lloyd regularly sticks in local minima even on tiny
@@ -155,16 +155,12 @@ def kmeans(points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS,
     Lloyd additionally runs from each such init: k-means++ seeding
     provably cannot reach some optima of tiny instances no matter how
     many restarts it gets. Deterministic for a given
-    (points, k, seed, max_iters, tol, n_init).
+    (points, k, seed, n_init).
 
     Raises ValueError for non-finite points or fewer than k distinct ones.
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
     pts = _as_points(points)
@@ -173,7 +169,7 @@ def kmeans(points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS,
     best = None
     for i in range(n_init):
         init = _pp_init(pts, distinct, inverse, k, seed + i)
-        model = _lloyd(pts, distinct, inverse, sq_norms, init, max_iters, tol)
+        model = _lloyd(pts, distinct, inverse, sq_norms, init)
         if best is None or model.inertia < best.inertia:
             best = model
     if _n_subsets(len(distinct), k) <= EXHAUSTIVE_INIT_CAP:
@@ -182,7 +178,7 @@ def kmeans(points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS,
         ordered = np.unique(distinct, axis=0)
         for subset in combinations(range(len(ordered)), k):
             model = _lloyd(pts, distinct, inverse, sq_norms,
-                           ordered[list(subset)], max_iters, tol)
+                           ordered[list(subset)])
             if model.inertia < best.inertia:
                 best = model
     return best
@@ -196,14 +192,13 @@ def _n_subsets(n: int, k: int) -> float:
 
 
 def _lloyd(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
-           sq_norms: np.ndarray, centroids: np.ndarray, max_iters: int,
-           tol: float) -> ClusterModel:
+           sq_norms: np.ndarray, centroids: np.ndarray) -> ClusterModel:
     """Standard Lloyd iterations from the given initial centroids.
 
-    Stops when every centroid moves less than tol (Euclidean) or after
-    max_iters. A cluster left empty by an assignment pass is reseeded to
-    the point currently farthest from its assigned centroid, which keeps
-    all k clusters alive without increasing the objective. Nearest
+    Stops when every centroid moves less than TOL (Euclidean) or after
+    MAX_ITERS passes. A cluster left empty by an assignment pass is
+    reseeded to the point currently farthest from its assigned centroid,
+    which keeps all k clusters alive without increasing the objective. Nearest
     centroids and distances are found per distinct row (sq_norms holds
     their squared norms) and expanded through inverse; the reseed, the
     inertia sums and the centroid update (one (k, n) one-hot matrix
@@ -213,7 +208,7 @@ def _lloyd(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
     k = len(centroids)
     history: list[float] = []
     iterations_run = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         iterations_run += 1
         nearest = _nearest(distinct, sq_norms, centroids)
         assignments = nearest[inverse]
@@ -240,7 +235,7 @@ def _lloyd(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
         new_centroids[alive] = (onehot @ pts)[alive] / counts[alive, None]
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
     nearest = _nearest(distinct, sq_norms, centroids)
     inertia = float(_sq_dists_to(distinct, centroids, nearest)[inverse].sum())

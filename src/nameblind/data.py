@@ -792,8 +792,8 @@ def parse_text(path, scrub_names: bool = False) -> TextRecords:
     """Read tab-separated text records into TextRecords, one pass.
 
     Each line holds four fields: label, first name, last name, document.
-    With scrub_names the record's first name and gendered pronouns are
-    removed from the document before it is tokenized. Raises ValueError
+    With scrub_names the document's tokens are scrubbed (scrub) of the
+    record's first name and of gendered pronouns. Raises ValueError
     on a line without four fields or with an empty label, or a file
     without records.
     """
@@ -819,9 +819,8 @@ def parse_text(path, scrub_names: bool = False) -> TextRecords:
                 labels_raw.append(label)
                 first_names.append(first.strip() or None)
                 last_names.append(last.strip() or None)
-                if scrub_names:
-                    document = scrub(document, first_names[-1])
-                yield tokenize(document)
+                tokens = tokenize(document)
+                yield scrub(tokens, first) if scrub_names else tokens
 
     tokenized = TokenizedDocuments.from_token_lists(documents())
     if not labels_raw:
@@ -896,17 +895,13 @@ def draw_race_labels(p_white, seed: int, attr_name: str = "race") -> GroupAttrib
     )
 
 
-def scrub(document: str, first_name: str | None = None) -> str:
-    """Remove the record's first name and gendered pronouns, token-wise.
+def scrub(tokens, first_name: str | None = None) -> list[str]:
+    """tokens (tokenize's) without gendered pronouns (PRONOUNS) and
+    without the tokens of the record's first name, tokenize(first_name).
 
-    Matching is case-insensitive on punctuation-stripped tokens; remaining
-    tokens are rejoined with single spaces, which makes scrubbing
-    idempotent.
+    One tokenizing rule serves the document and the name, so a pronoun or
+    name that punctuation joins to another token ("(she/her)", "his/her",
+    "Mary-Jane") is still removed.
     """
-    remove = set(PRONOUNS)
-    if first_name is not None:
-        token = normalize_token(first_name)
-        if token:
-            remove.add(token)
-    kept = [t for t in document.split() if normalize_token(t) not in remove]
-    return " ".join(kept)
+    remove = PRONOUNS.union(tokenize(first_name or ""))
+    return [t for t in tokens if t not in remove]

@@ -11,13 +11,14 @@ embedding of the record's name:
   of the covariance between the true-label probability and the name
   vector.
 
-Both are averaged over classes and added to the base loss scaled by a
-nonnegative strength. Gradients flow only through the true-label
-probabilities; cluster assignments and name vectors are constants during
-training. Each penalty has one implementation, a table built over fixed
-records with value(p) and penalty(p): CluclTable over the records' cluster
-ids, CoclTable over the name-table rows the records read (a matrix of
-per-record vectors is the table whose row i is record i's vector).
+Both are averaged over classes; model.objective adds them to the base
+loss scaled by a nonnegative strength. Gradients flow only through the
+true-label probabilities; cluster assignments and name vectors are
+constants during training. Each penalty has one implementation, a table
+built over fixed records whose penalty(p) returns the value and its
+gradient in one pass: CluclTable over the records' cluster ids, CoclTable
+over the name-table rows the records read (a matrix of per-record vectors
+is the table whose row i is record i's vector).
 """
 
 from __future__ import annotations
@@ -131,16 +132,13 @@ class CluclTable:
         v = self.populated.sum(axis=1)
         self.pairs = v * (v - 1)
 
-    def value(self, true_label_probs) -> float:
-        """The cluster penalty at these true-label probabilities."""
-        return self.penalty(true_label_probs)[0]
-
     def penalty(self, true_label_probs) -> tuple[float, np.ndarray]:
-        """(value(p), d value / d p_i per record, 0 if excluded). With
-        diffs[c, u, w] = mean[c, u] - mean[c, w] where both cells are
-        populated (0 elsewhere), class c contributes sum(diffs[c]^2) /
-        pairs[c]; d l_c / d mean_u = (4 / pairs) * sum_w diffs[c, u, w],
-        and each record of cell u holds 1 / count_u of mean_u."""
+        """(value, d value / d p_i per record, 0 if excluded) at the
+        true-label probabilities p. With diffs[c, u, w] = mean[c, u] -
+        mean[c, w] where both cells are populated (0 elsewhere), class c
+        contributes sum(diffs[c]^2) / pairs[c]; d l_c / d mean_u =
+        (4 / pairs) * sum_w diffs[c, u, w], and each record of cell u
+        holds 1 / count_u of mean_u."""
         num_classes, k, counts = self.num_classes, self.k, self.counts
         probs = self.included.probs(true_label_probs)
         sums = np.bincount(self.cells, weights=probs,
@@ -170,8 +168,8 @@ class CoclTable:
     Only the R <= 2 x records rows the found names read are kept, under
     local ids. Each found name's (class, local row) key and share, the
     class counts and the (C, R) weights of the class mean vectors over the
-    rows are computed once; a value is then one np.bincount over the keys
-    and one (C, R) @ (R, dim) product, and the gradient one more
+    rows are computed once; a penalty's value is then one np.bincount over
+    the keys and one (C, R) @ (R, dim) product, and its gradient one more
     (R, dim) @ (dim, C) product. No per-record vector is built.
     """
 
@@ -215,17 +213,13 @@ class CoclTable:
         weights = weights - weights.sum(axis=1)[:, None] * self.mean_weights
         return weights @ self.rows / n_c[:, None]
 
-    def value(self, true_label_probs) -> float:
-        """The covariance penalty at these true-label probabilities."""
-        norms = np.linalg.norm(self._covariances(true_label_probs), axis=1)
-        return float(norms.sum()) / self.num_classes
-
     def penalty(self, true_label_probs) -> tuple[float, np.ndarray]:
-        """(value(p), d value / d p_i per record, 0 if excluded). With
-        u_c = cov_c / (|cov_c| C n_c), record i of class c gets
-        (v_i - means_c) . u_c: the share-weighted sum of proj[row, c] over
-        its found names (the shares sum to 1), proj = rows @ U.T less
-        means_c . u_c = mean_weights_c @ (rows @ U.T)[:, c]."""
+        """(value, d value / d p_i per record, 0 if excluded) at the
+        true-label probabilities p. With u_c = cov_c / (|cov_c| C n_c),
+        record i of class c gets (v_i - means_c) . u_c: the share-weighted
+        sum of proj[row, c] over its found names (the shares sum to 1),
+        proj = rows @ U.T less means_c . u_c = mean_weights_c @
+        (rows @ U.T)[:, c]."""
         num_classes = self.num_classes
         cov = self._covariances(true_label_probs)
         norms = np.linalg.norm(cov, axis=1)
@@ -308,10 +302,8 @@ def cocl_penalty(inputs: PenaltyInputs, num_classes: int) -> float:
 
 def penalty_value(inputs: PenaltyInputs, variant: str, k: int,
                   num_classes: int) -> float:
-    """Value of the selected penalty; variant "none" is 0. The same table
-    and value as penalty."""
-    table = _table(inputs, variant, k, num_classes)
-    return 0.0 if table is None else table.value(inputs.true_label_probs)
+    """Value of the selected penalty; variant "none" is 0."""
+    return penalty(inputs, variant, k, num_classes)[0]
 
 
 def penalty_gradient(inputs: PenaltyInputs, variant: str, k: int,
@@ -327,8 +319,3 @@ def penalty_strength(lam) -> float:
         raise ValueError(
             f"penalty strength must be finite and nonnegative, got {lam!r}")
     return lam
-
-
-def total_loss(base: float, penalty: float, lam: float) -> float:
-    """Composite objective: base + lam * penalty."""
-    return base + penalty_strength(lam) * penalty

@@ -57,21 +57,20 @@ class GroupLabels:
         return len(self.attributes)
 
 
-def tpr(predictions, labels, group_mask, c: int) -> float | None:
-    """Fraction of group records with true label c that are predicted c.
+def _class_tprs(predictions, labels, mask, num_classes: int):
+    """Per class c < num_classes, the TPR of the records in mask and its
+    support, from one np.bincount each of the labels and of the hits.
 
-    Returns None (undefined) when the group contains no record with true
-    label c; undefined cells are excluded from aggregates, never zeroed.
+    The support is the number of masked records with true label c, and
+    the TPR the fraction of them predicted c: None (undefined) when the
+    support is 0, excluded from aggregates, never zeroed. Both are lists
+    of Python numbers.
     """
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    group_mask = np.asarray(group_mask, dtype=bool)
-    support = group_mask & (labels == c)
-    n = int(np.count_nonzero(support))
-    if n == 0:
-        return None
-    hits = int(np.count_nonzero(support & (predictions == c)))
-    return hits / n
+    support = np.bincount(labels[mask], minlength=num_classes)
+    hits = np.bincount(labels[mask & (predictions == labels)],
+                       minlength=num_classes)
+    support, hits = support[:num_classes].tolist(), hits[:num_classes].tolist()
+    return [h / n if n else None for h, n in zip(hits, support)], support
 
 
 def gap_rms(gaps) -> float:
@@ -102,12 +101,9 @@ def balanced_tpr(predictions, labels, num_classes: int | None = None) -> float:
         raise ValueError("empty label set")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    everyone = np.ones(len(labels), dtype=bool)
-    values = []
-    for c in range(num_classes):
-        t = tpr(predictions, labels, everyone, c)
-        if t is not None:
-            values.append(t)
+    tprs, _ = _class_tprs(predictions, labels,
+                          np.ones(len(labels), dtype=bool), num_classes)
+    values = [t for t in tprs if t is not None]
     if not values:
         raise ValueError("no class has any records")
     return float(np.mean(values))
@@ -166,17 +162,12 @@ def bias_report(predictions, labels, group_labels: GroupLabels,
     attr_reports = []
     any_defined = False
     for attr in group_labels.attributes:
-        pos_mask = attr.values == 1
-        neg_mask = attr.values == 0
-        tpr_pos, tpr_neg, gaps, counts_pos, counts_neg = [], [], [], [], []
-        for c in range(num_classes):
-            tp = tpr(predictions, labels, pos_mask, c)
-            tn = tpr(predictions, labels, neg_mask, c)
-            tpr_pos.append(tp)
-            tpr_neg.append(tn)
-            gaps.append(tp - tn if tp is not None and tn is not None else None)
-            counts_pos.append(int(np.count_nonzero(pos_mask & (labels == c))))
-            counts_neg.append(int(np.count_nonzero(neg_mask & (labels == c))))
+        tpr_pos, counts_pos = _class_tprs(predictions, labels,
+                                          attr.values == 1, num_classes)
+        tpr_neg, counts_neg = _class_tprs(predictions, labels,
+                                          attr.values == 0, num_classes)
+        gaps = [tp - tn if tp is not None and tn is not None else None
+                for tp, tn in zip(tpr_pos, tpr_neg)]
         defined = [g for g in gaps if g is not None]
         any_defined = any_defined or bool(defined)
         attr_reports.append(
@@ -222,7 +213,8 @@ def summary_values(report: BiasReport) -> list[float | None]:
     )
 
 
-def _cell(value) -> str:
+def csv_cell(value) -> str:
+    """A float's repr, or an empty field for an undefined value (None)."""
     return "" if value is None else repr(value)
 
 
@@ -256,13 +248,13 @@ def write_bias_report_csv(report: BiasReport, path) -> None:
                         attr.positive_label,
                         attr.negative_label,
                         report.class_names[c],
-                        _cell(attr.tpr_pos[c]),
-                        _cell(attr.tpr_neg[c]),
-                        _cell(attr.gaps[c]),
+                        csv_cell(attr.tpr_pos[c]),
+                        csv_cell(attr.tpr_neg[c]),
+                        csv_cell(attr.gaps[c]),
                         attr.counts_pos[c],
                         attr.counts_neg[c],
                     ]
                 )
         writer.writerow([])
         writer.writerow(summary_header(report))
-        writer.writerow([_cell(v) for v in summary_values(report)])
+        writer.writerow([csv_cell(v) for v in summary_values(report)])

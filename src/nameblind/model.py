@@ -111,88 +111,104 @@ def class_weights(label_counts) -> np.ndarray:
     return counts.sum() / (counts.shape[0] * counts)
 
 
-def _check_batch(probs, labels, weights):
-    probs = np.asarray(probs, dtype=np.float64)
+def objective(W, probs, labels, weights, l2_coeff, penalties, lams):
+    """The training objective of each model of a stack at its probabilities.
+
+    W is the stack's (L, C, M) weights and probs its (L, n, C)
+    probabilities on n records with these labels. Per model, base is the
+    class-weighted cross-entropy, the mean over the records of -weight_y *
+    log(p_y) with p_y floored at LOG_FLOOR, plus l2_coeff * sum(W**2).
+    penalties[i] maps the true-label probabilities to (value, d value /
+    d p_true), or is None; the model's value is 0.0 and its gradient None
+    when its penalty is None or its lams[i] is 0, and its total is base +
+    lams[i] * value. The records are checked once for all models.
+
+    Returns (totals, bases, values, gradients, p_true): one Python float,
+    float, float and array or None per model, and the (L, n) true-label
+    probabilities.
+    """
+    strengths = [penalty_strength(value) for value in lams]
+    if len(penalties) != len(W) or len(strengths) != len(W):
+        raise ValueError("need one penalty and one lam per model")
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] == 0:
-        raise ValueError("batch must be a nonempty (n, num_classes) array")
-    if labels.shape != (probs.shape[0],):
+    if probs.ndim != 3 or probs.shape[1] == 0:
+        raise ValueError("probs must be a nonempty (L, n, num_classes) stack")
+    n, num_classes = probs.shape[1:]
+    if labels.shape != (n,):
         raise ValueError("labels must align with the batch")
-    if weights.shape != (probs.shape[1],):
+    if weights.shape != (num_classes,):
         raise ValueError("need one weight per class")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+    if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError("label out of range")
-    return probs, labels, weights
-
-
-def _cross_entropy(p_true, labels, weights):
-    """weighted_cross_entropy from the true-label probabilities of labels
-    _check_batch has checked, per model for a stack's (L, n) p_true."""
-    return np.mean(-weights[labels] * np.log(np.maximum(p_true, LOG_FLOOR)),
-                   axis=-1)
-
-
-def weighted_cross_entropy(probs, labels, weights) -> float:
-    """Mean over the batch of -weight_y * log(p_y), with p_y floored at 1e-12."""
-    probs, labels, weights = _check_batch(probs, labels, weights)
-    return float(_cross_entropy(probs[np.arange(len(labels)), labels],
-                                labels, weights))
+    # (L, n) in row order, so each model's mean sums as its own row does
+    p_true = np.ascontiguousarray(probs[:, np.arange(n), labels])
+    # the cross-entropy terms in one (L, n) array, made in place and freed
+    # before the penalties run: over the Adult sweep's training split (3 x
+    # 38,400) the out-of-place form read 1.7 MB more peak RSS
+    terms = np.maximum(p_true, LOG_FLOOR)
+    np.log(terms, out=terms)
+    terms *= -weights[labels]
+    cross_entropy = terms.mean(axis=-1)
+    del terms
+    totals, bases, values, gradients = [], [], [], []
+    for i, (pen, strength) in enumerate(zip(penalties, strengths)):
+        base = float(cross_entropy[i])
+        if l2_coeff:
+            base += l2_coeff * float(np.sum(W[i]**2))
+        value, gradient = (pen(p_true[i]) if pen is not None and strength
+                           else (0.0, None))
+        totals.append(base + strength * value)
+        bases.append(base)
+        values.append(value)
+        gradients.append(gradient)
+    return totals, bases, values, gradients, p_true
 
 
 def loss_and_gradient(params: ModelParams, X, labels, weights,
                       l2_coeff: float = 0.0, penalty=None, lam: float = 0.0):
-    """The training objective and its exact gradients w.r.t. W and b.
+    """The training objective's total (objective) and its exact gradients
+    w.r.t. W and b.
 
-    Weighted cross-entropy + l2_coeff * sum(W**2) + lam * penalty(p_true),
-    where penalty maps the true-label probabilities to (value, d value /
-    d p_true). Per item the cross-entropy's logit gradient is
-    weight_y * (probs - onehot(y)) / n; the penalty's is chained through
-    d p_true / d logit_j = p_true * (1[j == y] - p_j). X is a float64
-    array or a data.BinaryRows store, as for forward_batch.
+    Per item the cross-entropy's logit gradient is weight_y * (probs -
+    onehot(y)) / n; the penalty's is chained through d p_true / d logit_j
+    = p_true * (1[j == y] - p_j). X is a float64 array or a
+    data.BinaryRows store, as for forward_batch.
 
     For a stack of L models (ModelParams with a model axis) penalty and
     lam are sequences of L, one per model, and the result is the (L,)
     losses with the (L, C, M) and (L, C) gradients, each model's the bytes
-    of its own call: the batch is checked once and multiplied once per
-    model, and a model's penalty is called only when its lam > 0. One
-    model is the stack of one.
+    of its own call: the batch is multiplied once per model, and a
+    model's penalty is called only when its lam > 0. One model is the
+    stack of one.
     """
     stacked = params.W.ndim == 3
     if not stacked:
         params = ModelParams(params.W[None], params.b[None])
         penalty, lam = [penalty], [lam]
-    lams = [penalty_strength(value) for value in lam]
-    if len(penalty) != len(params.W) or len(lams) != len(params.W):
-        raise ValueError("need one penalty and one lam per model")
     X = _features(X)
     probs = forward_batch(params, X)
-    # the models share the batch: one check covers them all
-    _, labels, weights = _check_batch(probs[0], labels, weights)
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=np.float64)
+    totals, _, _, gradients, p_true = objective(
+        params.W, probs, labels, weights, l2_coeff, penalty, lam)
     rows = np.arange(len(labels))
-    # (L, n) in row order, so each model's mean sums as its own call's does
-    p_true = np.ascontiguousarray(probs[:, rows, labels])
-    loss = _cross_entropy(p_true, labels, weights)
     G = probs.copy()
     G[:, rows, labels] -= 1.0
     G *= weights[labels][:, None] / len(labels)
-    for i, (pen, strength) in enumerate(zip(penalty, lams)):
-        if l2_coeff:
-            loss[i] += l2_coeff * float(np.sum(params.W[i]**2))
-        if pen is not None and strength:
-            value, pen_grad = pen(p_true[i])
-            loss[i] += strength * value
-            coef = pen_grad * p_true[i]
+    for i, (gradient, strength) in enumerate(zip(gradients, lam)):
+        if gradient is not None:
+            coef = gradient * p_true[i]
             P = -coef[:, None] * probs[i]
             P[rows, labels] += coef
-            G[i] += strength * P
+            G[i] += float(strength) * P
     grad_W = G.swapaxes(-1, -2) @ X
     grad_b = G.sum(axis=-2)
     if l2_coeff:
         grad_W += 2.0 * l2_coeff * params.W
     if not stacked:
-        return float(loss[0]), grad_W[0], grad_b[0]
-    return loss, grad_W, grad_b
+        return totals[0], grad_W[0], grad_b[0]
+    return np.array(totals), grad_W, grad_b
 
 
 def save_model(params: ModelParams, feature_names, class_names, path) -> None:

@@ -20,7 +20,7 @@ from .model import (
     class_weights,
     forward_batch,
     loss_and_gradient,
-    weighted_cross_entropy,
+    objective,
 )
 from .metrics import balanced_tpr
 
@@ -221,9 +221,11 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     records' name vectors once per call and freezes the assignments; each
     penalty is a table over fixed records (losses.CluclTable over the
     cluster ids, losses.CoclTable over the name-table rows of the records'
-    names, never gathering a per-record vector), built per batch for its gradient and once per call for the
-    per-epoch value; class weights come from the training labels; each
-    epoch shuffles with the seeded RNG and applies Adam per batch. Each
+    names, never gathering a per-record vector), built per batch and once
+    per call; class weights come from the training labels; each epoch
+    shuffles with the seeded RNG and applies Adam per batch, then records
+    each model's model.objective over the whole training split (the
+    function loss_and_gradient differentiates) in its history. Each
     batch gathers its rows with dataset.features.take, which keeps a
     sparse (BinaryRows) feature store sparse, and full-set passes go
     through forward_rows, so text features are never densified.
@@ -286,7 +288,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             def table(rows):
                 return losses.CoclTable(y[rows], names.vectors, first[rows],
                                         last[rows], num_classes)
-        epoch_penalty = table(slice(None)).value
+        epoch_penalty = table(slice(None)).penalty
     weights = class_weights(np.bincount(y, minlength=num_classes))
     shape = (len(lams), num_classes, features.shape[1])
     params = ModelParams(W=np.zeros(shape), b=np.zeros(shape[:-1]))
@@ -307,11 +309,13 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             )
             adam_step(params, grad_W, grad_b, state, config)
 
+        # each model's objective over the whole training split
+        totals, bases, penalties, _, _ = objective(
+            params.W, forward_rows(params, features, train_idx), y, weights,
+            config.l2_coeff,
+            [epoch_penalty if lam > 0 else None for lam in lams], lams)
         records = []
-        for lam, (base, penalty) in zip(lams, evaluate_losses(
-                params, features, train_idx, y, weights, config,
-                [epoch_penalty if lam > 0 else None for lam in lams])):
-            total = losses.total_loss(base, penalty, lam)
+        for total, base, penalty in zip(totals, bases, penalties):
             if not np.isfinite(total):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}: base={base}, "
@@ -354,29 +358,6 @@ def forward_rows(params, features, rows) -> np.ndarray:
     blocks = np.array_split(rows, max(1, -(-len(rows) // BLOCK_ROWS)))
     return np.concatenate([forward_batch(params, features.take(b, axis=0))
                            for b in blocks], axis=-2)
-
-
-def evaluate_losses(params, features, rows, y, weights, config: TrainConfig,
-                    penalties):
-    """(base, penalty) over the records features[rows] (not batch
-    estimates), one pair per model of the stack params.
-
-    y aligns with rows. base is the weighted cross-entropy plus the l2
-    term, so base + lam * penalty is model.loss_and_gradient's objective
-    over the same records. penalties holds, per model, the penalty's
-    value as p_true -> value over those records, or None for a penalty
-    of 0. The rows are gathered once for all models (forward_rows).
-    """
-    probs = forward_rows(params, features, rows)
-    picked = np.arange(len(y))
-    pairs = []
-    for W, model_probs, penalty in zip(params.W, probs, penalties):
-        base = weighted_cross_entropy(model_probs, y, weights)
-        if config.l2_coeff:
-            base += config.l2_coeff * float(np.sum(W**2))
-        pairs.append((base, 0.0 if penalty is None
-                      else penalty(model_probs[picked, y])))
-    return pairs
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

@@ -332,11 +332,10 @@ def regex_tokens(document):
     return re.findall(r"[a-z0-9']+", document.lower())
 
 
-def _scrub(document, first_name):
-    remove = set(_PRONOUNS)
-    if first_name is not None and _normalize(first_name):
-        remove.add(_normalize(first_name))
-    return " ".join(t for t in document.split() if _normalize(t) not in remove)
+def _scrub(tokens, first_name):
+    """The tokens that are neither a pronoun nor a token of first_name."""
+    remove = _PRONOUNS | set(regex_tokens(first_name or ""))
+    return [t for t in tokens if t not in remove]
 
 
 def load_text_loop(path, min_count, top_fraction, scrub_names, fit_indices):
@@ -353,9 +352,9 @@ def load_text_loop(path, min_count, top_fraction, scrub_names, fit_indices):
             first_names.append(first.strip() or None)
             last_names.append(last.strip() or None)
             documents.append(document)
-    if scrub_names:
-        documents = [_scrub(d, f) for d, f in zip(documents, first_names)]
     token_lists = [regex_tokens(d) for d in documents]
+    if scrub_names:
+        token_lists = [_scrub(t, f) for t, f in zip(token_lists, first_names)]
     fit = (token_lists if fit_indices is None
            else [token_lists[i] for i in fit_indices])
     occurrences, doc_freq = Counter(), Counter()

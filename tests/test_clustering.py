@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nameblind import clustering
 from nameblind.clustering import (
     _distinct_rows,
     _lloyd,
@@ -204,7 +205,7 @@ def test_lloyd_reseed_bitwise_matches_per_point_oracle():
     assert np.bincount(nearest(means), minlength=5).min() == 0
     distinct, inverse = _distinct_rows(points, 5)
     sq_norms = np.einsum("nd,nd->n", distinct, distinct)
-    model = _lloyd(points, distinct, inverse, sq_norms, init.copy(), 100, 1e-4)
+    model = _lloyd(points, distinct, inverse, sq_norms, init.copy())
     oracle = lloyd_per_point(points, np.einsum("nd,nd->n", points, points),
                               init.copy(), 100, 1e-4)
     assert_same_model(model, oracle)
@@ -253,12 +254,14 @@ def test_relabeling_keeps_inertia():
     assert inertia == pytest.approx(model.inertia, rel=1e-12)
 
 
-def test_inertia_non_increasing_per_iteration():
+def test_inertia_non_increasing_per_iteration(monkeypatch):
+    monkeypatch.setattr(clustering, "MAX_ITERS", 25)
+    monkeypatch.setattr(clustering, "TOL", 0.0)
     rng = np.random.default_rng(6)
     points = np.vstack(
         [rng.normal(i * 3, 1.0, size=(20, 2)) for i in range(3)]
     )
-    model = kmeans(points, k=3, seed=2, max_iters=25, tol=0.0)
+    model = kmeans(points, k=3, seed=2)
     history = model.inertia_history
     assert len(history) >= 2
     for prev, cur in zip(history, history[1:]):

@@ -749,24 +749,54 @@ def test_infer_race_single_table_fallback():
 
 # ----------------------------------------------------------------------- scrub
 
+def scrubbed(document, first_name=None):
+    return scrub(tokenize(document), first_name)
+
+
 def test_scrub_examples():
-    assert scrub("She is a surgeon", "Anna") == "is a surgeon"
-    assert scrub("Anna studied at X", "Anna") == "studied at X"
-    assert scrub("Nothing to remove here", "Anna") == "Nothing to remove here"
+    assert scrubbed("She is a surgeon", "Anna") == ["is", "a", "surgeon"]
+    assert scrubbed("Anna studied at X", "Anna") == ["studied", "at", "x"]
+    assert scrubbed("Nothing to remove here", "Anna") == tokenize(
+        "Nothing to remove here")
 
 
 def test_scrub_removes_pronouns_case_insensitively():
-    assert scrub("HE said his work, she likes hers.") == "said work, likes"
-    assert scrub("Mr. Smith met Mrs. Jones") == "Smith met Jones"
+    assert scrubbed("HE said his work, she likes hers.") == [
+        "said", "work", "likes"]
+    assert scrubbed("Mr. Smith met Mrs. Jones") == ["smith", "met", "jones"]
+
+
+def test_scrub_removes_pronouns_joined_by_punctuation():
+    # the document's tokens, not its whitespace-separated words
+    assert scrubbed("Jane (she/her) thanks his/her team", "Jane") == [
+        "thanks", "team"]
+    assert scrubbed("(He) led; she'd-not", None) == ["led", "she'd", "not"]
+
+
+def test_scrub_removes_each_token_of_a_hyphenated_first_name():
+    assert scrubbed("Mary-Jane, or Mary, met Jane's sister", "Mary-Jane") == [
+        "or", "met", "jane's", "sister"]
+    assert scrubbed("Dr. Mary-Jane", " mary-jane ") == ["dr"]
+
+
+def test_parse_text_scrubs_by_the_token_rule(tmp_path):
+    path = tmp_path / "bios.tsv"
+    path.write_text("nurse\tMary-Jane\tDoe\tJane (she/her) thanks his/her "
+                    "team, Mary\n", encoding="utf-8")
+    docs = parse_text(path, scrub_names=True).documents
+    assert [docs.tokens[i] for i in docs.ids[docs.indptr[0]:docs.indptr[1]]
+            ] == ["team", "thanks"]
 
 
 def test_scrub_idempotent():
     rng = np.random.default_rng(4)
-    words = ["she", "he", "Anna", "builds", "bridges.", "Her", "team", "mr"]
+    words = ["she", "he", "Anna", "builds", "bridges.", "Her", "team", "mr",
+             "(she/her)", "his/her"]
     for _ in range(20):
         doc = " ".join(rng.choice(words, size=10))
-        once = scrub(doc, "anna")
+        once = scrubbed(doc, "anna")
         assert scrub(once, "anna") == once
+        assert not {"she", "he", "her", "his", "mr", "anna"} & set(once)
 
 
 def test_tokenize_splits_punctuation():

@@ -5,6 +5,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import nameblind
 from nameblind.training import TrainConfig
 
@@ -29,13 +31,18 @@ def test_package_imports_only_stdlib_and_numpy():
 
 
 # Public names that no other package code calls: the library's documented
-# entry points and what the acceptance suite imports. NameTable.coverages
-# is the per-record coverage README documents.
+# entry points and what the acceptance suite imports or calls
+# (BiasReport.get). NameTable.coverages is the per-record coverage README
+# documents.
 KEEP = {
     "load_tabular", "save_embeddings", "clucl_penalty", "cocl_penalty",
     "penalty_value", "penalty_gradient", "predict_batch",
-    "NameTable.coverages",
+    "NameTable.coverages", "BiasReport.get",
 }
+
+# Attribute names that builtin containers and arrays also carry: a read of
+# x.get or x.take may be a dict's or an array's, not the method's.
+SHARED = set().union(*map(dir, (dict, list, set, str, np.ndarray)))
 
 
 def _public(nodes):
@@ -44,37 +51,83 @@ def _public(nodes):
             and not node.name.startswith("_")]
 
 
+def _references(tree):
+    """The names a module reads, the attributes it reads, and the names it
+    reads, imports or defines."""
+    names, attributes, named = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            named.add(node.name)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    return names, attributes, named | names
+
+
+def _package_references():
+    """_references per package module but __init__, and every module's tree."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(nameblind.__file__).parent.glob("*.py")}
+    return [_references(tree) for name, tree in trees.items()
+            if name != "__init__.py"], trees
+
+
+def _unreached(modules, definitions):
+    """The definitions (file, qualified name, class or None, name) that no
+    module reaches and KEEP does not name. A method named like an
+    attribute of a builtin container or array (SHARED) is reached only by
+    a module that reads the attribute and names the method's class; any
+    other name by a module that reads it."""
+    def reached(cls, short):
+        if cls is not None and short in SHARED:
+            return any(short in attributes and cls in named
+                       for _, attributes, named in modules)
+        return any(short in names or short in attributes
+                   for names, attributes, _ in modules)
+
+    return sorted(f"{name}: {qualified}"
+                  for name, qualified, cls, short in definitions
+                  if not reached(cls, short) and qualified not in KEEP)
+
+
+def _definitions(trees):
+    definitions = []  # (file, qualified name, class or None, name)
+    for name, tree in trees.items():
+        for node in _public(tree.body):
+            definitions.append((name, node.name, None, node.name))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(name, f"{node.name}.{method.name}",
+                                 node.name, method.name)
+                                for method in _public(node.body)
+                                if isinstance(method, ast.FunctionDef)]
+    return definitions
+
+
 def test_every_public_definition_has_a_package_caller():
     """A public top-level function or class, or a public method of a public
     class, that only its own definition, __init__ exports or tests reach is
     a second code path beside the one the commands run; keep it out unless
     KEEP names it."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in Path(nameblind.__file__).parent.glob("*.py")}
-    referenced = set()
-    for name, tree in trees.items():
-        if name == "__init__.py":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    definitions = []  # (file, qualified name, name)
-    for name, tree in trees.items():
-        for node in _public(tree.body):
-            definitions.append((name, node.name, node.name))
-            if isinstance(node, ast.ClassDef):
-                definitions += [(name, f"{node.name}.{method.name}",
-                                 method.name)
-                                for method in _public(node.body)
-                                if isinstance(method, ast.FunctionDef)]
-    unreached = sorted(f"{name}: {qualified}"
-                       for name, qualified, short in definitions
-                       if short not in referenced and qualified not in KEEP)
+    modules, trees = _package_references()
+    definitions = _definitions(trees)
+    unreached = _unreached(modules, definitions)
     assert unreached == []
     # an entry for a deleted name would let it come back unseen
-    assert sorted(KEEP - {qualified for _, qualified, _ in definitions}) == []
+    defined = {qualified for _, qualified, _, _ in definitions}
+    assert sorted(KEEP - defined) == []
+
+
+def test_a_method_named_like_a_builtin_attribute_needs_its_class_named():
+    # x.copy() anywhere reads some array's copy; it does not reach a
+    # BiasReport.copy no module that names BiasReport calls
+    modules, trees = _package_references()
+    dead = ("metrics.py", "BiasReport.copy", "BiasReport", "copy")
+    assert any("copy" in attributes for _, attributes, _ in modules)
+    assert _unreached(modules, _definitions(trees) + [dead]) == [
+        "metrics.py: BiasReport.copy"]
 
 
 def test_every_train_config_field_is_set_by_the_cli():

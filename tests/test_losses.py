@@ -11,8 +11,8 @@ from nameblind.losses import (
     penalty,
     penalty_gradient,
     penalty_value,
-    total_loss,
 )
+from nameblind.model import objective
 
 from oracles import (
     central_diff_grad,
@@ -133,9 +133,8 @@ def test_clucl_matches_loop_oracle_at_bios_shape():
         assert np.max(np.abs(grad - expected_grad)) <= 1e-12
         # the table train builds, read directly
         table = CluclTable(labels, clusters, mask, k, num_classes)
-        assert abs(table.value(probs) - expected) <= 1e-12
         value, grad = table.penalty(probs)
-        assert value == table.value(probs)
+        assert abs(value - expected) <= 1e-12
         assert np.max(np.abs(grad - expected_grad)) <= 1e-12
 
 
@@ -347,7 +346,6 @@ def test_cocl_table_value_matches_gathered_vectors(num_classes):
                     num_classes)
             value, grad = table.penalty(probs)
             expected = cocl_loop_penalty(*args)
-            assert value == table.value(probs)
             assert abs(value - expected) <= 1e-12 * expected
             assert rel_error(grad, cocl_loop_gradient(*args)) <= 1e-12
             assert np.all(grad[~include[rows]] == 0.0)
@@ -434,11 +432,21 @@ def test_penalties_nonnegative_random():
 # --------------------------------------------------------------------- total loss
 
 def test_total_loss():
-    assert total_loss(1.0, 0.04, 0.0) == 1.0
-    assert total_loss(1.0, 0.04, 2.0) == pytest.approx(1.08, abs=1e-15)
-    assert total_loss(0.7, 0.0, 123.0) == 0.7
+    # model.objective's total is base + lam * penalty, per model
+    probs = np.full((3, 2, 2), 0.5)
+    labels, weights = np.array([0, 1]), np.ones(2)
+
+    def constant(value):
+        return lambda p: (value, np.zeros_like(p))
+
+    totals, bases, _, _, _ = objective(
+        np.zeros((3, 2, 1)), probs, labels, weights, 0.0,
+        [constant(0.04), constant(0.04), constant(0.0)], [0.0, 2.0, 123.0])
+    assert bases == [np.log(2.0)] * 3
+    assert totals == [bases[0], bases[1] + 2.0 * 0.04, bases[2]]
     with pytest.raises(ValueError):
-        total_loss(1.0, 0.1, -0.5)
+        objective(np.zeros((1, 2, 1)), probs[:1], labels, weights, 0.0,
+                  [constant(0.1)], [-0.5])
 
 
 def test_penalty_value_dispatch():

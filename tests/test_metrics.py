@@ -12,7 +12,6 @@ from nameblind.metrics import (
     gap_rms,
     summary_header,
     summary_values,
-    tpr,
     write_bias_report_csv,
 )
 
@@ -41,16 +40,29 @@ def random_instance(rng, n=200, num_classes=4):
 
 
 def test_tpr_basic_counting():
-    labels = [1, 1, 1, 1, 0]
-    preds = [1, 1, 1, 0, 0]
-    mask = [True] * 5
-    assert tpr(preds, labels, mask, 1) == 0.75
-    assert tpr([1, 1], [1, 1], [True, True], 1) == 1.0
+    labels = [1, 1, 1, 1, 0, 1, 0]
+    preds = [1, 1, 1, 0, 0, 1, 0]
+    report = bias_report(preds, labels,
+                         GroupLabels([attr("g", [1, 1, 1, 1, 1, 0, 0])]))
+    (g,) = report.attributes
+    assert g.tpr_pos == [1.0, 0.75] and g.counts_pos == [1, 4]
+    assert g.tpr_neg == [1.0, 1.0] and g.counts_neg == [1, 1]
+    assert g.gaps == [0.0, -0.25]
+    # Python numbers, so the CSVs hold their reprs
+    assert all(type(v) is float for v in g.tpr_pos + g.tpr_neg)
+    assert all(type(v) is int for v in g.counts_pos + g.counts_neg)
+    assert balanced_tpr([1, 1], [1, 1]) == 1.0
 
 
 def test_tpr_empty_support_is_undefined():
-    assert tpr([0, 0], [0, 0], [True, True], 1) is None
-    assert tpr([1], [1], [False], 1) is None
+    # no positive-group record has label 1, and a missing (-1) record
+    # counts in neither group
+    report = bias_report([0, 1, 1, 0, 1], [0, 0, 1, 0, 1],
+                         GroupLabels([attr("g", [1, 1, 0, 0, -1])]))
+    (g,) = report.attributes
+    assert g.tpr_pos == [0.5, None] and g.counts_pos == [2, 0]
+    assert g.tpr_neg == [1.0, 1.0] and g.counts_neg == [1, 1]
+    assert g.gaps == [-0.5, None]
 
 
 def test_gap_rms_values():

@@ -11,10 +11,10 @@ from nameblind.model import (
     forward_batch,
     load_model,
     loss_and_gradient,
+    objective,
     predict_batch,
     save_model,
     softmax,
-    weighted_cross_entropy,
 )
 
 from oracles import central_diff_grad, rel_error
@@ -83,11 +83,18 @@ def test_class_weights_zero_count():
         class_weights([5, 0])
 
 
+def cross_entropy(probs, labels, weights):
+    """The base of one model at probs with no l2 term and no penalty."""
+    probs = np.asarray(probs, dtype=np.float64)
+    W = np.zeros((1, probs.shape[1], 1))
+    return objective(W, probs[None], labels, weights, 0.0, [None], [0.0])[1][0]
+
+
 def test_weighted_cross_entropy_values():
-    assert weighted_cross_entropy([[1.0, 0.0]], [0], [1.0, 1.0]) == 0.0
-    loss = weighted_cross_entropy([[0.5, 0.5]], [0], [1.0, 1.0])
+    assert cross_entropy([[1.0, 0.0]], [0], [1.0, 1.0]) == 0.0
+    loss = cross_entropy([[0.5, 0.5]], [0], [1.0, 1.0])
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-    loss2 = weighted_cross_entropy([[0.5, 0.5]], [0], [2.0, 1.0])
+    loss2 = cross_entropy([[0.5, 0.5]], [0], [2.0, 1.0])
     assert loss2 == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
@@ -95,16 +102,46 @@ def test_weighted_cross_entropy_all_ones_equals_unweighted():
     rng = np.random.default_rng(2)
     probs = softmax(rng.normal(size=(50, 4)))
     labels = rng.integers(0, 4, size=50)
-    got = weighted_cross_entropy(probs, labels, np.ones(4))
+    got = cross_entropy(probs, labels, np.ones(4))
     unweighted = -np.mean(np.log(probs[np.arange(50), labels]))
     assert got == pytest.approx(unweighted, rel=1e-12)
 
 
 def test_weighted_cross_entropy_errors():
     with pytest.raises(ValueError, match="nonempty"):
-        weighted_cross_entropy(np.zeros((0, 2)), [], [1.0, 1.0])
+        cross_entropy(np.zeros((0, 2)), [], [1.0, 1.0])
     with pytest.raises(ValueError, match="out of range"):
-        weighted_cross_entropy([[0.5, 0.5]], [2], [1.0, 1.0])
+        cross_entropy([[0.5, 0.5]], [2], [1.0, 1.0])
+
+
+def test_objective_parts_per_model():
+    # base = cross-entropy + l2 term; the penalty is read only at lam > 0,
+    # and the total is base + lam * value, a Python float
+    rng = np.random.default_rng(6)
+    W = rng.normal(size=(3, 2, 4))
+    probs = softmax(rng.normal(size=(3, 5, 2)))
+    labels = np.array([0, 1, 1, 0, 1])
+    weights = np.array([1.5, 0.75])
+    calls = []
+
+    def pen(p):
+        calls.append(p.copy())
+        return float(np.sum(p)), 2.0 * p
+
+    totals, bases, values, grads, p_true = objective(
+        W, probs, labels, weights, 0.1, [pen, None, pen], [2.0, 3.0, 0.0])
+    assert np.array_equal(p_true, probs[:, np.arange(5), labels])
+    for i in range(3):
+        assert bases[i] == (cross_entropy(probs[i], labels, weights)
+                            + 0.1 * float(np.sum(W[i]**2)))
+    assert len(calls) == 1 and np.array_equal(calls[0], p_true[0])
+    assert values == [float(np.sum(p_true[0])), 0.0, 0.0]
+    assert np.array_equal(grads[0], 2.0 * p_true[0])
+    assert grads[1:] == [None, None]
+    assert totals == [bases[0] + 2.0 * values[0], bases[1], bases[2]]
+    assert all(type(v) is float for v in totals + bases + values)
+    with pytest.raises(ValueError, match="one penalty and one lam"):
+        objective(W, probs, labels, weights, 0.1, [None] * 2, [0.0] * 3)
 
 
 def test_zero_weights_give_zero_gradients():
@@ -124,8 +161,7 @@ def test_loss_is_the_weighted_cross_entropy_and_lam_is_nonnegative():
     labels = rng.integers(0, 3, size=6)
     weights = rng.uniform(0.5, 2.0, size=3)
     loss = loss_and_gradient(params, X, labels, weights)[0]
-    assert loss == weighted_cross_entropy(forward_batch(params, X), labels,
-                                          weights)
+    assert loss == cross_entropy(forward_batch(params, X), labels, weights)
     with pytest.raises(ValueError, match="nonnegative"):
         loss_and_gradient(params, X, labels, weights, lam=-1.0)
     with pytest.raises(ValueError, match="nonnegative"):

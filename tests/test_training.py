@@ -15,6 +15,7 @@ from nameblind.model import (
     class_weights,
     forward_batch,
     loss_and_gradient,
+    objective,
     predict_batch,
 )
 from nameblind.training import (
@@ -145,7 +146,8 @@ def test_objective_rejects_bad_penalty_strength(lam):
         loss_and_gradient(params, np.ones((3, 2)), np.array([0, 1, 0]),
                           np.ones(2), lam=lam)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        losses.total_loss(1.0, 0.5, lam)
+        objective(params.W[None], np.full((1, 3, 2), 0.5), np.array([0, 1, 0]),
+                  np.ones(2), 0.0, [None], [lam])
     with pytest.raises(ValueError, match="lam must be"):
         train(separable_dataset(), None, TrainConfig(epochs=1), lams=[0.0, lam])
 
@@ -231,9 +233,7 @@ def test_history_length_and_finite_losses():
     for rec in result.history:
         assert np.isfinite(rec.base_loss)
         assert np.isfinite(rec.penalty)
-        assert rec.total_loss == pytest.approx(
-            rec.base_loss + config.lam * rec.penalty, rel=1e-12
-        )
+        assert rec.total_loss == rec.base_loss + config.lam * rec.penalty
     assert result.cluster_model is not None
     assert result.cluster_model.k == 3
 
@@ -296,13 +296,20 @@ def test_history_total_loss_is_the_objective(variant):
     result = train(dataset, table, config)
     train_idx = result.split[0]
     y = dataset.labels[train_idx]
-    objective = loss_and_gradient(
-        result.params, dataset.features[train_idx], y,
-        class_weights(np.bincount(y, minlength=2)), config.l2_coeff,
-        objective_penalty(dataset, table, result, config, slice(None)),
-        config.lam,
-    )[0]
-    assert abs(result.history[-1].total_loss - objective) <= 1e-12
+    weights = class_weights(np.bincount(y, minlength=2))
+    pen = objective_penalty(dataset, table, result, config, slice(None))
+    # the history row is the objective at the final params, bit for bit
+    totals, bases, penalties, _, _ = objective(
+        result.params.W[None],
+        forward_rows(result.params, dataset.features, train_idx)[None], y,
+        weights, config.l2_coeff, [pen], [config.lam])
+    last = result.history[-1]
+    assert (last.total_loss, last.base_loss, last.penalty) == (
+        totals[0], bases[0], penalties[0])
+    # and loss_and_gradient's loss over the same records, to rounding
+    loss = loss_and_gradient(result.params, dataset.features[train_idx], y,
+                             weights, config.l2_coeff, pen, config.lam)[0]
+    assert abs(last.total_loss - loss) <= 1e-12
 
 
 def test_penalty_on_training_reduces_it():
@@ -496,7 +503,8 @@ def test_grid_fits_are_the_solo_fits(store, variant, tmp_path):
 
 def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
     # the models share each batch's table (and the epoch table); a model
-    # at lambda 0 never reads it
+    # at lambda 0 never reads it. Each epoch's objective calls penalty once
+    # per positive lambda
     built, calls = [], []
     real = losses.CoclTable
 
@@ -514,9 +522,9 @@ def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
     config = TrainConfig(variant="cocl", epochs=2, seed=5, batch_size=64)
     train(dataset, toy_table(dataset.first_names[::3]), config,
           lams=[0.0, 1.0, 2.0])
-    batches = 2 * 4  # 240 training records in batches of 64, two epochs
+    # 240 training records in batches of 64, two epochs
     assert built == [240] + [64, 64, 64, 48] * 2
-    assert len(calls) == 2 * batches
+    assert calls == ([64, 64] * 3 + [48, 48] + [240, 240]) * 2
 
 
 def test_forward_rows_matches_forward_batch():
