@@ -335,16 +335,18 @@ def _fit_setup(spec: ExperimentSpec, lams) -> tuple[Path, _Pipeline]:
 def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
     """One seed's fits: the bias report of each lambda's fit, in lams
     order, from one train call that fits the lambdas in lockstep (each
-    fit the bytes of its own train run). With out (cmd_train, one lambda)
-    the fit's model, history and bias report files are written there too.
-    The seed's dataset, name table and fits are freed on return, before
-    the next seed's are built."""
+    fit's parameters the bytes of its own train run). With out (cmd_train,
+    one lambda) the fit's model, history and bias report files are
+    written there too; without it (cmd_sweep) train records no per-epoch
+    history. The seed's dataset, name table and fits are freed on return,
+    before the next seed's are built."""
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
     _eval_groups(dataset)  # before any fit
     names = None if pipeline.table is None else pipeline.names(dataset)
     grid = train(dataset, pipeline.table, _train_config(spec, seed),
-                 split=split, names=names, lams=lams)
+                 split=split, names=names, lams=lams,
+                 history=out is not None)
     reports = [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
     if out is not None:
         (fit,), (report,) = grid.fits, reports
@@ -392,8 +394,13 @@ def _bias_report(params, dataset, rows):
                        a.values[rows])
         for a in _eval_groups(dataset).attributes
     ])
-    preds = forward_rows(params, dataset.features, rows).argmax(axis=1)
-    return bias_report(preds, dataset.labels[rows], groups,
+    probs = forward_rows(params, dataset.features, rows)
+    # a diverged last step reaches no batch's loss check: its nan
+    # probabilities would argmax to garbage predictions
+    if not np.isfinite(probs).all():
+        raise NumericalError("the model's probabilities on the reported "
+                             "records are not finite")
+    return bias_report(probs.argmax(axis=1), dataset.labels[rows], groups,
                        num_classes=len(dataset.class_names),
                        class_names=dataset.class_names)
 

@@ -284,14 +284,14 @@ class TabularSchema:
 
     @classmethod
     def load(cls, path) -> "TabularSchema":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return cls.parse(fh.read())
 
 
 def read_csv_rows(path):
     """Header and data rows of a CSV file, cells stripped of whitespace;
     blank lines hold no row."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -307,7 +307,7 @@ def _row_line(path, index: int) -> int:
     Read again only to report an error, so the parse holds no line
     number per row.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         starts, start = [], reader.line_num + 1
@@ -530,7 +530,7 @@ class NameDemographics:
 def load_name_probabilities(path) -> dict[str, float]:
     """Read a two-column "name<TAB>probability" table (names normalized)."""
     table: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -802,7 +802,7 @@ def parse_text(path, scrub_names: bool = False) -> TextRecords:
     last_names: list[str | None] = []
 
     def documents():
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

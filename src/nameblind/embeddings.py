@@ -161,7 +161,7 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
     if allowlist is not None:
         wanted = {normalize_token(t) for t in allowlist}
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:

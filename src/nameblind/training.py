@@ -211,7 +211,8 @@ def _adam_update(param, grad, m, v, work, t: int, config: TrainConfig) -> None:
 
 
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
-          split=None, names: NameTable | None = None, lams=None):
+          split=None, names: NameTable | None = None, lams=None,
+          history: bool = True):
     """Train the classifier with the configured penalty.
 
     Pipeline: names is the embeddings.NameTable of every record of the
@@ -221,14 +222,19 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     records' name vectors once per call and freezes the assignments; each
     penalty is a table over fixed records (losses.CluclTable over the
     cluster ids, losses.CoclTable over the name-table rows of the records'
-    names, never gathering a per-record vector), built per batch and once
-    per call; class weights come from the training labels; each epoch
-    shuffles with the seeded RNG and applies Adam per batch, then records
-    each model's model.objective over the whole training split (the
-    function loss_and_gradient differentiates) in its history. Each
-    batch gathers its rows with dataset.features.take, which keeps a
-    sparse (BinaryRows) feature store sparse, and full-set passes go
-    through forward_rows, so text features are never densified.
+    names, never gathering a per-record vector), built per batch and, with
+    history, once per call; class weights come from the training labels;
+    each epoch shuffles with the seeded RNG and applies Adam per batch,
+    checking every batch's objective for a non-finite total. With history
+    each epoch then records each model's model.objective over the whole
+    training split (the function loss_and_gradient differentiates) and
+    its balanced TPR on the validation split in its history. Without it
+    no epoch table is built and no full-set pass runs; each fit's history
+    is [] and its parameters are the same bytes, since the history reads
+    neither the RNG nor the optimizer state. Each batch gathers its rows
+    with dataset.features.take, which keeps a sparse (BinaryRows) feature
+    store sparse, and full-set passes go through forward_rows, so text
+    features are never densified.
     Identical configs and seeds produce bitwise-identical parameters.
 
     lams, a sequence of penalty strengths, trains one model per strength
@@ -238,7 +244,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     step serve the stack, and each epoch's full-set passes gather each
     block once. A model's penalty is computed only when its strength is
     positive, and each fit is bitwise the TrainResult of train with
-    config.lam set to its strength.
+    config.lam set to its strength (and the same history).
     """
     grid = lams is not None
     # replace re-runs TrainConfig's checks on each strength
@@ -288,7 +294,8 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
             def table(rows):
                 return losses.CoclTable(y[rows], names.vectors, first[rows],
                                         last[rows], num_classes)
-        epoch_penalty = table(slice(None)).penalty
+        if history:
+            epoch_penalty = table(slice(None)).penalty
     weights = class_weights(np.bincount(y, minlength=num_classes))
     shape = (len(lams), num_classes, features.shape[1])
     params = ModelParams(W=np.zeros(shape), b=np.zeros(shape[:-1]))
@@ -302,12 +309,22 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         for start in range(0, n_train, config.batch_size):
             batch = order[start:start + config.batch_size]
             batch_penalty = None if table is None else table(batch).penalty
-            _, grad_W, grad_b = loss_and_gradient(
+            totals, grad_W, grad_b = loss_and_gradient(
                 params, features.take(train_idx[batch], axis=0), y[batch],
                 weights, config.l2_coeff,
                 [batch_penalty if lam > 0 else None for lam in lams], lams,
             )
+            # an overflowing penalty value can come with a zero gradient,
+            # which adam_step's own check lets pass
+            if not np.isfinite(totals).all():
+                raise NumericalError(
+                    f"non-finite loss at epoch {epoch}, batch "
+                    f"{start // config.batch_size + 1}: "
+                    f"totals={totals.tolist()}"
+                )
             adam_step(params, grad_W, grad_b, state, config)
+        if not history:
+            continue
 
         # each model's objective over the whole training split
         totals, bases, penalties, _, _ = objective(
@@ -329,12 +346,12 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
                         for preds in val_preds]
         else:
             val_tprs = [float("nan")] * len(lams)
-        for history, record, val_tpr in zip(histories, records, val_tprs):
-            history.append(EpochRecord(*record, val_tpr))
+        for fit_history, record, val_tpr in zip(histories, records, val_tprs):
+            fit_history.append(EpochRecord(*record, val_tpr))
 
-    fits = [TrainResult(params=ModelParams(W, b), history=history,
+    fits = [TrainResult(params=ModelParams(W, b), history=fit_history,
                         cluster_model=cluster_model, split=split)
-            for W, b, history in zip(params.W, params.b, histories)]
+            for W, b, fit_history in zip(params.W, params.b, histories)]
     if grid:
         return GridResult(fits=fits, split=split)
     return fits[0]

@@ -244,6 +244,21 @@ def test_numerical_failure_exit_3(tiny_tabular, tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_sweep_diverging_in_its_last_step_exit_3(tiny_tabular, tmp_path,
+                                                 capsys):
+    # one batch in one epoch: no batch's loss reads the diverged
+    # parameters, whose probabilities on the test records are nan
+    data, schema, _ = tiny_tabular
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["sweep", "--data", str(data), "--schema", str(schema),
+                   "--variant", "none", "--lambdas", "0", "1", "--seeds", "0",
+                   "--epochs", "1", "--lr", "1e308", "--out", str(out)])
+    assert rc == 3
+    assert "numerical" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_needs_two_lambdas(tiny_tabular, tmp_path, capsys):
     data, schema, _ = tiny_tabular
     rc = main(
@@ -347,17 +362,22 @@ def test_non_finite_config_value_exit_1(tiny_tabular, tmp_path, capsys):
     assert "--lr" in capsys.readouterr().err
 
 
+def scaled_vectors(embeddings, path, scale):
+    """A copy at path of the vector file with every component times scale."""
+    lines = embeddings.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0]] + [
+        " ".join([line.split()[0]]
+                 + [repr(float(v) * scale) for v in line.split()[1:]])
+        for line in lines[1:]]) + "\n", encoding="utf-8")
+    return path
+
+
 def test_sweep_with_one_diverging_lambda_exit_3(tiny_tabular, tmp_path,
                                                 capsys):
     # name vectors of norm ~1e150 make lambda 1e200's penalty overflow;
     # lambda 0 alone would train: the sweep fails as a whole
     data, schema, embeddings = tiny_tabular
-    lines = embeddings.read_text(encoding="utf-8").splitlines()
-    huge = tmp_path / "huge.txt"
-    huge.write_text("\n".join([lines[0]] + [
-        " ".join([line.split()[0]]
-                 + [repr(float(v) * 1e150) for v in line.split()[1:]])
-        for line in lines[1:]]) + "\n", encoding="utf-8")
+    huge = scaled_vectors(embeddings, tmp_path / "huge.txt", 1e150)
     out = tmp_path / "out"
     argv = ["sweep", "--data", str(data), "--schema", str(schema),
             "--embeddings", str(huge), "--variant", "cocl", "--seeds", "0",
@@ -369,6 +389,69 @@ def test_sweep_with_one_diverging_lambda_exit_3(tiny_tabular, tmp_path,
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, lambdas", [
+    ("sweep", ["--lambdas", "0", "1"]),
+    ("train", ["--lambda", "1"]),
+])
+def test_overflowing_penalty_value_exit_3(command, lambdas, tiny_tabular,
+                                          tmp_path, capsys):
+    # name vectors of norm ~1e200 overflow cocl's value to inf while its
+    # gradient is all zeros: only the check of each batch's loss sees it,
+    # as sweep records no per-epoch history
+    data, schema, embeddings = tiny_tabular
+    huge = scaled_vectors(embeddings, tmp_path / "huge.txt", 1e200)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([command, "--data", str(data), "--schema", str(schema),
+                   "--embeddings", str(huge), "--variant", "cocl", *lambdas,
+                   "--seeds", "0", "--epochs", "2", "--batch-size", "32",
+                   "--out", str(out)])
+    assert rc == 3
+    assert "non-finite loss at epoch 1, batch 2" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert not list(out.glob("model_seed*.txt"))
+
+
+def test_sweep_records_no_history(tiny_tabular, tmp_path, monkeypatch):
+    # the objective runs once per batch, inside loss_and_gradient: train
+    # builds no epoch penalty table and makes no full-set pass
+    import nameblind.losses
+    import nameblind.model
+    import nameblind.training
+
+    objectives, passes, tables = [], [], []
+    objective = nameblind.model.objective
+    forward_rows = nameblind.training.forward_rows
+
+    def counting_objective(W, probs, *args):
+        objectives.append(probs.shape[1])
+        return objective(W, probs, *args)
+
+    def counting_forward_rows(params, features, rows):
+        passes.append(len(rows))
+        return forward_rows(params, features, rows)
+
+    class CountingTable(nameblind.losses.CoclTable):
+        def __init__(self, labels, *args):
+            tables.append(len(labels))
+            super().__init__(labels, *args)
+
+    monkeypatch.setattr(nameblind.model, "objective", counting_objective)
+    monkeypatch.setattr(nameblind.training, "objective", counting_objective)
+    monkeypatch.setattr(nameblind.training, "forward_rows",
+                        counting_forward_rows)
+    monkeypatch.setattr(nameblind.losses, "CoclTable", CountingTable)
+    data, schema, embeddings = tiny_tabular
+    rc = main(["sweep", "--data", str(data), "--schema", str(schema),
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--lambdas", "0", "1", "--seeds", "0", "1", "--epochs", "2",
+               "--batch-size", "32", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    # 96 training records in batches of 32, two epochs, two seeds
+    assert objectives == tables == [32] * 12
+    assert passes == []
 
 
 def test_non_finite_continuous_cell_exit_1(tiny_tabular, tmp_path, capsys):

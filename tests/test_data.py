@@ -195,6 +195,29 @@ def test_load_tabular_schema_csv_mismatch(tmp_path):
         load_tabular(path, schema)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_schema_load_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "schema.txt"
+    path.write_bytes(BOM + b"age continuous\nincome label\n")
+    assert list(TabularSchema.load(path).columns) == ["age", "income"]
+
+
+def test_parse_tabular_skips_a_byte_order_mark(tmp_path):
+    # the first header cell is "age", not "\ufeffage"; an error still names
+    # the file line of its row
+    path = tmp_path / "data.csv"
+    path.write_bytes(BOM + b"age,income\n30,low\n40,high\n")
+    schema = TabularSchema.parse("age continuous\nincome label\n")
+    records = parse_tabular(path, schema)
+    assert records.class_names == ["high", "low"]
+    assert records.labels.tolist() == [1, 0]
+    path.write_bytes(BOM + b"age,income\n30,low\noops,high\n")
+    with pytest.raises(ValueError, match="row 3, column 'age'"):
+        parse_tabular(path, schema)
+
+
 # ------------------------------------------------------------------ demographics
 
 def demo_tables():
@@ -701,6 +724,15 @@ def test_load_text_malformed_line(tmp_path):
         parse_text(path)
 
 
+def test_parse_text_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bios.tsv"
+    path.write_bytes(BOM + "nurse\tAnna\tSmith\tdoc\nchef\tBob\tJones\tdoc\n"
+                     "nurse\tCara\tDiaz\tdoc\n".encode())
+    records = parse_text(path)
+    assert records.class_names == ["chef", "nurse"]
+    assert records.labels.tolist() == [1, 0, 1]
+
+
 @pytest.mark.parametrize("label", ["", " "], ids=["empty", "blank"])
 def test_parse_text_rejects_empty_label(tmp_path, label):
     path = tmp_path / "bad.tsv"
@@ -828,6 +860,12 @@ def test_name_probability_table_parse(tmp_path):
     bad.write_text("anna\t1.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="outside"):
         load_name_probabilities(bad)
+
+
+def test_name_probability_table_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "probs.tsv"
+    path.write_bytes(BOM + b"Anna\t0.9\nBOB\t0.25\n")
+    assert load_name_probabilities(path) == {"anna": 0.9, "bob": 0.25}
 
 
 # ------------------------------------------- parse once, fit per split: oracles

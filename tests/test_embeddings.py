@@ -47,6 +47,15 @@ def test_wrong_vector_length_reports_line(tmp_path):
         load_embeddings(path)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"\xef\xbb\xbf2 3\nanna 1 0 0\nsmith 0 1 0\n")
+    table = load_embeddings(path, allowlist={"anna", "smith"})
+    assert table.dimension == 3
+    assert np.array_equal(table.get("anna"), [1.0, 0.0, 0.0])
+    assert np.array_equal(table.get("smith"), [0.0, 1.0, 0.0])
+
+
 def test_malformed_header(tmp_path):
     path = write_vectors(tmp_path, "not a header line\n")
     with pytest.raises(EmbeddingFormatError, match="header"):

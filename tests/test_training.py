@@ -501,6 +501,28 @@ def test_grid_fits_are_the_solo_fits(store, variant, tmp_path):
     assert (grid.fits[0].cluster_model is None) == (variant == "cocl")
 
 
+@pytest.mark.parametrize("variant", ["cocl", "clucl"])
+@pytest.mark.parametrize("store", ["dense", "binary"])
+def test_fits_without_history_have_the_same_parameters(store, variant,
+                                                       tmp_path):
+    # the history reads neither the RNG nor the optimizer state, so a fit
+    # that skips it is the same bytes, with an empty history
+    dataset, table = grid_dataset(store, tmp_path)
+    config = TrainConfig(variant=variant, k=3, epochs=3, seed=5,
+                         batch_size=64, learning_rate=0.05, l2_coeff=0.001)
+    lams = [0.5, 0.0, 2.0]
+    full = train(dataset, table, config, lams=lams)
+    bare = train(dataset, table, config, lams=lams, history=False)
+    for fit, bare_fit in zip(full.fits, bare.fits, strict=True):
+        assert len(fit.history) == 3
+        assert bare_fit.history == []
+        assert bare_fit.params.W.tobytes() == fit.params.W.tobytes()
+        assert bare_fit.params.b.tobytes() == fit.params.b.tobytes()
+    if variant == "clucl":
+        assert (bare.fits[0].cluster_model.centroids.tobytes()
+                == full.fits[0].cluster_model.centroids.tobytes())
+
+
 def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
     # the models share each batch's table (and the epoch table); a model
     # at lambda 0 never reads it. Each epoch's objective calls penalty once
