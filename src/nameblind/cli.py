@@ -19,7 +19,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ from .data import (
     white_probabilities,
 )
 from .embeddings import (
-    NameTable,
     batch_name_vectors,
     collect_name_tokens,
     load_embeddings,
@@ -145,7 +144,7 @@ def _spec_from_args(args) -> ExperimentSpec:
     values: dict = {}
     if getattr(args, "config", None):
         config_path = _require_file(args.config, "config file")
-        with open(config_path, encoding="utf-8") as fh:
+        with open(config_path, encoding="utf-8-sig") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
@@ -198,9 +197,8 @@ def _load_demographics(spec: ExperimentSpec) -> NameDemographics | None:
 
 
 class _Pipeline:
-    """Per-command context: the data file parsed once, the schema,
-    demographics and embedding table, and the name lookups every seed
-    shares.
+    """Per-command context: the data file parsed once, and the schema,
+    demographics and embedding table every seed shares.
 
     Inputs are checked in a fixed order: every input file must exist
     (exit 2) before the data file is parsed, and the data file is parsed
@@ -226,8 +224,6 @@ class _Pipeline:
             self.records = parse_tabular(spec.data, self.schema)
         else:
             self.records = parse_text(spec.data, scrub_names=spec.scrub)
-        # synthetic first names are drawn per seed; other names are fixed
-        self._names_per_seed = spec.format == "tabular" and self.partition is not None
         self.table = None
         if need_embeddings:
             tokens = collect_name_tokens(set(self.records.first_names),
@@ -241,7 +237,6 @@ class _Pipeline:
                 self.records.first_names, self.records.last_names,
                 self.demographics,
             )
-        self._names = None
 
     def dataset_for_seed(self, seed: int):
         """Seeded split, preprocessing, and name/group assignment."""
@@ -266,18 +261,6 @@ class _Pipeline:
                     [draw_race_labels(self.p_white, seed, self.spec.race_attr)]
                 )
         return dataset, split
-
-    def names(self, dataset) -> NameTable:
-        """The name table of dataset's records (dataset from
-        dataset_for_seed): built once per command and kept, or once per
-        seed and not kept when the first names are drawn per seed."""
-        names = self._names
-        if names is None:
-            names = batch_name_vectors(self.table, dataset.first_names,
-                                       dataset.last_names)
-            if not self._names_per_seed:
-                self._names = names
-        return names
 
 
 def _write_manifest(spec: ExperimentSpec, command: str, out: Path) -> None:
@@ -320,13 +303,11 @@ def cmd_train(spec: ExperimentSpec) -> int:
 def _fit_setup(spec: ExperimentSpec, lams) -> tuple[Path, _Pipeline]:
     """The output directory and pipeline of a command that fits lams.
 
-    Every fit's hyperparameters are checked (TrainConfig's own checks)
-    before --out is made or any input is read; the embedding file is read
-    only when a penalty is on.
+    The hyperparameters are checked (TrainConfig's own checks; the spec
+    has already checked every lambda) before --out is made or any input
+    is read; the embedding file is read only when a penalty is on.
     """
-    config = _train_config(spec, spec.seeds[0])
-    for lam in lams:
-        replace(config, lam=lam)
+    _train_config(spec, spec.seeds[0])
     out = _out_dir(spec)
     penalty_on = spec.variant != "none" and max(lams) > 0
     return out, _Pipeline(spec, need_embeddings=penalty_on)
@@ -343,7 +324,9 @@ def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
     _eval_groups(dataset)  # before any fit
-    names = None if pipeline.table is None else pipeline.names(dataset)
+    names = (None if pipeline.table is None else
+             batch_name_vectors(pipeline.table, dataset.first_names,
+                                dataset.last_names))
     grid = train(dataset, pipeline.table, _train_config(spec, seed),
                  split=split, names=names, lams=lams,
                  history=out is not None)
@@ -451,7 +434,8 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
     seed = spec.seeds[0]
     dataset, _ = pipeline.dataset_for_seed(seed)
     groups = _eval_groups(dataset)
-    names = pipeline.names(dataset)
+    names = batch_name_vectors(pipeline.table, dataset.first_names,
+                               dataset.last_names)
     include = names.include
     covered_idx = np.flatnonzero(include)
     if not len(covered_idx):

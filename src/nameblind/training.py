@@ -8,7 +8,7 @@ Runs are deterministic given a config seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,14 +30,6 @@ from .metrics import balanced_tpr
 # and 166-176 ms in blocks of 8,192 (best of 5, three runs), with
 # bit-identical probabilities.
 BLOCK_ROWS = 256
-# most entries one block of an Adam update walks (_adam_update). On two
-# stacked Bios-shaped models (2 x 28 x 1,818, one BLAS thread, a 2-vCPU VM
-# with 4 MiB of L2) adam_step took 868 us in a block per model against
-# 960 us in one pass over the stack (best of 45 x 50 steps): a pass reads
-# and writes six arrays of the block's size. Three stacked Adult-shaped
-# models (3 x 2 x 93) take one pass, 34 us against 72 us for three
-# separate steps.
-ADAM_BLOCK = 65536
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -89,24 +81,13 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """First/second moment accumulators and the shared timestep, of the
-    shapes of W and b (with their model axis for a stack of models).
-
-    work holds two flat scratch rows, long enough for the largest block
-    _adam_update walks, shared by W and b: a step allocates nothing of
-    W's size.
-    """
+    shapes of W and b (with their model axis for a stack of models)."""
 
     m_W: np.ndarray
     v_W: np.ndarray
     m_b: np.ndarray
     v_b: np.ndarray
     t: int = 0
-    work: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # b has no more entries than W, nor more per leading index
-        self.work = np.empty(
-            (2, max(min(self.m_W.size, ADAM_BLOCK), self.m_W[:1].size)))
 
     @classmethod
     def zeros(cls, *shape: int) -> "AdamState":
@@ -161,53 +142,22 @@ def train_val_test_split(n: int, seed: int):
 
 def adam_step(params: ModelParams, grad_W, grad_b, state: AdamState,
               config: TrainConfig) -> None:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update (Kingma & Ba 2015), applied in place
+    to W and to b as whole arrays."""
     grad_W = np.asarray(grad_W, dtype=np.float64)
     grad_b = np.asarray(grad_b, dtype=np.float64)
     if not (np.isfinite(grad_W).all() and np.isfinite(grad_b).all()):
         raise NumericalError("non-finite gradients")
     state.t += 1
-    _adam_update(params.W, grad_W, state.m_W, state.v_W, state.work,
-                 state.t, config)
-    _adam_update(params.b, grad_b, state.m_b, state.v_b, state.work,
-                 state.t, config)
-
-
-def _adam_update(param, grad, m, v, work, t: int, config: TrainConfig) -> None:
-    """param -= lr * mhat / (sqrt(vhat) + eps) at timestep t, the moments m
-    and v updated first, all in place through the two flat scratch rows of
-    work; the same operations in the same order as the expressions in the
-    comments, so the result is bit-identical to them.
-
-    The update walks near-equal blocks of whole leading indices (models
-    of a stack, classes of one model), each of at most ADAM_BLOCK entries
-    or one leading index, so a block's arrays stay in cache.
-    """
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    rows = len(param)
-    per_block = max(1, ADAM_BLOCK // max(1, param[:1].size))
-    count = -(-rows // per_block)
-    for i in range(count):
-        lo, hi = rows * i // count, rows * (i + 1) // count
-        p, g, m_, v_ = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
-        step, denom = (row[:p.size].reshape(p.shape) for row in work)
-        # m = b1 * m + (1 - b1) * grad
-        np.multiply(m_, b1, out=m_)
-        np.multiply(g, 1 - b1, out=step)
-        np.add(m_, step, out=m_)
-        # v = b2 * v + (1 - b2) * grad**2
-        np.multiply(v_, b2, out=v_)
-        np.square(g, out=step)
-        np.multiply(step, 1 - b2, out=step)
-        np.add(v_, step, out=v_)
-        # param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
-        np.divide(m_, 1 - b1**t, out=step)
-        np.multiply(step, config.learning_rate, out=step)
-        np.divide(v_, 1 - b2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        np.add(denom, ADAM_EPS, out=denom)
-        np.divide(step, denom, out=step)
-        np.subtract(p, step, out=p)
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, config.learning_rate
+    for p, g, m, v in ((params.W, grad_W, state.m_W, state.v_W),
+                       (params.b, grad_b, state.m_b, state.v_b)):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += g**2 * (1 - b2)
+        p -= (m / (1 - b1**state.t)) * lr / (
+            np.sqrt(v / (1 - b2**state.t)) + ADAM_EPS)
 
 
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,

@@ -19,7 +19,6 @@ from nameblind.model import (
     predict_batch,
 )
 from nameblind.training import (
-    ADAM_BLOCK,
     AdamState,
     NumericalError,
     TrainConfig,
@@ -104,12 +103,7 @@ def test_adam_step_matches_textbook_form_bitwise():
     check_adam_textbook_form((3, 5))
 
 
-@pytest.mark.parametrize("block", [1, 7, 15, ADAM_BLOCK])
-def test_adam_step_on_a_stack_in_blocks_matches_textbook_form(block,
-                                                              monkeypatch):
-    # blocks of one class row, of one model (15 entries) or of the whole
-    # stack give the same bytes
-    monkeypatch.setattr(training, "ADAM_BLOCK", block)
+def test_adam_step_on_a_stack_matches_textbook_form():
     check_adam_textbook_form((4, 3, 5))
 
 
