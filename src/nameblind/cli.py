@@ -39,11 +39,7 @@ from .data import (
     partition_names,
     white_probabilities,
 )
-from .embeddings import (
-    batch_name_vectors,
-    collect_name_tokens,
-    load_embeddings,
-)
+from .embeddings import batch_name_vectors, load_embeddings
 from .metrics import (
     GroupAttribute,
     GroupLabels,
@@ -97,6 +93,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise UsageError("at least one seed is required")
+        bad = [s for s in self.seeds if s < 0]
+        if bad:
+            raise UsageError(f"--seeds values must be nonnegative, got {bad[0]}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise UsageError("--seeds values must be distinct")
         for option, values in (("--lambda", [self.lam]),
                                ("--lambdas", self.lambdas),
                                ("--lr", [self.lr]), ("--l2", [self.l2])):
@@ -226,11 +227,11 @@ class _Pipeline:
             self.records = parse_text(spec.data, scrub_names=spec.scrub)
         self.table = None
         if need_embeddings:
-            tokens = collect_name_tokens(set(self.records.first_names),
-                                         set(self.records.last_names))
+            names = ({*self.records.first_names, *self.records.last_names}
+                     - {None})
             if self.partition is not None:
-                tokens |= self.partition.all_names()
-            self.table = load_embeddings(spec.embeddings, allowlist=tokens)
+                names |= self.partition.all_names()
+            self.table = load_embeddings(spec.embeddings, allowlist=names)
         self.p_white = None
         if spec.format == "text" and self.demographics is not None:
             self.p_white = white_probabilities(
@@ -316,20 +317,16 @@ def _fit_setup(spec: ExperimentSpec, lams) -> tuple[Path, _Pipeline]:
 def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
     """One seed's fits: the bias report of each lambda's fit, in lams
     order, from one train call that fits the lambdas in lockstep (each
-    fit's parameters the bytes of its own train run). With out (cmd_train,
-    one lambda) the fit's model, history and bias report files are
-    written there too; without it (cmd_sweep) train records no per-epoch
-    history. The seed's dataset, name table and fits are freed on return,
-    before the next seed's are built."""
+    fit's parameters the bytes of its own train run), which builds the
+    seed's name table itself. With out (cmd_train, one lambda) the fit's
+    model, history and bias report files are written there too; without
+    it (cmd_sweep) train records no per-epoch history. The seed's dataset
+    and fits are freed on return, before the next seed's are built."""
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
     _eval_groups(dataset)  # before any fit
-    names = (None if pipeline.table is None else
-             batch_name_vectors(pipeline.table, dataset.first_names,
-                                dataset.last_names))
     grid = train(dataset, pipeline.table, _train_config(spec, seed),
-                 split=split, names=names, lams=lams,
-                 history=out is not None)
+                 split=split, lams=lams, history=out is not None)
     reports = [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
     if out is not None:
         (fit,), (report,) = grid.fits, reports

@@ -280,14 +280,3 @@ def batch_name_vectors(table, first_names, last_names) -> NameTable:
     last = np.fromiter(map(row.__getitem__, last_names), np.intp, n)
     return NameTable(np.vstack(found), first, last, (first >= 0) | (last >= 0))
 
-
-def collect_name_tokens(first_names, last_names) -> set[str]:
-    """Normalized, non-empty name tokens -- the natural load allowlist."""
-    tokens = set()
-    for name in list(first_names) + list(last_names):
-        if name is None:
-            continue
-        token = normalize_token(name)
-        if token:
-            tokens.add(token)
-    return tokens

@@ -53,12 +53,7 @@ class ModelParams:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (max-subtraction)."""
     logits = np.asarray(logits, dtype=np.float64)
-    # a max is exact in any order, so it reduces a transposed copy: one
-    # vectorized pass per class in place of a short loop per row (3 against
-    # 43 us over three Adult-shaped batches of 256 rows, 15 against 41 us
-    # over two Bios-shaped ones)
-    top = np.ascontiguousarray(logits.T).max(axis=0).T[..., None]
-    exp = np.exp(logits - top)
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True)
 
 

@@ -161,13 +161,12 @@ def adam_step(params: ModelParams, grad_W, grad_b, state: AdamState,
 
 
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
-          split=None, names: NameTable | None = None, lams=None,
-          history: bool = True):
+          split=None, lams=None, history: bool = True):
     """Train the classifier with the configured penalty.
 
-    Pipeline: names is the embeddings.NameTable of every record of the
-    dataset, built here from embeddings when none is given (records whose
-    names have no embedding coverage are excluded from penalty
+    Pipeline: when a penalty is on, the embeddings.NameTable of every
+    record of the dataset is built from embeddings once per call (records
+    whose names have no embedding coverage are excluded from penalty
     statistics); the cluster penalty clusters the included training
     records' name vectors once per call and freezes the assignments; each
     penalty is a table over fixed records (losses.CluclTable over the
@@ -214,14 +213,10 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
     cluster_model = table = epoch_penalty = None
     if config.variant != "none" and max(lams) > 0:
-        if names is None:
-            if embeddings is None:
-                raise ValueError("the selected penalty needs an embedding table")
-            names = batch_name_vectors(embeddings, dataset.first_names,
-                                       dataset.last_names)
-        if len(names) != n:
-            raise ValueError(f"names has {len(names)} rows for a dataset of "
-                             f"{n} records")
+        if embeddings is None:
+            raise ValueError("the selected penalty needs an embedding table")
+        names: NameTable = batch_name_vectors(
+            embeddings, dataset.first_names, dataset.last_names)
         include = names.include[train_idx]
         if not include.any():
             raise ValueError(

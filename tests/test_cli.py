@@ -362,6 +362,35 @@ def test_non_finite_config_value_exit_1(tiny_tabular, tmp_path, capsys):
     assert "--lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("seeds, message", [
+    pytest.param([-1], "--seeds values must be nonnegative, got -1",
+                 id="negative"),
+    pytest.param([0, 0], "--seeds values must be distinct", id="repeated"),
+])
+def test_bad_seeds_exit_1(seeds, message, command, source, tiny_tabular,
+                          tmp_path, capsys, count_opens):
+    # a negative seed would fail only in the split, after --out is made;
+    # a repeated one would count its row twice in the summary's mean
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    if source == "flag":
+        spec = ["--seeds", *map(str, seeds)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seeds": seeds}), encoding="utf-8")
+        spec = ["--config", str(config)]
+    grid = ["--lambdas", "0", "1"] if command == "sweep" else ["--lambda", "1"]
+    rc = main([command, "--data", str(data), "--schema", str(schema),
+               "--embeddings", str(embeddings), "--variant", "cocl", *grid,
+               "--epochs", "1", *spec, "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert count_opens[data.resolve()] == 0
+
+
 def scaled_vectors(embeddings, path, scale):
     """A copy at path of the vector file with every component times scale."""
     lines = embeddings.read_text(encoding="utf-8").splitlines()
@@ -1194,10 +1223,11 @@ def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
     # seed 0's dataset and name table must be gone (by reference count,
     # no gc pass) when dataset_for_seed builds seed 1's
     import nameblind.cli
+    import nameblind.training
 
     pipeline = nameblind.cli._Pipeline
     dataset_for_seed = pipeline.dataset_for_seed
-    batch_name_vectors = nameblind.cli.batch_name_vectors
+    batch_name_vectors = nameblind.training.batch_name_vectors
     held, seen = [], []
 
     def tracked_dataset(self, seed):
@@ -1212,7 +1242,8 @@ def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
         return names
 
     monkeypatch.setattr(pipeline, "dataset_for_seed", tracked_dataset)
-    monkeypatch.setattr(nameblind.cli, "batch_name_vectors", tracked_names)
+    monkeypatch.setattr(nameblind.training, "batch_name_vectors",
+                        tracked_names)
     tables = [tmp_path / "white.tsv", tmp_path / "male.tsv"]
     for column, path in enumerate(tables):
         path.write_text("".join(

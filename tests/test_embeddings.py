@@ -9,7 +9,6 @@ from nameblind.embeddings import (
     EmbeddingTable,
     _checked_lines,
     batch_name_vectors,
-    collect_name_tokens,
     load_embeddings,
     normalize_token,
     save_embeddings,
@@ -39,6 +38,13 @@ def test_load_allowlist(tmp_path):
     assert len(table) == 1
     assert "anna" in table
     assert table.get("smith") is None
+
+
+def test_load_allowlist_is_normalized(tmp_path):
+    # raw names are matched as the file's tokens are, after normalize_token
+    path = write_vectors(tmp_path, "3 3\nanna 1 0 0\nsmith 0 1 0\nbob 0 0 1\n")
+    table = load_embeddings(path, allowlist={" Anna,", "SMITH"})
+    assert sorted(table.entries) == ["anna", "smith"]
 
 
 def test_wrong_vector_length_reports_line(tmp_path):
@@ -165,11 +171,6 @@ def test_batch_name_vectors_mask():
     assert np.array_equal(vectors[0], [0.5, 0.5])
     assert coverages == [Coverage.BOTH_FOUND, Coverage.NONE]
     assert include.tolist() == [True, False]
-
-
-def test_collect_name_tokens():
-    tokens = collect_name_tokens(["Anna", None, " Bob,"], ["Smith", "", "anna"])
-    assert tokens == {"anna", "bob", "smith"}
 
 
 # ------------------------------------------------- the skip-fast embedding scan

@@ -587,34 +587,6 @@ def test_train_memory_scales_with_nonzeros(tmp_path):
     assert peak < dense_bytes / 4
 
 
-@pytest.mark.parametrize("variant", ["none", "cocl", "clucl"])
-def test_train_with_supplied_context_matches_own(variant):
-    dataset = separable_dataset(n=300)
-    table = toy_table(dataset.first_names[::3])
-    config = TrainConfig(variant=variant, lam=2.0, k=3, epochs=3, seed=5,
-                         batch_size=32, learning_rate=0.05)
-    # the context a caller supplies is the records' name table
-    own = train(dataset, table, config)
-    names = batch_name_vectors(table, dataset.first_names, dataset.last_names)
-    shared = train(dataset, None, config, names=names)
-    assert shared.params.W.tobytes() == own.params.W.tobytes()
-    assert shared.params.b.tobytes() == own.params.b.tobytes()
-    assert shared.history == own.history
-    if variant == "clucl":
-        assert (shared.cluster_model.centroids.tobytes()
-                == own.cluster_model.centroids.tobytes())
-
-
-def test_train_rejects_names_of_another_length():
-    dataset = separable_dataset(n=300)
-    table = toy_table(dataset.first_names[::3])
-    names = batch_name_vectors(table, dataset.first_names[:-1],
-                               dataset.last_names[:-1])
-    with pytest.raises(ValueError, match="299 rows for a dataset of 300"):
-        train(dataset, None, TrainConfig(variant="cocl", lam=1.0, epochs=1),
-              names=names)
-
-
 def test_cocl_train_never_gathers_name_vectors(monkeypatch):
     # each batch and each epoch reads name-table rows through CoclTable;
     # no per-record vector is built
