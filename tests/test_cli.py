@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import time
 import weakref
 
 import numpy as np
@@ -1030,6 +1032,62 @@ def test_text_sweep_reads_data_and_embeddings_once(tmp_path, count_opens):
     assert rc == 0
     assert count_opens[data.resolve()] == 1
     assert count_opens[embeddings.resolve()] == 1
+
+
+@pytest.fixture()
+def count_scans(monkeypatch):
+    """One item per block of vector file that load_embeddings scanned."""
+    import nameblind.embeddings
+
+    calls = []
+    checked_lines = nameblind.embeddings._checked_lines
+    monkeypatch.setattr(nameblind.embeddings, "_checked_lines",
+                        lambda *args: calls.append(1) or checked_lines(*args))
+    return calls
+
+
+def age(path, seconds=10):
+    """Set path's mtime seconds into the past, old enough to be cached."""
+    then = time.time() - seconds
+    os.utime(path, (then, then))
+
+
+def test_sweep_rerun_is_served_from_the_vector_cache(tiny_tabular, tmp_path,
+                                                     count_opens, count_scans):
+    data, schema, embeddings = tiny_tabular
+    age(embeddings)
+    out = tmp_path / "out"
+    argv = ["sweep", "--data", str(data), "--schema", str(schema),
+            "--embeddings", str(embeddings), "--variant", "cocl",
+            "--lambdas", "0", "1", "--seeds", "0", "1", "--epochs", "1",
+            "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append((len(count_scans), count_opens[embeddings.resolve()],
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+    (scans, opens, first), (rescans, reopens, second) = runs
+    assert scans > 0 and rescans == scans    # the second run scans nothing
+    assert (opens, reopens) == (1, 2)        # and opens the file once
+    assert "manifest.json" in first and second == first
+
+
+def test_cluster_report_after_train_is_served_from_the_vector_cache(
+        tmp_path, count_opens, count_scans):
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    age(embeddings)
+    inputs = ["--data", str(data), "--format", "text",
+              "--embeddings", str(embeddings),
+              "--names-demographics", str(first_white), str(first_male),
+              "--min-count", "1", "--top-fraction", "0", "--seeds", "0"]
+    assert main(["train", *inputs, "--variant", "cocl", "--lambda", "1",
+                 "--epochs", "1", "--out", str(tmp_path / "train")]) == 0
+    scans = len(count_scans)
+    assert scans > 0
+    assert main(["cluster-report", *inputs, "--k", "2",
+                 "--out", str(tmp_path / "report")]) == 0
+    assert len(count_scans) == scans
+    assert count_opens[embeddings.resolve()] == 2
 
 
 def test_evaluate_never_opens_the_embeddings_file(tiny_tabular, tmp_path,

@@ -1,3 +1,7 @@
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -445,3 +449,205 @@ def test_batch_name_vectors_matches_loop_oracle():
     assert names.take(rows[:0]).shape == (0, 5)
     empty, none_coverage, none_include = gathered(table, [], [])
     assert empty.shape == (0, 5) and none_coverage == [] and len(none_include) == 0
+
+
+# ------------------------------------------------------- the vector-file cache
+
+def aged(path, seconds=10):
+    """path, with its mtime set seconds into the past: old enough that the
+    rows a scan keeps may be cached."""
+    then = time.time() - seconds
+    os.utime(path, (then, then))
+    return path
+
+
+def cache_entries():
+    """The cache's entry files (the tests' XDG_CACHE_HOME, see conftest)."""
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "nameblind").glob("*"))
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """The number of blocks the vector-file scan has checked so far."""
+    calls = []
+    checked_lines = embeddings._checked_lines
+    monkeypatch.setattr(embeddings, "_checked_lines",
+                        lambda *args: calls.append(1) or checked_lines(*args))
+    return calls
+
+
+def no_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the vector file was scanned")
+    monkeypatch.setattr(embeddings, "_checked_lines", scan)
+
+
+def scan_file(tmp_path):
+    """An aged file of scan_lines: duplicate, non-ASCII and skipped tokens."""
+    return aged(write_vectors(tmp_path, scan_lines("\n")))
+
+
+def assert_same_table(table, want):
+    assert table.dimension == want.dimension
+    assert list(table.entries) == list(want.entries)
+    for token, vector in want.entries.items():
+        assert table.entries[token].tobytes() == vector.tobytes()
+
+
+def test_cache_hit_matches_a_cold_scan_and_the_split_path(tmp_path, monkeypatch):
+    path = scan_file(tmp_path)
+    cold = assert_matches_split_path(path, SCAN_KEEP)
+    [entry] = cache_entries()
+    with np.load(entry, allow_pickle=False) as data:
+        assert sorted(data.files) == ["allowlist", "dimension", "format",
+                                      "identity", "tokens", "vectors"]
+        assert data["tokens"].tolist() == list(cold.entries)
+        assert data["allowlist"].tolist() == sorted(SCAN_KEEP)
+        assert data["vectors"].dtype == np.float64
+        assert data["vectors"].shape == (len(SCAN_KEEP), 3)
+    no_scan(monkeypatch)
+    for _ in range(2):
+        assert_same_table(assert_matches_split_path(path, SCAN_KEEP), cold)
+    # no allowlist is never served from the cache
+    with pytest.raises(AssertionError, match="scanned"):
+        load_embeddings(path)
+
+
+def test_cache_lives_under_xdg_cache_home_or_home(tmp_path, monkeypatch):
+    path = tmp_path / "v.txt"
+    entry = Path(embeddings._cache_file(path))
+    assert entry.parent == Path(os.environ["XDG_CACHE_HOME"]) / "nameblind"
+    assert entry.name.endswith(".npz")
+    # one entry per real path, whatever the path that names it
+    (tmp_path / "link").symlink_to(tmp_path)
+    assert embeddings._cache_file(tmp_path / "link" / "v.txt") == str(entry)
+    assert embeddings._cache_file(tmp_path / "w.txt") != str(entry)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for unset in ("", "relative/cache"):
+        monkeypatch.setenv("XDG_CACHE_HOME", unset)
+        assert Path(embeddings._cache_file(path)) == (
+            tmp_path / "home" / ".cache" / "nameblind" / entry.name)
+
+
+def test_rewritten_file_misses(tmp_path, scans):
+    path = aged(write_vectors(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n"))
+    assert len(load_embeddings(path)) == 2   # no allowlist: nothing cached
+    assert cache_entries() == []
+    assert load_embeddings(path, {"anna"}).get("anna").tolist() == [1, 0, 0]
+    # rewritten in place at the same size: a new mtime
+    path.write_text("2 3\nanna 2 0 0\nbob 0 1 0\n", encoding="utf-8")
+    aged(path, seconds=20)
+    assert load_embeddings(path, {"anna"}).get("anna").tolist() == [2, 0, 0]
+    # replaced by another file of the same size and mtime: a new inode
+    stat = path.stat()
+    other = write_vectors(tmp_path, "2 3\nanna 3 0 0\nbob 0 1 0\n", "other.txt")
+    os.utime(other, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    os.replace(other, path)
+    scanned = len(scans)
+    assert load_embeddings(path, {"anna"}).get("anna").tolist() == [3, 0, 0]
+    assert len(scans) > scanned
+    assert len(cache_entries()) == 1
+
+
+def test_a_recent_file_is_never_cached(tmp_path, scans):
+    path = write_vectors(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n")
+    for _ in range(3):
+        assert list(load_embeddings(path, {"anna"}).entries) == ["anna"]
+    assert len(scans) == 3
+    assert cache_entries() == []
+    aged(path, seconds=3)
+    load_embeddings(path, {"anna"})
+    assert len(cache_entries()) == 1
+
+
+def test_a_file_changed_during_its_scan_is_never_cached(tmp_path, monkeypatch):
+    path = aged(write_vectors(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n"))
+    checked_lines = embeddings._checked_lines
+
+    def touch_then_check(*args):
+        aged(path, seconds=20)
+        return checked_lines(*args)
+
+    monkeypatch.setattr(embeddings, "_checked_lines", touch_then_check)
+    assert list(load_embeddings(path, {"anna"}).entries) == ["anna"]
+    assert cache_entries() == []
+
+
+def test_a_token_numpy_cannot_store_is_never_cached(tmp_path):
+    # a NUL is neither blank nor punctuation, so it stays in the token, and
+    # numpy's fixed-width strings would read "ab\0" back as "ab"
+    path = aged(write_vectors(tmp_path, "1 3\nab\0 1 0 0\n"))
+    assert list(load_embeddings(path, {"ab\0"}).entries) == ["ab\0"]
+    assert cache_entries() == []
+    assert len(load_embeddings(path, {"ab"})) == 0
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("zed 1 2", "line 3: expected 3 components, got 2"),
+    ("anna 1 nan 0", "line 3: non-finite vector component"),
+])
+def test_a_malformed_file_is_never_cached(tmp_path, bad_line, message):
+    path = aged(write_vectors(tmp_path, f"2 3\nbob 0 1 0\n{bad_line}\n"))
+    for _ in range(3):
+        with pytest.raises(EmbeddingFormatError, match=message):
+            load_embeddings(path, allowlist={"anna", "bob"})
+    assert cache_entries() == []
+
+
+def test_a_subset_allowlist_is_served_without_a_scan(tmp_path, monkeypatch):
+    path = scan_file(tmp_path)
+    # "absent" is in the entry's allowlist but not in the file
+    cold = load_embeddings(path, allowlist=SCAN_KEEP | {"absent"})
+    no_scan(monkeypatch)
+    table = load_embeddings(path, allowlist={"Cara.", " ANNA", "absent"})
+    assert list(table.entries) == ["anna", "cara"]   # file order
+    for token in table.entries:
+        assert table.entries[token].tobytes() == cold.entries[token].tobytes()
+    assert len(load_embeddings(path, allowlist=set())) == 0
+    # the entry still holds the whole allowlist it was written for
+    assert_same_table(load_embeddings(path, allowlist=SCAN_KEEP), cold)
+    # a token outside that allowlist may be in the file: a scan
+    with pytest.raises(AssertionError, match="scanned"):
+        load_embeddings(path, allowlist={"anna", "skip"})
+
+
+def test_a_superset_allowlist_rescans_and_replaces_the_entry(tmp_path,
+                                                            monkeypatch, scans):
+    path = scan_file(tmp_path)
+    load_embeddings(path, allowlist={"anna"})
+    scanned = len(scans)
+    table = assert_matches_split_path(path, {"anna", "cara"})
+    assert len(scans) > scanned
+    [entry] = cache_entries()
+    with np.load(entry, allow_pickle=False) as data:
+        assert data["allowlist"].tolist() == ["anna", "cara"]
+    no_scan(monkeypatch)
+    assert_same_table(load_embeddings(path, allowlist={"anna", "cara"}), table)
+
+
+def test_a_truncated_cache_entry_falls_back_to_the_scan(tmp_path, monkeypatch,
+                                                        scans):
+    path = scan_file(tmp_path)
+    cold = load_embeddings(path, allowlist=SCAN_KEEP)
+    [entry] = cache_entries()
+    data = entry.read_bytes()
+    for size in (0, 10, len(data) // 2, len(data) - 1):
+        entry.write_bytes(data[:size])
+        scanned = len(scans)
+        assert_same_table(load_embeddings(path, allowlist=SCAN_KEEP), cold)
+        assert len(scans) > scanned
+    # the scan wrote the entry anew
+    no_scan(monkeypatch)
+    assert_same_table(load_embeddings(path, allowlist=SCAN_KEEP), cold)
+
+
+def test_an_unwritable_cache_falls_back_to_the_scan(tmp_path, monkeypatch, scans):
+    path = scan_file(tmp_path)
+    # a cache home that is a regular file: no directory can be made in it
+    blocker = write_vectors(tmp_path, "", "not-a-directory")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    first = assert_matches_split_path(path, SCAN_KEEP)
+    scanned = len(scans)
+    assert_same_table(assert_matches_split_path(path, SCAN_KEEP), first)
+    assert len(scans) == 2 * scanned > 0
+    assert blocker.read_bytes() == b""
