@@ -198,8 +198,9 @@ def _load_demographics(spec: ExperimentSpec) -> NameDemographics | None:
 
 
 class _Pipeline:
-    """Per-command context: the data file parsed once, and the schema,
-    demographics and embedding table every seed shares.
+    """Per-command context: the data file's records (parsed once, or read
+    from the records cache), and the schema, demographics and embedding
+    table every seed shares.
 
     Inputs are checked in a fixed order: every input file must exist
     (exit 2) before the data file is parsed, and the data file is parsed

@@ -13,11 +13,13 @@ import array
 import collections
 import csv
 import itertools
+import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cache
 from .embeddings import normalize_token
 from .metrics import GroupAttribute, GroupLabels
 
@@ -288,17 +290,15 @@ class TabularSchema:
             return cls.parse(fh.read())
 
 
-def read_csv_rows(path):
-    """Header and data rows of a CSV file, cells stripped of whitespace;
-    blank lines hold no row."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV file") from None
-        rows = [[cell.strip() for cell in row] for row in reader if row]
-    return header, rows
+def read_csv_rows(fh, path):
+    """Header and data rows of the CSV file at path, open as fh (with
+    newline=""), cells stripped of whitespace; blank lines hold no row."""
+    reader = csv.reader(fh)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: empty CSV file") from None
+    return header, [[cell.strip() for cell in row] for row in reader if row]
 
 
 def _row_line(path, index: int) -> int:
@@ -327,6 +327,36 @@ class _FeatureColumn:
     categories: list[str] | None = None  # categorical: every value, sorted
 
 
+def _record_fields(records) -> dict:
+    """The fields TabularRecords and TextRecords share, for a cache entry:
+    each list of names as strings beside a mask of its Nones."""
+    fields = {"labels": records.labels, "class_names": records.class_names}
+    for side in ("first_names", "last_names"):
+        names = getattr(records, side)
+        fields[side] = ["" if name is None else name for name in names]
+        fields[f"{side}_none"] = np.array([name is None for name in names])
+    return fields
+
+
+def _names(fields, side: str) -> list[str | None]:
+    """A list of names of a cache entry's fields, its Nones restored."""
+    return [None if none else name
+            for name, none in zip(fields[side], fields[f"{side}_none"].tolist())]
+
+
+def _parsed(path, inputs: dict, records_type, parse, **open_args):
+    """The records of the file at path for the parse inputs: a cache
+    entry's when one holds them (see the cache module), else parse(fh)'s
+    for the open file, which are then cached."""
+    with open(path, encoding="utf-8-sig", **open_args) as fh:
+        entry = cache.Entry(path, fh, "records", __file__, json.dumps(inputs))
+        records = entry.read(records_type.from_fields)
+        if records is None:
+            records = parse(fh)
+            entry.write(fh, records.fields())
+    return records
+
+
 @dataclass
 class TabularRecords:
     """A CSV file parsed against its schema, before any fit statistics.
@@ -346,15 +376,58 @@ class TabularRecords:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def fields(self) -> dict:
+        """The records as arrays and lists of str, for a cache entry."""
+        fields = _record_fields(self)
+        fields["columns"] = [column.name for column in self.columns]
+        for i, column in enumerate(self.columns):
+            fields[f"values{i}"] = column.values
+            if column.categories is not None:
+                fields[f"categories{i}"] = column.categories
+        fields["attribute_names"] = [a.name for a in self.attributes]
+        fields["attribute_positives"] = [a.positive_label for a in self.attributes]
+        fields["attribute_negatives"] = [a.negative_label for a in self.attributes]
+        fields["attribute_values"] = np.array(
+            [a.values for a in self.attributes], dtype=np.int8
+        ).reshape(len(self.attributes), len(self))
+        return fields
+
+    @classmethod
+    def from_fields(cls, fields) -> "TabularRecords":
+        """The records of fields()."""
+        columns = [_FeatureColumn(name, fields[f"values{i}"],
+                                  fields.get(f"categories{i}"))
+                   for i, name in enumerate(fields["columns"])]
+        attributes = list(map(GroupAttribute, fields["attribute_names"],
+                              fields["attribute_positives"],
+                              fields["attribute_negatives"],
+                              fields["attribute_values"]))
+        return cls(columns, fields["labels"], fields["class_names"],
+                   _names(fields, "first_names"), _names(fields, "last_names"),
+                   attributes)
+
 
 def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
     """Read a CSV file with a header row into TabularRecords.
+
+    The records are cached per file and schema (see _parsed), so a later
+    call over the unchanged file with the same columns, roles and group
+    values reads them back instead.
 
     Raises ValueError on a header that disagrees with the schema, a row of
     the wrong width, an unparseable or non-finite continuous value or an
     empty label, naming the row's file line.
     """
-    header, rows = read_csv_rows(path)
+    inputs = {"parse": "tabular",
+              "schema": [[name, spec.role, spec.group_positive]
+                         for name, spec in schema.columns.items()]}
+    return _parsed(path, inputs, TabularRecords,
+                   lambda fh: _read_tabular(fh, path, schema), newline="")
+
+
+def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
+    """parse_tabular's parse of the CSV file at path, open as fh."""
+    header, rows = read_csv_rows(fh, path)
     missing = [c for c in schema.columns if c not in header]
     if missing:
         raise ValueError(f"{path}: schema columns not in CSV header: {missing}")
@@ -787,40 +860,61 @@ class TextRecords:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def fields(self) -> dict:
+        """The records as arrays and lists of str, for a cache entry."""
+        docs = self.documents
+        return {**_record_fields(self), "tokens": docs.tokens,
+                "indptr": docs.indptr, "ids": docs.ids, "counts": docs.counts}
+
+    @classmethod
+    def from_fields(cls, fields) -> "TextRecords":
+        """The records of fields()."""
+        documents = TokenizedDocuments(fields["tokens"], fields["indptr"],
+                                       fields["ids"], fields["counts"])
+        return cls(fields["labels"], fields["class_names"],
+                   _names(fields, "first_names"), _names(fields, "last_names"),
+                   documents)
+
 
 def parse_text(path, scrub_names: bool = False) -> TextRecords:
     """Read tab-separated text records into TextRecords, one pass.
 
     Each line holds four fields: label, first name, last name, document.
     With scrub_names the document's tokens are scrubbed (scrub) of the
-    record's first name and of gendered pronouns. Raises ValueError
-    on a line without four fields or with an empty label, or a file
-    without records.
+    record's first name and of gendered pronouns. The records are cached
+    per file and scrub_names (see _parsed), so a later call over the
+    unchanged file reads them back instead. Raises ValueError on a line
+    without four fields or with an empty label, or a file without records.
     """
+    return _parsed(path, {"parse": "text", "scrub_names": bool(scrub_names)},
+                   TextRecords, lambda fh: _read_text(fh, path, scrub_names))
+
+
+def _read_text(fh, path, scrub_names: bool) -> TextRecords:
+    """parse_text's parse of the text-records file at path, open as fh."""
     labels_raw: list[str] = []
     first_names: list[str | None] = []
     last_names: list[str | None] = []
 
     def documents():
-        with open(path, encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 4:
-                    raise ValueError(
-                        f"{path}: line {line_no}: expected 4 tab-separated "
-                        f"fields, got {len(fields)}"
-                    )
-                label, first, last, document = fields
-                label = label.strip()
-                if not label:
-                    raise ValueError(f"{path}: line {line_no}: empty label")
-                labels_raw.append(label)
-                first_names.append(first.strip() or None)
-                last_names.append(last.strip() or None)
-                tokens = tokenize(document)
-                yield scrub(tokens, first) if scrub_names else tokens
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise ValueError(
+                    f"{path}: line {line_no}: expected 4 tab-separated "
+                    f"fields, got {len(fields)}"
+                )
+            label, first, last, document = fields
+            label = label.strip()
+            if not label:
+                raise ValueError(f"{path}: line {line_no}: empty label")
+            labels_raw.append(label)
+            first_names.append(first.strip() or None)
+            last_names.append(last.strip() or None)
+            tokens = tokenize(document)
+            yield scrub(tokens, first) if scrub_names else tokens
 
     tokenized = TokenizedDocuments.from_token_lists(documents())
     if not labels_raw:

@@ -7,22 +7,20 @@ stripped) both on load and on lookup, since pretrained vocabularies are
 predominantly lowercase.
 
 A scan's kept rows are cached per user, one entry per vector file (see
-load_embeddings), so later commands over an unchanged file skip the scan.
+load_embeddings and the cache module), so later commands over an
+unchanged file skip the scan.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import itertools
-import os
 import string
-import tempfile
-import time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from . import cache
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 
@@ -143,49 +141,13 @@ def _split_line(line: str, dimension: int, wanted, where: str):
     return token, vector
 
 
-# the layout of a cache entry; an entry of another layout is a miss
-_CACHE_FORMAT = "nameblind-vector-rows-1"
-
-# git's racy-clean rule: a file modified less than this long before a scan
-# started may be rewritten again within one timestamp granule, keeping its
-# size and mtime, so its rows are never cached
-_RACY_NS = 2_000_000_000
-
-
-def _cache_file(path) -> str:
-    """The cache entry of the vector file at path: one per real path,
-    under $XDG_CACHE_HOME/nameblind/ (~/.cache/nameblind/ when that is
-    unset or relative)."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    key = hashlib.sha256(os.fsencode(os.path.realpath(path))).hexdigest()
-    return os.path.join(base, "nameblind", f"{key}.npz")
-
-
-def _identity(stat) -> str:
-    """The size, mtime, inode and device of a file: an entry is served
-    only while all four match."""
-    return f"{stat.st_size} {stat.st_mtime_ns} {stat.st_ino} {stat.st_dev}"
-
-
-def _read_cached(cache: str, identity: str, wanted: set[str]):
-    """The EmbeddingTable of wanted's rows from the entry at cache, or None
-    when it is missing or unreadable, or holds another file identity or an
-    allowlist that does not cover wanted."""
-    try:
-        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
-            if (str(entry["format"]) != _CACHE_FORMAT
-                    or str(entry["identity"]) != identity
-                    or not wanted <= set(entry["allowlist"].tolist())):
-                return None
-            dimension = int(entry["dimension"])
-            tokens = entry["tokens"].tolist()
-            vectors = entry["vectors"]
-    except Exception:
-        # a damaged entry fails in any of zipfile's or numpy's ways (a bad
-        # CRC, an unknown compression method, a short member): a miss
+def _cached_rows(fields, wanted: set[str]):
+    """The EmbeddingTable of wanted's rows of a cache entry's fields, or
+    None when the entry's allowlist does not cover wanted."""
+    if not wanted <= set(fields["allowlist"]):
         return None
+    dimension = int(fields["dimension"])
+    tokens, vectors = fields["tokens"], fields["vectors"]
     if vectors.dtype != np.float64 or vectors.shape != (len(tokens), dimension):
         return None
     keep = [token in wanted for token in tokens]
@@ -197,40 +159,6 @@ def _read_cached(cache: str, identity: str, wanted: set[str]):
     # benchmark by 2.3 MB where per-row copies lowered it by 0.7 MB
     return EmbeddingTable(dimension=dimension,
                           entries=dict(zip(tokens, map(np.array, vectors))))
-
-
-def _write_cached(cache: str, identity: str, wanted: set[str],
-                  table: EmbeddingTable) -> None:
-    """Replace the entry at cache with table's rows, whole or not at all
-    (a temporary file, then os.replace); a cache that cannot be written
-    is left as it is."""
-    allowlist, tokens = sorted(wanted), list(table.entries)
-    entry = {
-        "format": np.array(_CACHE_FORMAT),
-        "identity": np.array(identity),
-        "dimension": np.array(table.dimension, dtype=np.int64),
-        "allowlist": np.array(allowlist, dtype=str),
-        "tokens": np.array(tokens, dtype=str),
-        "vectors": np.array(list(table.entries.values()), dtype=np.float64
-                            ).reshape(len(tokens), table.dimension),
-    }
-    # numpy's fixed-width strings drop trailing NULs, so such a token
-    # would be read back as another one
-    if (entry["allowlist"].tolist() != allowlist
-            or entry["tokens"].tolist() != tokens):
-        return
-    try:
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(cache))
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, allow_pickle=False, **entry)
-            os.replace(tmp, cache)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-    except OSError:
-        pass
 
 
 def load_embeddings(path, allowlist=None) -> EmbeddingTable:
@@ -249,14 +177,11 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
             reading the file. Every other line goes through _split_line,
             so a malformed one raises.
 
-    With an allowlist, the rows a scan kept are cached (see _cache_file),
-    with the file's size, mtime, inode and device. A later call whose
-    normalized allowlist is a subset of the entry's, over a file whose
-    open handle still has that identity, is served from the entry without
-    a scan. An entry is written only after a scan that raised nothing, of
-    a file whose identity did not change during it and that was last
-    modified at least 2 s before it started; a cache that cannot be read
-    or written is passed over.
+    With an allowlist, the rows a scan kept are cached (a cache.Entry of
+    kind "vectors", keyed on this module's source and the file's size,
+    mtime, inode and device). A later call whose normalized allowlist is a
+    subset of the entry's, over a file whose open handle still has that
+    identity, is served from the entry without a scan.
 
     Raises:
         EmbeddingFormatError: malformed header, zero dimension, a line
@@ -267,15 +192,11 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
     wanted = None
     if allowlist is not None:
         wanted = {normalize_token(t) for t in allowlist}
-    started_ns = time.time_ns()
     entries: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8-sig") as fh:
-        stat = os.fstat(fh.fileno())
-        identity = _identity(stat)
-        cache = None
+        entry = cache.Entry(path, fh, "vectors", __file__)
         if wanted is not None:
-            cache = _cache_file(path)
-            table = _read_cached(cache, identity, wanted)
+            table = entry.read(lambda fields: _cached_rows(fields, wanted))
             if table is not None:
                 return table
         header = fh.readline()
@@ -315,15 +236,19 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
                                        and token.isprintable())
                     ) and normalize_token(token) not in wanted:
                         continue
-                entry = _split_line(data[start:end].decode(), dimension,
-                                    wanted, f"{path}: line {line_no}")
-                if entry is not None:
-                    entries[entry[0]] = entry[1]
-        unchanged = _identity(os.fstat(fh.fileno())) == identity
-    table = EmbeddingTable(dimension=dimension, entries=entries)
-    if cache is not None and unchanged and (
-            stat.st_mtime_ns <= started_ns - _RACY_NS):
-        _write_cached(cache, identity, wanted, table)
+                row = _split_line(data[start:end].decode(), dimension,
+                                  wanted, f"{path}: line {line_no}")
+                if row is not None:
+                    entries[row[0]] = row[1]
+        table = EmbeddingTable(dimension=dimension, entries=entries)
+        if wanted is not None:
+            entry.write(fh, {
+                "dimension": np.array(dimension, dtype=np.int64),
+                "allowlist": sorted(wanted),
+                "tokens": list(entries),
+                "vectors": np.array(list(entries.values()), dtype=np.float64
+                                    ).reshape(len(entries), dimension),
+            })
     return table
 
 

@@ -1,0 +1,234 @@
+"""The input caches: records entries of parse_tabular and parse_text, and
+the rules every entry keeps (nameblind.cache)."""
+
+import os
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nameblind import cache, data, embeddings
+from nameblind.data import (
+    TabularSchema,
+    TextRecords,
+    TokenizedDocuments,
+    parse_tabular,
+    parse_text,
+)
+from nameblind.embeddings import load_embeddings
+
+SCHEMA_TEXT = """
+age continuous
+color categorical
+sex categorical group=F
+income label
+junk ignore
+first first_name
+last last_name
+"""
+
+CSV_TEXT = """age,color,sex,income,junk,first,last
+17,red,F,low,x,anna,smith
+90,blue,M,high,x,,jones
+30,red,,low,x,cara,
+100,green,M,high,x,dan,wu
+"""
+
+TEXT_RECORDS = ("nurse\tAnna\tSmith\tShe (she/her) is a nurse; Anna cares.\n"
+                "chef\t\tJones\tHe cooks for his town.\n"
+                "nurse\tCara\t \tA nurse, she helps.\n")
+
+
+def aged(path, seconds=10):
+    """path, with its mtime set seconds into the past: old enough that
+    its parse may be cached."""
+    then = time.time() - seconds
+    os.utime(path, (then, then))
+    return path
+
+
+def entries(kind="records"):
+    """The cache's entry files of kind (the tests' XDG_CACHE_HOME, see
+    conftest)."""
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "nameblind")
+                  .glob(f"{kind}-*.npz"))
+
+
+def write(tmp_path, text, name):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def parse_csv(path, schema_text=SCHEMA_TEXT):
+    return parse_tabular(path, TabularSchema.parse(schema_text))
+
+
+def snapshot(records):
+    """Every field of records, each array as its dtype, shape and bytes."""
+    fields = {name: (value.dtype.str, value.shape, value.tobytes())
+              if isinstance(value, np.ndarray) else value
+              for name, value in records.fields().items()}
+    return fields, records.first_names, records.last_names
+
+
+CASES = {
+    "tabular": (CSV_TEXT, "data.csv", parse_csv),
+    "text": (TEXT_RECORDS, "bios.tsv", parse_text),
+    "scrubbed text": (TEXT_RECORDS, "bios.tsv",
+                      lambda path: parse_text(path, scrub_names=True)),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_hit_matches_a_cold_parse(tmp_path, count_parses, case):
+    text, name, parse = CASES[case]
+    path = aged(write(tmp_path, text, name))
+    cold = parse(path)
+    [entry] = entries()
+    with np.load(entry, allow_pickle=False) as fields:
+        assert str(fields["source"]) == str(path.resolve())
+        assert len(str(fields["code"])) == 64
+    for _ in range(2):
+        assert snapshot(parse(path)) == snapshot(cold)
+    assert len(count_parses) == 1
+    assert entries() == [entry]
+
+
+def test_none_and_empty_names_round_trip(tmp_path):
+    path = aged(write(tmp_path, TEXT_RECORDS, "bios.tsv"))
+    names = [None, "", "Zoë", "o'neil"]
+    records = TextRecords(np.arange(4) % 2, ["chef", "nurse"], names,
+                          names[::-1],
+                          TokenizedDocuments.from_token_lists([[]] * 4))
+    with open(path, encoding="utf-8") as fh:
+        cache.Entry(path, fh, "records", data.__file__).write(fh, records.fields())
+    with open(path, encoding="utf-8") as fh:
+        read = cache.Entry(path, fh, "records", data.__file__).read(
+            TextRecords.from_fields)
+    assert read.first_names == names
+    assert read.last_names == names[::-1]
+
+
+def rewrite_in_place(path):
+    path.write_text(path.read_text(encoding="utf-8").replace("low", "mid"),
+                    encoding="utf-8")
+    aged(path, seconds=20)
+
+
+@pytest.mark.parametrize("change", ["schema", "rewritten file"])
+def test_tabular_misses(tmp_path, count_parses, change):
+    path = aged(write(tmp_path, CSV_TEXT, "data.csv"))
+    parse_csv(path)
+    if change == "schema":
+        # one group value more: the same columns and roles
+        records = parse_csv(path, SCHEMA_TEXT.replace("color categorical",
+                                                      "color categorical group=red"))
+        assert [a.name for a in records.attributes] == ["color", "sex"]
+    else:
+        rewrite_in_place(path)
+        assert parse_csv(path).class_names == ["high", "mid"]
+    assert len(count_parses) == 2
+    assert len(entries()) == 1
+
+
+def test_toggling_scrub_misses(tmp_path, count_parses):
+    path = aged(write(tmp_path, TEXT_RECORDS, "bios.tsv"))
+    plain = parse_text(path)
+    scrubbed = parse_text(path, scrub_names=True)
+    assert "she" in plain.documents.tokens
+    assert "she" not in scrubbed.documents.tokens
+    assert "she" in parse_text(path).documents.tokens
+    assert len(count_parses) == 3
+    # the entry holds the last parse's records: a hit for the same inputs
+    parse_text(path)
+    assert len(count_parses) == 3
+
+
+@pytest.mark.parametrize("case", ["tabular", "text"])
+def test_a_recent_file_is_never_cached(tmp_path, count_parses, case):
+    text, name, parse = CASES[case]
+    path = write(tmp_path, text, name)
+    for _ in range(3):
+        parse(path)
+    assert len(count_parses) == 3
+    assert entries() == []
+    aged(path, seconds=3)
+    parse(path)
+    assert len(entries()) == 1
+
+
+@pytest.mark.parametrize("case, bad, message", [
+    ("tabular", "oops,red,F,low,x,eve,li\n", "row 6, column 'age'"),
+    ("text", "nurse\tEve\n", "line 4: expected 4 tab-separated fields"),
+])
+def test_a_malformed_file_is_never_cached(tmp_path, count_parses, case, bad,
+                                         message):
+    text, name, parse = CASES[case]
+    path = aged(write(tmp_path, text + bad, name))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            parse(path)
+    assert len(count_parses) == 2
+    assert entries() == []
+
+
+@pytest.mark.parametrize("case", ["tabular", "text"])
+def test_a_truncated_entry_falls_back_to_the_parse(tmp_path, count_parses, case):
+    text, name, parse = CASES[case]
+    path = aged(write(tmp_path, text, name))
+    cold = snapshot(parse(path))
+    [entry] = entries()
+    whole = entry.read_bytes()
+    for size in (0, 10, len(whole) // 2, len(whole) - 1):
+        entry.write_bytes(whole[:size])
+        parsed = len(count_parses)
+        assert snapshot(parse(path)) == cold
+        assert len(count_parses) == parsed + 1
+    # the parse wrote the entry anew
+    assert snapshot(parse(path)) == cold
+    assert len(count_parses) == 5
+
+
+def test_an_entry_of_other_code_misses(tmp_path, count_parses, monkeypatch):
+    records = aged(write(tmp_path, CSV_TEXT, "data.csv"))
+    vectors = aged(write(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n", "v.txt"))
+    parse_csv(records)
+    load_embeddings(vectors, {"anna"})
+    code = cache._code_digest
+    monkeypatch.setattr(cache, "_code_digest", lambda module: "other " + code(module))
+    scans = []
+    checked_lines = embeddings._checked_lines
+    monkeypatch.setattr(embeddings, "_checked_lines",
+                        lambda *args: scans.append(1) or checked_lines(*args))
+    parse_csv(records)
+    assert list(load_embeddings(vectors, {"anna"}).entries) == ["anna"]
+    assert len(count_parses) == 2 and scans
+    # and the entries are rewritten under the new digest
+    scanned = len(scans)
+    parse_csv(records)
+    load_embeddings(vectors, {"anna"})
+    assert len(count_parses) == 2 and len(scans) == scanned
+
+
+def test_a_write_evicts_the_entries_of_deleted_files(tmp_path):
+    gone = aged(write(tmp_path, CSV_TEXT, "gone.csv"))
+    kept = aged(write(tmp_path, TEXT_RECORDS, "kept.tsv"))
+    vectors = aged(write(tmp_path, "1 3\nanna 1 0 0\n", "v.txt"))
+    parse_csv(gone)
+    parse_text(kept)
+    load_embeddings(vectors, {"anna"})
+    assert len(entries()) == 2 and len(entries("vectors")) == 1
+    gone.unlink()
+    vectors.unlink()
+    # an entry without a source, as an earlier layout wrote
+    directory = entries()[0].parent
+    np.savez(directory / "0123.npz", vectors=np.zeros(3))
+    # reading evicts nothing
+    parse_text(kept)
+    assert len(entries()) == 2 and len(entries("vectors")) == 1
+    fresh = aged(write(tmp_path, CSV_TEXT, "new.csv"))
+    parse_csv(fresh)
+    assert sorted(p.name for p in directory.iterdir()) == sorted(
+        Path(cache._cache_file(p, "records")).name for p in (kept, fresh))

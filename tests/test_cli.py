@@ -3,6 +3,7 @@ import json
 import os
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1088,6 +1089,75 @@ def test_cluster_report_after_train_is_served_from_the_vector_cache(
                  "--out", str(tmp_path / "report")]) == 0
     assert len(count_scans) == scans
     assert count_opens[embeddings.resolve()] == 2
+
+
+def records_entries():
+    return list((Path(os.environ["XDG_CACHE_HOME"]) / "nameblind")
+                .glob("records-*.npz"))
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "cluster-report"])
+def test_cold_and_warm_runs_write_identical_out(command, tiny_tabular, tmp_path,
+                                                count_parses, count_scans):
+    if command == "train":
+        (tmp_path / "text").mkdir()
+        data, first_white, first_male, embeddings = write_text_inputs(
+            tmp_path / "text")
+        argv = ["train", "--data", data, "--format", "text",
+                "--embeddings", embeddings,
+                "--names-demographics", first_white, first_male,
+                "--min-count", "1", "--top-fraction", "0", "--scrub",
+                "--variant", "clucl", "--k", "2", "--lambda", "1",
+                "--seeds", "0", "1", "--epochs", "2"]
+    else:
+        data, schema, embeddings = tiny_tabular
+        argv = [command, "--data", data, "--schema", schema,
+                "--embeddings", embeddings, "--seeds", "0", "1"]
+        argv += (["--variant", "cocl", "--lambdas", "0", "1", "--epochs", "1"]
+                 if command == "sweep" else ["--k", "3"])
+    age(data)
+    age(embeddings)
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        assert main([*map(str, argv), "--out", str(out)]) == 0
+        runs.append((len(count_parses), len(count_scans),
+                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    (parses, scans, cold), (reparses, rescans, warm) = runs
+    assert (parses, reparses) == (1, 1)   # the warm run parses nothing
+    assert scans > 0 and rescans == scans
+    assert "manifest.json" in cold and warm == cold
+    assert len(records_entries()) == 1
+
+
+@pytest.mark.parametrize("fmt, bad, message", [
+    ("tabular", "oops,p,F,W,hi,name01,\n",
+     "tiny.csv: row 122, column 'num': unparseable value 'oops'"),
+    ("text", "nurse\tEve\n",
+     "bios.tsv: line 81: expected 4 tab-separated fields, got 2"),
+], ids=["tabular", "text"])
+def test_a_malformed_records_file_exits_1_on_every_run(
+        fmt, bad, message, tiny_tabular, tmp_path, capsys, count_parses):
+    if fmt == "tabular":
+        data, schema, _ = tiny_tabular
+        inputs = ["--schema", str(schema)]
+    else:
+        (tmp_path / "text").mkdir()
+        data = write_text_inputs(tmp_path / "text")[0]
+        inputs = ["--format", "text"]
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.write(bad)
+    age(data)
+    errors = []
+    for _ in range(2):
+        assert main(["train", "--data", str(data), *inputs, "--variant", "none",
+                     "--seeds", "0", "--epochs", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert message in errors[0]
+    assert len(count_parses) == 2
+    assert records_entries() == []
 
 
 def test_evaluate_never_opens_the_embeddings_file(tiny_tabular, tmp_path,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nameblind import embeddings
+from nameblind import cache, embeddings
 from nameblind.embeddings import (
     SCAN_BLOCK,
     Coverage,
@@ -499,10 +499,12 @@ def test_cache_hit_matches_a_cold_scan_and_the_split_path(tmp_path, monkeypatch)
     cold = assert_matches_split_path(path, SCAN_KEEP)
     [entry] = cache_entries()
     with np.load(entry, allow_pickle=False) as data:
-        assert sorted(data.files) == ["allowlist", "dimension", "format",
-                                      "identity", "tokens", "vectors"]
-        assert data["tokens"].tolist() == list(cold.entries)
-        assert data["allowlist"].tolist() == sorted(SCAN_KEEP)
+        assert sorted(data.files) == ["allowlist", "code", "dimension",
+                                      "format", "identity", "inputs", "source",
+                                      "strings", "tokens", "vectors"]
+        assert str(data["source"]) == str(path.resolve())
+        assert cache._unpack(data["tokens"]) == list(cold.entries)
+        assert cache._unpack(data["allowlist"]) == sorted(SCAN_KEEP)
         assert data["vectors"].dtype == np.float64
         assert data["vectors"].shape == (len(SCAN_KEEP), 3)
     no_scan(monkeypatch)
@@ -515,17 +517,18 @@ def test_cache_hit_matches_a_cold_scan_and_the_split_path(tmp_path, monkeypatch)
 
 def test_cache_lives_under_xdg_cache_home_or_home(tmp_path, monkeypatch):
     path = tmp_path / "v.txt"
-    entry = Path(embeddings._cache_file(path))
+    entry = Path(cache._cache_file(path, "vectors"))
     assert entry.parent == Path(os.environ["XDG_CACHE_HOME"]) / "nameblind"
     assert entry.name.endswith(".npz")
-    # one entry per real path, whatever the path that names it
+    # one entry per real path and kind, whatever the path that names it
     (tmp_path / "link").symlink_to(tmp_path)
-    assert embeddings._cache_file(tmp_path / "link" / "v.txt") == str(entry)
-    assert embeddings._cache_file(tmp_path / "w.txt") != str(entry)
+    assert cache._cache_file(tmp_path / "link" / "v.txt", "vectors") == str(entry)
+    assert cache._cache_file(tmp_path / "w.txt", "vectors") != str(entry)
+    assert cache._cache_file(path, "records") != str(entry)
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     for unset in ("", "relative/cache"):
         monkeypatch.setenv("XDG_CACHE_HOME", unset)
-        assert Path(embeddings._cache_file(path)) == (
+        assert Path(cache._cache_file(path, "vectors")) == (
             tmp_path / "home" / ".cache" / "nameblind" / entry.name)
 
 
@@ -620,7 +623,7 @@ def test_a_superset_allowlist_rescans_and_replaces_the_entry(tmp_path,
     assert len(scans) > scanned
     [entry] = cache_entries()
     with np.load(entry, allow_pickle=False) as data:
-        assert data["allowlist"].tolist() == ["anna", "cara"]
+        assert cache._unpack(data["allowlist"]) == ["anna", "cara"]
     no_scan(monkeypatch)
     assert_same_table(load_embeddings(path, allowlist={"anna", "cara"}), table)
 
