@@ -1,37 +1,35 @@
 """Per-user caches of parsed input files.
 
-A parse of a vector file (embeddings.load_embeddings) or of a records file
-(data.parse_tabular, data.parse_text) keeps its result in one ``.npz``
-entry per file real path and kind, under ``$XDG_CACHE_HOME/nameblind/``
+load serves the parse of a vector file (embeddings.load_embeddings) or of a
+records file (data.parse_tabular, data.parse_text) from one ``.npz`` entry
+per file real path and kind, under ``$XDG_CACHE_HOME/nameblind/``
 (``~/.cache/nameblind/`` when that is unset or relative), so a later
 command over the unchanged file skips the parse.
 
-Beside the parse's arrays an entry holds its key: the layout of these
-fields, the file's real path, a digest of the source of the module that
-parsed it, the file's size, mtime, inode and device, and the parse's
-other inputs. An entry is served only while its whole key matches, so one
-written by other code, for another file or for other inputs is a miss.
+An entry's key is the file's real path, a digest of the source of this
+module and of the module that parsed the file, the file's size, mtime,
+inode and device, and a digest of the parse's other inputs. decode runs
+only on the fields of an entry whose whole key matched: any other entry,
+or one that cannot be read or decoded, is a miss.
 
 An entry is written whole or not at all (a temporary file, then
-os.replace) and holds no pickles. It is written only after a parse that
+os.replace), holds no pickles, and is written only after a parse that
 raised nothing, of a file whose identity did not change during the parse
-and that was last modified at least 2 s before it started. Any failure to
-read an entry is a miss, and any failure to write one leaves the cache as
-it was. Each write first deletes the entries whose file no longer exists.
+and that was last modified at least 2 s before it started. A cache that
+cannot be written is left as it was. Each write first deletes the entries
+whose file no longer exists.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import tempfile
 import time
 
 import numpy as np
-
-# the layout of an entry's key and string fields; another layout is a miss
-_FORMAT = "nameblind-cache-2"
 
 # git's racy-clean rule: a file modified less than this long before a parse
 # started may be rewritten again within one timestamp granule, keeping its
@@ -56,14 +54,18 @@ def _identity(stat) -> str:
     return f"{stat.st_size} {stat.st_mtime_ns} {stat.st_ino} {stat.st_dev}"
 
 
-def _code_digest(module_file) -> str | None:
-    """sha256 of the module file that parses an input, or None when it
-    cannot be read (then nothing is cached)."""
+def _code_digest(producer) -> str | None:
+    """sha256 of the digests of this module's source, which lays entries
+    out, and of the producer module's, which parses an input; None when
+    either cannot be read (then nothing is cached)."""
+    digest = hashlib.sha256()
     try:
-        with open(module_file, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+        for module_file in (__file__, producer):
+            with open(module_file, "rb") as fh:
+                digest.update(hashlib.sha256(fh.read()).digest())
     except OSError:
         return None
+    return digest.hexdigest()
 
 
 def _pack(strings: list[str]) -> np.ndarray | None:
@@ -99,78 +101,74 @@ def _evict_dead(directory: str) -> None:
                 os.unlink(entry)
 
 
-class Entry:
-    """The cache entry of the input file at path, open as fh.
+def _read(file: str, key: dict, decode):
+    """decode(fields) of the entry file's fields (arrays by name, and lists
+    of str for the fields written as such) when its key equals key, else None."""
+    try:
+        with open(file, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            if any(str(data[name]) != value for name, value in key.items()):
+                return None
+            fields = {name: data[name] for name in data.files if name not in key}
+        for name in str(fields.pop("strings")).split():
+            fields[name] = _unpack(fields[name])
+        return decode(fields)
+    except Exception:
+        # a missing or damaged entry fails in any of zipfile's, numpy's or
+        # UTF-8's ways (a bad CRC, an unknown compression method, a short
+        # member), and a field of the wrong shape in decode's: a miss
+        return None
+
+
+def _write(file: str, key: dict, fields: dict) -> None:
+    """Replace the entry file with key and fields, each an array or a list
+    of str; nothing is written when a string holds a NUL or cannot be
+    encoded, and a cache that cannot be written is left as it is."""
+    arrays = {name: np.array(value) for name, value in key.items()}
+    strings = [name for name, value in fields.items() if isinstance(value, list)]
+    arrays["strings"] = np.array(" ".join(strings))
+    for name, value in fields.items():
+        arrays[name] = _pack(value) if name in strings else value
+        if arrays[name] is None:
+            return
+    directory = os.path.dirname(file)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        _evict_dead(directory)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as out:
+                np.savez(out, allow_pickle=False, **arrays)
+            os.replace(tmp, file)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    except OSError:
+        pass
+
+
+def load(path, kind: str, producer, inputs, parse, decode, **open_args):
+    """The parse of the input file at path, opened as fh with encoding
+    "utf-8-sig" and open_args: decode(fields) of its cache entry when the
+    entry's whole key matches, else parse(fh), whose fields() (arrays and
+    lists of str by name) then replace the entry.
 
     kind names what the entry holds ("vectors" or "records"), producer is
-    the __file__ of the module that parses the file, and inputs describes
-    the parse's other inputs. Make the Entry before the parse reads fh.
+    the __file__ of the module that parses the file, and inputs, any value
+    json.dumps takes, are the parse's other inputs: the entry serves only
+    a load with equal inputs.
     """
-
-    def __init__(self, path, fh, kind: str, producer, inputs: str = ""):
-        self.file = _cache_file(path, kind)
-        self.started_ns = time.time_ns()
+    with open(path, encoding="utf-8-sig", **open_args) as fh:
+        started_ns = time.time_ns()
         stat = os.fstat(fh.fileno())
-        self.mtime_ns = stat.st_mtime_ns
-        self.key = {
-            "format": _FORMAT,
-            "source": os.path.realpath(path),
-            "code": _code_digest(producer),
-            "identity": _identity(stat),
-            "inputs": inputs,
-        }
-
-    def read(self, decode):
-        """decode(fields) of the entry's fields (arrays by name, and lists
-        of str for the fields written as such), or None when the entry is
-        missing, damaged or of another key."""
-        if self.key["code"] is None:
-            return None
-        try:
-            with open(self.file, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-                fields = {name: data[name] for name in data.files}
-            key = {name: str(fields.pop(name)) for name in self.key if name in fields}
-            if key != self.key:
-                return None
-            for name in str(fields.pop("strings")).split():
-                fields[name] = _unpack(fields[name])
-        except Exception:
-            # a damaged entry fails in any of zipfile's, numpy's or UTF-8's
-            # ways (a bad CRC, an unknown compression method, a short
-            # member): a miss
-            return None
-        return decode(fields)
-
-    def write(self, fh, fields: dict) -> None:
-        """Replace the entry with fields, each an array or a list of str.
-
-        Nothing is written when the file open as fh changed since the
-        Entry was made or was modified under 2 s before that, or when a
-        string holds a NUL or cannot be encoded; a cache that cannot be
-        written is left as it is.
-        """
-        if (self.key["code"] is None
-                or _identity(os.fstat(fh.fileno())) != self.key["identity"]
-                or self.mtime_ns > self.started_ns - _RACY_NS):
-            return
-        arrays = {name: np.array(value) for name, value in self.key.items()}
-        strings = [name for name, value in fields.items() if isinstance(value, list)]
-        arrays["strings"] = np.array(" ".join(strings))
-        for name, value in fields.items():
-            arrays[name] = _pack(value) if name in strings else value
-            if arrays[name] is None:
-                return
-        directory = os.path.dirname(self.file)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            _evict_dead(directory)
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
-            try:
-                with os.fdopen(fd, "wb") as out:
-                    np.savez(out, allow_pickle=False, **arrays)
-                os.replace(tmp, self.file)
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(tmp)
-        except OSError:
-            pass
+        file = _cache_file(path, kind)
+        key = {"source": os.path.realpath(path), "code": _code_digest(producer),
+               "identity": _identity(stat),
+               "inputs": hashlib.sha256(json.dumps(inputs).encode()).hexdigest()}
+        result = _read(file, key, decode)   # a miss when code is None
+        if result is None:
+            result = parse(fh)
+            if (key["code"] is not None
+                    and _identity(os.fstat(fh.fileno())) == key["identity"]
+                    and stat.st_mtime_ns <= started_ns - _RACY_NS):
+                _write(file, key, result.fields())
+    return result

@@ -179,49 +179,46 @@ def _train_config(spec: ExperimentSpec, seed: int) -> TrainConfig:
     )
 
 
-def _load_demographics(spec: ExperimentSpec) -> NameDemographics | None:
+def _demographics_files(spec: ExperimentSpec) -> list[str]:
+    """The --names-demographics files, each checked to exist."""
     paths = spec.names_demographics
-    if not paths:
-        return None
-    if len(paths) not in (2, 3):
+    if paths and len(paths) not in (2, 3):
         raise UsageError(
             "--names-demographics takes 2 or 3 files: "
             "first-name-white, first-name-male[, last-name-white]"
         )
-    for p in paths:
-        _require_file(p, "name-demographics table")
-    return NameDemographics(
-        first_white=load_name_probabilities(paths[0]),
-        first_male=load_name_probabilities(paths[1]),
-        last_white=load_name_probabilities(paths[2]) if len(paths) == 3 else {},
-    )
+    return [_require_file(p, "name-demographics table") for p in paths]
 
 
 class _Pipeline:
     """Per-command context: the data file's records (parsed once, or read
     from the records cache), and the schema, demographics and embedding
-    table every seed shares.
+    table every seed shares; for evaluate, the model too.
 
     Inputs are checked in a fixed order: every input file must exist
-    (exit 2) before the data file is parsed, and the data file is parsed
-    (a malformed record is exit 1) before the embedding file is read. The
-    embedding file is read only when need_embeddings; table is None
-    otherwise.
+    (exit 2) before any is parsed; then the model file, the schema and the
+    name tables are parsed, then the data file (a malformed record is
+    exit 1), and only then is the embedding file read. The embedding file
+    is read only when need_embeddings; table is None otherwise.
     """
 
-    def __init__(self, spec: ExperimentSpec, need_embeddings: bool):
+    def __init__(self, spec: ExperimentSpec, need_embeddings: bool,
+                 model_path=None):
         self.spec = spec
         _require_file(spec.data, "data file")
-        self.schema = None
         if spec.format == "tabular":
-            schema_path = _require_file(spec.schema, "schema file")
-            self.schema = TabularSchema.load(schema_path)
-        self.demographics = _load_demographics(spec)
+            _require_file(spec.schema, "schema file")
+        demographics = _demographics_files(spec)
+        if need_embeddings or spec.embeddings:
+            _require_file(spec.embeddings, "embeddings file")
+        self.model = load_model(model_path) if model_path else None
+        self.schema = (TabularSchema.load(spec.schema)
+                       if spec.format == "tabular" else None)
+        self.demographics = (NameDemographics(*map(
+            load_name_probabilities, demographics)) if demographics else None)
         self.partition = (
             partition_names(self.demographics) if self.demographics else None
         )
-        if need_embeddings or spec.embeddings:
-            _require_file(spec.embeddings, "embeddings file")
         if spec.format == "tabular":
             self.records = parse_tabular(spec.data, self.schema)
         else:
@@ -388,9 +385,9 @@ def _bias_report(params, dataset, rows):
 
 def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
     out = _out_dir(spec)
-    model_path = _require_file(model_path, "model file")
-    params, feature_names, class_names = load_model(model_path)
-    pipeline = _Pipeline(spec, need_embeddings=False)
+    pipeline = _Pipeline(spec, need_embeddings=False,
+                         model_path=_require_file(model_path, "model file"))
+    params, feature_names, class_names = pipeline.model
     seed = spec.seeds[0]
     dataset, split = pipeline.dataset_for_seed(seed)
     if dataset.feature_names != feature_names:

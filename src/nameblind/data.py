@@ -13,7 +13,6 @@ import array
 import collections
 import csv
 import itertools
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -344,19 +343,6 @@ def _names(fields, side: str) -> list[str | None]:
             for name, none in zip(fields[side], fields[f"{side}_none"].tolist())]
 
 
-def _parsed(path, inputs: dict, records_type, parse, **open_args):
-    """The records of the file at path for the parse inputs: a cache
-    entry's when one holds them (see the cache module), else parse(fh)'s
-    for the open file, which are then cached."""
-    with open(path, encoding="utf-8-sig", **open_args) as fh:
-        entry = cache.Entry(path, fh, "records", __file__, json.dumps(inputs))
-        records = entry.read(records_type.from_fields)
-        if records is None:
-            records = parse(fh)
-            entry.write(fh, records.fields())
-    return records
-
-
 @dataclass
 class TabularRecords:
     """A CSV file parsed against its schema, before any fit statistics.
@@ -410,9 +396,9 @@ class TabularRecords:
 def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
     """Read a CSV file with a header row into TabularRecords.
 
-    The records are cached per file and schema (see _parsed), so a later
-    call over the unchanged file with the same columns, roles and group
-    values reads them back instead.
+    The records are cached per file and schema (cache.load, kind
+    "records"), so a later call over the unchanged file with the same
+    columns, roles and group values reads them back instead.
 
     Raises ValueError on a header that disagrees with the schema, a row of
     the wrong width, an unparseable or non-finite continuous value or an
@@ -421,8 +407,9 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
     inputs = {"parse": "tabular",
               "schema": [[name, spec.role, spec.group_positive]
                          for name, spec in schema.columns.items()]}
-    return _parsed(path, inputs, TabularRecords,
-                   lambda fh: _read_tabular(fh, path, schema), newline="")
+    return cache.load(path, "records", __file__, inputs,
+                      lambda fh: _read_tabular(fh, path, schema),
+                      TabularRecords.from_fields, newline="")
 
 
 def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
@@ -882,12 +869,14 @@ def parse_text(path, scrub_names: bool = False) -> TextRecords:
     Each line holds four fields: label, first name, last name, document.
     With scrub_names the document's tokens are scrubbed (scrub) of the
     record's first name and of gendered pronouns. The records are cached
-    per file and scrub_names (see _parsed), so a later call over the
-    unchanged file reads them back instead. Raises ValueError on a line
+    per file and scrub_names (cache.load, kind "records"), so a later call
+    over the unchanged file reads them back instead. Raises ValueError on a line
     without four fields or with an empty label, or a file without records.
     """
-    return _parsed(path, {"parse": "text", "scrub_names": bool(scrub_names)},
-                   TextRecords, lambda fh: _read_text(fh, path, scrub_names))
+    return cache.load(path, "records", __file__,
+                      {"parse": "text", "scrub_names": bool(scrub_names)},
+                      lambda fh: _read_text(fh, path, scrub_names),
+                      TextRecords.from_fields)
 
 
 def _read_text(fh, path, scrub_names: bool) -> TextRecords:

@@ -6,9 +6,9 @@ per line. Tokens are normalized (lowercased, surrounding punctuation
 stripped) both on load and on lookup, since pretrained vocabularies are
 predominantly lowercase.
 
-A scan's kept rows are cached per user, one entry per vector file (see
-load_embeddings and the cache module), so later commands over an
-unchanged file skip the scan.
+The rows a scan keeps for an allowlist are cached per user, one entry per
+vector file (see load_embeddings and the cache module), so later commands
+over the unchanged file with the same allowlist skip the scan.
 """
 
 from __future__ import annotations
@@ -64,6 +64,27 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def fields(self) -> dict:
+        """The table as arrays and lists of str, for a cache entry."""
+        return {"dimension": np.array(self.dimension, dtype=np.int64),
+                "tokens": list(self.entries),
+                "vectors": np.array(list(self.entries.values()), dtype=np.float64
+                                    ).reshape(len(self), self.dimension)}
+
+    @classmethod
+    def from_fields(cls, fields) -> "EmbeddingTable":
+        """The table of fields(); ValueError for vectors of another dtype
+        or shape."""
+        dimension = int(fields["dimension"])
+        tokens, vectors = fields["tokens"], fields["vectors"]
+        if vectors.dtype != np.float64 or vectors.shape != (len(tokens), dimension):
+            raise ValueError("vectors of another dtype or shape")
+        # one array per row, as the scan makes: row views would keep the
+        # whole (R, d) block alive, which raised the peak RSS of the
+        # bios-cocl-sweep benchmark by 2.3 MB where per-row copies lowered
+        # it by 0.7 MB
+        return cls(dimension, dict(zip(tokens, map(np.array, vectors))))
 
 
 # characters per read of the vector-file scan, which then reads on to the
@@ -141,26 +162,6 @@ def _split_line(line: str, dimension: int, wanted, where: str):
     return token, vector
 
 
-def _cached_rows(fields, wanted: set[str]):
-    """The EmbeddingTable of wanted's rows of a cache entry's fields, or
-    None when the entry's allowlist does not cover wanted."""
-    if not wanted <= set(fields["allowlist"]):
-        return None
-    dimension = int(fields["dimension"])
-    tokens, vectors = fields["tokens"], fields["vectors"]
-    if vectors.dtype != np.float64 or vectors.shape != (len(tokens), dimension):
-        return None
-    keep = [token in wanted for token in tokens]
-    if not all(keep):
-        tokens = list(itertools.compress(tokens, keep))
-        vectors = vectors[keep]
-    # one array per row, as the scan makes: row views would keep the whole
-    # (R, d) block alive, which raised the peak RSS of the bios-cocl-sweep
-    # benchmark by 2.3 MB where per-row copies lowered it by 0.7 MB
-    return EmbeddingTable(dimension=dimension,
-                          entries=dict(zip(tokens, map(np.array, vectors))))
-
-
 def load_embeddings(path, allowlist=None) -> EmbeddingTable:
     """Read a word-vector text file into an EmbeddingTable.
 
@@ -177,11 +178,11 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
             reading the file. Every other line goes through _split_line,
             so a malformed one raises.
 
-    With an allowlist, the rows a scan kept are cached (a cache.Entry of
-    kind "vectors", keyed on this module's source and the file's size,
-    mtime, inode and device). A later call whose normalized allowlist is a
-    subset of the entry's, over a file whose open handle still has that
-    identity, is served from the entry without a scan.
+    With an allowlist, the table is cached (cache.load, kind "vectors",
+    keyed on the sorted normalized allowlist), so a later call with the
+    same normalized allowlist over the unchanged file skips the scan.
+    Without one, every row is kept and nothing is cached: a whole file's
+    rows can take gigabytes.
 
     Raises:
         EmbeddingFormatError: malformed header, zero dimension, a line
@@ -189,67 +190,61 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
             with a non-numeric or non-finite (nan, inf) component (the
             message reports the offending line number).
     """
-    wanted = None
-    if allowlist is not None:
-        wanted = {normalize_token(t) for t in allowlist}
+    if allowlist is None:
+        with open(path, encoding="utf-8-sig") as fh:
+            return _scan(fh, path, None)
+    wanted = {normalize_token(t) for t in allowlist}
+    return cache.load(path, "vectors", __file__, sorted(wanted),
+                      lambda fh: _scan(fh, path, wanted),
+                      EmbeddingTable.from_fields)
+
+
+def _scan(fh, path, wanted) -> EmbeddingTable:
+    """load_embeddings' scan of the vector file at path, open as fh,
+    keeping the rows of the normalized tokens in wanted (all when None)."""
+    header = fh.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise EmbeddingFormatError(
+            f"{path}: line 1: expected '<count> <dimension>' header, got {header!r}"
+        )
+    try:
+        int(parts[0])  # declared count; informational only
+        dimension = int(parts[1])
+    except ValueError as exc:
+        raise EmbeddingFormatError(
+            f"{path}: line 1: non-integer header field in {header!r}"
+        ) from exc
+    if dimension <= 0:
+        raise EmbeddingFormatError(
+            f"{path}: vector dimension must be positive, got {dimension}"
+        )
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        entry = cache.Entry(path, fh, "vectors", __file__)
-        if wanted is not None:
-            table = entry.read(lambda fields: _cached_rows(fields, wanted))
-            if table is not None:
-                return table
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise EmbeddingFormatError(
-                f"{path}: line 1: expected '<count> <dimension>' header, got {header!r}"
-            )
-        try:
-            int(parts[0])  # declared count; informational only
-            dimension = int(parts[1])
-        except ValueError as exc:
-            raise EmbeddingFormatError(
-                f"{path}: line 1: non-integer header field in {header!r}"
-            ) from exc
-        if dimension <= 0:
-            raise EmbeddingFormatError(
-                f"{path}: vector dimension must be positive, got {dimension}"
-            )
-        line_no = 1
-        while block := fh.read(SCAN_BLOCK):
-            text = block + fh.readline()
-            data = text.encode("utf-8")
-            ascii_text = text.isascii()
-            starts, ends, checked = _checked_lines(data, dimension)
-            for start, end, checked_line in zip(
-                    starts.tolist(), ends.tolist(), checked.tolist()):
-                line_no += 1
-                if checked_line and wanted is not None:
-                    space = data.index(b" ", start)
-                    token = data[start:space].decode()
-                    # a checked line splits at its spaces alone unless a
-                    # non-ASCII blank hides in it: none can in ASCII text,
-                    # nor in ASCII fields after a printable token
-                    # (isprintable is False for every blank but " ")
-                    if (ascii_text or (data[space:end].isascii()
-                                       and token.isprintable())
-                    ) and normalize_token(token) not in wanted:
-                        continue
-                row = _split_line(data[start:end].decode(), dimension,
-                                  wanted, f"{path}: line {line_no}")
-                if row is not None:
-                    entries[row[0]] = row[1]
-        table = EmbeddingTable(dimension=dimension, entries=entries)
-        if wanted is not None:
-            entry.write(fh, {
-                "dimension": np.array(dimension, dtype=np.int64),
-                "allowlist": sorted(wanted),
-                "tokens": list(entries),
-                "vectors": np.array(list(entries.values()), dtype=np.float64
-                                    ).reshape(len(entries), dimension),
-            })
-    return table
+    line_no = 1
+    while block := fh.read(SCAN_BLOCK):
+        text = block + fh.readline()
+        data = text.encode("utf-8")
+        ascii_text = text.isascii()
+        starts, ends, checked = _checked_lines(data, dimension)
+        for start, end, checked_line in zip(
+                starts.tolist(), ends.tolist(), checked.tolist()):
+            line_no += 1
+            if checked_line and wanted is not None:
+                space = data.index(b" ", start)
+                token = data[start:space].decode()
+                # a checked line splits at its spaces alone unless a
+                # non-ASCII blank hides in it: none can in ASCII text,
+                # nor in ASCII fields after a printable token
+                # (isprintable is False for every blank but " ")
+                if (ascii_text or (data[space:end].isascii()
+                                   and token.isprintable())
+                ) and normalize_token(token) not in wanted:
+                    continue
+            row = _split_line(data[start:end].decode(), dimension,
+                              wanted, f"{path}: line {line_no}")
+            if row is not None:
+                entries[row[0]] = row[1]
+    return EmbeddingTable(dimension=dimension, entries=entries)
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:

@@ -102,11 +102,17 @@ def test_none_and_empty_names_round_trip(tmp_path):
     records = TextRecords(np.arange(4) % 2, ["chef", "nurse"], names,
                           names[::-1],
                           TokenizedDocuments.from_token_lists([[]] * 4))
-    with open(path, encoding="utf-8") as fh:
-        cache.Entry(path, fh, "records", data.__file__).write(fh, records.fields())
-    with open(path, encoding="utf-8") as fh:
-        read = cache.Entry(path, fh, "records", data.__file__).read(
-            TextRecords.from_fields)
+
+    def load(parse):
+        return cache.load(path, "records", data.__file__, "names", parse,
+                          TextRecords.from_fields)
+
+    def no_parse(fh):
+        raise AssertionError("parsed")
+
+    assert load(lambda fh: records) is records
+    read = load(no_parse)
+    assert read is not records
     assert read.first_names == names
     assert read.last_names == names[::-1]
 
@@ -191,13 +197,14 @@ def test_a_truncated_entry_falls_back_to_the_parse(tmp_path, count_parses, case)
     assert len(count_parses) == 5
 
 
-def test_an_entry_of_other_code_misses(tmp_path, count_parses, monkeypatch):
+def assert_other_code_misses(tmp_path, count_parses, monkeypatch, change_code):
+    """An entry of each kind is a miss after change_code(), then is
+    rewritten under the new digest and hit."""
     records = aged(write(tmp_path, CSV_TEXT, "data.csv"))
     vectors = aged(write(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n", "v.txt"))
     parse_csv(records)
     load_embeddings(vectors, {"anna"})
-    code = cache._code_digest
-    monkeypatch.setattr(cache, "_code_digest", lambda module: "other " + code(module))
+    change_code()
     scans = []
     checked_lines = embeddings._checked_lines
     monkeypatch.setattr(embeddings, "_checked_lines",
@@ -210,6 +217,24 @@ def test_an_entry_of_other_code_misses(tmp_path, count_parses, monkeypatch):
     parse_csv(records)
     load_embeddings(vectors, {"anna"})
     assert len(count_parses) == 2 and len(scans) == scanned
+
+
+def test_an_entry_of_other_code_misses(tmp_path, count_parses, monkeypatch):
+    code = cache._code_digest
+    assert_other_code_misses(tmp_path, count_parses, monkeypatch, lambda: (
+        monkeypatch.setattr(cache, "_code_digest",
+                            lambda module: "other " + code(module))))
+
+
+def test_an_entry_of_another_cache_module_misses(tmp_path, count_parses,
+                                                monkeypatch):
+    # the code digest covers cache.py, which lays entries out, as well as
+    # the module that parsed the file: an edit to either is a miss
+    edited = tmp_path / "cache.py"
+    edited.write_text(Path(cache.__file__).read_text(encoding="utf-8")
+                      + "# another layout\n", encoding="utf-8")
+    assert_other_code_misses(tmp_path, count_parses, monkeypatch, lambda: (
+        monkeypatch.setattr(cache, "__file__", str(edited))))
 
 
 def test_a_write_evicts_the_entries_of_deleted_files(tmp_path):

@@ -1305,6 +1305,41 @@ def test_exit_codes_follow_the_input_order(case, code, message, tiny_tabular,
         assert message in err
 
 
+@pytest.mark.parametrize("case, missing, message", [
+    ("schema", "--embeddings", "unknown role 'labelx'"),
+    ("name table", "--embeddings", "line 1: unparseable probability"),
+    ("model", "--data", "not a recognized model file"),
+], ids=["schema", "name table", "model"])
+def test_every_named_file_is_found_before_any_is_parsed(
+        case, missing, message, tiny_tabular, tmp_path, capsys):
+    # a malformed file with a missing one exits 2; with every file
+    # present, the malformed one exits 1
+    data, schema, embeddings = tiny_tabular
+    files = {"--data": data, "--schema": schema, "--embeddings": embeddings}
+    bad = tmp_path / "bad.txt"
+    argv = ["train", "--variant", "none", "--epochs", "1"]
+    if case == "schema":
+        bad.write_text(schema.read_text(encoding="utf-8").replace(
+            "income label", "income labelx"), encoding="utf-8")
+        files["--schema"] = bad
+    elif case == "name table":
+        bad.write_text("name00\tlikely\n", encoding="utf-8")
+        male = tmp_path / "male.tsv"
+        male.write_text("name00\t0.5\n", encoding="utf-8")
+        argv += ["--names-demographics", str(bad), str(male)]
+    else:
+        bad.write_text("not a model\n", encoding="utf-8")
+        argv = ["evaluate", "--model", str(bad)]
+    argv += ["--seeds", "0", "--out", str(tmp_path / "out")]
+    for named, code, want in (
+            ({**files, missing: tmp_path / "nope.txt"}, 2, "nope.txt"),
+            (files, 1, message)):
+        options = [item for option, path in named.items()
+                   for item in (option, str(path))]
+        assert main([*argv, *options]) == code
+        assert want in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variant", ["cocl", "clucl"])
 def test_non_finite_embedding_component_exit_1(variant, tiny_tabular, tmp_path,
                                               capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import time
 from pathlib import Path
@@ -499,12 +501,13 @@ def test_cache_hit_matches_a_cold_scan_and_the_split_path(tmp_path, monkeypatch)
     cold = assert_matches_split_path(path, SCAN_KEEP)
     [entry] = cache_entries()
     with np.load(entry, allow_pickle=False) as data:
-        assert sorted(data.files) == ["allowlist", "code", "dimension",
-                                      "format", "identity", "inputs", "source",
-                                      "strings", "tokens", "vectors"]
+        assert sorted(data.files) == ["code", "dimension", "identity",
+                                      "inputs", "source", "strings", "tokens",
+                                      "vectors"]
         assert str(data["source"]) == str(path.resolve())
+        assert str(data["inputs"]) == hashlib.sha256(
+            json.dumps(sorted(SCAN_KEEP)).encode()).hexdigest()
         assert cache._unpack(data["tokens"]) == list(cold.entries)
-        assert cache._unpack(data["allowlist"]) == sorted(SCAN_KEEP)
         assert data["vectors"].dtype == np.float64
         assert data["vectors"].shape == (len(SCAN_KEEP), 3)
     no_scan(monkeypatch)
@@ -597,21 +600,22 @@ def test_a_malformed_file_is_never_cached(tmp_path, bad_line, message):
     assert cache_entries() == []
 
 
-def test_a_subset_allowlist_is_served_without_a_scan(tmp_path, monkeypatch):
+def test_a_subset_allowlist_rescans_and_replaces_the_entry(tmp_path,
+                                                          monkeypatch, scans):
+    # an entry serves only the normalized allowlist it was written for
     path = scan_file(tmp_path)
-    # "absent" is in the entry's allowlist but not in the file
-    cold = load_embeddings(path, allowlist=SCAN_KEEP | {"absent"})
-    no_scan(monkeypatch)
-    table = load_embeddings(path, allowlist={"Cara.", " ANNA", "absent"})
+    cold = load_embeddings(path, allowlist=SCAN_KEEP)
+    scanned = len(scans)
+    table = assert_matches_split_path(path, {"Cara.", " ANNA"})
+    assert len(scans) > scanned
     assert list(table.entries) == ["anna", "cara"]   # file order
     for token in table.entries:
         assert table.entries[token].tobytes() == cold.entries[token].tobytes()
-    assert len(load_embeddings(path, allowlist=set())) == 0
-    # the entry still holds the whole allowlist it was written for
-    assert_same_table(load_embeddings(path, allowlist=SCAN_KEEP), cold)
-    # a token outside that allowlist may be in the file: a scan
+    assert len(cache_entries()) == 1
+    no_scan(monkeypatch)
+    assert_same_table(load_embeddings(path, allowlist={"anna", "cara"}), table)
     with pytest.raises(AssertionError, match="scanned"):
-        load_embeddings(path, allowlist={"anna", "skip"})
+        load_embeddings(path, allowlist=SCAN_KEEP)
 
 
 def test_a_superset_allowlist_rescans_and_replaces_the_entry(tmp_path,
@@ -621,11 +625,21 @@ def test_a_superset_allowlist_rescans_and_replaces_the_entry(tmp_path,
     scanned = len(scans)
     table = assert_matches_split_path(path, {"anna", "cara"})
     assert len(scans) > scanned
-    [entry] = cache_entries()
-    with np.load(entry, allow_pickle=False) as data:
-        assert cache._unpack(data["allowlist"]) == ["anna", "cara"]
+    assert len(cache_entries()) == 1
     no_scan(monkeypatch)
     assert_same_table(load_embeddings(path, allowlist={"anna", "cara"}), table)
+    with pytest.raises(AssertionError, match="scanned"):
+        load_embeddings(path, allowlist={"anna"})
+
+
+def test_allowlists_that_join_alike_are_keyed_apart(tmp_path, scans):
+    # "a\0b" is one token, and "\0".join(["a", "b"]) is the same string
+    path = aged(write_vectors(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
+    assert len(load_embeddings(path, allowlist={"a\0b"})) == 0
+    assert len(cache_entries()) == 1
+    scanned = len(scans)
+    assert list(load_embeddings(path, allowlist={"a", "b"}).entries) == ["a", "b"]
+    assert len(scans) > scanned
 
 
 def test_a_truncated_cache_entry_falls_back_to_the_scan(tmp_path, monkeypatch,
@@ -642,6 +656,26 @@ def test_a_truncated_cache_entry_falls_back_to_the_scan(tmp_path, monkeypatch,
     # the scan wrote the entry anew
     no_scan(monkeypatch)
     assert_same_table(load_embeddings(path, allowlist=SCAN_KEEP), cold)
+
+
+@pytest.mark.parametrize("vectors", [np.zeros((1, 3), np.float32),
+                                     np.zeros((2, 3))],
+                         ids=["float32", "a row too many"])
+def test_an_entry_of_another_dtype_or_shape_falls_back_to_the_scan(
+        tmp_path, scans, vectors):
+    path = aged(write_vectors(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n"))
+
+    class Planted:
+        def fields(self):
+            return {"dimension": np.array(3), "tokens": ["anna"],
+                    "vectors": vectors}
+
+    # an entry under the key of load_embeddings(path, {"anna"})
+    cache.load(path, "vectors", embeddings.__file__, ["anna"],
+               lambda fh: Planted(), EmbeddingTable.from_fields)
+    assert len(cache_entries()) == 1 and not scans
+    assert load_embeddings(path, {"anna"}).get("anna").tolist() == [1, 0, 0]
+    assert scans
 
 
 def test_an_unwritable_cache_falls_back_to_the_scan(tmp_path, monkeypatch, scans):
