@@ -51,8 +51,17 @@ class ModelParams:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis (max-subtraction)."""
+    """Numerically stable softmax over the last axis (max-subtraction).
+
+    A last axis of 2 takes its max and sum elementwise, the same bytes as
+    the reductions, which numpy runs through a slow short-row loop: 16
+    against 75 us per Adult-shaped (3, 256, 2) stack (best of 5 x 2,000
+    calls, one BLAS thread, 2-vCPU VM).
+    """
     logits = np.asarray(logits, dtype=np.float64)
+    if logits.shape[-1] == 2:
+        exp = np.exp(logits - np.maximum(logits[..., :1], logits[..., 1:]))
+        return exp / (exp[..., :1] + exp[..., 1:])
     exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True)
 

@@ -8,6 +8,9 @@ Runs are deterministic given a config seed.
 from __future__ import annotations
 
 import csv
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +40,14 @@ ADAM_EPS = 1e-8
 
 
 class NumericalError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient.
+
+    When train's loop raised it, at is where: (epoch, batch, 0) for a
+    batch's loss check, (epoch, batch, 1) for its gradient check, and
+    (epoch, number of batches + 1, 0) for the epoch's history.
+    """
+
+    at = None
 
 
 @dataclass
@@ -187,13 +197,19 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     Identical configs and seeds produce bitwise-identical parameters.
 
     lams, a sequence of penalty strengths, trains one model per strength
-    in place of config.lam and returns a GridResult. The models run in
-    lockstep over the one shuffle: each batch is gathered, checked and
-    given its penalty table once, then one loss_and_gradient and one Adam
-    step serve the stack, and each epoch's full-set passes gather each
-    block once. A model's penalty is computed only when its strength is
-    positive, and each fit is bitwise the TrainResult of train with
-    config.lam set to its strength (and the same history).
+    in place of config.lam and returns a GridResult. After the setup
+    above, the strengths are split into min(len(lams), usable_cpus())
+    contiguous near-equal groups; the first is fitted in this process and
+    each other one in a forked worker (_fit_groups), every group from the
+    same RNG state and so over the same shuffles. A group's models run in
+    lockstep: each batch is gathered, checked and given its penalty table
+    once (none when all the group's strengths are 0), then one
+    loss_and_gradient and one Adam step serve the stack, and each epoch's
+    full-set passes gather each block once. A model's penalty is computed
+    only when its strength is positive, and each fit is bitwise the
+    TrainResult of train with config.lam set to its strength (and the
+    same history), whatever the number of groups. A one-strength call
+    never forks.
     """
     grid = lams is not None
     # replace re-runs TrainConfig's checks on each strength
@@ -242,64 +258,184 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         if history:
             epoch_penalty = table(slice(None)).penalty
     weights = class_weights(np.bincount(y, minlength=num_classes))
-    shape = (len(lams), num_classes, features.shape[1])
-    params = ModelParams(W=np.zeros(shape), b=np.zeros(shape[:-1]))
-    state = AdamState.zeros(*shape)
     rng = np.random.default_rng(config.seed)
-    histories: list[list[EpochRecord]] = [[] for _ in lams]
     n_train = len(train_idx)
+    num_batches = -(-n_train // config.batch_size)
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            batch_penalty = None if table is None else table(batch).penalty
-            totals, grad_W, grad_b = loss_and_gradient(
-                params, features.take(train_idx[batch], axis=0), y[batch],
-                weights, config.l2_coeff,
-                [batch_penalty if lam > 0 else None for lam in lams], lams,
-            )
-            # an overflowing penalty value can come with a zero gradient,
-            # which adam_step's own check lets pass
-            if not np.isfinite(totals).all():
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch "
-                    f"{start // config.batch_size + 1}: "
-                    f"totals={totals.tolist()}"
-                )
-            adam_step(params, grad_W, grad_b, state, config)
-        if not history:
-            continue
+    def fit_lockstep(group):
+        """The stacked W and b and the histories of group's models."""
+        shape = (len(group), num_classes, features.shape[1])
+        params = ModelParams(W=np.zeros(shape), b=np.zeros(shape[:-1]))
+        state = AdamState.zeros(*shape)
+        group_table = table if max(group) > 0 else None
+        histories: list[list[EpochRecord]] = [[] for _ in group]
+        try:
+            for epoch in range(1, config.epochs + 1):
+                order = rng.permutation(n_train)
+                for batch_no, start in enumerate(
+                        range(0, n_train, config.batch_size), 1):
+                    where = (epoch, batch_no, 0)
+                    batch = order[start:start + config.batch_size]
+                    batch_penalty = (None if group_table is None
+                                     else group_table(batch).penalty)
+                    totals, grad_W, grad_b = loss_and_gradient(
+                        params, features.take(train_idx[batch], axis=0),
+                        y[batch], weights, config.l2_coeff,
+                        [batch_penalty if lam > 0 else None for lam in group],
+                        group,
+                    )
+                    # an overflowing penalty value can come with a zero
+                    # gradient, which adam_step's own check lets pass
+                    if not np.isfinite(totals).all():
+                        i = int(np.flatnonzero(~np.isfinite(totals))[0])
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch}, batch "
+                            f"{batch_no}: lambda={group[i]!r}, "
+                            f"total={float(totals[i])!r}"
+                        )
+                    where = (epoch, batch_no, 1)
+                    adam_step(params, grad_W, grad_b, state, config)
+                if not history:
+                    continue
 
-        # each model's objective over the whole training split
-        totals, bases, penalties, _, _ = objective(
-            params.W, forward_rows(params, features, train_idx), y, weights,
-            config.l2_coeff,
-            [epoch_penalty if lam > 0 else None for lam in lams], lams)
-        records = []
-        for total, base, penalty in zip(totals, bases, penalties):
-            if not np.isfinite(total):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}: base={base}, "
-                    f"penalty={penalty}"
-                )
-            records.append((epoch, base, penalty, total))
-        if len(val_idx):
-            val_preds = forward_rows(params, features, val_idx).argmax(axis=-1)
-            val_tprs = [balanced_tpr(preds, dataset.labels[val_idx],
-                                     num_classes)
-                        for preds in val_preds]
-        else:
-            val_tprs = [float("nan")] * len(lams)
-        for fit_history, record, val_tpr in zip(histories, records, val_tprs):
-            fit_history.append(EpochRecord(*record, val_tpr))
+                # each model's objective over the whole training split
+                where = (epoch, num_batches + 1, 0)
+                totals, bases, penalties, _, _ = objective(
+                    params.W, forward_rows(params, features, train_idx), y,
+                    weights, config.l2_coeff,
+                    [epoch_penalty if lam > 0 else None for lam in group],
+                    group)
+                records = []
+                for total, base, penalty in zip(totals, bases, penalties):
+                    if not np.isfinite(total):
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch}: base={base}, "
+                            f"penalty={penalty}"
+                        )
+                    records.append((epoch, base, penalty, total))
+                if len(val_idx):
+                    val_preds = forward_rows(
+                        params, features, val_idx).argmax(axis=-1)
+                    val_tprs = [balanced_tpr(preds, dataset.labels[val_idx],
+                                             num_classes)
+                                for preds in val_preds]
+                else:
+                    val_tprs = [float("nan")] * len(group)
+                for fit_history, record, val_tpr in zip(histories, records,
+                                                        val_tprs):
+                    fit_history.append(EpochRecord(*record, val_tpr))
+        except NumericalError as exc:
+            exc.at = where
+            raise
+        return params.W, params.b, histories
 
+    parts = np.array_split(np.arange(len(lams)),
+                           min(len(lams), usable_cpus()))
     fits = [TrainResult(params=ModelParams(W, b), history=fit_history,
                         cluster_model=cluster_model, split=split)
-            for W, b, fit_history in zip(params.W, params.b, histories)]
+            for stack_W, stack_b, group_histories in _fit_groups(
+                fit_lockstep, [[lams[i] for i in part] for part in parts])
+            for W, b, fit_history in zip(stack_W, stack_b, group_histories)]
     if grid:
         return GridResult(fits=fits, split=split)
     return fits[0]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where os.fork is missing, so
+    that train fits its whole grid in the calling process."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_groups(fit, groups) -> list:
+    """[fit(group) for group in groups], each group after the first fitted
+    in a worker process forked from this one while this process fits the
+    first.
+
+    A worker is a copy of this process, its pages shared copy-on-write,
+    so fit may close over anything the setup built. It pickles fit's
+    result, or whatever fit raised, into a pipe and leaves by os._exit:
+    it never returns into the caller. Every worker is waited for on every
+    path. Once this process's group is done, or has raised a
+    NumericalError, each worker's outcome is read and the worker reaped;
+    any other exception here (KeyboardInterrupt too) terminates and reaps
+    them before it propagates. Failures are raised whole, never as a
+    partial grid: first any failure other than a NumericalError, in group
+    order (a worker's own exception, or RuntimeError for a worker that
+    ended without sending an outcome), else the NumericalError of the
+    earliest at, ties going to group order, so that a rerun, whatever the
+    number of groups, raises the same message.
+    """
+    workers = []  # [pid, read end of its pipe, group]; pid None once reaped
+    try:
+        for group in groups[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fit, group, write_fd,
+                           [read_fd, *(worker[1] for worker in workers)])
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+            workers.append([pid, read_fd, group])
+        try:
+            outcomes = [(True, fit(groups[0]))]
+        except NumericalError as exc:
+            outcomes = [(False, exc)]
+        for worker in workers:
+            pid, read_fd, group = worker
+            with open(read_fd, "rb", closefd=False) as fh:
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            worker[0] = None
+            if code != 0:
+                outcomes.append((False, RuntimeError(
+                    f"the training worker for lambdas {group} ended without "
+                    f"a result ({'exit code' if code > 0 else 'signal'} "
+                    f"{abs(code)})")))
+            else:
+                outcomes.append(pickle.loads(payload))
+    finally:
+        for pid, read_fd, _ in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+            os.close(read_fd)
+    failures = [(i, value) for i, (ok, value) in enumerate(outcomes)
+                if not ok]
+    for _, exc in failures:
+        if not isinstance(exc, NumericalError):
+            raise exc
+    if failures:
+        raise min(failures, key=lambda failure: (failure[1].at, failure[0]))[1]
+    return [value for _, value in outcomes]
+
+
+def _serve(fit, group, write_fd, inherited):
+    """A worker's whole life: write the pickle of (True, fit(group)), or
+    of (False, what it raised), to write_fd and exit 0; exit 1 when that
+    fails. inherited are the caller's pipe ends this copy does not use."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            outcome = (True, fit(group))
+        # the caller raises it: a KeyboardInterrupt here must reach it too
+        except BaseException as exc:
+            outcome = (False, exc)
+        with open(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def forward_rows(params, features, rows) -> np.ndarray:

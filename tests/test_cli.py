@@ -475,6 +475,8 @@ def test_sweep_records_no_history(tiny_tabular, tmp_path, monkeypatch):
     monkeypatch.setattr(nameblind.training, "forward_rows",
                         counting_forward_rows)
     monkeypatch.setattr(nameblind.losses, "CoclTable", CountingTable)
+    # the counts are of this process's calls
+    monkeypatch.setattr(nameblind.training, "usable_cpus", lambda: 1)
     data, schema, embeddings = tiny_tabular
     rc = main(["sweep", "--data", str(data), "--schema", str(schema),
                "--embeddings", str(embeddings), "--variant", "cocl",
@@ -577,6 +579,58 @@ def test_sweep_rows_are_the_train_runs(tiny_tabular, tmp_path):
     swept, trained = _sweep_and_train_rows(argv, ["0.0", "0.5", "2.0"],
                                            [0, 1], tmp_path)
     assert len(swept) == 6 and swept == trained
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweep_csv_is_the_same_bytes_in_one_or_more_processes(
+        workers, tiny_tabular, tmp_path, monkeypatch):
+    import nameblind.training
+
+    data, schema, embeddings = tiny_tabular
+    argv = ["sweep", "--data", str(data), "--schema", str(schema),
+            "--embeddings", str(embeddings), "--variant", "cocl",
+            "--lambdas", "0", "0.5", "2", "--seeds", "0", "1", "--epochs", "3",
+            "--lr", "0.05", "--batch-size", "16"]
+    swept = []
+    for count in (1, workers):
+        monkeypatch.setattr(nameblind.training, "usable_cpus",
+                            lambda count=count: count)
+        out = tmp_path / f"workers{count}"
+        assert main([*argv, "--out", str(out)]) == 0
+        swept.append((out / "sweep.csv").read_bytes())
+    assert swept[0] == swept[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("lambdas", [["0", "1e200"], ["1e200", "0"]],
+                         ids=["in-the-worker", "in-the-caller"])
+def test_divergence_exit_3_with_one_message(lambdas, tiny_tabular, tmp_path,
+                                            capsys, monkeypatch):
+    # lambda 1e200 overflows in the worker's group or in the caller's:
+    # every run, in one process or two, fails with the same message and
+    # leaves no process
+    import nameblind.training
+
+    data, schema, embeddings = tiny_tabular
+    huge = scaled_vectors(embeddings, tmp_path / "huge.txt", 1e150)
+    argv = ["sweep", "--data", str(data), "--schema", str(schema),
+            "--embeddings", str(huge), "--variant", "cocl", "--seeds", "0",
+            "--epochs", "2", "--lambdas", *lambdas,
+            "--out", str(tmp_path / "out")]
+    messages = []
+    for count in (2, 2, 1):
+        monkeypatch.setattr(nameblind.training, "usable_cpus",
+                            lambda count=count: count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        messages.append(capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert ("non-finite loss at epoch 2, batch 1: lambda=1e+200, total=inf"
+            in messages[0])
+    assert messages == [messages[0]] * 3
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_text_sweep_rows_are_the_train_runs(tmp_path):

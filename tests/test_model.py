@@ -69,6 +69,25 @@ def test_softmax_shift_invariance():
     assert np.all(np.abs(softmax(logits) - softmax(shifted)) < 1e-9)
 
 
+def test_two_class_softmax_is_the_bytes_of_the_general_expression():
+    rng = np.random.default_rng(2)
+    extreme = np.array([[700.0, -700.0], [-700.0, 700.0], [700.0, 700.0],
+                        [-700.0, -700.0], [3.5, 3.5], [0.0, -0.0],
+                        [np.inf, 1.0], [1.0, -np.inf], [np.inf, np.inf],
+                        [-np.inf, -np.inf], [np.inf, -np.inf], [np.nan, 1.0]])
+    for logits in (rng.normal(scale=10.0, size=(3, 256, 2)),
+                   rng.normal(scale=10.0, size=(256, 2)), extreme):
+        with np.errstate(invalid="ignore"):
+            exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            want = exp / exp.sum(axis=-1, keepdims=True)
+            got = softmax(logits)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+    # the infinities and the nan reach nan rows: the check above compares them
+    assert np.isnan(got).all(axis=-1).sum() == 5
+
+
 def test_class_weights_balanced():
     assert np.allclose(class_weights([50, 50]), [1.0, 1.0])
     assert np.allclose(class_weights([10, 10, 10]), [1.0, 1.0, 1.0])

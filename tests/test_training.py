@@ -1,4 +1,7 @@
 import csv
+import os
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -471,28 +474,44 @@ def grid_dataset(store, tmp_path):
     return dataset, toy_table([f"first{i}" for i in range(0, 40, 2)], dim=6)
 
 
+def pin_workers(monkeypatch, count):
+    """Make train split a grid into at most count groups, whatever the
+    CPUs of this machine."""
+    monkeypatch.setattr(training, "usable_cpus", lambda: count)
+
+
+def assert_no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("variant", ["cocl", "clucl"])
 @pytest.mark.parametrize("store", ["dense", "binary"])
-def test_grid_fits_are_the_solo_fits(store, variant, tmp_path):
+def test_grid_fits_are_the_solo_fits(store, variant, tmp_path, monkeypatch):
     # one train call over a lambda grid trains the models in lockstep over
-    # one shuffle; each is bit for bit the train run at its own lambda,
-    # lambda 0 (no penalty at all) included
+    # one shuffle, in one process or split over forked workers; each is bit
+    # for bit the train run at its own lambda, lambda 0 (no penalty at all)
+    # included
     dataset, table = grid_dataset(store, tmp_path)
     config = TrainConfig(variant=variant, k=3, epochs=3, seed=5,
                          batch_size=64, learning_rate=0.05, l2_coeff=0.001)
     lams = [0.5, 0.0, 2.0]
-    grid = train(dataset, table, config, lams=lams)
-    assert len(grid.fits) == len(lams)
-    for lam, fit in zip(lams, grid.fits):
-        solo = train(dataset, table, replace(config, lam=lam))
-        assert fit.params.W.tobytes() == solo.params.W.tobytes()
-        assert fit.params.b.tobytes() == solo.params.b.tobytes()
-        assert fit.history == solo.history
-        assert fit.split is grid.split
-        assert all(np.array_equal(a, b) for a, b in zip(fit.split, solo.split))
-        assert fit.cluster_model is grid.fits[0].cluster_model
-    assert grid.fits[1].history[-1].penalty == 0.0
-    assert (grid.fits[0].cluster_model is None) == (variant == "cocl")
+    solos = [train(dataset, table, replace(config, lam=lam)) for lam in lams]
+    for workers in (1, 2, 3):
+        pin_workers(monkeypatch, workers)
+        grid = train(dataset, table, config, lams=lams)
+        assert len(grid.fits) == len(lams)
+        for fit, solo in zip(grid.fits, solos):
+            assert fit.params.W.tobytes() == solo.params.W.tobytes()
+            assert fit.params.b.tobytes() == solo.params.b.tobytes()
+            assert fit.history == solo.history
+            assert fit.split is grid.split
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(fit.split, solo.split))
+            assert fit.cluster_model is grid.fits[0].cluster_model
+        assert grid.fits[1].history[-1].penalty == 0.0
+        assert (grid.fits[0].cluster_model is None) == (variant == "cocl")
+        assert_no_child_remains()
 
 
 @pytest.mark.parametrize("variant", ["cocl", "clucl"])
@@ -534,6 +553,7 @@ def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
             return super().penalty(p)
 
     monkeypatch.setattr(losses, "CoclTable", Counting)
+    pin_workers(monkeypatch, 1)  # the counts are of this process's calls
     dataset = separable_dataset(n=300)
     config = TrainConfig(variant="cocl", epochs=2, seed=5, batch_size=64)
     train(dataset, toy_table(dataset.first_names[::3]), config,
@@ -541,6 +561,113 @@ def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
     # 240 training records in batches of 64, two epochs
     assert built == [240] + [64, 64, 64, 48] * 2
     assert calls == ([64, 64] * 3 + [48, 48] + [240, 240]) * 2
+
+
+def test_one_lambda_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    pin_workers(monkeypatch, 4)
+    dataset = separable_dataset(n=300)
+    config = TrainConfig(variant="cocl", lam=1.0, epochs=2, seed=5,
+                         batch_size=64)
+    train(dataset, toy_table(dataset.first_names[::3]), config)
+    train(dataset, toy_table(dataset.first_names[::3]), config, lams=[2.0])
+
+
+def test_a_worker_group_skips_its_tables_when_its_lambdas_are_zero(
+        monkeypatch):
+    # lambdas [0, 0, 1] in two groups: the caller's group [0, 0] builds no
+    # batch table, the worker's group [1] builds its own
+    built = []
+    real = losses.CoclTable
+
+    class Counting(real):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(os.getpid())
+
+    monkeypatch.setattr(losses, "CoclTable", Counting)
+    pin_workers(monkeypatch, 2)
+    dataset = separable_dataset(n=300)
+    config = TrainConfig(variant="cocl", epochs=2, seed=5, batch_size=64)
+    grid = train(dataset, toy_table(dataset.first_names[::3]), config,
+                 lams=[0.0, 0.0, 1.0], history=False)
+    assert built == []
+    solo = train(dataset, toy_table(dataset.first_names[::3]),
+                 replace(config, lam=1.0), history=False)
+    assert grid.fits[2].params.W.tobytes() == solo.params.W.tobytes()
+
+
+def failing_at(at, message):
+    exc = NumericalError(message)
+    exc.at = at
+    return exc
+
+
+def test_fit_groups_returns_every_group_in_order():
+    outcomes = training._fit_groups(lambda group: [2 * v for v in group],
+                                    [[1.0], [2.0, 3.0], [4.0]])
+    assert outcomes == [[2.0], [4.0, 6.0], [8.0]]
+    assert_no_child_remains()
+
+
+def test_fit_groups_raises_the_earliest_numerical_failure():
+    # group 0 (this process) fails last; groups 1 and 2 (workers) tie at
+    # the earliest check, and group order breaks the tie
+    at = {0: (2, 1, 0), 1: (1, 3, 1), 2: (1, 3, 1), 3: (1, 3, 0)}
+
+    def fit(group):
+        raise failing_at(at[group[0]], f"group {group[0]}")
+
+    with pytest.raises(NumericalError, match="group 3") as info:
+        training._fit_groups(fit, [[0], [1], [2], [3]])
+    assert info.value.at == (1, 3, 0)
+    at[3] = (1, 3, 2)
+    with pytest.raises(NumericalError, match="group 1"):
+        training._fit_groups(fit, [[0], [1], [2], [3]])
+    assert_no_child_remains()
+
+
+def test_fit_groups_raises_a_worker_error_over_a_numerical_one():
+    def fit(group):
+        if group == [2]:
+            raise ValueError("bad group 2")
+        raise failing_at((1, 1, 0), f"group {group[0]}")
+
+    with pytest.raises(ValueError, match="bad group 2"):
+        training._fit_groups(fit, [[0], [1], [2]])
+    assert_no_child_remains()
+
+
+@pytest.mark.parametrize("death, message", [
+    (lambda: os._exit(7), "exit code 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+])
+def test_a_worker_that_dies_fails_the_grid(death, message):
+    def fit(group):
+        if group == [1]:
+            death()
+        return group
+
+    with pytest.raises(RuntimeError,
+                       match=rf"worker for lambdas \[1\] .*\({message}\)"):
+        training._fit_groups(fit, [[0], [1], [2]])
+    assert_no_child_remains()
+
+
+def test_an_interrupt_here_terminates_and_reaps_the_workers():
+    def fit(group):
+        if group == [0]:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        training._fit_groups(fit, [[0], [1], [2]])
+    assert time.monotonic() - start < 30
+    assert_no_child_remains()
 
 
 def test_forward_rows_matches_forward_batch():
