@@ -12,12 +12,14 @@ inode and device, and a digest of the parse's other inputs. decode runs
 only on the fields of an entry whose whole key matched: any other entry,
 or one that cannot be read or decoded, is a miss.
 
-An entry is written whole or not at all (a temporary file, then
-os.replace), holds no pickles, and is written only after a parse that
-raised nothing, of a file whose identity did not change during the parse
-and that was last modified at least 2 s before it started. A cache that
-cannot be written is left as it was. Each write first deletes the entries
-whose file no longer exists.
+An entry holds its key as four 0-d string members, each array field as a
+member of its own and every other field in one json.dumps document. It
+is written whole or not at all (a temporary file, then os.replace),
+holds no pickles, and is written only after a parse that raised
+nothing, of a file whose identity did not change during the parse and
+that was last modified at least 2 s before it started. A cache that
+cannot be written is left as it was. Each write first deletes the
+entries whose file no longer exists.
 """
 
 from __future__ import annotations
@@ -68,22 +70,6 @@ def _code_digest(producer) -> str | None:
     return digest.hexdigest()
 
 
-def _pack(strings: list[str]) -> np.ndarray | None:
-    """strings as the UTF-8 bytes of each one followed by a NUL, or None
-    when one holds a NUL or cannot be encoded, so would not read back."""
-    joined = "".join(s + "\0" for s in strings)
-    if joined.count("\0") != len(strings):
-        return None
-    try:
-        return np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
-
-
-def _unpack(packed: np.ndarray) -> list[str]:
-    return packed.tobytes().decode("utf-8").split("\0")[:-1]
-
-
 def _evict_dead(directory: str) -> None:
     """Delete the entries in directory whose file no longer exists, or
     that name none (a damaged entry, or one of an earlier layout)."""
@@ -102,34 +88,32 @@ def _evict_dead(directory: str) -> None:
 
 
 def _read(file: str, key: dict, decode):
-    """decode(fields) of the entry file's fields (arrays by name, and lists
-    of str for the fields written as such) when its key equals key, else None."""
+    """decode(fields) of the entry file's fields (its arrays by name, and
+    the values of its JSON document) when its key equals key, else None."""
     try:
         with open(file, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if any(str(data[name]) != value for name, value in key.items()):
                 return None
             fields = {name: data[name] for name in data.files if name not in key}
-        for name in str(fields.pop("strings")).split():
-            fields[name] = _unpack(fields[name])
+        fields.update(json.loads(fields.pop("json").tobytes()))
         return decode(fields)
     except Exception:
         # a missing or damaged entry fails in any of zipfile's, numpy's or
-        # UTF-8's ways (a bad CRC, an unknown compression method, a short
+        # json's ways (a bad CRC, an unknown compression method, a short
         # member), and a field of the wrong shape in decode's: a miss
         return None
 
 
 def _write(file: str, key: dict, fields: dict) -> None:
-    """Replace the entry file with key and fields, each an array or a list
-    of str; nothing is written when a string holds a NUL or cannot be
-    encoded, and a cache that cannot be written is left as it is."""
+    """Replace the entry file with key and fields, arrays and values
+    json.dumps takes (it escapes a NUL or a lone surrogate, so every
+    string reads back exactly); a cache that cannot be written is left as
+    it is."""
     arrays = {name: np.array(value) for name, value in key.items()}
-    strings = [name for name, value in fields.items() if isinstance(value, list)]
-    arrays["strings"] = np.array(" ".join(strings))
+    document = {}
     for name, value in fields.items():
-        arrays[name] = _pack(value) if name in strings else value
-        if arrays[name] is None:
-            return
+        (arrays if isinstance(value, np.ndarray) else document)[name] = value
+    arrays["json"] = np.frombuffer(json.dumps(document).encode(), np.uint8)
     directory = os.path.dirname(file)
     try:
         os.makedirs(directory, exist_ok=True)
@@ -149,8 +133,8 @@ def _write(file: str, key: dict, fields: dict) -> None:
 def load(path, kind: str, producer, inputs, parse, decode, **open_args):
     """The parse of the input file at path, opened as fh with encoding
     "utf-8-sig" and open_args: decode(fields) of its cache entry when the
-    entry's whole key matches, else parse(fh), whose fields() (arrays and
-    lists of str by name) then replace the entry.
+    entry's whole key matches, else parse(fh), whose fields() (numpy
+    arrays, and values json.dumps takes, by name) then replace the entry.
 
     kind names what the entry holds ("vectors" or "records"), producer is
     the __file__ of the module that parses the file, and inputs, any value

@@ -30,6 +30,7 @@ from .data import (
     NameDemographics,
     TabularSchema,
     assign_synthetic_names,
+    check_pruning,
     draw_race_labels,
     fit_tabular,
     fit_text,
@@ -108,6 +109,8 @@ class ExperimentSpec:
             raise UsageError("lambda values must be nonnegative")
         if self.format not in ("tabular", "text"):
             raise UsageError(f"unknown data format {self.format!r}")
+        if self.format == "text":  # fit_text's check, before any input is read
+            check_pruning(self.min_count, self.top_fraction)
 
 
 def _require_file(path, what: str) -> str:
@@ -294,7 +297,8 @@ def cmd_train(spec: ExperimentSpec) -> int:
     _write_summary(out / "summary.csv", {"variant": spec.variant}, spec.seeds,
                    [spec.lam], reports)
     _write_manifest(spec, "train", out)
-    for name in sorted(p.name for p in out.iterdir()):
+    written = [name for seed in spec.seeds for name in _seed_files(seed)]
+    for name in sorted([*written, "summary.csv", "manifest.json"]):
         print(f"wrote {out / name}")
     return 0
 
@@ -328,11 +332,18 @@ def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
     reports = [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
     if out is not None:
         (fit,), (report,) = grid.fits, reports
-        save_model(fit.params, dataset.feature_names, dataset.class_names,
-                   out / f"model_seed{seed}.txt")
-        write_history_csv(fit.history, out / f"history_seed{seed}.csv")
-        write_bias_report_csv(report, out / f"bias_report_seed{seed}.csv")
+        model, history, bias = (out / name for name in _seed_files(seed))
+        save_model(fit.params, dataset.feature_names, dataset.class_names, model)
+        write_history_csv(fit.history, history)
+        write_bias_report_csv(report, bias)
     return reports
+
+
+def _seed_files(seed: int) -> tuple[str, str, str]:
+    """The names of the model, history and bias report files that train
+    writes for seed."""
+    return (f"model_seed{seed}.txt", f"history_seed{seed}.csv",
+            f"bias_report_seed{seed}.csv")
 
 
 def _write_summary(path: Path, lead: dict, seeds, lams, reports) -> None:

@@ -326,23 +326,6 @@ class _FeatureColumn:
     categories: list[str] | None = None  # categorical: every value, sorted
 
 
-def _record_fields(records) -> dict:
-    """The fields TabularRecords and TextRecords share, for a cache entry:
-    each list of names as strings beside a mask of its Nones."""
-    fields = {"labels": records.labels, "class_names": records.class_names}
-    for side in ("first_names", "last_names"):
-        names = getattr(records, side)
-        fields[side] = ["" if name is None else name for name in names]
-        fields[f"{side}_none"] = np.array([name is None for name in names])
-    return fields
-
-
-def _names(fields, side: str) -> list[str | None]:
-    """A list of names of a cache entry's fields, its Nones restored."""
-    return [None if none else name
-            for name, none in zip(fields[side], fields[f"{side}_none"].tolist())]
-
-
 @dataclass
 class TabularRecords:
     """A CSV file parsed against its schema, before any fit statistics.
@@ -363,34 +346,27 @@ class TabularRecords:
         return len(self.labels)
 
     def fields(self) -> dict:
-        """The records as arrays and lists of str, for a cache entry."""
-        fields = _record_fields(self)
-        fields["columns"] = [column.name for column in self.columns]
-        for i, column in enumerate(self.columns):
-            fields[f"values{i}"] = column.values
-            if column.categories is not None:
-                fields[f"categories{i}"] = column.categories
-        fields["attribute_names"] = [a.name for a in self.attributes]
-        fields["attribute_positives"] = [a.positive_label for a in self.attributes]
-        fields["attribute_negatives"] = [a.negative_label for a in self.attributes]
-        fields["attribute_values"] = np.array(
-            [a.values for a in self.attributes], dtype=np.int8
-        ).reshape(len(self.attributes), len(self))
-        return fields
+        """The records as arrays and JSON values, for a cache entry."""
+        fields = {f"values{i}": column.values
+                  for i, column in enumerate(self.columns)}
+        return {**fields, "labels": self.labels, "class_names": self.class_names,
+                "first_names": self.first_names, "last_names": self.last_names,
+                "columns": [[c.name, c.categories] for c in self.columns],
+                "attributes": [[a.name, a.positive_label, a.negative_label]
+                               for a in self.attributes],
+                "attribute_values": np.array(
+                    [a.values for a in self.attributes], dtype=np.int8
+                ).reshape(len(self.attributes), len(self))}
 
     @classmethod
     def from_fields(cls, fields) -> "TabularRecords":
         """The records of fields()."""
-        columns = [_FeatureColumn(name, fields[f"values{i}"],
-                                  fields.get(f"categories{i}"))
-                   for i, name in enumerate(fields["columns"])]
-        attributes = list(map(GroupAttribute, fields["attribute_names"],
-                              fields["attribute_positives"],
-                              fields["attribute_negatives"],
-                              fields["attribute_values"]))
+        columns = [_FeatureColumn(name, fields[f"values{i}"], categories)
+                   for i, (name, categories) in enumerate(fields["columns"])]
+        attributes = [GroupAttribute(*labels, values) for labels, values
+                      in zip(fields["attributes"], fields["attribute_values"])]
         return cls(columns, fields["labels"], fields["class_names"],
-                   _names(fields, "first_names"), _names(fields, "last_names"),
-                   attributes)
+                   fields["first_names"], fields["last_names"], attributes)
 
 
 def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
@@ -697,6 +673,14 @@ def tokenize(text: str) -> list[str]:
             .translate(_TOKEN_BYTES).decode("ascii").split())
 
 
+def check_pruning(min_count: int, top_fraction: float) -> None:
+    """ValueError unless min_count >= 1 and 0 <= top_fraction < 1."""
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    if not 0.0 <= top_fraction < 1.0:
+        raise ValueError("top_fraction must lie in [0, 1)")
+
+
 @dataclass
 class TokenizedDocuments:
     """Documents as a CSR of token ids into one token table.
@@ -787,10 +771,7 @@ class TokenizedDocuments:
         so no temporary spans every row's entries; each sum is of
         integers, exact in any order.
         """
-        if min_count < 1:
-            raise ValueError("min_count must be >= 1")
-        if not 0.0 <= top_fraction < 1.0:
-            raise ValueError("top_fraction must lie in [0, 1)")
+        check_pruning(min_count, top_fraction)
         if rows is None:
             rows = np.arange(len(self))
         doc_freq = np.zeros(len(self.tokens), np.int64)
@@ -848,10 +829,10 @@ class TextRecords:
         return len(self.labels)
 
     def fields(self) -> dict:
-        """The records as arrays and lists of str, for a cache entry."""
-        docs = self.documents
-        return {**_record_fields(self), "tokens": docs.tokens,
-                "indptr": docs.indptr, "ids": docs.ids, "counts": docs.counts}
+        """The records as arrays and JSON values, for a cache entry."""
+        return {"labels": self.labels, "class_names": self.class_names,
+                "first_names": self.first_names, "last_names": self.last_names,
+                **vars(self.documents)}
 
     @classmethod
     def from_fields(cls, fields) -> "TextRecords":
@@ -859,8 +840,7 @@ class TextRecords:
         documents = TokenizedDocuments(fields["tokens"], fields["indptr"],
                                        fields["ids"], fields["counts"])
         return cls(fields["labels"], fields["class_names"],
-                   _names(fields, "first_names"), _names(fields, "last_names"),
-                   documents)
+                   fields["first_names"], fields["last_names"], documents)
 
 
 def parse_text(path, scrub_names: bool = False) -> TextRecords:

@@ -66,8 +66,8 @@ class EmbeddingTable:
         return len(self.entries)
 
     def fields(self) -> dict:
-        """The table as arrays and lists of str, for a cache entry."""
-        return {"dimension": np.array(self.dimension, dtype=np.int64),
+        """The table as arrays and JSON values, for a cache entry."""
+        return {"dimension": self.dimension,
                 "tokens": list(self.entries),
                 "vectors": np.array(list(self.entries.values()), dtype=np.float64
                                     ).reshape(len(self), self.dimension)}
@@ -76,7 +76,7 @@ class EmbeddingTable:
     def from_fields(cls, fields) -> "EmbeddingTable":
         """The table of fields(); ValueError for vectors of another dtype
         or shape."""
-        dimension = int(fields["dimension"])
+        dimension = fields["dimension"]
         tokens, vectors = fields["tokens"], fields["vectors"]
         if vectors.dtype != np.float64 or vectors.shape != (len(tokens), dimension):
             raise ValueError("vectors of another dtype or shape")

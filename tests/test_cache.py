@@ -1,6 +1,7 @@
 """The input caches: records entries of parse_tabular and parse_text, and
 the rules every entry keeps (nameblind.cache)."""
 
+import io
 import os
 import time
 from pathlib import Path
@@ -10,13 +11,15 @@ import pytest
 
 from nameblind import cache, data, embeddings
 from nameblind.data import (
+    TabularRecords,
     TabularSchema,
     TextRecords,
     TokenizedDocuments,
     parse_tabular,
     parse_text,
 )
-from nameblind.embeddings import load_embeddings
+from nameblind.embeddings import EmbeddingTable, load_embeddings
+from nameblind.metrics import GroupAttribute
 
 SCHEMA_TEXT = """
 age continuous
@@ -66,11 +69,11 @@ def parse_csv(path, schema_text=SCHEMA_TEXT):
 
 
 def snapshot(records):
-    """Every field of records, each array as its dtype, shape and bytes."""
-    fields = {name: (value.dtype.str, value.shape, value.tobytes())
-              if isinstance(value, np.ndarray) else value
-              for name, value in records.fields().items()}
-    return fields, records.first_names, records.last_names
+    """Every field of records (or of a vector table), each array as its
+    dtype, shape and bytes."""
+    return {name: (value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else value
+            for name, value in records.fields().items()}
 
 
 CASES = {
@@ -96,25 +99,53 @@ def test_a_hit_matches_a_cold_parse(tmp_path, count_parses, case):
     assert entries() == [entry]
 
 
-def test_none_and_empty_names_round_trip(tmp_path):
-    path = aged(write(tmp_path, TEXT_RECORDS, "bios.tsv"))
-    names = [None, "", "Zoë", "o'neil"]
-    records = TextRecords(np.arange(4) % 2, ["chef", "nurse"], names,
-                          names[::-1],
-                          TokenizedDocuments.from_token_lists([[]] * 4))
+# None, the empty string, and strings that JSON escapes or encodes as more
+# than one byte or code unit: a NUL, a quote, a backslash, a newline,
+# non-ASCII, astral and a lone surrogate
+ODD_NAMES = [None, "", "\0", "a\0b", '"', "\\", "\n", "Zoë", "\U0001d49c",
+             "\ud800"]
+
+
+def hand_built(kind):
+    """Records or a vector table of kind holding every one of ODD_NAMES,
+    and the function that decodes it from a cache entry's fields."""
+    n = len(ODD_NAMES)
+    tokens = ODD_NAMES[1:]
+    if kind == "text":
+        documents = TokenizedDocuments.from_token_lists(
+            [[token] for token in tokens] + [[]])
+        return TextRecords(np.arange(n) % 2, ["\0", "Zoë"], ODD_NAMES,
+                           ODD_NAMES[::-1], documents), TextRecords.from_fields
+    if kind == "tabular":
+        columns = [data._FeatureColumn("\n", np.linspace(0.0, 1.0, n)),
+                   data._FeatureColumn("\ud800", np.arange(n) % 3,
+                                       ['"', "\\", "\U0001d49c"])]
+        attributes = [GroupAttribute("\0", "Zoë", "", np.arange(n) % 3 - 1)]
+        records = TabularRecords(columns, np.arange(n) % 2, ["", "\n"],
+                                 ODD_NAMES, ODD_NAMES[::-1], attributes)
+        return records, TabularRecords.from_fields
+    table = EmbeddingTable(3, {token: np.array([i, -0.0, 1e-300])
+                               for i, token in enumerate(tokens)})
+    return table, EmbeddingTable.from_fields
+
+
+@pytest.mark.parametrize("kind", ["text", "tabular", "vectors"])
+def test_hand_built_values_round_trip_exactly(tmp_path, kind):
+    path = aged(write(tmp_path, "unread", "input.txt"))
+    value, decode = hand_built(kind)
+    module = embeddings if kind == "vectors" else data
 
     def load(parse):
-        return cache.load(path, "records", data.__file__, "names", parse,
-                          TextRecords.from_fields)
+        return cache.load(path, "vectors" if kind == "vectors" else "records",
+                          module.__file__, kind, parse, decode)
 
     def no_parse(fh):
         raise AssertionError("parsed")
 
-    assert load(lambda fh: records) is records
+    assert load(lambda fh: value) is value
     read = load(no_parse)
-    assert read is not records
-    assert read.first_names == names
-    assert read.last_names == names[::-1]
+    assert read is not value
+    assert snapshot(read) == snapshot(value)
 
 
 def rewrite_in_place(path):
@@ -187,14 +218,21 @@ def test_a_truncated_entry_falls_back_to_the_parse(tmp_path, count_parses, case)
     cold = snapshot(parse(path))
     [entry] = entries()
     whole = entry.read_bytes()
-    for size in (0, 10, len(whole) // 2, len(whole) - 1):
-        entry.write_bytes(whole[:size])
+    # and an entry whole but for its JSON document, cut short
+    with np.load(entry, allow_pickle=False) as fields:
+        members = {name: fields[name] for name in fields.files}
+    members["json"] = members["json"][:-1]
+    damaged = io.BytesIO()
+    np.savez(damaged, **members)
+    for content in [whole[:size] for size in (0, 10, len(whole) // 2,
+                                              len(whole) - 1)] + [damaged.getvalue()]:
+        entry.write_bytes(content)
         parsed = len(count_parses)
         assert snapshot(parse(path)) == cold
         assert len(count_parses) == parsed + 1
-    # the parse wrote the entry anew
-    assert snapshot(parse(path)) == cold
-    assert len(count_parses) == 5
+        # the parse wrote the entry anew
+        assert snapshot(parse(path)) == cold
+        assert len(count_parses) == parsed + 1
 
 
 def assert_other_code_misses(tmp_path, count_parses, monkeypatch, change_code):

@@ -142,6 +142,22 @@ def test_train_rerun_overwrites_identically(tiny_tabular, tmp_path):
     assert snapshot == again
 
 
+def test_train_lists_only_the_files_it_wrote(tiny_tabular, tmp_path, capsys):
+    data, schema, _ = tiny_tabular
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(data), "--schema", str(schema),
+            "--variant", "none", "--seeds", "1", "0", "--epochs", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    listed = capsys.readouterr().out.splitlines()
+    # into an empty --out: every file there, in sorted order
+    assert listed == [f"wrote {out / name}"
+                      for name in sorted(p.name for p in out.iterdir())]
+    (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == listed
+
+
 def test_missing_embeddings_file_exit_2(tiny_tabular, tmp_path, capsys):
     data, schema, _ = tiny_tabular
     rc = main(
@@ -353,6 +369,30 @@ def test_out_of_range_hyperparameter_exit_1(command, option, value, message,
     assert not out.exists()
     assert count_opens[data.resolve()] == 0
     assert count_opens[embeddings.resolve()] == 0
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--min-count", "0", "min_count must be >= 1"),
+    ("--top-fraction", "1.5", "top_fraction must lie in [0, 1)"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep",
+                                     "cluster-report"])
+def test_out_of_range_pruning_exit_1_before_any_input(
+        command, option, value, message, tmp_path, capsys, count_opens):
+    # fit_text's checks run when the spec is made, before --out is made
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    out = tmp_path / "out"
+    extra = {"train": ["--lambda", "1"], "sweep": ["--lambdas", "0", "1"],
+             "evaluate": ["--model", str(tmp_path / "model.txt")],
+             "cluster-report": ["--k", "2"]}[command]
+    rc = main([command, "--data", str(data), "--format", "text",
+               "--embeddings", str(embeddings),
+               "--names-demographics", str(first_white), str(first_male),
+               *extra, option, value, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert count_opens[data.resolve()] == 0
 
 
 def test_non_finite_config_value_exit_1(tiny_tabular, tmp_path, capsys):

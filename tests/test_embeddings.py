@@ -501,13 +501,13 @@ def test_cache_hit_matches_a_cold_scan_and_the_split_path(tmp_path, monkeypatch)
     cold = assert_matches_split_path(path, SCAN_KEEP)
     [entry] = cache_entries()
     with np.load(entry, allow_pickle=False) as data:
-        assert sorted(data.files) == ["code", "dimension", "identity",
-                                      "inputs", "source", "strings", "tokens",
-                                      "vectors"]
+        assert sorted(data.files) == ["code", "identity", "inputs", "json",
+                                      "source", "vectors"]
         assert str(data["source"]) == str(path.resolve())
         assert str(data["inputs"]) == hashlib.sha256(
             json.dumps(sorted(SCAN_KEEP)).encode()).hexdigest()
-        assert cache._unpack(data["tokens"]) == list(cold.entries)
+        assert json.loads(data["json"].tobytes()) == {
+            "dimension": 3, "tokens": list(cold.entries)}
         assert data["vectors"].dtype == np.float64
         assert data["vectors"].shape == (len(SCAN_KEEP), 3)
     no_scan(monkeypatch)
@@ -579,13 +579,16 @@ def test_a_file_changed_during_its_scan_is_never_cached(tmp_path, monkeypatch):
     assert cache_entries() == []
 
 
-def test_a_token_numpy_cannot_store_is_never_cached(tmp_path):
-    # a NUL is neither blank nor punctuation, so it stays in the token, and
-    # numpy's fixed-width strings would read "ab\0" back as "ab"
+def test_a_nul_token_is_cached_and_served_without_a_scan(tmp_path,
+                                                        monkeypatch):
+    # a NUL is neither blank nor punctuation, so it stays in the token
     path = aged(write_vectors(tmp_path, "1 3\nab\0 1 0 0\n"))
-    assert list(load_embeddings(path, {"ab\0"}).entries) == ["ab\0"]
-    assert cache_entries() == []
     assert len(load_embeddings(path, {"ab"})) == 0
+    cold = load_embeddings(path, {"ab\0"})
+    assert list(cold.entries) == ["ab\0"]
+    assert len(cache_entries()) == 1
+    no_scan(monkeypatch)
+    assert_same_table(load_embeddings(path, {"ab\0"}), cold)
 
 
 @pytest.mark.parametrize("bad_line, message", [
@@ -667,7 +670,7 @@ def test_an_entry_of_another_dtype_or_shape_falls_back_to_the_scan(
 
     class Planted:
         def fields(self):
-            return {"dimension": np.array(3), "tokens": ["anna"],
+            return {"dimension": 3, "tokens": ["anna"],
                     "vectors": vectors}
 
     # an entry under the key of load_embeddings(path, {"anna"})
