@@ -61,10 +61,6 @@ from .training import (
 )
 
 
-class UsageError(ValueError):
-    """Bad command line or config contents."""
-
-
 @dataclass
 class ExperimentSpec:
     """Everything one run needs; the manifest echoes this verbatim."""
@@ -93,29 +89,29 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.seeds:
-            raise UsageError("at least one seed is required")
+            raise ValueError("at least one seed is required")
         bad = [s for s in self.seeds if s < 0]
         if bad:
-            raise UsageError(f"--seeds values must be nonnegative, got {bad[0]}")
+            raise ValueError(f"--seeds values must be nonnegative, got {bad[0]}")
         if len(set(self.seeds)) < len(self.seeds):
-            raise UsageError("--seeds values must be distinct")
+            raise ValueError("--seeds values must be distinct")
         for option, values in (("--lambda", [self.lam]),
                                ("--lambdas", self.lambdas),
                                ("--lr", [self.lr]), ("--l2", [self.l2])):
             bad = [v for v in values if not np.isfinite(v)]
             if bad:
-                raise UsageError(f"{option} values must be finite, got {bad[0]!r}")
+                raise ValueError(f"{option} values must be finite, got {bad[0]!r}")
         if any(l < 0 for l in self.lambdas) or self.lam < 0:
-            raise UsageError("lambda values must be nonnegative")
+            raise ValueError("lambda values must be nonnegative")
         if self.format not in ("tabular", "text"):
-            raise UsageError(f"unknown data format {self.format!r}")
+            raise ValueError(f"unknown data format {self.format!r}")
         if self.format == "text":  # fit_text's check, before any input is read
             check_pruning(self.min_count, self.top_fraction)
 
 
 def _require_file(path, what: str) -> str:
     if path is None:
-        raise UsageError(f"{what} is required for this command")
+        raise ValueError(f"{what} is required for this command")
     if not Path(path).is_file():
         raise FileNotFoundError(f"{what} not found: {path}")
     return path
@@ -151,15 +147,15 @@ def _spec_from_args(args) -> ExperimentSpec:
         with open(config_path, encoding="utf-8-sig") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         fields = ExperimentSpec.__dataclass_fields__
         unknown = set(loaded) - set(fields)
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         hints = typing.get_type_hints(ExperimentSpec)
         for key, value in loaded.items():
             if not _has_type(value, hints[key]):
-                raise UsageError(f"config key {key!r} must be "
+                raise ValueError(f"config key {key!r} must be "
                                  f"{fields[key].type}, got {value!r}")
             values[key] = _as_float_fields(value, hints[key])
     for name in ExperimentSpec.__dataclass_fields__:
@@ -186,7 +182,7 @@ def _demographics_files(spec: ExperimentSpec) -> list[str]:
     """The --names-demographics files, each checked to exist."""
     paths = spec.names_demographics
     if paths and len(paths) not in (2, 3):
-        raise UsageError(
+        raise ValueError(
             "--names-demographics takes 2 or 3 files: "
             "first-name-white, first-name-male[, last-name-white]"
         )
@@ -278,7 +274,7 @@ def _write_manifest(spec: ExperimentSpec, command: str, out: Path) -> None:
 
 def _out_dir(spec: ExperimentSpec) -> Path:
     if spec.out is None:
-        raise UsageError("--out is required")
+        raise ValueError("--out is required")
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -367,9 +363,9 @@ def _write_summary(path: Path, lead: dict, seeds, lams, reports) -> None:
 
 
 def _eval_groups(dataset) -> GroupLabels:
-    """dataset's evaluation group labels; UsageError when it has none."""
+    """dataset's evaluation group labels; ValueError when it has none."""
     if dataset.eval_groups is None or not len(dataset.eval_groups):
-        raise UsageError(
+        raise ValueError(
             "the data has no evaluation group labels; declare a group= "
             "column or pass --names-demographics"
         )
@@ -402,12 +398,12 @@ def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
     seed = spec.seeds[0]
     dataset, split = pipeline.dataset_for_seed(seed)
     if dataset.feature_names != feature_names:
-        raise UsageError(
+        raise ValueError(
             "dataset features do not match the model's feature list; "
             "evaluate with the same data, schema and seed used in training"
         )
     if dataset.class_names != class_names:
-        raise UsageError("dataset classes do not match the model's class list")
+        raise ValueError("dataset classes do not match the model's class list")
     if subset == "all":
         indices = np.arange(len(dataset))
     else:
@@ -421,9 +417,9 @@ def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
 
 def cmd_sweep(spec: ExperimentSpec) -> int:
     if len(spec.lambdas) < 2:
-        raise UsageError("sweep needs at least two --lambdas values")
+        raise ValueError("sweep needs at least two --lambdas values")
     if len(set(spec.lambdas)) < len(spec.lambdas):
-        raise UsageError("--lambdas values must be distinct")
+        raise ValueError("--lambdas values must be distinct")
     out, pipeline = _fit_setup(spec, spec.lambdas)
     reports = [_fit_seed(pipeline, seed, spec.lambdas) for seed in spec.seeds]
     _write_summary(out / "sweep.csv", {}, spec.seeds, spec.lambdas, reports)
@@ -445,7 +441,7 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
     include = names.include
     covered_idx = np.flatnonzero(include)
     if not len(covered_idx):
-        raise UsageError(f"cluster-report needs embedded names, but 0 of "
+        raise ValueError(f"cluster-report needs embedded names, but 0 of "
                          f"{len(dataset)} records have a name in the "
                          "embedding table")
     model = kmeans(names.take(covered_idx), spec.k, seed=seed)
@@ -482,16 +478,15 @@ def cmd_weights_report(model_path: str, class_name: str, feature_filter,
     model_path = _require_file(model_path, "model file")
     params, feature_names, class_names = load_model(model_path)
     if class_name not in class_names:
-        raise UsageError(
-            f"unknown class {class_name!r}; model classes: {class_names}"
-        )
+        raise ValueError(f"unknown class {class_name!r}; "
+                         f"model classes: {class_names}")
     row = params.W[class_names.index(class_name)]
     pairs = list(zip(feature_names, row))
     if feature_filter:
         known = set(feature_names)
         for feature in feature_filter:
             if feature not in known:
-                raise UsageError(f"unknown feature {feature!r}")
+                raise ValueError(f"unknown feature {feature!r}")
         wanted = set(feature_filter)
         pairs = [(f, w) for f, w in pairs if f in wanted]
     pairs.sort(key=lambda fw: -fw[1])
@@ -510,7 +505,7 @@ def cmd_weights_report(model_path: str, class_name: str, feature_filter,
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage problems to exit code 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,16 +590,13 @@ def run(args) -> int:
         return cmd_sweep(spec)
     if args.command == "cluster-report":
         return cmd_cluster_report(spec)
-    raise UsageError(f"unknown command {args.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -172,7 +172,7 @@ def kmeans(points, k: int, seed: int,
         model = _lloyd(pts, distinct, inverse, sq_norms, init)
         if best is None or model.inertia < best.inertia:
             best = model
-    if _n_subsets(len(distinct), k) <= EXHAUSTIVE_INIT_CAP:
+    if comb(len(distinct), k) <= EXHAUSTIVE_INIT_CAP:
         # sorted rows, so the subsets (and which wins a tie) do not
         # depend on the order the points came in
         ordered = np.unique(distinct, axis=0)
@@ -182,13 +182,6 @@ def kmeans(points, k: int, seed: int,
             if model.inertia < best.inertia:
                 best = model
     return best
-
-
-def _n_subsets(n: int, k: int) -> float:
-    try:
-        return comb(n, k)
-    except ValueError:
-        return 0
 
 
 def _lloyd(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,

@@ -115,25 +115,26 @@ def class_weights(label_counts) -> np.ndarray:
     return counts.sum() / (counts.shape[0] * counts)
 
 
-def objective(W, probs, labels, weights, l2_coeff, penalties, lams):
+def objective(W, probs, labels, weights, l2_coeff, penalty, lams):
     """The training objective of each model of a stack at its probabilities.
 
     W is the stack's (L, C, M) weights and probs its (L, n, C)
     probabilities on n records with these labels. Per model, base is the
     class-weighted cross-entropy, the mean over the records of -weight_y *
     log(p_y) with p_y floored at LOG_FLOOR, plus l2_coeff * sum(W**2).
-    penalties[i] maps the true-label probabilities to (value, d value /
-    d p_true), or is None; the model's value is 0.0 and its gradient None
-    when its penalty is None or its lams[i] is 0, and its total is base +
-    lams[i] * value. The records are checked once for all models.
+    penalty, shared by the stack, maps one model's true-label
+    probabilities to (value, d value / d p_true), or is None. Model i
+    calls it only when lams[i] > 0; else its value is 0.0 and its gradient
+    None. Its total is base + lams[i] * value. The records are checked
+    once for all models.
 
     Returns (totals, bases, values, gradients, p_true): one Python float,
     float, float and array or None per model, and the (L, n) true-label
     probabilities.
     """
     strengths = [penalty_strength(value) for value in lams]
-    if len(penalties) != len(W) or len(strengths) != len(W):
-        raise ValueError("need one penalty and one lam per model")
+    if len(strengths) != len(W):
+        raise ValueError("need one lam per model")
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64)
     if probs.ndim != 3 or probs.shape[1] == 0:
@@ -150,12 +151,12 @@ def objective(W, probs, labels, weights, l2_coeff, penalties, lams):
     cross_entropy = (np.log(np.maximum(p_true, LOG_FLOOR))
                      * -weights[labels]).mean(axis=-1)
     totals, bases, values, gradients = [], [], [], []
-    for i, (pen, strength) in enumerate(zip(penalties, strengths)):
+    for i, strength in enumerate(strengths):
         base = float(cross_entropy[i])
         if l2_coeff:
             base += l2_coeff * float(np.sum(W[i]**2))
-        value, gradient = (pen(p_true[i]) if pen is not None and strength
-                           else (0.0, None))
+        value, gradient = (penalty(p_true[i]) if penalty is not None
+                           and strength else (0.0, None))
         totals.append(base + strength * value)
         bases.append(base)
         values.append(value)
@@ -173,17 +174,17 @@ def loss_and_gradient(params: ModelParams, X, labels, weights,
     = p_true * (1[j == y] - p_j). X is a float64 array or a
     data.BinaryRows store, as for forward_batch.
 
-    For a stack of L models (ModelParams with a model axis) penalty and
-    lam are sequences of L, one per model, and the result is the (L,)
-    losses with the (L, C, M) and (L, C) gradients, each model's the bytes
-    of its own call: the batch is multiplied once per model, and a
-    model's penalty is called only when its lam > 0. One model is the
-    stack of one.
+    For a stack of L models (ModelParams with a model axis) lam is a
+    sequence of L, one per model, and the one penalty serves them all. The
+    result is the (L,) losses with the (L, C, M) and (L, C) gradients,
+    each model's the bytes of its own call: the batch is multiplied once
+    per model, and a model calls the penalty only when its lam > 0. One
+    model is the stack of one.
     """
     stacked = params.W.ndim == 3
     if not stacked:
         params = ModelParams(params.W[None], params.b[None])
-        penalty, lam = [penalty], [lam]
+        lam = [lam]
     X = _features(X)
     probs = forward_batch(params, X)
     labels = np.asarray(labels)
@@ -209,57 +210,74 @@ def loss_and_gradient(params: ModelParams, X, labels, weights,
     return np.array(totals), grad_W, grad_b
 
 
+def _layout(num_classes: int, num_features: int) -> list[str]:
+    """The key of each line after a model file's tag, in file order."""
+    return (["num_classes", "num_features"] + ["class"] * num_classes
+            + ["feature"] * num_features + ["W"] * num_classes + ["b"])
+
+
 def save_model(params: ModelParams, feature_names, class_names, path) -> None:
-    """Write the model as labeled text, 17 significant digits per value."""
+    """Write the model as its tag and one "key value" line per _layout key,
+    17 significant digits per W and b value."""
     if params.W.ndim != 2:
         raise ValueError("save_model writes one model, not a stack")
     if len(class_names) != params.num_classes:
         raise ValueError("need one class name per class")
     if len(feature_names) != params.num_features:
         raise ValueError("need one feature name per feature")
+    names = [*class_names, *feature_names]
+    if any("\n" in name or "\r" in name for name in names):
+        raise ValueError("class and feature names cannot hold a line break")
+    rows = [" ".join([f"{v:.17g}" for v in row])
+            for row in params.W.tolist() + [params.b.tolist()]]
+    values = [params.num_classes, params.num_features, *names, *rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(MODEL_FILE_TAG + "\n")
-        fh.write(f"num_classes {params.num_classes}\n")
-        fh.write(f"num_features {params.num_features}\n")
-        for name in class_names:
-            fh.write(f"class {name}\n")
-        for name in feature_names:
-            fh.write(f"feature {name}\n")
-        for row in params.W.tolist():
-            fh.write("W " + " ".join([f"{v:.17g}" for v in row]) + "\n")
-        fh.write("b " + " ".join([f"{v:.17g}" for v in params.b.tolist()])
-                 + "\n")
+        for key, value in zip(_layout(*params.W.shape), values):
+            fh.write(f"{key} {value}\n")
 
 
 def load_model(path):
-    """Read a model file; returns (params, feature_names, class_names)."""
+    """Read a model file; returns (params, feature_names, class_names).
+
+    The file must be the tag and one "key value" line per _layout key: the
+    counts in decimal digits, each W row num_features finite numbers and
+    the b row num_classes. Any other file raises one ValueError naming the
+    file and its first line that differs.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != MODEL_FILE_TAG:
-        raise ValueError(f"{path}: not a recognized model file")
+        # "\n" alone ends a line: str.splitlines also splits at \x0c, U+2028
+        lines = fh.read().removesuffix("\n").split("\n")
+    keys, values, number = ["num_classes", "num_features"], [], 0
     try:
-        num_classes = int(lines[1].split()[1])
-        num_features = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed model header") from exc
-    if len(lines) < 4 + 2 * num_classes + num_features:
-        raise ValueError(f"{path}: truncated model file")
-    pos = 3
-    class_names = [line[len("class "):] for line in lines[pos:pos + num_classes]]
-    pos += num_classes
-    feature_names = [
-        line[len("feature "):] for line in lines[pos:pos + num_features]
-    ]
-    pos += num_features
-    rows = []
-    for line in lines[pos:pos + num_classes]:
-        fields = line.split()
-        if fields[:1] != ["W"] or len(fields) != num_features + 1:
-            raise ValueError(f"{path}: malformed weight row")
-        rows.append([float(v) for v in fields[1:]])
-    pos += num_classes
-    fields = lines[pos].split()
-    if fields[:1] != ["b"] or len(fields) != num_classes + 1:
-        raise ValueError(f"{path}: malformed bias row")
-    b = [float(v) for v in fields[1:]]
-    return ModelParams(np.array(rows), np.array(b)), feature_names, class_names
+        if lines[0] != MODEL_FILE_TAG:
+            raise ValueError
+        for number, line in enumerate(lines[1:], 1):
+            key = keys[number - 1]  # IndexError past the b row
+            if not line.startswith(key + " "):
+                raise ValueError
+            value = line[len(key) + 1:]
+            if key.startswith("num_"):
+                if not (value.isascii() and value.isdigit()):
+                    raise ValueError
+                # capped: past the file's end a count fails at the same line
+                value = min(int(value), len(lines))
+            elif key in ("W", "b"):
+                value = [float(v) for v in value.split()]
+                width = values[1] if key == "W" else values[0]
+                if len(value) != width or not np.isfinite(value).all():
+                    raise ValueError
+            values.append(value)
+            if key == "num_features":
+                keys = _layout(*values)
+        number = len(lines)
+        if number != len(keys) + 1:
+            raise ValueError
+    except (IndexError, ValueError):
+        where = "malformed" if number < len(lines) else "missing (truncated)"
+        raise ValueError(f"{path}: not a recognized model file, line "
+                         f"{number + 1} {where}") from None
+    num_classes, num_features, *values = values
+    W = np.reshape(values[-num_classes - 1:-1], (num_classes, num_features))
+    return (ModelParams(W, np.array(values[-1])),
+            values[num_classes:-num_classes - 1], values[:num_classes])

@@ -280,10 +280,8 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
                                      else group_table(batch).penalty)
                     totals, grad_W, grad_b = loss_and_gradient(
                         params, features.take(train_idx[batch], axis=0),
-                        y[batch], weights, config.l2_coeff,
-                        [batch_penalty if lam > 0 else None for lam in group],
-                        group,
-                    )
+                        y[batch], weights, config.l2_coeff, batch_penalty,
+                        group)
                     # an overflowing penalty value can come with a zero
                     # gradient, which adam_step's own check lets pass
                     if not np.isfinite(totals).all():
@@ -302,9 +300,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
                 where = (epoch, num_batches + 1, 0)
                 totals, bases, penalties, _, _ = objective(
                     params.W, forward_rows(params, features, train_idx), y,
-                    weights, config.l2_coeff,
-                    [epoch_penalty if lam > 0 else None for lam in group],
-                    group)
+                    weights, config.l2_coeff, epoch_penalty, group)
                 records = []
                 for total, base, penalty in zip(totals, bases, penalties):
                     if not np.isfinite(total):

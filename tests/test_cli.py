@@ -986,6 +986,36 @@ def test_truncated_model_exit_1(tiny_tabular, tmp_path, capsys):
         assert err.startswith("error: ") and "truncated" in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("class hi\n", "label hi\n"),  # a class line with another key
+    ("feature num\n", "class num\n"),  # a feature line with another key
+    ("num_features ", "features "),  # a header key
+    ("num_classes 2\n", "num_classes +2\n"),  # a count
+    ("\nb ", "\nb 0 0\nb "),  # a line after the b row
+])
+def test_a_malformed_model_exit_1_and_no_output(old, new, tiny_tabular,
+                                                 tmp_path, capsys):
+    data, schema, embeddings = tiny_tabular
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--variant", "none", "--seeds", "0", "--epochs", "1",
+                 "--out", str(tmp_path / "train")]) == 0
+    model_path = tmp_path / "model.txt"
+    text = (tmp_path / "train" / "model_seed0.txt").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    model_path.write_text(text.replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    for i, argv in enumerate((
+            ["weights-report", "--class", "hi"],
+            ["evaluate", "--data", str(data), "--schema", str(schema),
+             "--seeds", "0"])):
+        out = tmp_path / f"out{i}"
+        rc = main(argv + ["--model", str(model_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {model_path}: not a recognized model file, line ")
+        assert not out.exists() or not any(out.iterdir())
+
+
 def write_text_inputs(tmp_path):
     """Bios-style records, name tables and a small name-vector file."""
     white = [f"wname{i}" for i in range(10)]

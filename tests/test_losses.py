@@ -432,21 +432,26 @@ def test_penalties_nonnegative_random():
 # --------------------------------------------------------------------- total loss
 
 def test_total_loss():
-    # model.objective's total is base + lam * penalty, per model
+    # model.objective's total is base + lam * penalty, per model; the
+    # stack's one penalty is never called at lam 0
     probs = np.full((3, 2, 2), 0.5)
     labels, weights = np.array([0, 1]), np.ones(2)
+    calls = []
 
-    def constant(value):
-        return lambda p: (value, np.zeros_like(p))
+    def constant(p):
+        calls.append(p)
+        return 0.04, np.zeros_like(p)
 
     totals, bases, _, _, _ = objective(
-        np.zeros((3, 2, 1)), probs, labels, weights, 0.0,
-        [constant(0.04), constant(0.04), constant(0.0)], [0.0, 2.0, 123.0])
+        np.zeros((3, 2, 1)), probs, labels, weights, 0.0, constant,
+        [0.0, 2.0, 123.0])
     assert bases == [np.log(2.0)] * 3
-    assert totals == [bases[0], bases[1] + 2.0 * 0.04, bases[2]]
+    assert totals == [bases[0], bases[1] + 2.0 * 0.04,
+                      bases[2] + 123.0 * 0.04]
+    assert len(calls) == 2
     with pytest.raises(ValueError):
         objective(np.zeros((1, 2, 1)), probs[:1], labels, weights, 0.0,
-                  [constant(0.1)], [-0.5])
+                  constant, [-0.5])
 
 
 def test_penalty_value_dispatch():

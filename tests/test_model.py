@@ -106,7 +106,7 @@ def cross_entropy(probs, labels, weights):
     """The base of one model at probs with no l2 term and no penalty."""
     probs = np.asarray(probs, dtype=np.float64)
     W = np.zeros((1, probs.shape[1], 1))
-    return objective(W, probs[None], labels, weights, 0.0, [None], [0.0])[1][0]
+    return objective(W, probs[None], labels, weights, 0.0, None, [0.0])[1][0]
 
 
 def test_weighted_cross_entropy_values():
@@ -134,8 +134,9 @@ def test_weighted_cross_entropy_errors():
 
 
 def test_objective_parts_per_model():
-    # base = cross-entropy + l2 term; the penalty is read only at lam > 0,
-    # and the total is base + lam * value, a Python float
+    # base = cross-entropy + l2 term; the stack's one penalty is called
+    # once per model at lam > 0 and never at lam 0, and the total is
+    # base + lam * value, a Python float
     rng = np.random.default_rng(6)
     W = rng.normal(size=(3, 2, 4))
     probs = softmax(rng.normal(size=(3, 5, 2)))
@@ -148,19 +149,23 @@ def test_objective_parts_per_model():
         return float(np.sum(p)), 2.0 * p
 
     totals, bases, values, grads, p_true = objective(
-        W, probs, labels, weights, 0.1, [pen, None, pen], [2.0, 3.0, 0.0])
+        W, probs, labels, weights, 0.1, pen, [2.0, 3.0, 0.0])
     assert np.array_equal(p_true, probs[:, np.arange(5), labels])
     for i in range(3):
         assert bases[i] == (cross_entropy(probs[i], labels, weights)
                             + 0.1 * float(np.sum(W[i]**2)))
-    assert len(calls) == 1 and np.array_equal(calls[0], p_true[0])
-    assert values == [float(np.sum(p_true[0])), 0.0, 0.0]
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], p_true[0])
+    assert np.array_equal(calls[1], p_true[1])
+    assert values == [float(np.sum(p_true[0])), float(np.sum(p_true[1])), 0.0]
     assert np.array_equal(grads[0], 2.0 * p_true[0])
-    assert grads[1:] == [None, None]
-    assert totals == [bases[0] + 2.0 * values[0], bases[1], bases[2]]
+    assert np.array_equal(grads[1], 2.0 * p_true[1])
+    assert grads[2] is None
+    assert totals == [bases[0] + 2.0 * values[0], bases[1] + 3.0 * values[1],
+                      bases[2]]
     assert all(type(v) is float for v in totals + bases + values)
-    with pytest.raises(ValueError, match="one penalty and one lam"):
-        objective(W, probs, labels, weights, 0.1, [None] * 2, [0.0] * 3)
+    with pytest.raises(ValueError, match="one lam per model"):
+        objective(W, probs, labels, weights, 0.1, None, [0.0] * 2)
 
 
 def test_zero_weights_give_zero_gradients():
@@ -266,7 +271,8 @@ def test_composite_gradient_on_binary_rows_matches_finite_differences(variant):
 def test_stacked_loss_and_gradient_is_each_models_own_call(store):
     # L models on one batch: each model's loss, gradients and
     # probabilities are the bytes of its own 2-d call, and its logits the
-    # bytes of its own 2-d product; a penalty at lam 0 is never called
+    # bytes of its own 2-d product; the stack's one penalty is called once
+    # per model at lam > 0 and never at lam 0
     rng = np.random.default_rng(21)
     L, n, M, C = 3, 40, 6, 4
     W, b = rng.normal(size=(L, C, M)), rng.normal(size=(L, C))
@@ -280,32 +286,35 @@ def test_stacked_loss_and_gradient_is_each_models_own_call(store):
     vectors = rng.normal(size=(n, 5))
     include = rng.random(n) < 0.75
 
+    calls = []
+
     def cocl(p_true):
+        calls.append(p_true.copy())
         return penalty(PenaltyInputs(p_true, labels, None, vectors, include),
                        "cocl", 1, C)
 
-    def unused(p_true):
-        raise AssertionError("penalty called at lam 0")
-
-    penalties, lams = [cocl, unused, cocl], [0.5, 0.0, 2.0]
+    lams = [0.5, 0.0, 2.0]
     stack = ModelParams(W, b)
     loss, grad_W, grad_b = loss_and_gradient(stack, X, labels, weights, 0.05,
-                                             penalties, lams)
+                                             cocl, lams)
     probs = forward_batch(stack, X)
+    p_true = probs[:, np.arange(n), labels]
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], p_true[0])
+    assert np.array_equal(calls[1], p_true[2])
     assert loss.shape == (L,) and grad_W.shape == (L, C, M)
     assert grad_b.shape == (L, C) and probs.shape == (L, n, C)
     for i in range(L):
         one = ModelParams(W[i], b[i])
-        got = loss_and_gradient(one, X, labels, weights, 0.05, penalties[i],
-                                lams[i])
+        got = loss_and_gradient(one, X, labels, weights, 0.05, cocl, lams[i])
         assert loss[i] == got[0]
         assert grad_W[i].tobytes() == got[1].tobytes()
         assert grad_b[i].tobytes() == got[2].tobytes()
         assert probs[i].tobytes() == forward_batch(one, X).tobytes()
         assert probs[i].tobytes() == softmax(X @ W[i].T + b[i]).tobytes()
-    with pytest.raises(ValueError, match="one penalty and one lam"):
-        loss_and_gradient(stack, X, labels, weights, 0.0, penalties[:2],
-                          lams[:2])
+    assert len(calls) == 4  # and the own calls of models 0 and 2
+    with pytest.raises(ValueError, match="one lam per model"):
+        loss_and_gradient(stack, X, labels, weights, 0.0, cocl, lams[:2])
 
 
 def test_symmetric_batch_gives_antisymmetric_bias_gradient():
@@ -375,6 +384,106 @@ def test_load_model_rejects_every_truncation(tmp_path):
                         encoding="utf-8")
         with pytest.raises(ValueError, match="malformed"):
             load_model(path)
+
+
+def small_model_file(path):
+    """Write a two-class, three-feature model file; returns its text
+    split at "\n"."""
+    params = ModelParams(W=np.arange(6.0).reshape(2, 3), b=np.array([0.5, -1.0]))
+    save_model(params, ["f0", "f1", "f2"], ["lo", "hi"], path)
+    return path.read_text(encoding="utf-8").split("\n")
+
+
+@pytest.mark.parametrize("number, line, message", [
+    (4, "label lo", "line 4 malformed"),  # a class line with another key
+    (5, "feature hi", "line 5 malformed"),
+    (7, "class f1", "line 7 malformed"),  # a feature line with another key
+    (8, "feature\tf2", "line 8 malformed"),
+    (2, "classes 2", "line 2 malformed"),  # header keys
+    (3, "num_feature 3", "line 3 malformed"),
+    (2, "num_classes -2", "line 2 malformed"),  # counts
+    (3, "num_features 3.0", "line 3 malformed"),
+    (3, "num_features \u0663", "line 3 malformed"),
+    (3, "num_features  3", "line 3 malformed"),
+    # a count past the file's end: line 6 is not the class line it asks for
+    (2, "num_classes 99999999999999999999", "line 6 malformed"),
+    (12, "b 0 0", "line 12 malformed"),  # lines after the b row
+    (12, "", "line 12 malformed"),
+    (12, "extra", "line 12 malformed"),
+    (10, "W 3 4 5\nW 3 4 5", "line 11 malformed"),  # a third W row
+    (10, "W 3 4 nan", "line 10 malformed"),
+    (10, "W 3 4", "line 10 malformed"),
+    (11, "b 0.5", "line 11 malformed"),
+    (11, "b 0.5 -1 2", "line 11 malformed"),
+    (11, "b 0.5\r-1", "line 11 malformed"),
+    (1, "nameblind-model v2", "line 1 malformed"),
+])
+def test_load_model_names_the_first_line_off_the_layout(number, line, message,
+                                                        tmp_path):
+    path = tmp_path / "model.txt"
+    lines = small_model_file(path)
+    assert len(lines) == 12 and lines[-1] == ""  # 11 lines, each ended
+    lines[number - 1:number] = [line] if number < 12 else [line, ""]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value) == (f"{path}: not a recognized model file, "
+                               f"{message}")
+
+
+def test_load_model_accepts_other_newlines_and_no_final_one(tmp_path):
+    path = tmp_path / "model.txt"
+    lines = small_model_file(path)
+    want = load_model(path)
+    for text in ("\r\n".join(lines), "\r".join(lines), "\n".join(lines[:-1])):
+        path.write_bytes(text.encode("utf-8"))
+        got = load_model(path)
+        assert got[1:] == want[1:]
+        assert np.array_equal(got[0].W, want[0].W)
+        assert np.array_equal(got[0].b, want[0].b)
+
+
+def test_names_with_odd_characters_round_trip_exactly(tmp_path):
+    # str.splitlines would split at each of these; a model file splits
+    # only at "\n"
+    breaks = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029"]
+    classes = ["a\x0cb", "", " lead and trail ", "x\u2028y", "\t"]
+    features = breaks + ["", " ", "  two  spaces ", "class lo", "W 1 2",
+                         "has space=yes", "Zo\u00eb"]
+    rng = np.random.default_rng(8)
+    params = ModelParams(W=rng.normal(size=(len(classes), len(features))),
+                         b=rng.normal(size=len(classes)))
+    path = tmp_path / "model.txt"
+    save_model(params, features, classes, path)
+    loaded, got_features, got_classes = load_model(path)
+    assert got_classes == classes and got_features == features
+    assert loaded.W.tobytes() == params.W.tobytes()
+    assert loaded.b.tobytes() == params.b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb", "\n"])
+@pytest.mark.parametrize("where", ["class", "feature"])
+def test_save_model_rejects_a_name_with_a_line_break(name, where, tmp_path):
+    params = ModelParams(W=np.zeros((2, 1)), b=np.zeros(2))
+    classes, features = ["lo", "hi"], ["f0"]
+    (classes if where == "class" else features)[0] = name
+    path = tmp_path / "model.txt"
+    with pytest.raises(ValueError, match="line break"):
+        save_model(params, features, classes, path)
+    assert not path.exists()
+
+
+def test_a_model_of_no_classes_or_no_features_round_trips(tmp_path):
+    path = tmp_path / "model.txt"
+    for shape in ((0, 2), (2, 0), (0, 0)):
+        params = ModelParams(W=np.zeros(shape), b=np.zeros(shape[0]))
+        features = [f"f{i}" for i in range(shape[1])]
+        classes = [f"c{i}" for i in range(shape[0])]
+        save_model(params, features, classes, path)
+        loaded, got_features, got_classes = load_model(path)
+        assert loaded.W.shape == shape and loaded.b.shape == shape[:1]
+        assert (got_features, got_classes) == (features, classes)
 
 
 def test_forward_batch_matches_forward():

@@ -144,7 +144,7 @@ def test_objective_rejects_bad_penalty_strength(lam):
                           np.ones(2), lam=lam)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         objective(params.W[None], np.full((1, 3, 2), 0.5), np.array([0, 1, 0]),
-                  np.ones(2), 0.0, [None], [lam])
+                  np.ones(2), 0.0, None, [lam])
     with pytest.raises(ValueError, match="lam must be"):
         train(separable_dataset(), None, TrainConfig(epochs=1), lams=[0.0, lam])
 
@@ -299,7 +299,7 @@ def test_history_total_loss_is_the_objective(variant):
     totals, bases, penalties, _, _ = objective(
         result.params.W[None],
         forward_rows(result.params, dataset.features, train_idx)[None], y,
-        weights, config.l2_coeff, [pen], [config.lam])
+        weights, config.l2_coeff, pen, [config.lam])
     last = result.history[-1]
     assert (last.total_loss, last.base_loss, last.penalty) == (
         totals[0], bases[0], penalties[0])
