@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .clustering import ClusterModel, kmeans
 from .data import Dataset, NameDemographics, TabularSchema
-from .embeddings import Coverage, EmbeddingTable, load_embeddings
+from .embeddings import EmbeddingTable, load_embeddings
 from .losses import PenaltyInputs, clucl_penalty, cocl_penalty
 from .metrics import BiasReport, GroupAttribute, GroupLabels, bias_report
 from .model import ModelParams
@@ -24,7 +24,6 @@ __all__ = [
     "Dataset",
     "NameDemographics",
     "TabularSchema",
-    "Coverage",
     "EmbeddingTable",
     "load_embeddings",
     "PenaltyInputs",

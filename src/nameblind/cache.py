@@ -2,9 +2,10 @@
 
 load serves the parse of a vector file (embeddings.load_embeddings) or of a
 records file (data.parse_tabular, data.parse_text) from one ``.npz`` entry
-per file real path and kind, under ``$XDG_CACHE_HOME/nameblind/``
+per file real path, kind and parse inputs (an allowlist, a schema, a
+--scrub setting), under ``$XDG_CACHE_HOME/nameblind/``
 (``~/.cache/nameblind/`` when that is unset or relative), so a later
-command over the unchanged file skips the parse.
+command over the unchanged file with the same inputs skips the parse.
 
 An entry's key is the file's real path, a digest of the source of this
 module and of the module that parsed the file, the file's size, mtime,
@@ -39,14 +40,15 @@ import numpy as np
 _RACY_NS = 2_000_000_000
 
 
-def _cache_file(path, kind: str) -> str:
-    """The kind ("vectors" or "records") of entry of the file at path: one
-    per real path, under $XDG_CACHE_HOME/nameblind/ (~/.cache/nameblind/
-    when that is unset or relative)."""
+def _cache_file(path, kind: str, inputs: str) -> str:
+    """The kind ("vectors" or "records") of entry of the file at path and
+    the inputs digest inputs (of fixed length), under $XDG_CACHE_HOME/
+    nameblind/ (~/.cache/nameblind/ when that is unset or relative)."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
-    key = hashlib.sha256(os.fsencode(os.path.realpath(path))).hexdigest()
+    key = hashlib.sha256(os.fsencode(os.path.realpath(path))
+                         + inputs.encode()).hexdigest()
     return os.path.join(base, "nameblind", f"{kind}-{key}.npz")
 
 
@@ -138,16 +140,16 @@ def load(path, kind: str, producer, inputs, parse, decode, **open_args):
 
     kind names what the entry holds ("vectors" or "records"), producer is
     the __file__ of the module that parses the file, and inputs, any value
-    json.dumps takes, are the parse's other inputs: the entry serves only
-    a load with equal inputs.
+    json.dumps takes, are the parse's other inputs: each inputs has an
+    entry of its own, which serves only a load with equal inputs.
     """
     with open(path, encoding="utf-8-sig", **open_args) as fh:
         started_ns = time.time_ns()
         stat = os.fstat(fh.fileno())
-        file = _cache_file(path, kind)
         key = {"source": os.path.realpath(path), "code": _code_digest(producer),
                "identity": _identity(stat),
                "inputs": hashlib.sha256(json.dumps(inputs).encode()).hexdigest()}
+        file = _cache_file(path, kind, key["inputs"])
         result = _read(file, key, decode)   # a miss when code is None
         if result is None:
             result = parse(fh)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import kmeans, write_assignments, write_cluster_model
+from .clustering import kmeans, write_assignments, write_centroids
 from .data import (
     NameDemographics,
     TabularSchema,
@@ -273,8 +273,7 @@ def _write_manifest(spec: ExperimentSpec, command: str, out: Path) -> None:
 
 
 def _out_dir(spec: ExperimentSpec) -> Path:
-    if spec.out is None:
-        raise ValueError("--out is required")
+    """--out, made once every input has been read."""
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -303,13 +302,13 @@ def _fit_setup(spec: ExperimentSpec, lams) -> tuple[Path, _Pipeline]:
     """The output directory and pipeline of a command that fits lams.
 
     The hyperparameters are checked (TrainConfig's own checks; the spec
-    has already checked every lambda) before --out is made or any input
-    is read; the embedding file is read only when a penalty is on.
+    has already checked every lambda) before any input is read, and --out
+    is made after; the embedding file is read only when a penalty is on.
     """
     _train_config(spec, spec.seeds[0])
-    out = _out_dir(spec)
     penalty_on = spec.variant != "none" and max(lams) > 0
-    return out, _Pipeline(spec, need_embeddings=penalty_on)
+    pipeline = _Pipeline(spec, need_embeddings=penalty_on)
+    return _out_dir(spec), pipeline
 
 
 def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
@@ -391,7 +390,6 @@ def _bias_report(params, dataset, rows):
 
 
 def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
-    out = _out_dir(spec)
     pipeline = _Pipeline(spec, need_embeddings=False,
                          model_path=_require_file(model_path, "model file"))
     params, feature_names, class_names = pipeline.model
@@ -408,8 +406,9 @@ def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
         indices = np.arange(len(dataset))
     else:
         indices = dict(zip(("train", "val", "test"), split))[subset]
-    write_bias_report_csv(_bias_report(params, dataset, indices),
-                          out / "evaluation.csv")
+    report = _bias_report(params, dataset, indices)
+    out = _out_dir(spec)
+    write_bias_report_csv(report, out / "evaluation.csv")
     _write_manifest(spec, "evaluate", out)
     print(f"wrote {out / 'evaluation.csv'}")
     return 0
@@ -429,9 +428,8 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
 
 
 def cmd_cluster_report(spec: ExperimentSpec) -> int:
-    if spec.k < 1:  # kmeans's own check, before --out is made or any input read
+    if spec.k < 1:  # kmeans's own check, before any input is read
         raise ValueError("k must be positive")
-    out = _out_dir(spec)
     pipeline = _Pipeline(spec, need_embeddings=True)
     seed = spec.seeds[0]
     dataset, _ = pipeline.dataset_for_seed(seed)
@@ -445,7 +443,8 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
                          f"{len(dataset)} records have a name in the "
                          "embedding table")
     model = kmeans(names.take(covered_idx), spec.k, seed=seed)
-    write_cluster_model(model, out / "clusters.txt")
+    out = _out_dir(spec)
+    write_centroids(model, out / "clusters.txt")
     write_assignments(covered_idx, model.assignments, out / "cluster_assignments.txt")
     with open(out / "cluster_report.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -582,6 +581,8 @@ def run(args) -> int:
         return cmd_weights_report(args.model, args.class_name, args.features,
                                   args.out)
     spec = _spec_from_args(args)
+    if spec.out is None:  # before any input is read
+        raise ValueError("--out is required")
     if args.command == "train":
         return cmd_train(spec)
     if args.command == "evaluate":

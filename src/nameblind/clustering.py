@@ -243,7 +243,7 @@ def _lloyd(pts: np.ndarray, distinct: np.ndarray, inverse: np.ndarray,
     )
 
 
-def write_cluster_model(model: ClusterModel, path) -> None:
+def write_centroids(model: ClusterModel, path) -> None:
     """Export centroids as text: a "k dim" header, then one row per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{model.k} {model.centroids.shape[1]}\n")

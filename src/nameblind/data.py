@@ -14,6 +14,7 @@ import collections
 import csv
 import itertools
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +67,7 @@ class BinaryRows:
     ``rows.take(selection, axis=0)`` (a slice or a 1-d array of row
     indices) returns the selected rows as a BinaryRows, and ``X @ M`` and
     ``A @ X`` multiply straight from the index lists, so training and
-    prediction never build a dense block. ``rows[selection]`` returns the
-    selected rows as a dense float64 block. ``np.asarray(rows)`` raises
+    prediction never build a dense block. ``np.asarray(rows)`` raises
     TypeError rather than densify every row, which at the paper's Bios
     shape would allocate 64 GB.
     """
@@ -115,17 +115,11 @@ class BinaryRows:
         return BinaryRows(np.concatenate(([0], np.cumsum(counts))),
                           self.indices[take], self.num_columns)
 
-    def __getitem__(self, rows) -> np.ndarray:
-        selected = self.take(rows)
-        block = np.zeros(selected.shape)
-        block[selected._entry_rows(), selected.indices] = 1.0
-        return block
-
     def __array__(self, dtype=None, copy=None):
         raise TypeError(
             f"a dense copy of {self.shape[0]} x {self.shape[1]} binary rows "
             f"would allocate {8 * self.shape[0] * self.shape[1]:,} bytes; "
-            "multiply with @ or take rows[selection]")
+            "multiply with @ or gather rows with take(selection)")
 
     def _entry_rows(self) -> np.ndarray:
         """The row of each entry of indices."""
@@ -431,7 +425,7 @@ def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
         elif spec.role == "categorical":
             categories = sorted(set(cells))
             code = {cat: j for j, cat in enumerate(categories)}
-            values = np.fromiter(map(code.__getitem__, cells), np.int64, n)
+            values = np.fromiter(map(code.get, cells), np.int64, n)
             columns.append(_FeatureColumn(name, values, categories))
         elif spec.role == "label":
             if "" in cells:
@@ -720,7 +714,8 @@ class TokenizedDocuments:
         while True:
             lengths = array.array("q")
             tokens = itertools.chain.from_iterable(next_block(lengths))
-            ids = np.fromiter(map(interned.__getitem__, tokens), np.int32)
+            ids = np.fromiter(map(operator.getitem, itertools.repeat(interned),
+                                  tokens), np.int32)
             if not lengths:
                 break
             keys = np.repeat(np.arange(len(lengths), dtype=np.int64) << 32,
@@ -731,11 +726,11 @@ class TokenizedDocuments:
             per_doc.append(np.bincount(keys >> 32, minlength=len(lengths)))
             kept_ids.append((keys & 0xFFFFFFFF).astype(np.int32))
             kept_counts.append(counts.astype(np.int32))
-        first_seen = list(interned)
-        order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order))
-        width = max(len(order), 1)
+        vocabulary = sorted(interned)
+        rank = np.empty(len(vocabulary), dtype=np.int32)
+        rank[np.fromiter(map(interned.get, vocabulary), np.intp,
+                         len(vocabulary))] = np.arange(len(vocabulary))
+        width = max(len(vocabulary), 1)
         total = sum(map(len, kept_ids))
         ids, counts = np.empty(total, np.int32), np.empty(total, np.int32)
         end = 0
@@ -750,7 +745,7 @@ class TokenizedDocuments:
             kept_ids[i] = kept_counts[i] = None
             end = span.stop
         return cls(
-            tokens=[first_seen[i] for i in order],
+            tokens=vocabulary,
             indptr=np.concatenate(([0], np.cumsum(np.concatenate(
                 per_doc or [np.empty(0, np.int64)])))),
             ids=ids,

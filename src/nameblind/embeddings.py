@@ -7,8 +7,9 @@ stripped) both on load and on lookup, since pretrained vocabularies are
 predominantly lowercase.
 
 The rows a scan keeps for an allowlist are cached per user, one entry per
-vector file (see load_embeddings and the cache module), so later commands
-over the unchanged file with the same allowlist skip the scan.
+vector file and allowlist (see load_embeddings and the cache module), so
+later commands over the unchanged file with the same allowlist skip the
+scan.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,15 +27,6 @@ _STRIP_CHARS = string.punctuation + string.whitespace
 
 class EmbeddingFormatError(ValueError):
     """A word-vector file does not match the expected text format."""
-
-
-class Coverage(str, Enum):
-    """Which of a record's two name tokens were found in the table."""
-
-    BOTH_FOUND = "both-found"
-    FIRST_ONLY = "first-only"
-    LAST_ONLY = "last-only"
-    NONE = "none"
 
 
 def normalize_token(token: str) -> str:
@@ -58,9 +49,6 @@ class EmbeddingTable:
         if not key:
             return None
         return self.entries.get(key)
-
-    def __contains__(self, token: str) -> bool:
-        return self.get(token) is not None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -138,10 +126,10 @@ def _checked_lines(data: bytes, dimension: int):
 
 def _split_line(line: str, dimension: int, wanted, where: str):
     """(token, vector) of a line to keep, or None for a blank line or one
-    whose token is empty or not wanted (every token is, when wanted is
-    None). The one parse of a vector line: it raises EmbeddingFormatError,
-    prefixed with where, for a line without dimension fields after its
-    token and for a kept line with a non-numeric or non-finite one."""
+    whose token is empty or not wanted. The one parse of a vector line: it
+    raises EmbeddingFormatError, prefixed with where, for a line without
+    dimension fields after its token and for a kept line with a
+    non-numeric or non-finite one."""
     fields = line.split()
     if not fields:
         return None
@@ -150,7 +138,7 @@ def _split_line(line: str, dimension: int, wanted, where: str):
     if len(values) != dimension:
         raise EmbeddingFormatError(
             f"{where}: expected {dimension} components, got {len(values)}")
-    if not token or (wanted is not None and token not in wanted):
+    if not token or token not in wanted:
         return None
     try:
         vector = np.array(values, dtype=np.float64)
@@ -162,27 +150,21 @@ def _split_line(line: str, dimension: int, wanted, where: str):
     return token, vector
 
 
-def load_embeddings(path, allowlist=None) -> EmbeddingTable:
-    """Read a word-vector text file into an EmbeddingTable.
+def load_embeddings(path, allowlist) -> EmbeddingTable:
+    """The EmbeddingTable of the rows of a word-vector text file whose
+    normalized tokens are in the normalized allowlist (say, the names of a
+    dataset's records: full embedding files are multi-gigabyte).
 
-    Args:
-        path: file whose first line is "<count> <dimension>" and whose
-            remaining lines are a token plus `dimension` decimal reals.
-        allowlist: optional set of tokens to keep. Full embedding files are
-            multi-gigabyte, so callers typically pass the set of name tokens
-            present in their dataset. Matching happens on normalized tokens.
-            The file is read in blocks of lines, and numpy checks each
-            block's lines for their field count (see _checked_lines). A
-            checked line with ASCII fields and a printable token that is
-            not kept is never split, so the scan costs little more than
-            reading the file. Every other line goes through _split_line,
-            so a malformed one raises.
-
-    With an allowlist, the table is cached (cache.load, kind "vectors",
-    keyed on the sorted normalized allowlist), so a later call with the
-    same normalized allowlist over the unchanged file skips the scan.
-    Without one, every row is kept and nothing is cached: a whole file's
-    rows can take gigabytes.
+    The file's first line is "<count> <dimension>" and every other line a
+    token plus `dimension` decimal reals. It is read in blocks of lines,
+    and numpy checks each block's lines for their field count (see
+    _checked_lines). A checked line with ASCII fields and a printable
+    token that is not kept is never split, so the scan costs little more
+    than reading the file. Every other line goes through _split_line, so
+    a malformed one raises. The table is cached (cache.load, kind
+    "vectors", keyed on the sorted normalized allowlist), so a later call
+    with the same normalized allowlist over the unchanged file skips the
+    scan.
 
     Raises:
         EmbeddingFormatError: malformed header, zero dimension, a line
@@ -190,9 +172,6 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
             with a non-numeric or non-finite (nan, inf) component (the
             message reports the offending line number).
     """
-    if allowlist is None:
-        with open(path, encoding="utf-8-sig") as fh:
-            return _scan(fh, path, None)
     wanted = {normalize_token(t) for t in allowlist}
     return cache.load(path, "vectors", __file__, sorted(wanted),
                       lambda fh: _scan(fh, path, wanted),
@@ -201,7 +180,7 @@ def load_embeddings(path, allowlist=None) -> EmbeddingTable:
 
 def _scan(fh, path, wanted) -> EmbeddingTable:
     """load_embeddings' scan of the vector file at path, open as fh,
-    keeping the rows of the normalized tokens in wanted (all when None)."""
+    keeping the rows of the normalized tokens in wanted."""
     header = fh.readline()
     parts = header.split()
     if len(parts) != 2:
@@ -229,7 +208,7 @@ def _scan(fh, path, wanted) -> EmbeddingTable:
         for start, end, checked_line in zip(
                 starts.tolist(), ends.tolist(), checked.tolist()):
             line_no += 1
-            if checked_line and wanted is not None:
+            if checked_line:
                 space = data.index(b" ", start)
                 token = data[start:space].decode()
                 # a checked line splits at its spaces alone unless a
@@ -256,10 +235,6 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(f"{token} {values}\n")
 
 
-_COVERAGES = (Coverage.NONE, Coverage.LAST_ONLY, Coverage.FIRST_ONLY,
-              Coverage.BOTH_FOUND)
-
-
 @dataclass(frozen=True)
 class NameTable:
     """Per-record name vectors, stored once per distinct found name.
@@ -277,9 +252,6 @@ class NameTable:
     last: np.ndarray      # (n,) intp
     include: np.ndarray   # (n,) bool
 
-    def __len__(self) -> int:
-        return len(self.first)
-
     def take(self, rows) -> np.ndarray:
         """The (len(rows), dimension) name vectors of records[rows]: the
         mean 0.5 * (first + last) where both names were found, the one
@@ -290,18 +262,13 @@ class NameTable:
         out[both] = 0.5 * (out[both] + self.vectors[last[both]])
         return out
 
-    def coverages(self) -> list[Coverage]:
-        """Which of each record's two names were found."""
-        codes = 2 * (self.first >= 0) + (self.last >= 0)
-        return [_COVERAGES[c] for c in codes.tolist()]
-
 
 def batch_name_vectors(table, first_names, last_names) -> NameTable:
     """The NameTable of records given by aligned lists of first/last names.
 
     Both names found: elementwise mean of the two vectors. Exactly one
-    found: that vector unchanged. Neither found: zero vector with coverage
-    "none" -- such records are excluded from penalty statistics rather than
+    found: that vector unchanged. Neither found: zero vector and include
+    False -- such records are excluded from penalty statistics rather than
     given a made-up vector, which would add noise to the very quantity
     being constrained. Each distinct name is looked up once and each found
     one's vector is stored once.
@@ -317,7 +284,7 @@ def batch_name_vectors(table, first_names, last_names) -> NameTable:
             found.append(vector)
     found.append(np.zeros(table.dimension))  # row -1: neither name found
     n = len(first_names)
-    first = np.fromiter(map(row.__getitem__, first_names), np.intp, n)
-    last = np.fromiter(map(row.__getitem__, last_names), np.intp, n)
+    first = np.fromiter(map(row.get, first_names), np.intp, n)
+    last = np.fromiter(map(row.get, last_names), np.intp, n)
     return NameTable(np.vstack(found), first, last, (first >= 0) | (last >= 0))
 

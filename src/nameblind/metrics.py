@@ -89,8 +89,8 @@ def gap_max(gaps) -> float:
     return float(max(defined))
 
 
-def balanced_tpr(predictions, labels, num_classes: int | None = None) -> float:
-    """Unweighted mean of per-class TPRs.
+def balanced_tpr(predictions, labels, num_classes: int) -> float:
+    """Unweighted mean of the TPRs of classes 0 .. num_classes - 1.
 
     The natural accuracy measure under class imbalance. A class absent
     from labels, as on a small validation or test split, is skipped.
@@ -99,8 +99,6 @@ def balanced_tpr(predictions, labels, num_classes: int | None = None) -> float:
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty label set")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
     tprs, _ = _class_tprs(predictions, labels,
                           np.ones(len(labels), dtype=bool), num_classes)
     values = [t for t in tprs if t is not None]
@@ -142,15 +140,14 @@ class BiasReport:
 
 
 def bias_report(predictions, labels, group_labels: GroupLabels,
-                num_classes: int | None = None,
+                num_classes: int,
                 class_names: list[str] | None = None) -> BiasReport:
-    """Per-(attribute, class) TPRs and gaps plus RMS/max/balanced summaries."""
+    """Per-(attribute, class) TPRs and gaps plus RMS/max/balanced summaries
+    of classes 0 .. num_classes - 1, any of them absent from labels."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must align")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
     if class_names is None:
         class_names = [f"class_{c}" for c in range(num_classes)]
     if len(class_names) != num_classes:

@@ -242,17 +242,19 @@ def load_model(path):
 
     The file must be the tag and one "key value" line per _layout key: the
     counts in decimal digits, each W row num_features finite numbers and
-    the b row num_classes. Any other file raises one ValueError naming the
-    file and its first line that differs.
+    the b row num_classes. Any other file, one that is not UTF-8 too,
+    raises one ValueError naming the file and its first line that differs.
     """
-    with open(path, encoding="utf-8") as fh:
-        # "\n" alone ends a line: str.splitlines also splits at \x0c, U+2028
-        lines = fh.read().removesuffix("\n").split("\n")
+    with open(path, "rb") as fh:
+        # a line ends at "\n", "\r\n" or "\r" alone, as in text mode:
+        # unlike str.splitlines, bytes.splitlines keeps \x0c and U+2028
+        lines = fh.read().splitlines()
     keys, values, number = ["num_classes", "num_features"], [], 0
     try:
-        if lines[0] != MODEL_FILE_TAG:
+        if lines[0] != MODEL_FILE_TAG.encode():
             raise ValueError
         for number, line in enumerate(lines[1:], 1):
+            line = line.decode("utf-8")  # UnicodeDecodeError is a ValueError
             key = keys[number - 1]  # IndexError past the b row
             if not line.startswith(key + " "):
                 raise ValueError

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses
-from .clustering import ClusterModel, kmeans
+from .clustering import kmeans
 from .embeddings import EmbeddingTable, NameTable, batch_name_vectors
 from .model import (
     ModelParams,
@@ -124,7 +124,6 @@ class EpochRecord:
 class TrainResult:
     params: ModelParams
     history: list[EpochRecord]
-    cluster_model: ClusterModel | None
     split: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -227,7 +226,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     features = dataset.features
     y = dataset.labels[train_idx]
 
-    cluster_model = table = epoch_penalty = None
+    table = epoch_penalty = None
     if config.variant != "none" and max(lams) > 0:
         if embeddings is None:
             raise ValueError("the selected penalty needs an embedding table")
@@ -241,10 +240,9 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
                 "embedding table"
             )
         if config.variant == "clucl":  # reads only the cluster ids
-            cluster_model = kmeans(names.take(train_idx[include]), config.k,
-                                   seed=config.seed)
             cluster_ids = np.zeros(len(train_idx), dtype=np.int64)
-            cluster_ids[include] = cluster_model.assignments
+            cluster_ids[include] = kmeans(names.take(train_idx[include]),
+                                          config.k, seed=config.seed).assignments
 
             def table(rows):
                 return losses.CluclTable(y[rows], cluster_ids[rows],
@@ -328,7 +326,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     parts = np.array_split(np.arange(len(lams)),
                            min(len(lams), usable_cpus()))
     fits = [TrainResult(params=ModelParams(W, b), history=fit_history,
-                        cluster_model=cluster_model, split=split)
+                        split=split)
             for stack_W, stack_b, group_histories in _fit_groups(
                 fit_lockstep, [[lams[i] for i in part] for part in parts])
             for W, b, fit_history in zip(stack_W, stack_b, group_histories)]

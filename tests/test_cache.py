@@ -167,7 +167,9 @@ def test_tabular_misses(tmp_path, count_parses, change):
         rewrite_in_place(path)
         assert parse_csv(path).class_names == ["high", "mid"]
     assert len(count_parses) == 2
-    assert len(entries()) == 1
+    # another schema has an entry of its own; a rewritten file's replaces
+    # the stale one
+    assert len(entries()) == (2 if change == "schema" else 1)
 
 
 def test_toggling_scrub_misses(tmp_path, count_parses):
@@ -176,11 +178,12 @@ def test_toggling_scrub_misses(tmp_path, count_parses):
     scrubbed = parse_text(path, scrub_names=True)
     assert "she" in plain.documents.tokens
     assert "she" not in scrubbed.documents.tokens
-    assert "she" in parse_text(path).documents.tokens
-    assert len(count_parses) == 3
-    # the entry holds the last parse's records: a hit for the same inputs
-    parse_text(path)
-    assert len(count_parses) == 3
+    assert len(count_parses) == 2
+    # each setting keeps an entry of its own: toggling back is a hit
+    assert snapshot(parse_text(path)) == snapshot(plain)
+    assert snapshot(parse_text(path, scrub_names=True)) == snapshot(scrubbed)
+    assert len(count_parses) == 2
+    assert len(entries()) == 2
 
 
 @pytest.mark.parametrize("case", ["tabular", "text"])
@@ -293,5 +296,8 @@ def test_a_write_evicts_the_entries_of_deleted_files(tmp_path):
     assert len(entries()) == 2 and len(entries("vectors")) == 1
     fresh = aged(write(tmp_path, CSV_TEXT, "new.csv"))
     parse_csv(fresh)
-    assert sorted(p.name for p in directory.iterdir()) == sorted(
-        Path(cache._cache_file(p, "records")).name for p in (kept, fresh))
+    sources = []
+    for entry in directory.iterdir():
+        with np.load(entry, allow_pickle=False) as fields:
+            sources.append(str(fields["source"]))
+    assert sorted(sources) == sorted(str(p.resolve()) for p in (kept, fresh))

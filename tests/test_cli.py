@@ -1013,7 +1013,19 @@ def test_a_malformed_model_exit_1_and_no_output(old, new, tiny_tabular,
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             f"error: {model_path}: not a recognized model file, line ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+
+def test_a_model_file_that_is_not_utf8_exit_1(tmp_path, capsys):
+    # reported like any other malformed model file, not by the codec
+    model_path = tmp_path / "model.txt"
+    model_path.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    assert main(["weights-report", "--model", str(model_path), "--class", "x",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: not a recognized model file, line 1 malformed\n")
+    assert not out.exists()
 
 
 def write_text_inputs(tmp_path):
@@ -1427,6 +1439,23 @@ def test_exit_codes_follow_the_input_order(case, code, message, tiny_tabular,
     err = capsys.readouterr().err
     if message is not None:
         assert message in err
+    # --out is made only once every input has been read
+    assert (tmp_path / "out").exists() == (code in (0, 3))
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--variant", "cocl", "--lambda", "1"],
+    ["sweep", "--variant", "cocl", "--lambdas", "0", "1"],
+    ["cluster-report", "--k", "2"]], ids=["train", "sweep", "cluster-report"])
+def test_malformed_data_exit_1_and_no_output(command, tiny_tabular, tmp_path,
+                                             capsys):
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    assert main([*command, "--data", str(malformed_copy(data, tmp_path)),
+                 "--schema", str(schema), "--embeddings", str(embeddings),
+                 "--seeds", "0", "--out", str(out)]) == 1
+    assert "row 8 has 8 cells" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case, missing, message", [
@@ -1462,6 +1491,7 @@ def test_every_named_file_is_found_before_any_is_parsed(
                    for item in (option, str(path))]
         assert main([*argv, *options]) == code
         assert want in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("variant", ["cocl", "clucl"])

@@ -11,7 +11,7 @@ from nameblind.clustering import (
     _pp_init,
     kmeans,
     write_assignments,
-    write_cluster_model,
+    write_centroids,
 )
 
 from oracles import (
@@ -299,7 +299,7 @@ def test_exports(tmp_path):
     points = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 1.0], [4.0, 1.0]])
     model = kmeans(points, k=2, seed=0)
     centroid_path = tmp_path / "clusters.txt"
-    write_cluster_model(model, centroid_path)
+    write_centroids(model, centroid_path)
     lines = centroid_path.read_text().splitlines()
     assert lines[0] == "2 2"
     parsed = np.array([[float(v) for v in line.split()] for line in lines[1:]])

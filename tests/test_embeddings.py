@@ -10,7 +10,6 @@ import pytest
 from nameblind import cache, embeddings
 from nameblind.embeddings import (
     SCAN_BLOCK,
-    Coverage,
     EmbeddingFormatError,
     EmbeddingTable,
     _checked_lines,
@@ -31,7 +30,7 @@ def write_vectors(tmp_path, text, name="vectors.txt"):
 
 def test_load_basic(tmp_path):
     path = write_vectors(tmp_path, "2 3\nanna 1 0 0\nsmith 0 1 0\n")
-    table = load_embeddings(path)
+    table = load_embeddings(path, {"anna", "smith"})
     assert table.dimension == 3
     assert len(table) == 2
     assert np.array_equal(table.get("anna"), [1.0, 0.0, 0.0])
@@ -42,7 +41,7 @@ def test_load_allowlist(tmp_path):
     path = write_vectors(tmp_path, "2 3\nanna 1 0 0\nsmith 0 1 0\n")
     table = load_embeddings(path, allowlist={"anna"})
     assert len(table) == 1
-    assert "anna" in table
+    assert table.get("anna") is not None
     assert table.get("smith") is None
 
 
@@ -56,7 +55,7 @@ def test_load_allowlist_is_normalized(tmp_path):
 def test_wrong_vector_length_reports_line(tmp_path):
     path = write_vectors(tmp_path, "2 3\nanna 1 0\n")
     with pytest.raises(EmbeddingFormatError, match="line 2"):
-        load_embeddings(path)
+        load_embeddings(path, {"anna"})
 
 
 def test_load_skips_a_byte_order_mark(tmp_path):
@@ -71,24 +70,24 @@ def test_load_skips_a_byte_order_mark(tmp_path):
 def test_malformed_header(tmp_path):
     path = write_vectors(tmp_path, "not a header line\n")
     with pytest.raises(EmbeddingFormatError, match="header"):
-        load_embeddings(path)
+        load_embeddings(path, {"anna"})
 
 
 def test_zero_dimension(tmp_path):
     path = write_vectors(tmp_path, "1 0\nanna\n")
     with pytest.raises(EmbeddingFormatError, match="dimension"):
-        load_embeddings(path)
+        load_embeddings(path, {"anna"})
 
 
 def test_non_numeric_component(tmp_path):
     path = write_vectors(tmp_path, "1 2\nanna 1 oops\n")
     with pytest.raises(EmbeddingFormatError, match="line 2"):
-        load_embeddings(path)
+        load_embeddings(path, {"anna"})
 
 
 def test_tokens_normalized_on_load_and_lookup(tmp_path):
     path = write_vectors(tmp_path, "1 2\nANNA 1 2\n")
-    table = load_embeddings(path)
+    table = load_embeddings(path, {"anna"})
     assert np.array_equal(table.get("  Anna, "), [1.0, 2.0])
     assert normalize_token(" Anna!! ") == "anna"
     assert normalize_token("O'Brien") == "o'brien"
@@ -102,41 +101,50 @@ def make_table(entries):
     )
 
 
+# which of a record's (first, last) names were found, as name_vectors_loop
+# names it
+COVERAGE = {(True, True): "both-found", (True, False): "first-only",
+            (False, True): "last-only", (False, False): "none"}
+
+
 def gathered(table, first_names, last_names):
     """(vectors, coverages, include) of every record through
-    batch_name_vectors and its NameTable.take."""
+    batch_name_vectors: NameTable.take, the coverage its first and last
+    rows give, and include."""
     names = batch_name_vectors(table, first_names, last_names)
-    return names.take(np.arange(len(names))), names.coverages(), names.include
+    coverages = [COVERAGE[found] for found in zip((names.first >= 0).tolist(),
+                                                  (names.last >= 0).tolist())]
+    return names.take(np.arange(len(names.first))), coverages, names.include
 
 
 def one_record(table, first, last):
     """(vector, coverage) of one record through batch_name_vectors."""
     vectors, coverages, include = gathered(table, [first], [last])
-    assert include[0] == (coverages[0] is not Coverage.NONE)
+    assert include[0] == (coverages[0] != "none")
     return vectors[0], coverages[0]
 
 
 def test_name_vector_both_found():
     table = make_table({"anna": [1.0, 0.0], "smith": [0.0, 1.0]})
     vector, coverage = one_record(table, "anna", "smith")
-    assert coverage is Coverage.BOTH_FOUND
+    assert coverage == "both-found"
     assert np.array_equal(vector, [0.5, 0.5])
 
 
 def test_name_vector_single_found():
     table = make_table({"anna": [1.0, 0.0]})
     vector, coverage = one_record(table, "anna", "missing")
-    assert coverage is Coverage.FIRST_ONLY
+    assert coverage == "first-only"
     assert np.array_equal(vector, [1.0, 0.0])
     vector, coverage = one_record(table, None, "anna")
-    assert coverage is Coverage.LAST_ONLY
+    assert coverage == "last-only"
     assert np.array_equal(vector, [1.0, 0.0])
 
 
 def test_name_vector_none_found():
     table = make_table({"anna": [1.0, 0.0]})
     vector, coverage = one_record(table, "bob", "jones")
-    assert coverage is Coverage.NONE
+    assert coverage == "none"
     assert np.array_equal(vector, [0.0, 0.0])
 
 
@@ -162,7 +170,7 @@ def test_save_load_round_trip_exact(tmp_path):
     table = make_table({f"tok{i}": rng.normal(size=6) for i in range(10)})
     path = tmp_path / "out.txt"
     save_embeddings(table, path)
-    reloaded = load_embeddings(path)
+    reloaded = load_embeddings(path, table.entries)
     assert reloaded.dimension == table.dimension
     assert set(reloaded.entries) == set(table.entries)
     for token, vector in table.entries.items():
@@ -175,7 +183,7 @@ def test_batch_name_vectors_mask():
         table, ["anna", "nope"], ["smith", None]
     )
     assert np.array_equal(vectors[0], [0.5, 0.5])
-    assert coverages == [Coverage.BOTH_FOUND, Coverage.NONE]
+    assert coverages == ["both-found", "none"]
     assert include.tolist() == [True, False]
 
 
@@ -440,7 +448,7 @@ def test_batch_name_vectors_matches_loop_oracle():
     want_vectors, want_coverages, want_include = name_vectors_loop(
         table.entries, table.dimension, first, last)
     assert vectors.tobytes() == want_vectors.tobytes()
-    assert [c.value for c in coverages] == want_coverages
+    assert coverages == want_coverages
     assert set(want_coverages) == {"both-found", "first-only", "last-only", "none"}
     assert include.tolist() == want_include.tolist()
     # a batch's gather: any subset of the records, unsorted and repeated
@@ -513,32 +521,31 @@ def test_cache_hit_matches_a_cold_scan_and_the_split_path(tmp_path, monkeypatch)
     no_scan(monkeypatch)
     for _ in range(2):
         assert_same_table(assert_matches_split_path(path, SCAN_KEEP), cold)
-    # no allowlist is never served from the cache
-    with pytest.raises(AssertionError, match="scanned"):
-        load_embeddings(path)
 
 
 def test_cache_lives_under_xdg_cache_home_or_home(tmp_path, monkeypatch):
     path = tmp_path / "v.txt"
-    entry = Path(cache._cache_file(path, "vectors"))
+    inputs, other_inputs = "0" * 64, "1" * 64
+    entry = Path(cache._cache_file(path, "vectors", inputs))
     assert entry.parent == Path(os.environ["XDG_CACHE_HOME"]) / "nameblind"
     assert entry.name.endswith(".npz")
-    # one entry per real path and kind, whatever the path that names it
+    # one entry per real path, kind and inputs, whatever the path that
+    # names the file
     (tmp_path / "link").symlink_to(tmp_path)
-    assert cache._cache_file(tmp_path / "link" / "v.txt", "vectors") == str(entry)
-    assert cache._cache_file(tmp_path / "w.txt", "vectors") != str(entry)
-    assert cache._cache_file(path, "records") != str(entry)
+    assert cache._cache_file(tmp_path / "link" / "v.txt", "vectors",
+                             inputs) == str(entry)
+    assert cache._cache_file(tmp_path / "w.txt", "vectors", inputs) != str(entry)
+    assert cache._cache_file(path, "records", inputs) != str(entry)
+    assert cache._cache_file(path, "vectors", other_inputs) != str(entry)
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     for unset in ("", "relative/cache"):
         monkeypatch.setenv("XDG_CACHE_HOME", unset)
-        assert Path(cache._cache_file(path, "vectors")) == (
+        assert Path(cache._cache_file(path, "vectors", inputs)) == (
             tmp_path / "home" / ".cache" / "nameblind" / entry.name)
 
 
 def test_rewritten_file_misses(tmp_path, scans):
     path = aged(write_vectors(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n"))
-    assert len(load_embeddings(path)) == 2   # no allowlist: nothing cached
-    assert cache_entries() == []
     assert load_embeddings(path, {"anna"}).get("anna").tolist() == [1, 0, 0]
     # rewritten in place at the same size: a new mtime
     path.write_text("2 3\nanna 2 0 0\nbob 0 1 0\n", encoding="utf-8")
@@ -586,7 +593,7 @@ def test_a_nul_token_is_cached_and_served_without_a_scan(tmp_path,
     assert len(load_embeddings(path, {"ab"})) == 0
     cold = load_embeddings(path, {"ab\0"})
     assert list(cold.entries) == ["ab\0"]
-    assert len(cache_entries()) == 1
+    assert len(cache_entries()) == 2   # one per allowlist
     no_scan(monkeypatch)
     assert_same_table(load_embeddings(path, {"ab\0"}), cold)
 
@@ -603,8 +610,8 @@ def test_a_malformed_file_is_never_cached(tmp_path, bad_line, message):
     assert cache_entries() == []
 
 
-def test_a_subset_allowlist_rescans_and_replaces_the_entry(tmp_path,
-                                                          monkeypatch, scans):
+def test_a_subset_allowlist_rescans_into_an_entry_of_its_own(tmp_path,
+                                                             monkeypatch, scans):
     # an entry serves only the normalized allowlist it was written for
     path = scan_file(tmp_path)
     cold = load_embeddings(path, allowlist=SCAN_KEEP)
@@ -614,25 +621,38 @@ def test_a_subset_allowlist_rescans_and_replaces_the_entry(tmp_path,
     assert list(table.entries) == ["anna", "cara"]   # file order
     for token in table.entries:
         assert table.entries[token].tobytes() == cold.entries[token].tobytes()
-    assert len(cache_entries()) == 1
+    assert len(cache_entries()) == 2
     no_scan(monkeypatch)
     assert_same_table(load_embeddings(path, allowlist={"anna", "cara"}), table)
-    with pytest.raises(AssertionError, match="scanned"):
-        load_embeddings(path, allowlist=SCAN_KEEP)
+    assert_same_table(load_embeddings(path, allowlist=SCAN_KEEP), cold)
 
 
-def test_a_superset_allowlist_rescans_and_replaces_the_entry(tmp_path,
-                                                            monkeypatch, scans):
+def test_a_superset_allowlist_rescans_into_an_entry_of_its_own(tmp_path,
+                                                               monkeypatch,
+                                                               scans):
     path = scan_file(tmp_path)
-    load_embeddings(path, allowlist={"anna"})
+    small = load_embeddings(path, allowlist={"anna"})
     scanned = len(scans)
     table = assert_matches_split_path(path, {"anna", "cara"})
     assert len(scans) > scanned
-    assert len(cache_entries()) == 1
+    assert len(cache_entries()) == 2
     no_scan(monkeypatch)
     assert_same_table(load_embeddings(path, allowlist={"anna", "cara"}), table)
-    with pytest.raises(AssertionError, match="scanned"):
-        load_embeddings(path, allowlist={"anna"})
+    assert_same_table(load_embeddings(path, allowlist={"anna"}), small)
+
+
+def test_alternating_allowlists_scan_once_each(tmp_path, scans):
+    # two data files that share one vector file: switching between their
+    # allowlists rescans neither
+    path = scan_file(tmp_path)
+    first, second = {"anna", "cara"}, {"keep0", "de\x7fl"}
+    scanned = []
+    for allowlist in (first, second) * 3:
+        before = len(scans)
+        load_embeddings(path, allowlist=allowlist)
+        scanned.append(len(scans) > before)
+    assert scanned == [True, True] + [False] * 4
+    assert len(cache_entries()) == 2
 
 
 def test_allowlists_that_join_alike_are_keyed_apart(tmp_path, scans):

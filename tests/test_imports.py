@@ -32,12 +32,16 @@ def test_package_imports_only_stdlib_and_numpy():
 
 # Public names that no other package code calls: the library's documented
 # entry points and what the acceptance suite imports or calls
-# (BiasReport.get). NameTable.coverages is the per-record coverage README
-# documents.
+# (BiasReport.get), and the dataclass fields an outside reader needs:
+# TrainResult.split (the README quick start and bench/tracing.py's row
+# count), GridResult.split and ClusterModel.iterations_run (bench/tracing.py)
+# and ClusterModel.inertia_history (the k-means acceptance criterion and
+# bench/child.py's capture).
 KEEP = {
     "load_tabular", "save_embeddings", "clucl_penalty", "cocl_penalty",
-    "penalty_value", "penalty_gradient", "predict_batch",
-    "NameTable.coverages", "BiasReport.get",
+    "penalty_value", "penalty_gradient", "predict_batch", "BiasReport.get",
+    "TrainResult.split", "GridResult.split", "ClusterModel.iterations_run",
+    "ClusterModel.inertia_history",
 }
 
 # Attribute names that builtin containers and arrays also carry: a read of
@@ -58,7 +62,7 @@ def _references(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attributes.add(node.attr)
         elif isinstance(node, ast.ClassDef):
             named.add(node.name)
@@ -76,47 +80,62 @@ def _package_references():
 
 
 def _unreached(modules, definitions):
-    """The definitions (file, qualified name, class or None, name) that no
-    module reaches and KEEP does not name. A method named like an
-    attribute of a builtin container or array (SHARED) is reached only by
-    a module that reads the attribute and names the method's class; any
-    other name by a module that reads it."""
-    def reached(cls, short):
+    """The definitions (file, qualified name, class or None, name, field)
+    that no module reaches and KEEP does not name. A method or field named
+    like an attribute of a builtin container or array (SHARED) is reached
+    only by a module that reads the attribute and names its class; any
+    other field by a module that reads the attribute, and any other name
+    by a module that reads it."""
+    def reached(cls, short, field):
         if cls is not None and short in SHARED:
             return any(short in attributes and cls in named
                        for _, attributes, named in modules)
-        return any(short in names or short in attributes
+        return any(short in attributes or (short in names and not field)
                    for names, attributes, _ in modules)
 
     return sorted(f"{name}: {qualified}"
-                  for name, qualified, cls, short in definitions
-                  if not reached(cls, short) and qualified not in KEEP)
+                  for name, qualified, cls, short, field in definitions
+                  if not reached(cls, short, field) and qualified not in KEEP)
+
+
+def _is_dataclass(node):
+    return any(getattr(getattr(decorator, "func", decorator), "id", None)
+               == "dataclass" for decorator in node.decorator_list)
 
 
 def _definitions(trees):
-    definitions = []  # (file, qualified name, class or None, name)
+    """(file, qualified name, class or None, name, whether a dataclass
+    field) of each public function, class, method and dataclass field."""
+    definitions = []
     for name, tree in trees.items():
         for node in _public(tree.body):
-            definitions.append((name, node.name, None, node.name))
+            definitions.append((name, node.name, None, node.name, False))
             if isinstance(node, ast.ClassDef):
                 definitions += [(name, f"{node.name}.{method.name}",
-                                 node.name, method.name)
+                                 node.name, method.name, False)
                                 for method in _public(node.body)
                                 if isinstance(method, ast.FunctionDef)]
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                definitions += [(name, f"{node.name}.{item.target.id}",
+                                 node.name, item.target.id, True)
+                                for item in node.body
+                                if isinstance(item, ast.AnnAssign)
+                                and not item.target.id.startswith("_")]
     return definitions
 
 
 def test_every_public_definition_has_a_package_caller():
-    """A public top-level function or class, or a public method of a public
-    class, that only its own definition, __init__ exports or tests reach is
-    a second code path beside the one the commands run; keep it out unless
-    KEEP names it."""
+    """A public top-level function or class, a public method of a public
+    class, or a field of a public dataclass that only its own definition,
+    __init__ exports or tests reach is a second code path beside the one
+    the commands run, or a value no command reads; keep it out unless KEEP
+    names it."""
     modules, trees = _package_references()
     definitions = _definitions(trees)
     unreached = _unreached(modules, definitions)
     assert unreached == []
     # an entry for a deleted name would let it come back unseen
-    defined = {qualified for _, qualified, _, _ in definitions}
+    defined = {qualified for _, qualified, _, _, _ in definitions}
     assert sorted(KEEP - defined) == []
 
 
@@ -124,7 +143,7 @@ def test_a_method_named_like_a_builtin_attribute_needs_its_class_named():
     # x.copy() anywhere reads some array's copy; it does not reach a
     # BiasReport.copy no module that names BiasReport calls
     modules, trees = _package_references()
-    dead = ("metrics.py", "BiasReport.copy", "BiasReport", "copy")
+    dead = ("metrics.py", "BiasReport.copy", "BiasReport", "copy", False)
     assert any("copy" in attributes for _, attributes, _ in modules)
     assert _unreached(modules, _definitions(trees) + [dead]) == [
         "metrics.py: BiasReport.copy"]

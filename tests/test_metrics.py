@@ -43,7 +43,8 @@ def test_tpr_basic_counting():
     labels = [1, 1, 1, 1, 0, 1, 0]
     preds = [1, 1, 1, 0, 0, 1, 0]
     report = bias_report(preds, labels,
-                         GroupLabels([attr("g", [1, 1, 1, 1, 1, 0, 0])]))
+                         GroupLabels([attr("g", [1, 1, 1, 1, 1, 0, 0])]),
+                         num_classes=2)
     (g,) = report.attributes
     assert g.tpr_pos == [1.0, 0.75] and g.counts_pos == [1, 4]
     assert g.tpr_neg == [1.0, 1.0] and g.counts_neg == [1, 1]
@@ -51,14 +52,15 @@ def test_tpr_basic_counting():
     # Python numbers, so the CSVs hold their reprs
     assert all(type(v) is float for v in g.tpr_pos + g.tpr_neg)
     assert all(type(v) is int for v in g.counts_pos + g.counts_neg)
-    assert balanced_tpr([1, 1], [1, 1]) == 1.0
+    assert balanced_tpr([1, 1], [1, 1], num_classes=2) == 1.0
 
 
 def test_tpr_empty_support_is_undefined():
     # no positive-group record has label 1, and a missing (-1) record
     # counts in neither group
     report = bias_report([0, 1, 1, 0, 1], [0, 0, 1, 0, 1],
-                         GroupLabels([attr("g", [1, 1, 0, 0, -1])]))
+                         GroupLabels([attr("g", [1, 1, 0, 0, -1])]),
+                         num_classes=2)
     (g,) = report.attributes
     assert g.tpr_pos == [0.5, None] and g.counts_pos == [2, 0]
     assert g.tpr_neg == [1.0, 1.0] and g.counts_neg == [1, 1]
@@ -75,11 +77,12 @@ def test_gap_rms_values():
 
 
 def test_balanced_tpr_values():
-    assert balanced_tpr([0, 1, 0, 1], [0, 1, 0, 1]) == 1.0
+    assert balanced_tpr([0, 1, 0, 1], [0, 1, 0, 1], num_classes=2) == 1.0
     # two classes with TPRs 0.9 and 0.5
     labels = [0] * 10 + [1] * 10
     preds = [0] * 9 + [1] + [1] * 5 + [0] * 5
-    assert balanced_tpr(preds, labels) == pytest.approx(0.7, abs=1e-12)
+    assert balanced_tpr(preds, labels, num_classes=2) == pytest.approx(
+        0.7, abs=1e-12)
 
 
 def test_balanced_tpr_majority_classifier():
@@ -98,11 +101,26 @@ def test_report_all_equal_tprs_gives_zero_gaps():
     labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
     preds = np.array([0, 1, 1, 0, 0, 1, 1, 0])
     groups = GroupLabels([attr("g", [1, 1, 1, 1, 0, 0, 0, 0])])
-    report = bias_report(preds, labels, groups)
+    report = bias_report(preds, labels, groups, num_classes=2)
     a = report.attributes[0]
     assert a.gaps == [0.0, 0.0]
     assert a.gap_rms == 0.0
     assert a.gap_max == 0.0
+
+
+def test_report_keeps_the_classes_a_split_lacks():
+    # the highest class has no record here, as on a small test split: it
+    # keeps its row, name and undefined TPRs
+    labels = np.array([0, 0, 1, 1])
+    preds = np.array([0, 2, 1, 1])
+    groups = GroupLabels([attr("g", [1, 0, 1, 0])])
+    report = bias_report(preds, labels, groups, num_classes=3,
+                         class_names=["x", "y", "z"])
+    (g,) = report.attributes
+    assert report.num_classes == 3 and report.class_names == ["x", "y", "z"]
+    assert g.tpr_pos == [1.0, 1.0, None] and g.counts_pos == [1, 1, 0]
+    assert g.gaps == [1.0, 0.0, None]
+    assert report.balanced_tpr == 0.75
 
 
 def test_report_single_class_collapse():

@@ -431,6 +431,21 @@ def test_load_model_names_the_first_line_off_the_layout(number, line, message,
                                f"{message}")
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_model_names_a_line_that_is_not_utf8(newline, tmp_path):
+    # reported like any other line off the layout, not by the codec
+    path = tmp_path / "model.txt"
+    text = newline.join(small_model_file(path)).encode("utf-8")
+    for data, number in ((b"\xff\xfe", 1),
+                         (text.replace(b"class hi", b"class h\xffi"), 5),
+                         (text.replace(b"feature f2", b"feature f\xe2\x80"), 8)):
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: not a recognized model file, "
+                                   f"line {number} malformed")
+
+
 def test_load_model_accepts_other_newlines_and_no_final_one(tmp_path):
     path = tmp_path / "model.txt"
     lines = small_model_file(path)

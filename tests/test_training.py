@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nameblind import losses, training
+from nameblind.clustering import kmeans
 from nameblind.data import BinaryRows, Dataset, fit_text, parse_text
 from nameblind.embeddings import EmbeddingTable, NameTable, batch_name_vectors
 from nameblind.losses import CluclTable, CoclTable
@@ -219,7 +220,17 @@ def test_training_learns_separable_data():
     assert accuracy >= 0.98
 
 
-def test_history_length_and_finite_losses():
+@pytest.fixture()
+def kmeans_calls(monkeypatch):
+    """The ClusterModel of each k-means run that train has made so far."""
+    models = []
+    real = training.kmeans
+    monkeypatch.setattr(training, "kmeans", lambda *args, **kwargs: (
+        models.append(real(*args, **kwargs)) or models[-1]))
+    return models
+
+
+def test_history_length_and_finite_losses(kmeans_calls):
     dataset = separable_dataset()
     table = toy_table(dataset.first_names)
     config = TrainConfig(variant="clucl", lam=1.0, k=3, epochs=6, seed=2,
@@ -231,8 +242,8 @@ def test_history_length_and_finite_losses():
         assert np.isfinite(rec.base_loss)
         assert np.isfinite(rec.penalty)
         assert rec.total_loss == rec.base_loss + config.lam * rec.penalty
-    assert result.cluster_model is not None
-    assert result.cluster_model.k == 3
+    [clusters] = kmeans_calls
+    assert clusters.k == 3
 
 
 def objective_penalty(dataset, table, result, config, rows):
@@ -250,7 +261,9 @@ def objective_penalty(dataset, table, result, config, rows):
                          names.last[train_idx][rows], 2).penalty
     include = names.include[train_idx]
     clusters = np.zeros(len(train_idx), dtype=np.int64)
-    clusters[include] = result.cluster_model.assignments
+    # the clustering train made: k-means is deterministic given its seed
+    clusters[include] = kmeans(names.take(train_idx[include]), config.k,
+                               seed=config.seed).assignments
     return CluclTable(labels, clusters[rows], include[rows], config.k,
                       2).penalty
 
@@ -487,7 +500,8 @@ def assert_no_child_remains():
 
 @pytest.mark.parametrize("variant", ["cocl", "clucl"])
 @pytest.mark.parametrize("store", ["dense", "binary"])
-def test_grid_fits_are_the_solo_fits(store, variant, tmp_path, monkeypatch):
+def test_grid_fits_are_the_solo_fits(store, variant, tmp_path, monkeypatch,
+                                     kmeans_calls):
     # one train call over a lambda grid trains the models in lockstep over
     # one shuffle, in one process or split over forked workers; each is bit
     # for bit the train run at its own lambda, lambda 0 (no penalty at all)
@@ -499,6 +513,7 @@ def test_grid_fits_are_the_solo_fits(store, variant, tmp_path, monkeypatch):
     solos = [train(dataset, table, replace(config, lam=lam)) for lam in lams]
     for workers in (1, 2, 3):
         pin_workers(monkeypatch, workers)
+        kmeans_calls.clear()
         grid = train(dataset, table, config, lams=lams)
         assert len(grid.fits) == len(lams)
         for fit, solo in zip(grid.fits, solos):
@@ -508,16 +523,16 @@ def test_grid_fits_are_the_solo_fits(store, variant, tmp_path, monkeypatch):
             assert fit.split is grid.split
             assert all(np.array_equal(a, b)
                        for a, b in zip(fit.split, solo.split))
-            assert fit.cluster_model is grid.fits[0].cluster_model
         assert grid.fits[1].history[-1].penalty == 0.0
-        assert (grid.fits[0].cluster_model is None) == (variant == "cocl")
+        # one clustering serves every fit of the grid
+        assert len(kmeans_calls) == (variant == "clucl")
         assert_no_child_remains()
 
 
 @pytest.mark.parametrize("variant", ["cocl", "clucl"])
 @pytest.mark.parametrize("store", ["dense", "binary"])
 def test_fits_without_history_have_the_same_parameters(store, variant,
-                                                       tmp_path):
+                                                       tmp_path, kmeans_calls):
     # the history reads neither the RNG nor the optimizer state, so a fit
     # that skips it is the same bytes, with an empty history
     dataset, table = grid_dataset(store, tmp_path)
@@ -532,8 +547,9 @@ def test_fits_without_history_have_the_same_parameters(store, variant,
         assert bare_fit.params.W.tobytes() == fit.params.W.tobytes()
         assert bare_fit.params.b.tobytes() == fit.params.b.tobytes()
     if variant == "clucl":
-        assert (bare.fits[0].cluster_model.centroids.tobytes()
-                == full.fits[0].cluster_model.centroids.tobytes())
+        full_clusters, bare_clusters = kmeans_calls
+        assert (bare_clusters.centroids.tobytes()
+                == full_clusters.centroids.tobytes())
 
 
 def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
@@ -760,5 +776,5 @@ def test_name_table_memory_scales_with_distinct_names():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(names) == n and names.include.all()
+    assert len(names.first) == n and names.include.all()
     assert peak < n * dim * 8 / 20
