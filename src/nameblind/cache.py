@@ -1,4 +1,4 @@
-"""Per-user caches of parsed input files.
+"""Per-user caches of parsed input files and of k-means fits.
 
 load serves the parse of a vector file (embeddings.load_embeddings) or of a
 records file (data.parse_tabular, data.parse_text) from one ``.npz`` entry
@@ -6,21 +6,27 @@ per file real path, kind and parse inputs (an allowlist, a schema, a
 --scrub setting), under ``$XDG_CACHE_HOME/nameblind/``
 (``~/.cache/nameblind/`` when that is unset or relative), so a later
 command over the unchanged file with the same inputs skips the parse.
+compute serves a result that depends on its inputs alone, named by
+content rather than by a file (clustering.kmeans: a digest of the points,
+k, the seed and every constant the fit reads), from one entry per kind
+and inputs in the same directory.
 
 An entry's key is the file's real path, a digest of the source of this
 module and of the module that parsed the file, the file's size, mtime,
-inode and device, and a digest of the parse's other inputs. decode runs
-only on the fields of an entry whose whole key matched: any other entry,
-or one that cannot be read or decoded, is a miss.
+inode and device, and a digest of the parse's other inputs; an entry of
+compute has an empty path and identity. decode runs only on the fields
+of an entry whose whole key matched: any other entry, or one that cannot
+be read or decoded, is a miss.
 
 An entry holds its key as four 0-d string members, each array field as a
 member of its own and every other field in one json.dumps document. It
 is written whole or not at all (a temporary file, then os.replace),
-holds no pickles, and is written only after a parse that raised
-nothing, of a file whose identity did not change during the parse and
-that was last modified at least 2 s before it started. A cache that
-cannot be written is left as it was. Each write first deletes the
-entries whose file no longer exists.
+holds no pickles, and is written only after a parse or computation that
+raised nothing; a parse's only for a file whose identity did not change
+during the parse and that was last modified at least 2 s before it
+started. A cache that cannot be written is left as it was. Each write
+first deletes the entries of a file that no longer exists or whose size,
+mtime, inode or device changed since the entry was written.
 """
 
 from __future__ import annotations
@@ -40,16 +46,21 @@ import numpy as np
 _RACY_NS = 2_000_000_000
 
 
-def _cache_file(path, kind: str, inputs: str) -> str:
-    """The kind ("vectors" or "records") of entry of the file at path and
-    the inputs digest inputs (of fixed length), under $XDG_CACHE_HOME/
-    nameblind/ (~/.cache/nameblind/ when that is unset or relative)."""
+def _cache_dir() -> str:
+    """$XDG_CACHE_HOME/nameblind (~/.cache/nameblind when that is unset or
+    relative)."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "nameblind")
+
+
+def _cache_file(path, kind: str, inputs: str) -> str:
+    """The kind ("vectors" or "records") of entry of the file at path and
+    the inputs digest inputs (of fixed length), under _cache_dir()."""
     key = hashlib.sha256(os.fsencode(os.path.realpath(path))
                          + inputs.encode()).hexdigest()
-    return os.path.join(base, "nameblind", f"{kind}-{key}.npz")
+    return os.path.join(_cache_dir(), f"{kind}-{key}.npz")
 
 
 def _identity(stat) -> str:
@@ -73,18 +84,21 @@ def _code_digest(producer) -> str | None:
 
 
 def _evict_dead(directory: str) -> None:
-    """Delete the entries in directory whose file no longer exists, or
-    that name none (a damaged entry, or one of an earlier layout)."""
+    """Delete the entries in directory whose file no longer exists or has
+    another identity than the entry recorded, or that name none (a damaged
+    entry, or one of an earlier layout). An entry of compute (its source
+    is "") is kept: it depends on no file."""
     for name in os.listdir(directory):
         if not name.endswith(".npz"):
             continue
         entry = os.path.join(directory, name)
         try:
             with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-                source = str(data["source"])
+                source, identity = str(data["source"]), str(data["identity"])
+            live = source == "" or _identity(os.stat(source)) == identity
         except Exception:
-            source = None
-        if source is None or not os.path.exists(source):
+            live = False   # damaged, of an earlier layout, or its file is gone
+        if not live:
             with contextlib.suppress(OSError):
                 os.unlink(entry)
 
@@ -157,4 +171,27 @@ def load(path, kind: str, producer, inputs, parse, decode, **open_args):
                     and _identity(os.fstat(fh.fileno())) == key["identity"]
                     and stat.st_mtime_ns <= started_ns - _RACY_NS):
                 _write(file, key, result.fields())
+    return result
+
+
+def compute(kind: str, producer, inputs, run, decode):
+    """run()'s result: decode(fields) of the cache entry of kind and
+    inputs when the entry's whole key matches, else run(), whose
+    fields() (numpy arrays, and values json.dumps takes, by name) then
+    replace the entry.
+
+    For a result that depends on its inputs alone, never on a file: kind
+    names what the entry holds ("kmeans"), producer is the __file__ of the
+    module that computes it, and inputs, any value json.dumps takes, must
+    name everything run() reads. The entry names no file (its source
+    and identity are ""), so no write evicts it.
+    """
+    key = {"source": "", "code": _code_digest(producer), "identity": "",
+           "inputs": hashlib.sha256(json.dumps(inputs).encode()).hexdigest()}
+    file = os.path.join(_cache_dir(), f"{kind}-{key['inputs']}.npz")
+    result = _read(file, key, decode)   # a miss when code is None
+    if result is None:
+        result = run()
+        if key["code"] is not None:
+            _write(file, key, result.fields())
     return result

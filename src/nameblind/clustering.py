@@ -14,15 +14,25 @@ point equal to its centroid is at exactly 0. Sampling, reseeding, sums
 and centroid updates stay per point, so results are bit-identical to
 measuring each point on its own. Working memory is O(m·d + n·k) beyond
 the points.
+
+A fit is cached per user (cache.compute, kind "kmeans"): its entry is
+keyed on a SHA-256 of the points' bytes, their shape, k, the seed,
+n_init, MAX_ITERS, TOL, EXHAUSTIVE_INIT_CAP, the numpy version (the GEMMs
+depend on its BLAS) and the source of this module and of the cache
+module. A later call with the same key reads the stored ClusterModel
+back, bit for bit, instead of running any restart.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 import numpy as np
+
+from . import cache
 
 MAX_ITERS = 100  # Lloyd passes per run at most
 TOL = 1e-4  # a run stops once no centroid moves this far
@@ -48,6 +58,10 @@ class ClusterModel:
     inertia: float
     iterations_run: int
     inertia_history: list[float] = field(default_factory=list)
+
+    def fields(self) -> dict:
+        """The model as arrays and JSON values, for a cache entry."""
+        return dict(vars(self))
 
 
 def _as_points(points) -> np.ndarray:
@@ -157,6 +171,12 @@ def kmeans(points, k: int, seed: int,
     many restarts it gets. Deterministic for a given
     (points, k, seed, n_init).
 
+    An earlier call's fit of the same points (to the bit), k, seed,
+    n_init and constants is read back from the per-user cache (see the
+    module docstring) and no restart runs; a miss fits and stores it. An
+    entry that cannot be read, or whose centroids or assignments have
+    another shape or dtype, is a miss.
+
     Raises ValueError for non-finite points or fewer than k distinct ones.
     """
     if n_init < 1:
@@ -164,6 +184,28 @@ def kmeans(points, k: int, seed: int,
     if k < 1:
         raise ValueError("k must be positive")
     pts = _as_points(points)
+    n, dim = pts.shape
+    inputs = {"points": hashlib.sha256(np.ascontiguousarray(pts)).hexdigest(),
+              "shape": [n, dim], "k": int(k), "seed": int(seed),
+              "n_init": int(n_init), "max_iters": MAX_ITERS, "tol": TOL,
+              "exhaustive_init_cap": EXHAUSTIVE_INIT_CAP,
+              "numpy": np.__version__}
+
+    def decode(fields):
+        model = ClusterModel(**fields)
+        if (model.k != k or model.centroids.dtype != np.float64
+                or model.centroids.shape != (k, dim)
+                or model.assignments.dtype != np.intp
+                or model.assignments.shape != (n,)):
+            raise ValueError("a cached model of another shape")
+        return model
+
+    return cache.compute("kmeans", __file__, inputs,
+                         lambda: _fit(pts, k, seed, n_init), decode)
+
+
+def _fit(pts: np.ndarray, k: int, seed: int, n_init: int) -> ClusterModel:
+    """kmeans' fit itself, run on a cache miss."""
     distinct, inverse = _distinct_rows(pts, k)
     sq_norms = np.einsum("nd,nd->n", distinct, distinct)
     best = None

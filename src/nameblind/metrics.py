@@ -64,8 +64,11 @@ def _class_tprs(predictions, labels, mask, num_classes: int):
     The support is the number of masked records with true label c, and
     the TPR the fraction of them predicted c: None (undefined) when the
     support is 0, excluded from aggregates, never zeroed. Both are lists
-    of Python numbers.
+    of Python numbers. Raises ValueError for a label outside
+    [0, num_classes), before any count.
     """
+    if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"labels must lie in [0, {num_classes})")
     support = np.bincount(labels[mask], minlength=num_classes)
     hits = np.bincount(labels[mask & (predictions == labels)],
                        minlength=num_classes)

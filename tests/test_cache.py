@@ -2,6 +2,7 @@
 the rules every entry keeps (nameblind.cache)."""
 
 import io
+import json
 import os
 import time
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from nameblind import cache, data, embeddings
+from nameblind.clustering import kmeans
 from nameblind.data import (
     TabularRecords,
     TabularSchema,
@@ -301,3 +303,20 @@ def test_a_write_evicts_the_entries_of_deleted_files(tmp_path):
         with np.load(entry, allow_pickle=False) as fields:
             sources.append(str(fields["source"]))
     assert sorted(sources) == sorted(str(p.resolve()) for p in (kept, fresh))
+
+
+def test_a_write_evicts_the_entries_of_a_changed_file(tmp_path):
+    vectors = aged(write(tmp_path, "2 3\nanna 1 0 0\nbob 0 1 0\n", "v.txt"))
+    load_embeddings(vectors, {"anna"})
+    load_embeddings(vectors, {"bob"})
+    # an entry of compute names no file: no write evicts it
+    kmeans(np.array([[0.0, 0.0], [1.0, 1.0]]), k=2, seed=0)
+    assert len(entries("vectors")) == 2 and len(entries("kmeans")) == 1
+    vectors.write_text("2 3\nanna 0 0 1\nbob 0 1 0\n", encoding="utf-8")
+    aged(vectors, seconds=20)
+    assert load_embeddings(vectors, {"anna"}).get("anna").tolist() == [0, 0, 1]
+    # the {"bob"} entry of the old file can never hit again
+    [entry] = entries("vectors")
+    with np.load(entry, allow_pickle=False) as fields:
+        assert json.loads(fields["json"].tobytes())["tokens"] == ["anna"]
+    assert len(entries("kmeans")) == 1

@@ -1,4 +1,7 @@
+import io
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,7 +232,9 @@ def test_assign_nearest_tie_and_exact():
     assert _nearest(queries, sq_norms, centroids[::-1]).tolist() == [1, 0, 0]
 
 
-def test_kmeans_deterministic():
+def test_kmeans_deterministic(monkeypatch):
+    # two computed fits, not a fit and its cache entry
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
     rng = np.random.default_rng(4)
     points = rng.normal(size=(40, 3))
     a = kmeans(points, k=3, seed=9)
@@ -309,3 +314,121 @@ def test_exports(tmp_path):
     rows = [line.split("\t") for line in assign_path.read_text().splitlines()]
     assert [r[0] for r in rows] == ["r0", "r1", "r2", "r3"]
     assert [int(r[1]) for r in rows] == model.assignments.tolist()
+
+
+def cache_entries():
+    """The k-means entries in the cache (the tests' XDG_CACHE_HOME, see
+    conftest)."""
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "nameblind")
+                  .glob("kmeans-*.npz"))
+
+
+def model_bytes(model):
+    """Every field of a ClusterModel, each array as its dtype, shape and
+    bytes and each other value with its type."""
+    return {name: (value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray)
+            else (type(value), [(type(v), v) for v in value])
+            if isinstance(value, list) else (type(value), value)
+            for name, value in vars(model).items()}
+
+
+def no_fit(monkeypatch):
+    """Make any k-means run raise: a call must be served from the cache."""
+    def fail(*args):
+        raise AssertionError("k-means ran")
+
+    for name in ("_distinct_rows", "_pp_init", "_lloyd"):
+        monkeypatch.setattr(clustering, name, fail)
+
+
+@pytest.fixture()
+def fits(monkeypatch):
+    """One item per kmeans call that ran the fit, not read the cache."""
+    calls = []
+    distinct_rows = clustering._distinct_rows
+    monkeypatch.setattr(clustering, "_distinct_rows", lambda *args: (
+        calls.append(1) or distinct_rows(*args)))
+    return calls
+
+
+def test_a_hit_is_bitwise_the_cold_fit(monkeypatch):
+    points = shuffled_duplicates(3, n_distinct=80, dim=20)
+    cold = kmeans(points, k=5, seed=4)
+    [entry] = cache_entries()
+    with np.load(entry, allow_pickle=False) as fields:
+        assert str(fields["source"]) == str(fields["identity"]) == ""
+        assert fields["centroids"].shape == (5, 20)
+        assert fields["assignments"].dtype == np.int64
+    no_fit(monkeypatch)
+    for _ in range(2):
+        hit = kmeans(points, k=5, seed=4)
+        assert model_bytes(hit) == model_bytes(cold)
+    assert cache_entries() == [entry]
+
+
+def nudged(points):
+    """points with one coordinate moved by one ulp."""
+    points = points.copy()
+    points[7, 3] = np.nextafter(points[7, 3], np.inf)
+    return points
+
+
+@pytest.mark.parametrize("change", ["k", "seed", "n_init", "MAX_ITERS",
+                                    "TOL", "one ulp"])
+def test_each_input_of_the_fit_misses(monkeypatch, fits, change):
+    points = shuffled_duplicates(4, n_distinct=60, dim=10)
+    args = dict(k=4, seed=2, n_init=3)
+    kmeans(points, **args)
+    if change in ("MAX_ITERS", "TOL"):
+        monkeypatch.setattr(clustering, change,
+                            getattr(clustering, change) * 2)
+    elif change == "one ulp":
+        points = nudged(points)
+    else:
+        args[change] += 1
+    other = kmeans(points, **args)
+    assert len(fits) == 2
+    assert len(cache_entries()) == 2
+    # and the other inputs' entry is served from then on
+    assert model_bytes(kmeans(points, **args)) == model_bytes(other)
+    assert len(fits) == 2
+
+
+def rewrite_entry(entry, change):
+    """Replace the k-means entry's member change with a wrongly shaped
+    copy, keeping every other member."""
+    with np.load(entry, allow_pickle=False) as fields:
+        members = {name: fields[name] for name in fields.files}
+    members[change] = {"centroids": members["centroids"][:-1],
+                       "assignments": members["assignments"][:, None]}[change]
+    damaged = io.BytesIO()
+    np.savez(damaged, **members)
+    return damaged.getvalue()
+
+
+def test_a_damaged_entry_is_a_miss_then_rewritten(fits):
+    points = shuffled_duplicates(5, n_distinct=60, dim=10)
+    cold = model_bytes(kmeans(points, k=4, seed=1))
+    [entry] = cache_entries()
+    whole = entry.read_bytes()
+    contents = [whole[:size] for size in (0, 10, len(whole) // 2,
+                                          len(whole) - 1)]
+    contents += [rewrite_entry(entry, "centroids"),
+                 rewrite_entry(entry, "assignments")]
+    for content in contents:
+        entry.write_bytes(content)
+        ran = len(fits)
+        assert model_bytes(kmeans(points, k=4, seed=1)) == cold
+        assert len(fits) == ran + 1
+        # the fit wrote the entry anew
+        assert model_bytes(kmeans(points, k=4, seed=1)) == cold
+        assert len(fits) == ran + 1
+
+
+def test_an_unwritable_cache_still_fits(monkeypatch, fits):
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
+    points = shuffled_duplicates(6, n_distinct=40, dim=5)
+    models = [kmeans(points, k=3, seed=0) for _ in range(2)]
+    assert len(fits) == 2
+    assert model_bytes(models[0]) == model_bytes(models[1])

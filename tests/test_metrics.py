@@ -277,3 +277,14 @@ def test_group_labels_unique_names():
     assert groups.get("h").name == "h"
     with pytest.raises(KeyError):
         groups.get("missing")
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 2, 2, 1, 1], [0, 0, -1, 1, 1, 1]])
+def test_a_label_outside_the_classes_raises(labels):
+    # a class-2 record under num_classes=2 would be missing from every count
+    preds = [0, 0, 2, 2, 1, 0]
+    groups = GroupLabels([attr("g", [1, 0, 1, 0, 1, 0])])
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+        bias_report(preds, labels, groups, num_classes=2)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+        balanced_tpr(preds, labels, num_classes=2)

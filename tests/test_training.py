@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nameblind import losses, training
+from nameblind import clustering, losses, training
 from nameblind.clustering import kmeans
 from nameblind.data import BinaryRows, Dataset, fit_text, parse_text
 from nameblind.embeddings import EmbeddingTable, NameTable, batch_name_vectors
@@ -244,6 +244,30 @@ def test_history_length_and_finite_losses(kmeans_calls):
         assert rec.total_loss == rec.base_loss + config.lam * rec.penalty
     [clusters] = kmeans_calls
     assert clusters.k == 3
+
+
+def test_clucl_runs_that_differ_only_in_lambda_fit_kmeans_once(monkeypatch):
+    # the clusters depend on the data, the embeddings, the seed and k
+    # alone: a second run reads them from the cache, and every run is the
+    # bytes of a run without a cache
+    dataset = separable_dataset()
+    table = toy_table(dataset.first_names)
+    config = TrainConfig(variant="clucl", lam=1.0, k=3, epochs=3, seed=2,
+                         batch_size=64)
+    configs = [config, replace(config, lam=2.5, learning_rate=0.02)]
+    fits = []
+    fit = clustering._fit
+    monkeypatch.setattr(clustering, "_fit",
+                        lambda *args: fits.append(1) or fit(*args))
+    cached = [train(dataset, table, c) for c in configs]
+    assert len(fits) == 1
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
+    uncached = [train(dataset, table, c) for c in configs]
+    assert len(fits) == 3
+    for a, b in zip(cached, uncached):
+        assert a.params.W.tobytes() == b.params.W.tobytes()
+        assert a.params.b.tobytes() == b.params.b.tobytes()
+        assert a.history == b.history
 
 
 def objective_penalty(dataset, table, result, config, rows):
