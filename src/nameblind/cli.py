@@ -191,50 +191,61 @@ def _demographics_files(spec: ExperimentSpec) -> list[str]:
 
 class _Pipeline:
     """Per-command context: the data file's records (parsed once, or read
-    from the records cache), and the schema, demographics and embedding
-    table every seed shares; for evaluate, the model too.
+    from the records cache), the name tables' partition (tabular: the
+    synthetic first names) or white probabilities (text: the race
+    labels), and the embedding table every seed shares; for evaluate,
+    the model too.
 
     Inputs are checked in a fixed order: every input file must exist
     (exit 2) before any is parsed; then the model file, the schema and the
     name tables are parsed, then the data file (a malformed record is
-    exit 1), and only then is the embedding file read. The embedding file
-    is read only when need_embeddings; table is None otherwise.
+    exit 1), whose group labels must exist and hold a known value (exit 1
+    before any fit). Only then is the embedding file read, when
+    need_embeddings (table is None otherwise), for the names the seeds
+    look up.
     """
 
     def __init__(self, spec: ExperimentSpec, need_embeddings: bool,
                  model_path=None):
         self.spec = spec
+        tabular = spec.format == "tabular"
         _require_file(spec.data, "data file")
-        if spec.format == "tabular":
+        if tabular:
             _require_file(spec.schema, "schema file")
         demographics = _demographics_files(spec)
         if need_embeddings or spec.embeddings:
             _require_file(spec.embeddings, "embeddings file")
         self.model = load_model(model_path) if model_path else None
-        self.schema = (TabularSchema.load(spec.schema)
-                       if spec.format == "tabular" else None)
-        self.demographics = (NameDemographics(*map(
-            load_name_probabilities, demographics)) if demographics else None)
-        self.partition = (
-            partition_names(self.demographics) if self.demographics else None
-        )
-        if spec.format == "tabular":
-            self.records = parse_tabular(spec.data, self.schema)
+        schema = TabularSchema.load(spec.schema) if tabular else None
+        tables = (NameDemographics(*map(load_name_probabilities, demographics))
+                  if demographics else None)
+        self.partition = partition_names(tables) if tables and tabular else None
+        self.p_white = None
+        if tabular:
+            self.records = parse_tabular(spec.data, schema)
+            known = {a.name: a.values >= 0 for a in self.records.attributes}
         else:
             self.records = parse_text(spec.data, scrub_names=spec.scrub)
+            known = {}
+            if tables:
+                self.p_white = white_probabilities(
+                    self.records.first_names, self.records.last_names, tables)
+                known[spec.race_attr] = ~np.isnan(self.p_white)
+        if not known:
+            raise ValueError(
+                "the data has no evaluation group labels; declare a group= "
+                "column or pass --names-demographics"
+            )
+        if not any(map(np.any, known.values())):
+            raise ValueError(
+                "no record has a known value of any evaluation attribute "
+                f"({', '.join(known)})")
         self.table = None
         if need_embeddings:
-            names = ({*self.records.first_names, *self.records.last_names}
-                     - {None})
-            if self.partition is not None:
-                names |= self.partition.all_names()
+            names = (self.partition.all_names() if self.partition is not None
+                     else {*self.records.first_names,
+                           *self.records.last_names} - {None})
             self.table = load_embeddings(spec.embeddings, allowlist=names)
-        self.p_white = None
-        if spec.format == "text" and self.demographics is not None:
-            self.p_white = white_probabilities(
-                self.records.first_names, self.records.last_names,
-                self.demographics,
-            )
 
     def dataset_for_seed(self, seed: int):
         """Seeded split, preprocessing, and name/group assignment."""
@@ -248,12 +259,8 @@ class _Pipeline:
                     gender_attr=self.spec.gender_attr,
                 )
         else:
-            dataset = fit_text(
-                self.records,
-                min_count=self.spec.min_count,
-                top_fraction=self.spec.top_fraction,
-                fit_indices=split[0],
-            )
+            dataset = fit_text(self.records, self.spec.min_count,
+                               self.spec.top_fraction, split[0])
             if self.p_white is not None:
                 dataset.eval_groups = GroupLabels(
                     [draw_race_labels(self.p_white, seed, self.spec.race_attr)]
@@ -321,7 +328,6 @@ def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
     and fits are freed on return, before the next seed's are built."""
     spec = pipeline.spec
     dataset, split = pipeline.dataset_for_seed(seed)
-    _eval_groups(dataset)  # before any fit
     grid = train(dataset, pipeline.table, _train_config(spec, seed),
                  split=split, lams=lams, history=out is not None)
     reports = [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
@@ -361,22 +367,12 @@ def _write_summary(path: Path, lead: dict, seeds, lams, reports) -> None:
                             + [csv_cell(v) for v in means])
 
 
-def _eval_groups(dataset) -> GroupLabels:
-    """dataset's evaluation group labels; ValueError when it has none."""
-    if dataset.eval_groups is None or not len(dataset.eval_groups):
-        raise ValueError(
-            "the data has no evaluation group labels; declare a group= "
-            "column or pass --names-demographics"
-        )
-    return dataset.eval_groups
-
-
 def _bias_report(params, dataset, rows):
     """The bias report of params' predictions on dataset's records rows."""
     groups = GroupLabels([
         GroupAttribute(a.name, a.positive_label, a.negative_label,
                        a.values[rows])
-        for a in _eval_groups(dataset).attributes
+        for a in dataset.eval_groups.attributes
     ])
     probs = forward_rows(params, dataset.features, rows)
     # a diverged last step reaches no batch's loss check: its nan
@@ -433,7 +429,7 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
     pipeline = _Pipeline(spec, need_embeddings=True)
     seed = spec.seeds[0]
     dataset, _ = pipeline.dataset_for_seed(seed)
-    groups = _eval_groups(dataset)
+    groups = dataset.eval_groups
     names = batch_name_vectors(pipeline.table, dataset.first_names,
                                dataset.last_names)
     include = names.include
@@ -503,6 +499,9 @@ def cmd_weights_report(model_path: str, class_name: str, feature_filter,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # whole flags only: --lambda != --lambdas
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # route usage problems to exit code 1
         raise ValueError(message)
 
@@ -530,8 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train(p):
         p.add_argument("--variant", choices=("none", "clucl", "cocl"))
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="penalty strength")
         p.add_argument("--k", type=int, help="clusters for the cluster penalty")
         p.add_argument("--seeds", nargs="+", type=int)
         p.add_argument("--epochs", type=int)
@@ -542,6 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train, save model, report bias")
     add_io(p_train)
     add_train(p_train)
+    p_train.add_argument("--lambda", dest="lam", type=float,
+                         help="penalty strength")
 
     p_eval = sub.add_parser("evaluate", help="bias report for a saved model")
     add_io(p_eval)

@@ -64,8 +64,8 @@ class BinaryRows:
 
     Row i holds 1.0 at columns indices[indptr[i]:indptr[i + 1]] and 0.0
     elsewhere, so memory is O(nonzeros) rather than rows x columns.
-    ``rows.take(selection, axis=0)`` (a slice or a 1-d array of row
-    indices) returns the selected rows as a BinaryRows, and ``X @ M`` and
+    ``rows.take(selection, axis=0)`` (a 1-d array of row indices)
+    returns the selected rows as a BinaryRows, and ``X @ M`` and
     ``A @ X`` multiply straight from the index lists, so training and
     prediction never build a dense block. ``np.asarray(rows)`` raises
     TypeError rather than densify every row, which at the paper's Bios
@@ -98,17 +98,14 @@ class BinaryRows:
         return len(self.indptr) - 1
 
     def take(self, rows, axis=0) -> "BinaryRows":
-        """The rows at a slice or 1-d integer array of row indices, in
-        that order, as a BinaryRows (rows only, as ndarray.take(rows,
-        axis=0))."""
+        """The rows at a 1-d integer array of row indices, in that order,
+        as a BinaryRows (rows only, as ndarray.take(rows, axis=0))."""
         if axis != 0:
             raise ValueError("BinaryRows.take selects rows (axis=0) only")
         n = len(self)
-        if isinstance(rows, slice):
-            rows = np.arange(*rows.indices(n))
         rows = np.asarray(rows)
         if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-            raise TypeError("select rows with a slice or a 1-d integer array")
+            raise TypeError("select rows with a 1-d integer array")
         if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise IndexError(f"row index out of range for {n} rows")
         take, counts = _entries_of(self.indptr, rows.astype(np.int64, copy=False))
@@ -458,29 +455,31 @@ def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
                 )
             )
 
-    class_names = sorted(set(label_column))
-    class_idx = {cls: i for i, cls in enumerate(class_names)}
-    labels = np.array([class_idx[v] for v in label_column], dtype=np.int64)
-    return TabularRecords(columns, labels, class_names, first_names,
+    return TabularRecords(columns, *_class_indices(label_column), first_names,
                           last_names, attributes)
 
 
-def _fit_rows(n: int, fit_indices):
-    """fit_indices as nonnegative int64 row numbers (all rows for None)."""
-    if fit_indices is None:
-        return np.arange(n)
+def _class_indices(raw_labels) -> tuple[np.ndarray, list[str]]:
+    """The int64 class index of each raw label, and the sorted class names."""
+    class_names = sorted(set(raw_labels))
+    class_idx = {cls: i for i, cls in enumerate(class_names)}
+    return np.array([class_idx[v] for v in raw_labels], np.int64), class_names
+
+
+def _fit_rows(n: int, fit_indices) -> np.ndarray:
+    """fit_indices as nonnegative int64 row numbers."""
     return np.arange(n)[np.asarray(fit_indices, dtype=np.int64)]
 
 
-def fit_tabular(records: TabularRecords, fit_indices=None) -> Dataset:
+def fit_tabular(records: TabularRecords, fit_indices) -> Dataset:
     """Dataset of parsed CSV records, preprocessed on the fit rows.
 
     Continuous columns are min-max scaled using the fit rows' min/max
     (values outside that range at evaluation time are clamped to [0,1]);
     categorical columns become one indicator feature per category observed
     in the fit rows, with unseen categories mapping to all-zero indicators
-    (logged). fit_indices defaults to every row; pass the training-split
-    indices to keep evaluation rows out of the preprocessing statistics.
+    (logged). Pass the training-split indices as fit_indices, so that no
+    evaluation row enters the preprocessing statistics.
     """
     n = len(records)
     rows = _fit_rows(n, fit_indices)
@@ -532,7 +531,7 @@ def fit_tabular(records: TabularRecords, fit_indices=None) -> Dataset:
     )
 
 
-def load_tabular(path, schema: TabularSchema, fit_indices=None) -> Dataset:
+def load_tabular(path, schema: TabularSchema, fit_indices) -> Dataset:
     """Build a Dataset from a CSV file with a header row.
 
     parse_tabular then fit_tabular, which documents the preprocessing.
@@ -758,8 +757,8 @@ class TokenizedDocuments:
     def fit_vocabulary(self, rows, min_count: int, top_fraction: float):
         """Sorted token ids of the vocabulary pruned on documents[rows].
 
-        rows are nonnegative document indices (repeats count again), or
-        None for every document. Drops the top_fraction most common types
+        rows are nonnegative int64 document indices (repeats count
+        again). Drops the top_fraction most common types
         (by document frequency, ties broken alphabetically so the cut is
         deterministic) and any type occurring fewer than min_count times
         in total. The counts are summed over blocks of DEDUPE_DOCS rows,
@@ -767,8 +766,6 @@ class TokenizedDocuments:
         integers, exact in any order.
         """
         check_pruning(min_count, top_fraction)
-        if rows is None:
-            rows = np.arange(len(self))
         doc_freq = np.zeros(len(self.tokens), np.int64)
         occurrences = np.zeros(len(self.tokens))
         for start in range(0, len(rows), DEDUPE_DOCS):
@@ -883,26 +880,24 @@ def _read_text(fh, path, scrub_names: bool) -> TextRecords:
     tokenized = TokenizedDocuments.from_token_lists(documents())
     if not labels_raw:
         raise ValueError(f"{path}: no records")
-    class_names = sorted(set(labels_raw))
-    class_idx = {cls: i for i, cls in enumerate(class_names)}
-    labels = np.array([class_idx[v] for v in labels_raw], dtype=np.int64)
-    return TextRecords(labels, class_names, first_names, last_names, tokenized)
+    return TextRecords(*_class_indices(labels_raw), first_names, last_names,
+                       tokenized)
 
 
-def fit_text(records: TextRecords, min_count: int = 20,
-             top_fraction: float = 0.10, fit_indices=None) -> Dataset:
+def fit_text(records: TextRecords, min_count: int, top_fraction: float,
+             fit_indices) -> Dataset:
     """Dataset of parsed text records, its vocabulary pruned on the fit rows.
 
     Features are binary bag-of-words: 1 when the document contains the
     type, regardless of repetitions. The vocabulary is fit on the rows in
-    fit_indices (default: all): it drops the top_fraction most common word
-    types (by document frequency, ties broken alphabetically so the cut is
-    deterministic) and any type occurring fewer than min_count times in
-    total, and is sorted.
+    fit_indices (the training split's): it drops the top_fraction most
+    common word types (by document frequency, ties broken alphabetically
+    so the cut is deterministic) and any type occurring fewer than
+    min_count times in total, and is sorted.
     """
     docs = records.documents
-    rows = None if fit_indices is None else _fit_rows(len(records), fit_indices)
-    ids = docs.fit_vocabulary(rows, min_count, top_fraction)
+    ids = docs.fit_vocabulary(_fit_rows(len(records), fit_indices),
+                              min_count, top_fraction)
     return Dataset(
         features=docs.bag_of_words(ids),
         labels=records.labels,

@@ -355,8 +355,7 @@ def load_text_loop(path, min_count, top_fraction, scrub_names, fit_indices):
     token_lists = [regex_tokens(d) for d in documents]
     if scrub_names:
         token_lists = [_scrub(t, f) for t, f in zip(token_lists, first_names)]
-    fit = (token_lists if fit_indices is None
-           else [token_lists[i] for i in fit_indices])
+    fit = [token_lists[i] for i in fit_indices]
     occurrences, doc_freq = Counter(), Counter()
     for tokens in fit:
         occurrences.update(tokens)
@@ -389,7 +388,7 @@ def load_tabular_loop(path, roles, fit_indices):
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         rows = [[c.strip() for c in row] for row in reader if row]
-    fit_rows = rows if fit_indices is None else [rows[i] for i in fit_indices]
+    fit_rows = [rows[i] for i in fit_indices]
     n = len(rows)
     blocks, names, warnings, attributes = [], [], [], []
     first_names = last_names = [None] * n

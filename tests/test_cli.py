@@ -291,6 +291,19 @@ def test_sweep_needs_two_lambdas(tiny_tabular, tmp_path, capsys):
     assert "two" in capsys.readouterr().err
 
 
+def test_sweep_has_no_lambda_option(tiny_tabular, tmp_path, capsys):
+    # sweep fits --lambdas only; a --lambda was checked and echoed into the
+    # manifest without being fitted
+    data, schema, _ = tiny_tabular
+    out = tmp_path / "out"
+    rc = main(["sweep", "--data", str(data), "--schema", str(schema),
+               "--variant", "none", "--lambda", "1", "--lambdas", "0", "1",
+               "--seeds", "0", "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    assert "unrecognized arguments: --lambda 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_duplicate_lambdas(tiny_tabular, tmp_path, capsys):
     # equal as floats: 0.3 and 0.30 would interleave their seeds' rows
     data, schema, _ = tiny_tabular
@@ -1116,6 +1129,103 @@ def test_text_format_penalties_rerun_identically(tmp_path):
                  "--split", "all", "--out", str(out)]) == 0
     rows = read_csv_rows(out / "evaluation.csv")
     assert len(rows) > 1
+
+
+def test_text_run_needs_no_name_in_both_first_name_tables(tmp_path):
+    # a text run reads the first-male table only to check it: the race
+    # labels come from the white tables, and no synthetic name is drawn
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    first_male.write_text("".join(f"mname{i}\t0.9\n" for i in range(5)),
+                          encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--format", "text",
+               "--embeddings", str(embeddings),
+               "--names-demographics", str(first_white), str(first_male),
+               "--variant", "cocl", "--lambda", "1", "--seeds", "0",
+               "--epochs", "1", "--min-count", "1", "--top-fraction", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("names", ["text", "csv column", "synthetic"])
+def test_vector_scan_keeps_only_the_names_looked_up(names, tiny_tabular,
+                                                     tmp_path, monkeypatch):
+    # the records' own names, unless synthetic first names replace them
+    # all: then only the partition's names
+    import nameblind.cli
+
+    allowlists = []
+    load_embeddings = nameblind.cli.load_embeddings
+
+    def recording(path, allowlist):
+        allowlists.append(set(allowlist))
+        return load_embeddings(path, allowlist)
+
+    monkeypatch.setattr(nameblind.cli, "load_embeddings", recording)
+    data, schema, embeddings = tiny_tabular
+    inputs = ["--schema", str(schema)]
+    want = {f"name{i:02d}" for i in range(20)} | {"zzunknown"}
+    if names == "text":
+        data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+        inputs = ["--format", "text", "--names-demographics", str(first_white),
+                  str(first_male), "--min-count", "1", "--top-fraction", "0"]
+        want = {name for line in data.read_text(encoding="utf-8").splitlines()
+                for name in line.split("\t")[1:3]}
+        assert len(want) == 11
+    elif names == "synthetic":
+        tables = [tmp_path / "white.tsv", tmp_path / "male.tsv"]
+        for column, path in enumerate(tables):
+            path.write_text("".join(
+                f"name{i:02d}\t{0.9 if (i >> column) & 1 else 0.1}\n"
+                for i in range(20)), encoding="utf-8")
+        inputs += ["--names-demographics", *map(str, tables)]
+        want = {f"name{i:02d}" for i in range(20)}
+    rc = main(["train", "--data", str(data), *inputs,
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--lambda", "1", "--seeds", "0", "--epochs", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert allowlists == [want]
+
+
+@pytest.mark.parametrize("fmt", ["tabular", "text"])
+def test_no_known_group_value_exit_1_before_any_fit(fmt, tiny_tabular, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    count_opens):
+    # every record lacks every evaluation attribute: text records none of
+    # whose names the tables hold, or CSV group columns left empty
+    import nameblind.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train called")
+
+    monkeypatch.setattr(nameblind.cli, "train", no_fit)
+    if fmt == "text":
+        data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+        for path in (first_white, first_male):
+            path.write_text("".join(f"xname{i}\t0.9\n" for i in range(5)),
+                            encoding="utf-8")
+        inputs = ["--format", "text", "--names-demographics", str(first_white),
+                  str(first_male), "--min-count", "1", "--top-fraction", "0"]
+        attributes = "(race)"
+    else:
+        data, schema, embeddings = tiny_tabular
+        rows = read_csv_rows(data)
+        data.write_text("".join(
+            ",".join(row[:2] + (row[2:4] if i == 0 else ["", ""]) + row[4:])
+            + "\n" for i, row in enumerate(rows)), encoding="utf-8")
+        inputs = ["--schema", str(schema)]
+        attributes = "(gender, race)"
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(data), *inputs,
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--lambda", "1", "--seeds", "0", "1", "--epochs", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: no record has a known value of any evaluation attribute "
+        f"{attributes}\n")
+    assert not out.exists()
+    assert count_opens[embeddings.resolve()] == 0
 
 
 # ----------------------------------------------- one parse per command, in order

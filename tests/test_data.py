@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nameblind.cli import ExperimentSpec
 from nameblind.data import (
     DEDUPE_DOCS,
     BinaryRows,
@@ -104,7 +105,7 @@ def test_load_tabular_minmax_endpoints(tmp_path):
 
 def test_load_tabular_one_hot_exactly_one(tmp_path):
     schema = TabularSchema.parse(SCHEMA_TEXT)
-    dataset = load_tabular(demo_csv(tmp_path), schema)
+    dataset = load_tabular(demo_csv(tmp_path), schema, fit_indices=range(4))
     color_cols = [
         j for j, nm in enumerate(dataset.feature_names) if nm.startswith("color=")
     ]
@@ -129,7 +130,7 @@ def test_load_tabular_unseen_category_zeros_and_logs(tmp_path, caplog):
 
 def test_load_tabular_group_sidecar_not_in_features(tmp_path):
     schema = TabularSchema.parse(SCHEMA_TEXT)
-    dataset = load_tabular(demo_csv(tmp_path), schema)
+    dataset = load_tabular(demo_csv(tmp_path), schema, fit_indices=range(4))
     sex = dataset.eval_groups.get("sex")
     assert sex.positive_label == "F"
     assert sex.negative_label == "M"
@@ -147,7 +148,7 @@ def test_load_tabular_unparseable_cell(tmp_path):
     path = write_csv(tmp_path, header, rows)
     schema = TabularSchema.parse("age continuous\nincome label\n")
     with pytest.raises(ValueError, match="row 3.*age"):
-        load_tabular(path, schema)
+        load_tabular(path, schema, fit_indices=[0])
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -188,11 +189,31 @@ def test_parse_tabular_rejects_empty_label(tmp_path, label):
         parse_tabular(path, schema)
 
 
+def test_fits_need_their_fit_rows(tmp_path):
+    # no fit-on-every-row default: it could only let evaluation rows into
+    # the scaling, the categories and the vocabulary
+    schema = TabularSchema.parse(SCHEMA_TEXT)
+    path = demo_csv(tmp_path)
+    with pytest.raises(TypeError):
+        load_tabular(path, schema)
+    with pytest.raises(TypeError):
+        fit_tabular(parse_tabular(path, schema))
+    text = tmp_path / "docs.tsv"
+    text.write_text("job\tn\tl\tsome words\n", encoding="utf-8")
+    records = parse_text(text)
+    with pytest.raises(TypeError):
+        fit_text(records, 1, 0.0)
+    with pytest.raises(TypeError):
+        fit_text(records, fit_indices=[0])
+    with pytest.raises(TypeError):
+        records.documents.fit_vocabulary(None, 1, 0.0)
+
+
 def test_load_tabular_schema_csv_mismatch(tmp_path):
     path = write_csv(tmp_path, ["age", "income"], [[1, "low"]])
     schema = TabularSchema.parse("age continuous\nheight continuous\nincome label\n")
     with pytest.raises(ValueError, match="height"):
-        load_tabular(path, schema)
+        load_tabular(path, schema, fit_indices=[0])
 
 
 BOM = b"\xef\xbb\xbf"
@@ -367,14 +388,17 @@ def vectorize(tmp_path, documents, min_count, top_fraction):
     path = tmp_path / "docs.tsv"
     path.write_text("".join(f"job\tn{i}\tl{i}\t{doc}\n"
                             for i, doc in enumerate(documents)), encoding="utf-8")
-    dataset = fit_text(parse_text(path), min_count, top_fraction)
+    dataset = fit_text(parse_text(path), min_count, top_fraction,
+                       range(len(documents)))
     return densify(dataset.features), dataset.feature_names
 
 
 def test_vectorize_defaults_match_pruning_rule():
-    sig = inspect.signature(fit_text)
-    assert sig.parameters["min_count"].default == 20
-    assert sig.parameters["top_fraction"].default == 0.10
+    # the spec holds the commands' pruning defaults; fit_text has none
+    spec = ExperimentSpec()
+    assert (spec.min_count, spec.top_fraction) == (20, 0.10)
+    parameters = inspect.signature(fit_text).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in parameters)
 
 
 def test_vectorize_presence_not_counts(tmp_path):
@@ -438,13 +462,14 @@ def test_load_text_end_to_end(tmp_path):
         "nurse\tCara\tDiaz\tShe helps patients in town\n",
         encoding="utf-8",
     )
-    dataset = fit_text(parse_text(path), min_count=1, top_fraction=0.0)
+    dataset = fit_text(parse_text(path), min_count=1, top_fraction=0.0,
+                       fit_indices=range(3))
     assert dataset.class_names == ["engineer", "nurse"]
     assert dataset.labels.tolist() == [1, 0, 1]
     assert dataset.first_names == ["Anna", "Bob", "Cara"]
     assert "she" in dataset.feature_names
     scrubbed = fit_text(parse_text(path, scrub_names=True), min_count=1,
-                        top_fraction=0.0)
+                        top_fraction=0.0, fit_indices=range(3))
     assert "she" not in scrubbed.feature_names
     assert "anna" not in scrubbed.feature_names
 
@@ -571,7 +596,7 @@ def test_binary_rows_match_dense_oracle():
         [7, 3],                               # a list
         np.array([], dtype=np.int64),         # empty selection
         [],
-        slice(None), slice(3, 8), slice(None, None, -3), slice(30, 10),
+        np.arange(40)[::-3],                  # descending
     ]
     for rows in selections:
         block = densify(features.take(rows))
@@ -625,6 +650,8 @@ def test_binary_rows_reject_bad_selections_and_indices():
         features.take(np.array([True, False, True]))
     with pytest.raises(TypeError):
         features.take(np.array([[0]]))
+    with pytest.raises(TypeError):  # as ndarray.take
+        features.take(slice(None))
     with pytest.raises(ValueError, match="out of range"):
         BinaryRows(np.array([0, 2]), np.array([0, 3]), 3)
     with pytest.raises(ValueError, match="indptr"):
@@ -708,7 +735,8 @@ def test_load_text_features_are_binary_rows(tmp_path):
         "".join(f"job{i % 2}\tn{i}\tl{i}\t{doc}\n" for i, doc in enumerate(docs)),
         encoding="utf-8",
     )
-    dataset = fit_text(parse_text(path), min_count=2, top_fraction=0.0)
+    dataset = fit_text(parse_text(path), min_count=2, top_fraction=0.0,
+                       fit_indices=range(4))
     vocab = ["a", "in", "nurse", "town"]
     dense = dense_bag_of_words([tokenize(doc) for doc in docs], vocab)
     assert isinstance(dataset.features, BinaryRows)
@@ -952,7 +980,7 @@ def test_fit_text_matches_load_text_oracle(tmp_path):
     documents[9] = "first1 First1, she HE mrs"   # emptied by --scrub
     path = tmp_path / "records.tsv"
     write_text_records(path, documents)
-    splits = [None, list(range(0, 150, 2)), list(range(75)),
+    splits = [range(150), list(range(0, 150, 2)), list(range(75)),
               np.random.default_rng(1).permutation(150)[:100],
               np.random.default_rng(2).integers(0, 150, 200)]  # repeats
     for scrub_names in (False, True):
@@ -966,7 +994,7 @@ def test_fit_text_matches_load_text_oracle(tmp_path):
                 same = fit_text(parse_text(path, scrub_names), min_count,
                                 top_fraction, fit_indices)
                 assert_text_dataset_matches(same, want)
-    assert load_text_loop(path, 1, 0.0, False, None)["rows"][4] == []
+    assert load_text_loop(path, 1, 0.0, False, range(150))["rows"][4] == []
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -982,7 +1010,7 @@ def test_vocabulary_fit_over_blocks_matches_oracle(block, tmp_path,
     path = tmp_path / "records.tsv"
     write_text_records(path, documents)
     records = parse_text(path)
-    for fit_indices in (None, rng.integers(0, 60, 90),
+    for fit_indices in (range(60), rng.integers(0, 60, 90),
                         [5, 5, 5, 6, 7, 5, 40, 40, *range(8, 30)]):
         for min_count, top_fraction in ((1, 0.0), (4, 0.2)):
             want = load_text_loop(path, min_count, top_fraction, False,
@@ -1001,16 +1029,18 @@ def test_fit_text_tie_at_cut_and_exact_min_count(tmp_path):
     path = tmp_path / "records.tsv"
     write_text_records(path, documents)
     records = parse_text(path)
+    every = range(len(documents))
     for min_count, want_exact in ((3, True), (4, False)):
-        want = load_text_loop(path, min_count, 0.2, False, None)
+        want = load_text_loop(path, min_count, 0.2, False, every)
         assert ("tie" in want["vocabulary"], "tied" in want["vocabulary"]) == (
             False, min_count <= 4)
         assert ("exact" in want["vocabulary"]) == want_exact
-        assert_text_dataset_matches(fit_text(records, min_count, 0.2), want)
-    want = load_text_loop(path, 1, 0.2, False, None)
+        assert_text_dataset_matches(fit_text(records, min_count, 0.2, every),
+                                    want)
+    want = load_text_loop(path, 1, 0.2, False, every)
     assert want["vocabulary"] == ["exact", "five", "four", "one", "six",
                                   "three", "tied", "two"]
-    assert_text_dataset_matches(fit_text(records, 1, 0.2), want)
+    assert_text_dataset_matches(fit_text(records, 1, 0.2, every), want)
     # fit on the first four documents: "common", "tie" and "tied" tie at
     # the top, and a cut of two drops the first two alphabetically
     want = load_text_loop(path, 1, 0.3, False, [0, 1, 2, 3])
@@ -1053,7 +1083,7 @@ def test_fit_tabular_matches_load_tabular_oracle(tmp_path, caplog):
     ))
     records = parse_tabular(path, schema)
     # the last ten rows hold the only "teal" and "" colors
-    for fit_indices in (None, list(range(50)), list(range(0, 50, 3)),
+    for fit_indices in (range(n), list(range(50)), list(range(0, 50, 3)),
                         np.random.default_rng(2).permutation(n)[:30]):
         want = load_tabular_loop(path, TABULAR_ROLES, fit_indices)
         caplog.clear()

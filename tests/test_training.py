@@ -467,7 +467,8 @@ def test_train_on_binary_rows_matches_dense(variant, tmp_path):
     # fits agree to rounding; sparse reruns agree bit for bit
     path = tmp_path / "bios.tsv"
     write_text_corpus(path, n_docs=700, n_words=120, seed=1)
-    sparse = fit_text(parse_text(path), min_count=1, top_fraction=0.0)
+    sparse = fit_text(parse_text(path), min_count=1, top_fraction=0.0,
+                      fit_indices=range(700))
     assert isinstance(sparse.features, BinaryRows)
     dense = Dataset(
         features=densify(sparse.features),
@@ -506,7 +507,8 @@ def grid_dataset(store, tmp_path):
         return dataset, toy_table(dataset.first_names[::3])
     path = tmp_path / "bios.tsv"
     write_text_corpus(path, n_docs=700, n_words=120, seed=1)
-    dataset = fit_text(parse_text(path), min_count=1, top_fraction=0.0)
+    dataset = fit_text(parse_text(path), min_count=1, top_fraction=0.0,
+                       fit_indices=range(700))
     assert isinstance(dataset.features, BinaryRows)
     return dataset, toy_table([f"first{i}" for i in range(0, 40, 2)], dim=6)
 
@@ -739,7 +741,8 @@ def test_train_memory_scales_with_nonzeros(tmp_path):
     # a dense copy of the training rows alone would be four times the bound
     path = tmp_path / "bios.tsv"
     write_text_corpus(path, n_docs=4000, n_words=2000, seed=2)
-    dataset = fit_text(parse_text(path), min_count=1, top_fraction=0.0)
+    dataset = fit_text(parse_text(path), min_count=1, top_fraction=0.0,
+                       fit_indices=range(4000))
     n_train = int(0.8 * len(dataset))
     dense_bytes = n_train * len(dataset.feature_names) * 8
     assert len(dataset.feature_names) >= 1500
