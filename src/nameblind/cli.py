@@ -63,7 +63,7 @@ from .training import (
 
 @dataclass
 class ExperimentSpec:
-    """Everything one run needs; the manifest echoes this verbatim."""
+    """Everything one run needs; the manifest echoes what its command takes."""
 
     data: str | None = None
     format: str = "tabular"
@@ -140,15 +140,18 @@ def _as_float_fields(value, hint):
     return value
 
 
-def _spec_from_args(args) -> ExperimentSpec:
+def _spec_from_args(args) -> tuple[ExperimentSpec, set[str]]:
+    """The run's spec, and the settings it takes: the command's options
+    less the other data format's. Any other setting, from a flag or the
+    config file, is a ValueError before any input is read."""
     values: dict = {}
+    fields = ExperimentSpec.__dataclass_fields__
     if getattr(args, "config", None):
         config_path = _require_file(args.config, "config file")
         with open(config_path, encoding="utf-8-sig") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        fields = ExperimentSpec.__dataclass_fields__
         unknown = set(loaded) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -158,11 +161,18 @@ def _spec_from_args(args) -> ExperimentSpec:
                 raise ValueError(f"config key {key!r} must be "
                                  f"{fields[key].type}, got {value!r}")
             values[key] = _as_float_fields(value, hints[key])
-    for name in ExperimentSpec.__dataclass_fields__:
+    for name in fields:
         arg = getattr(args, name, None)
         if arg is not None:
             values[name] = arg
-    return ExperimentSpec(**values)
+    fmt = values.get("format", "tabular")
+    other = {"schema"} if fmt == "text" else {"min_count", "top_fraction", "scrub"}
+    settings = (set(vars(args)) - other).intersection(fields)
+    refused = sorted(set(values) - settings)
+    if refused:
+        raise ValueError(f"a {fmt} {args.command} takes no "
+                         f"{', '.join(map(repr, refused))}")
+    return ExperimentSpec(**values), settings
 
 
 def _train_config(spec: ExperimentSpec, seed: int) -> TrainConfig:
@@ -198,9 +208,10 @@ class _Pipeline:
 
     Inputs are checked in a fixed order: every input file must exist
     (exit 2) before any is parsed; then the model file, the schema and the
-    name tables are parsed, then the data file (a malformed record is
-    exit 1), whose group labels must exist and hold a known value (exit 1
-    before any fit). Only then is the embedding file read, when
+    name tables are parsed (no name pool may be empty), then the data
+    file (a malformed record is exit 1), whose group labels must exist
+    and hold a known value, and every record both synthetic-name labels
+    (exit 1 before any fit). Only then is the embedding file read, when
     need_embeddings (table is None otherwise), for the names the seeds
     look up.
     """
@@ -224,6 +235,14 @@ class _Pipeline:
         if tabular:
             self.records = parse_tabular(spec.data, schema)
             known = {a.name: a.values >= 0 for a in self.records.attributes}
+            if self.partition is not None:  # its draw reads both labels
+                for name in (spec.race_attr, spec.gender_attr):
+                    if name not in known:
+                        raise ValueError(f"no group column named {name!r} "
+                                         "(--race-attr, --gender-attr)")
+                    if not known[name].all():
+                        raise ValueError("synthetic first names need a "
+                                         f"{name!r} value on every record")
         else:
             self.records = parse_text(spec.data, scrub_names=spec.scrub)
             known = {}
@@ -268,12 +287,7 @@ class _Pipeline:
         return dataset, split
 
 
-def _write_manifest(spec: ExperimentSpec, command: str, out: Path) -> None:
-    manifest = {
-        "command": command,
-        "spec": asdict(spec),
-        "toolkit_version": __version__,
-    }
+def _write_manifest(manifest: dict, out: Path) -> None:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -293,12 +307,12 @@ def _mean_or_none(values):
     return float(np.mean(defined))
 
 
-def cmd_train(spec: ExperimentSpec) -> int:
+def cmd_train(spec: ExperimentSpec, manifest: dict) -> int:
     out, pipeline = _fit_setup(spec, [spec.lam])
     reports = [_fit_seed(pipeline, seed, [spec.lam], out) for seed in spec.seeds]
     _write_summary(out / "summary.csv", {"variant": spec.variant}, spec.seeds,
                    [spec.lam], reports)
-    _write_manifest(spec, "train", out)
+    _write_manifest(manifest, out)
     written = [name for seed in spec.seeds for name in _seed_files(seed)]
     for name in sorted([*written, "summary.csv", "manifest.json"]):
         print(f"wrote {out / name}")
@@ -385,7 +399,8 @@ def _bias_report(params, dataset, rows):
                        class_names=dataset.class_names)
 
 
-def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
+def cmd_evaluate(spec: ExperimentSpec, manifest: dict, model_path: str,
+                 subset: str) -> int:
     pipeline = _Pipeline(spec, need_embeddings=False,
                          model_path=_require_file(model_path, "model file"))
     params, feature_names, class_names = pipeline.model
@@ -405,12 +420,12 @@ def cmd_evaluate(spec: ExperimentSpec, model_path: str, subset: str) -> int:
     report = _bias_report(params, dataset, indices)
     out = _out_dir(spec)
     write_bias_report_csv(report, out / "evaluation.csv")
-    _write_manifest(spec, "evaluate", out)
+    _write_manifest(manifest, out)
     print(f"wrote {out / 'evaluation.csv'}")
     return 0
 
 
-def cmd_sweep(spec: ExperimentSpec) -> int:
+def cmd_sweep(spec: ExperimentSpec, manifest: dict) -> int:
     if len(spec.lambdas) < 2:
         raise ValueError("sweep needs at least two --lambdas values")
     if len(set(spec.lambdas)) < len(spec.lambdas):
@@ -418,12 +433,12 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     out, pipeline = _fit_setup(spec, spec.lambdas)
     reports = [_fit_seed(pipeline, seed, spec.lambdas) for seed in spec.seeds]
     _write_summary(out / "sweep.csv", {}, spec.seeds, spec.lambdas, reports)
-    _write_manifest(spec, "sweep", out)
+    _write_manifest(manifest, out)
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
 
-def cmd_cluster_report(spec: ExperimentSpec) -> int:
+def cmd_cluster_report(spec: ExperimentSpec, manifest: dict) -> int:
     if spec.k < 1:  # kmeans's own check, before any input is read
         raise ValueError("k must be positive")
     pipeline = _Pipeline(spec, need_embeddings=True)
@@ -463,7 +478,7 @@ def cmd_cluster_report(spec: ExperimentSpec) -> int:
                     if code == -1 and count == 0:
                         continue
                     writer.writerow([cluster_name, attr.name, value_name, count])
-    _write_manifest(spec, "cluster-report", out)
+    _write_manifest(manifest, out)
     print(f"wrote {out / 'cluster_report.csv'}")
     return 0
 
@@ -579,17 +594,20 @@ def run(args) -> int:
     if args.command == "weights-report":
         return cmd_weights_report(args.model, args.class_name, args.features,
                                   args.out)
-    spec = _spec_from_args(args)
+    spec, settings = _spec_from_args(args)
     if spec.out is None:  # before any input is read
         raise ValueError("--out is required")
+    # only the settings the run takes, so its spec reruns as --config
+    manifest = {"command": args.command, "toolkit_version": __version__,
+                "spec": {k: v for k, v in asdict(spec).items() if k in settings}}
     if args.command == "train":
-        return cmd_train(spec)
+        return cmd_train(spec, manifest)
     if args.command == "evaluate":
-        return cmd_evaluate(spec, args.model, args.split)
+        return cmd_evaluate(spec, manifest, args.model, args.split)
     if args.command == "sweep":
-        return cmd_sweep(spec)
+        return cmd_sweep(spec, manifest)
     if args.command == "cluster-report":
-        return cmd_cluster_report(spec)
+        return cmd_cluster_report(spec, manifest)
     raise ValueError(f"unknown command {args.command!r}")
 
 

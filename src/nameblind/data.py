@@ -182,7 +182,7 @@ class Dataset:
     last_names: list[str | None]
     feature_names: list[str]
     class_names: list[str]
-    eval_groups: GroupLabels | None = None
+    eval_groups: GroupLabels = field(default_factory=GroupLabels)
 
     def __post_init__(self):
         if not isinstance(self.features, BinaryRows):
@@ -526,8 +526,7 @@ def fit_tabular(records: TabularRecords, fit_indices) -> Dataset:
         last_names=records.last_names,
         feature_names=feature_names,
         class_names=list(records.class_names),
-        eval_groups=(GroupLabels(list(records.attributes))
-                     if records.attributes else None),
+        eval_groups=GroupLabels(list(records.attributes)),
     )
 
 
@@ -584,21 +583,25 @@ def load_name_probabilities(path) -> dict[str, float]:
 
 @dataclass
 class NamePartition:
-    """First names split into four disjoint race-by-gender categories."""
+    """First names in four disjoint race-by-gender pools.
 
-    white_male: set[str]
-    white_female: set[str]
-    nonwhite_male: set[str]
-    nonwhite_female: set[str]
+    pools[2 * white + male] lists the names of that category, sorted; the
+    pools are checked when the partition is made, and ValueError names an
+    empty one.
+    """
 
-    def category(self, white: bool, male: bool) -> set[str]:
-        if white:
-            return self.white_male if male else self.white_female
-        return self.nonwhite_male if male else self.nonwhite_female
+    pools: list[list[str]]
+
+    def __post_init__(self):
+        self.pools = [sorted(pool) for pool in self.pools]
+        for key, pool in enumerate(self.pools):
+            if not pool:
+                raise ValueError(
+                    f"empty name category for (white={key // 2}, male={key % 2}):"
+                    " no name present in both first-name tables falls in it")
 
     def all_names(self) -> set[str]:
-        return (self.white_male | self.white_female
-                | self.nonwhite_male | self.nonwhite_female)
+        return set().union(*self.pools)
 
 
 def partition_names(demographics: NameDemographics) -> NamePartition:
@@ -608,47 +611,33 @@ def partition_names(demographics: NameDemographics) -> NamePartition:
     0.5 (likewise "male"), so a probability of exactly 0.5 lands in the
     complement category.
     """
-    shared = set(demographics.first_white) & set(demographics.first_male)
-    if not shared:
-        raise ValueError("no names present in both demographics tables")
-    part = NamePartition(set(), set(), set(), set())
-    for name in shared:
+    pools = [[], [], [], []]
+    for name in set(demographics.first_white) & set(demographics.first_male):
         white = demographics.first_white[name] > 0.5
         male = demographics.first_male[name] > 0.5
-        part.category(white, male).add(name)
-    return part
+        pools[2 * white + male].append(name)
+    return NamePartition(pools)
 
 
 def assign_synthetic_names(dataset: Dataset, partition: NamePartition,
-                           seed: int, race_attr: str = "race",
-                           gender_attr: str = "gender") -> Dataset:
-    """Fill first_names by sampling from each record's race-gender category.
+                           seed: int, race_attr: str, gender_attr: str) -> Dataset:
+    """Fill first_names by sampling from each record's race-gender pool.
 
     The positive group of race_attr is mapped to the partition's "white"
-    categories and the positive group of gender_attr to "male". Every
-    record must carry both attribute values. Last names are left empty.
+    pools and the positive group of gender_attr to "male". Every record
+    must carry both attribute values. Last names are left empty.
     """
-    if dataset.eval_groups is None:
-        raise ValueError("dataset has no evaluation group labels")
     race = dataset.eval_groups.get(race_attr).values
     gender = dataset.eval_groups.get(gender_attr).values
     if np.any(race == -1) or np.any(gender == -1):
         raise ValueError("every record needs race and gender labels")
-    # pool 2 * white + male, the four sorted pools laid end to end
-    pools = [sorted(partition.category(bool(white), bool(male)))
-             for white in (0, 1) for male in (0, 1)]
-    for key, pool in enumerate(pools):
-        if not pool:
-            raise ValueError(
-                f"empty name category for (white={key // 2}, male={key % 2})"
-            )
-    sizes = np.array([len(pool) for pool in pools])
+    sizes = np.array([len(pool) for pool in partition.pools])
     starts = np.cumsum(sizes) - sizes
     category = 2 * race.astype(np.int64) + gender
     # one bounded draw per record, in record order: the same stream as a
     # scalar rng.integers(len(pool)) per record
     drawn = np.random.default_rng(seed).integers(0, sizes[category])
-    names = list(itertools.chain.from_iterable(pools))
+    names = list(itertools.chain.from_iterable(partition.pools))
     dataset.first_names = [names[i] for i in (starts[category] + drawn).tolist()]
     dataset.last_names = [None] * len(dataset)
     return dataset

@@ -68,10 +68,10 @@ class EmbeddingTable:
         tokens, vectors = fields["tokens"], fields["vectors"]
         if vectors.dtype != np.float64 or vectors.shape != (len(tokens), dimension):
             raise ValueError("vectors of another dtype or shape")
-        # one array per row, as the scan makes: row views would keep the
-        # whole (R, d) block alive, which raised the peak RSS of the
-        # bios-cocl-sweep benchmark by 2.3 MB where per-row copies lowered
-        # it by 0.7 MB
+        # one array per row, as the scan makes; row views of the block moved
+        # the benchmark's child peak RSS (warm caches, seed 1) by under 2 MB
+        # either way: bios-cocl-sweep 78.8 -> 77.0 MB, adult-cocl-sweep
+        # 91.9 -> 92.2, bios-clucl-train 81.2 -> 81.3
         return cls(dimension, dict(zip(tokens, map(np.array, vectors))))
 
 
@@ -224,15 +224,6 @@ def _scan(fh, path, wanted) -> EmbeddingTable:
             if row is not None:
                 entries[row[0]] = row[1]
     return EmbeddingTable(dimension=dimension, entries=entries)
-
-
-def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Write the table back in the same text format (exact round-trip)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.entries)} {table.dimension}\n")
-        for token, vector in table.entries.items():
-            values = " ".join(repr(float(v)) for v in vector)
-            fh.write(f"{token} {values}\n")
 
 
 @dataclass(frozen=True)

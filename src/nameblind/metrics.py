@@ -53,9 +53,6 @@ class GroupLabels:
                 return attr
         raise KeyError(f"no group attribute named {name!r}")
 
-    def __len__(self) -> int:
-        return len(self.attributes)
-
 
 def _class_tprs(predictions, labels, mask, num_classes: int):
     """Per class c < num_classes, the TPR of the records in mask and its

@@ -15,7 +15,7 @@ import csv
 import numpy as np
 
 from nameblind.data import Dataset
-from nameblind.embeddings import EmbeddingTable, save_embeddings
+from nameblind.embeddings import EmbeddingTable
 from nameblind.metrics import GroupAttribute, GroupLabels, bias_report
 from nameblind.model import predict_batch
 from nameblind.training import TrainConfig, train
@@ -115,6 +115,15 @@ def run_benchmark(variant, lam, seeds, k=2, **train_overrides):
         gaps.append(report.get(ATTRIBUTE).gap_rms)
         balanced.append(report.balanced_tpr)
     return float(np.mean(gaps)), float(np.mean(balanced))
+
+
+def save_embeddings(table: EmbeddingTable, path) -> None:
+    """Write the table in the vector-file text format (exact round-trip)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table.entries)} {table.dimension}\n")
+        for token, vector in table.entries.items():
+            values = " ".join(repr(float(v)) for v in vector)
+            fh.write(f"{token} {values}\n")
 
 
 def write_benchmark_files(directory, seed):

@@ -980,6 +980,105 @@ def test_config_with_a_byte_order_mark(tiny_tabular, tmp_path):
     assert manifests[1] == manifests[0]
 
 
+@pytest.mark.parametrize("command, extra, config, refused", [
+    pytest.param("sweep", ["--lambdas", "0", "1"], {"lam": 5}, "'lam'",
+                 id="sweep-lam"),
+    pytest.param("evaluate", ["--model", "model.txt"],
+                 {"variant": "cocl", "epochs": 7}, "'epochs', 'variant'",
+                 id="evaluate-fit-settings"),
+    pytest.param("train", [], {"lambdas": [0, 1]}, "'lambdas'",
+                 id="train-lambdas"),
+    pytest.param("cluster-report", [], {"min_count": 5}, "'min_count'",
+                 id="tabular-min-count"),
+])
+def test_a_config_key_the_run_does_not_take_exit_1(
+        command, extra, config, refused, tiny_tabular, tmp_path, capsys,
+        count_opens):
+    # it was echoed into the manifest, but never used
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main([command, "--config", str(config_path), "--data", str(data),
+               "--schema", str(schema), *extra, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: a tabular {command} takes no {refused}\n")
+    assert not out.exists()
+    assert count_opens[data.resolve()] == 0
+
+
+@pytest.mark.parametrize("fmt", ["tabular", "text"])
+def test_a_flag_of_the_other_data_format_exit_1(fmt, tiny_tabular, tmp_path,
+                                                capsys, count_opens):
+    # the text pruning settings on tabular data, a schema on text data
+    if fmt == "tabular":
+        data, schema, _ = tiny_tabular
+        argv = ["--schema", str(schema), "--min-count", "0",
+                "--top-fraction", "5", "--scrub"]
+        refused = "'min_count', 'scrub', 'top_fraction'"
+    else:
+        data = write_text_inputs(tmp_path)[0]
+        argv = ["--format", "text", "--schema", "/nonexistent/schema.txt"]
+        refused = "'schema'"
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(data), *argv, "--variant", "none",
+               "--seeds", "0", "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: a {fmt} train takes no {refused}\n")
+    assert not out.exists()
+    assert count_opens[data.resolve()] == 0
+
+
+@pytest.mark.parametrize("fmt", ["tabular", "text"])
+@pytest.mark.parametrize("command", ["train", "sweep", "evaluate",
+                                     "cluster-report"])
+def test_a_manifest_echoes_the_settings_its_run_takes(command, fmt,
+                                                      tiny_tabular, tmp_path):
+    # so its spec reruns as --config of the same command, to the same bytes
+    if fmt == "tabular":
+        data, schema, embeddings = tiny_tabular
+        inputs = ["--data", str(data), "--schema", str(schema)]
+        want = {"schema"}
+    else:
+        data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+        inputs = ["--data", str(data), "--format", "text",
+                  "--names-demographics", str(first_white), str(first_male),
+                  "--min-count", "1", "--top-fraction", "0"]
+        want = {"min_count", "top_fraction", "scrub"}
+    want |= {"data", "format", "embeddings", "names_demographics", "race_attr",
+             "gender_attr", "out"}
+    inputs += ["--embeddings", str(embeddings), "--seeds", "0"]
+    fit = {"variant", "k", "seeds", "epochs", "batch_size", "lr", "l2"}
+    model = tmp_path / "fit" / "model_seed0.txt"
+    extra, takes = {
+        "train": (["--variant", "cocl", "--lambda", "1", "--epochs", "1"],
+                  {*fit, "lam"}),
+        "sweep": (["--variant", "cocl", "--lambdas", "0", "1", "--epochs", "1"],
+                  {*fit, "lambdas"}),
+        "evaluate": (["--model", str(model)], {"seeds"}),
+        "cluster-report": (["--k", "2"], {"k", "seeds"}),
+    }[command]
+    if command == "evaluate":
+        assert main(["train", *inputs, "--variant", "none", "--epochs", "1",
+                     "--out", str(model.parent)]) == 0
+    out = tmp_path / "out"
+    assert main([command, *inputs, *extra, "--out", str(out)]) == 0
+    runs = [{p.name: p.read_bytes() for p in sorted(out.iterdir())}]
+    manifest = json.loads(runs[0]["manifest.json"])
+    assert manifest["command"] == command
+    assert set(manifest["spec"]) == want | takes
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps(manifest["spec"]), encoding="utf-8")
+    for path in out.iterdir():
+        path.unlink()
+    model_flag = ["--model", str(model)] if command == "evaluate" else []
+    assert main([command, "--config", str(config_path), *model_flag]) == 0
+    runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs[1] == runs[0]
+
+
 def test_truncated_model_exit_1(tiny_tabular, tmp_path, capsys):
     data, schema, embeddings = tiny_tabular
     out = tmp_path / "out"
@@ -1172,12 +1271,7 @@ def test_vector_scan_keeps_only_the_names_looked_up(names, tiny_tabular,
                 for name in line.split("\t")[1:3]}
         assert len(want) == 11
     elif names == "synthetic":
-        tables = [tmp_path / "white.tsv", tmp_path / "male.tsv"]
-        for column, path in enumerate(tables):
-            path.write_text("".join(
-                f"name{i:02d}\t{0.9 if (i >> column) & 1 else 0.1}\n"
-                for i in range(20)), encoding="utf-8")
-        inputs += ["--names-demographics", *map(str, tables)]
+        inputs += ["--names-demographics", *map(str, write_name_tables(tmp_path))]
         want = {f"name{i:02d}" for i in range(20)}
     rc = main(["train", "--data", str(data), *inputs,
                "--embeddings", str(embeddings), "--variant", "cocl",
@@ -1226,6 +1320,68 @@ def test_no_known_group_value_exit_1_before_any_fit(fmt, tiny_tabular, tmp_path,
         f"{attributes}\n")
     assert not out.exists()
     assert count_opens[embeddings.resolve()] == 0
+
+
+def write_name_tables(tmp_path, empty=None):
+    """First-name white and male tables of tiny_tabular's names: name i is
+    white when bit 0 of i is set and male when bit 1 is. empty, a (white,
+    male) pair, leaves that pool's names out."""
+    pools = {f"name{i:02d}": (i & 1, i >> 1 & 1) for i in range(20)}
+    names = [name for name, pool in pools.items() if pool != empty]
+    tables = [tmp_path / "white.tsv", tmp_path / "male.tsv"]
+    for column, path in enumerate(tables):
+        path.write_text("".join(f"{name}\t{0.9 if pools[name][column] else 0.1}\n"
+                                for name in names), encoding="utf-8")
+    return tables
+
+
+def test_an_empty_name_pool_exit_1_before_the_data_file_is_read(
+        tiny_tabular, tmp_path, capsys, count_opens):
+    data, schema, embeddings = tiny_tabular
+    tables = write_name_tables(tmp_path, empty=(1, 0))
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(data), "--schema", str(schema),
+               "--names-demographics", *map(str, tables),
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--lambda", "1", "--seeds", "0", "--epochs", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: empty name category for (white=1, male=0): no name present "
+        "in both first-name tables falls in it\n")
+    assert count_opens[data.resolve()] == 0
+    assert count_opens[embeddings.resolve()] == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    pytest.param("unknown attribute",
+                 "no group column named 'ethnicity' (--race-attr, --gender-attr)",
+                 id="unknown-attribute"),
+    pytest.param("empty race cell",
+                 "synthetic first names need a 'race' value on every record",
+                 id="empty-race-cell"),
+])
+def test_synthetic_name_labels_exit_1_before_the_vector_scan(
+        case, message, tiny_tabular, tmp_path, capsys, count_opens):
+    data, schema, embeddings = tiny_tabular
+    argv = ["--names-demographics", *map(str, write_name_tables(tmp_path))]
+    if case == "unknown attribute":
+        argv += ["--race-attr", "ethnicity"]
+    else:
+        rows = read_csv_rows(data)
+        rows[7][3] = ""
+        data.write_text("".join(",".join(row) + "\n" for row in rows),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(data), "--schema", str(schema), *argv,
+               "--embeddings", str(embeddings), "--variant", "cocl",
+               "--lambda", "1", "--seeds", "0", "--epochs", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert count_opens[embeddings.resolve()] == 0
+    assert not out.exists()
 
 
 # ----------------------------------------------- one parse per command, in order

@@ -13,6 +13,7 @@ from nameblind.data import (
     BinaryRows,
     Dataset,
     NameDemographics,
+    NamePartition,
     TabularSchema,
     TokenizedDocuments,
     assign_synthetic_names,
@@ -253,11 +254,12 @@ def demo_tables():
 
 def test_partition_names_routing_and_boundary():
     part = partition_names(demo_tables())
-    assert "anna" in part.white_female      # 0.9 white, 0.1 male
-    assert "dan" in part.white_male
-    assert "bob" in part.nonwhite_male
+    # pools[2 * white + male]
+    assert "anna" in part.pools[2]      # 0.9 white, 0.1 male
+    assert "dan" in part.pools[3]
+    assert "bob" in part.pools[1]
     # cara has p_white exactly 0.5: strictly-greater rule -> non-white
-    assert "cara" in part.nonwhite_female
+    assert "cara" in part.pools[0]
     # emma / fred appear in only one table each -> excluded
     assert "emma" not in part.all_names()
     assert "fred" not in part.all_names()
@@ -265,10 +267,8 @@ def test_partition_names_routing_and_boundary():
 
 def test_partition_sets_disjoint_and_cover_intersection():
     part = partition_names(demo_tables())
-    sets = [part.white_male, part.white_female,
-            part.nonwhite_male, part.nonwhite_female]
-    union = set().union(*sets)
-    assert sum(len(s) for s in sets) == len(union)
+    union = set().union(*part.pools)
+    assert sum(len(pool) for pool in part.pools) == len(union)
     tables = demo_tables()
     assert union == set(tables.first_white) & set(tables.first_male)
 
@@ -277,6 +277,33 @@ def test_partition_empty_intersection():
     with pytest.raises(ValueError, match="both"):
         partition_names(NameDemographics(first_white={"a": 1.0},
                                          first_male={"b": 1.0}))
+
+
+def test_partition_names_gives_four_sorted_disjoint_pools():
+    # names in a shuffled order, each pool 2 * white + male by the 0.5 rule
+    rng = np.random.default_rng(4)
+    names = [f"n{i:03d}" for i in rng.permutation(200)]
+    white = {name: float(rng.choice([0.1, 0.5, 0.9])) for name in names}
+    male = {name: float(rng.choice([0.2, 0.5, 0.8])) for name in names}
+    part = partition_names(NameDemographics(white, male))
+    assert len(part.pools) == 4
+    for key, pool in enumerate(part.pools):
+        assert pool == sorted(pool)
+        assert set(pool) == {name for name in names
+                             if 2 * (white[name] > 0.5) + (male[name] > 0.5) == key}
+    assert sum(map(len, part.pools)) == len(names)
+
+
+def test_name_partition_rejects_an_empty_pool():
+    with pytest.raises(ValueError,
+                       match=r"^empty name category for \(white=0, male=1\)"):
+        NamePartition([["a"], [], ["b"], ["c"]])
+    # the tables hold no white woman's name
+    with pytest.raises(ValueError, match=r"\(white=1, male=0\)"):
+        partition_names(NameDemographics(
+            first_white={"a": 0.1, "b": 0.1, "c": 0.9},
+            first_male={"a": 0.1, "b": 0.9, "c": 0.9}))
+    assert NamePartition([["b", "a"], ["c"], ["d"], ["e"]]).pools[0] == ["a", "b"]
 
 
 def big_partition():
@@ -317,11 +344,12 @@ def test_assign_synthetic_names_routes_by_category():
     rng = np.random.default_rng(0)
     dataset = grouped_dataset(200, rng)
     part = big_partition()
-    assign_synthetic_names(dataset, part, seed=1)
+    assign_synthetic_names(dataset, part, seed=1, race_attr="race",
+                           gender_attr="gender")
     race = dataset.eval_groups.get("race").values
     gender = dataset.eval_groups.get("gender").values
     for i, name in enumerate(dataset.first_names):
-        assert name in part.category(bool(race[i]), bool(gender[i]))
+        assert name in part.pools[2 * race[i] + gender[i]]
     assert all(last is None for last in dataset.last_names)
 
 
@@ -338,8 +366,9 @@ def test_assign_synthetic_names_deterministic():
         eval_groups=dataset_a.eval_groups,
     )
     part = big_partition()
-    assign_synthetic_names(dataset_a, part, seed=7)
-    assign_synthetic_names(dataset_b, part, seed=7)
+    for dataset in (dataset_a, dataset_b):
+        assign_synthetic_names(dataset, part, seed=7, race_attr="race",
+                               gender_attr="gender")
     assert dataset_a.first_names == dataset_b.first_names
 
 
@@ -362,8 +391,9 @@ def test_assign_synthetic_names_uniform_within_category():
         ),
     )
     part = big_partition()
-    assign_synthetic_names(dataset, part, seed=3)
-    pool = sorted(part.white_male)
+    assign_synthetic_names(dataset, part, seed=3, race_attr="race",
+                           gender_attr="gender")
+    pool = part.pools[3]
     counts = {name: 0 for name in pool}
     for name in dataset.first_names:
         counts[name] += 1
@@ -377,7 +407,35 @@ def test_assign_synthetic_names_missing_label():
     dataset = grouped_dataset(4, np.random.default_rng(2))
     dataset.eval_groups.get("race").values[1] = -1
     with pytest.raises(ValueError, match="race and gender"):
+        assign_synthetic_names(dataset, big_partition(), seed=0,
+                               race_attr="race", gender_attr="gender")
+
+
+def test_assign_synthetic_names_takes_no_default_attributes():
+    # cli.ExperimentSpec holds the commands' "race" and "gender"
+    dataset = grouped_dataset(4, np.random.default_rng(2))
+    with pytest.raises(TypeError):
         assign_synthetic_names(dataset, big_partition(), seed=0)
+    with pytest.raises(TypeError):
+        assign_synthetic_names(dataset, big_partition(), 0, race_attr="race")
+    assert dataset.first_names == [None] * 4
+    spec = ExperimentSpec()
+    assert (spec.race_attr, spec.gender_attr) == ("race", "gender")
+
+
+def test_a_dataset_without_groups_holds_empty_group_labels(tmp_path):
+    made = [Dataset(np.zeros((2, 1)), [0, 0], [None] * 2, [None] * 2, ["x"],
+                    ["c"]) for _ in range(2)]
+    schema = TabularSchema.parse(SCHEMA_TEXT.replace(" group=F", ""))
+    made.append(load_tabular(demo_csv(tmp_path), schema, fit_indices=range(4)))
+    path = tmp_path / "docs.tsv"
+    path.write_text("a\tn\tl\tsome words\nb\tm\tk\tother words\n",
+                    encoding="utf-8")
+    made.append(fit_text(parse_text(path), 1, 0.0, range(2)))
+    for dataset in made:
+        assert isinstance(dataset.eval_groups, GroupLabels)
+        assert dataset.eval_groups.attributes == []
+    assert made[0].eval_groups is not made[1].eval_groups
 
 
 # ------------------------------------------------------------------ text pipeline
@@ -938,14 +996,15 @@ def test_assign_synthetic_names_matches_loop_oracle():
             first_white[name] = 0.9 if white else 0.1
             first_male[name] = 0.9 if male else 0.1
     part = partition_names(NameDemographics(first_white, first_male))
-    pools = {key: sorted(part.category(bool(key[0]), bool(key[1])))
-             for key in sizes}
+    pools = {(white, male): part.pools[2 * white + male]
+             for white, male in sizes}
     assert {key: len(pool) for key, pool in pools.items()} == sizes
     for seed in range(20):
         dataset = grouped_dataset(600, np.random.default_rng(100 + seed))
         race = dataset.eval_groups.get("race").values
         gender = dataset.eval_groups.get("gender").values
-        assign_synthetic_names(dataset, part, seed=seed)
+        assign_synthetic_names(dataset, part, seed=seed, race_attr="race",
+                               gender_attr="gender")
         assert dataset.first_names == synthetic_names_loop(race, gender, pools, seed)
         assert dataset.last_names == [None] * 600
 

@@ -16,10 +16,10 @@ from nameblind.embeddings import (
     batch_name_vectors,
     load_embeddings,
     normalize_token,
-    save_embeddings,
 )
 
 from oracles import load_embeddings_split, name_vectors_loop
+from synth_benchmark import save_embeddings
 
 
 def write_vectors(tmp_path, text, name="vectors.txt"):

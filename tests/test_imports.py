@@ -38,7 +38,7 @@ def test_package_imports_only_stdlib_and_numpy():
 # and ClusterModel.inertia_history (the k-means acceptance criterion and
 # bench/child.py's capture).
 KEEP = {
-    "load_tabular", "save_embeddings", "clucl_penalty", "cocl_penalty",
+    "load_tabular", "clucl_penalty", "cocl_penalty",
     "penalty_value", "penalty_gradient", "predict_batch", "BiasReport.get",
     "TrainResult.split", "GridResult.split", "ClusterModel.iterations_run",
     "ClusterModel.inertia_history",
