@@ -63,7 +63,7 @@ from .training import (
 
 @dataclass
 class ExperimentSpec:
-    """Everything one run needs; the manifest echoes what its command takes."""
+    """Everything one run needs; the manifest echoes what the run takes."""
 
     data: str | None = None
     format: str = "tabular"
@@ -107,6 +107,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown data format {self.format!r}")
         if self.format == "text":  # fit_text's check, before any input is read
             check_pruning(self.min_count, self.top_fraction)
+        last = "[, last-name-white]" if self.format == "text" else ""
+        tables = len(self.names_demographics)
+        if tables and not 2 <= tables <= 2 + bool(last):
+            raise ValueError(f"--names-demographics on {self.format} data "
+                             f"takes first-name-white, first-name-male{last}")
 
 
 def _require_file(path, what: str) -> str:
@@ -142,8 +147,8 @@ def _as_float_fields(value, hint):
 
 def _spec_from_args(args) -> tuple[ExperimentSpec, set[str]]:
     """The run's spec, and the settings it takes: the command's options
-    less the other data format's. Any other setting, from a flag or the
-    config file, is a ValueError before any input is read."""
+    that its data format and name tables read. Any other setting, from a
+    flag or the config file, is a ValueError before any input is read."""
     values: dict = {}
     fields = ExperimentSpec.__dataclass_fields__
     if getattr(args, "config", None):
@@ -166,8 +171,14 @@ def _spec_from_args(args) -> tuple[ExperimentSpec, set[str]]:
         if arg is not None:
             values[name] = arg
     fmt = values.get("format", "tabular")
-    other = {"schema"} if fmt == "text" else {"min_count", "top_fraction", "scrub"}
-    settings = (set(vars(args)) - other).intersection(fields)
+    unread = {"schema"} if fmt == "text" else {"min_count", "top_fraction", "scrub"}
+    # the attribute names' one reader is a tabular run's synthetic-name
+    # draw; a text record's one attribute is "race"
+    if fmt == "text" or not values.get("names_demographics"):
+        unread |= {"race_attr", "gender_attr"}
+    if fmt == "tabular" and args.command == "evaluate":  # reads group columns
+        unread.add("names_demographics")
+    settings = (set(vars(args)) - unread).intersection(fields)
     refused = sorted(set(values) - settings)
     if refused:
         raise ValueError(f"a {fmt} {args.command} takes no "
@@ -186,17 +197,6 @@ def _train_config(spec: ExperimentSpec, seed: int) -> TrainConfig:
         seed=seed,
         l2_coeff=spec.l2,
     )
-
-
-def _demographics_files(spec: ExperimentSpec) -> list[str]:
-    """The --names-demographics files, each checked to exist."""
-    paths = spec.names_demographics
-    if paths and len(paths) not in (2, 3):
-        raise ValueError(
-            "--names-demographics takes 2 or 3 files: "
-            "first-name-white, first-name-male[, last-name-white]"
-        )
-    return [_require_file(p, "name-demographics table") for p in paths]
 
 
 class _Pipeline:
@@ -223,7 +223,8 @@ class _Pipeline:
         _require_file(spec.data, "data file")
         if tabular:
             _require_file(spec.schema, "schema file")
-        demographics = _demographics_files(spec)
+        demographics = [_require_file(p, "name-demographics table")
+                        for p in spec.names_demographics]
         if need_embeddings or spec.embeddings:
             _require_file(spec.embeddings, "embeddings file")
         self.model = load_model(model_path) if model_path else None
@@ -249,7 +250,7 @@ class _Pipeline:
             if tables:
                 self.p_white = white_probabilities(
                     self.records.first_names, self.records.last_names, tables)
-                known[spec.race_attr] = ~np.isnan(self.p_white)
+                known["race"] = ~np.isnan(self.p_white)
         if not known:
             raise ValueError(
                 "the data has no evaluation group labels; declare a group= "
@@ -282,8 +283,7 @@ class _Pipeline:
                                self.spec.top_fraction, split[0])
             if self.p_white is not None:
                 dataset.eval_groups = GroupLabels(
-                    [draw_race_labels(self.p_white, seed, self.spec.race_attr)]
-                )
+                    [draw_race_labels(self.p_white, seed)])
         return dataset, split
 
 
@@ -530,19 +530,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="dataset file (CSV or tab-separated text)")
         p.add_argument("--format", choices=("tabular", "text"))
         p.add_argument("--schema", help="schema file for tabular data")
-        p.add_argument("--embeddings", help="word-vector text file")
         p.add_argument(
             "--names-demographics", dest="names_demographics", nargs="+",
             help="first-name-white, first-name-male[, last-name-white] tables",
         )
-        p.add_argument("--race-attr", dest="race_attr")
-        p.add_argument("--gender-attr", dest="gender_attr")
         p.add_argument("--min-count", dest="min_count", type=int)
         p.add_argument("--top-fraction", dest="top_fraction", type=float)
         p.add_argument("--scrub", action=argparse.BooleanOptionalAction)
         p.add_argument("--out", help="output directory")
 
+    def add_names(p):  # the name vectors and the synthetic-name attributes
+        p.add_argument("--embeddings", help="word-vector text file")
+        p.add_argument("--race-attr", dest="race_attr")
+        p.add_argument("--gender-attr", dest="gender_attr")
+
     def add_train(p):
+        add_names(p)
         p.add_argument("--variant", choices=("none", "clucl", "cocl"))
         p.add_argument("--k", type=int, help="clusters for the cluster penalty")
         p.add_argument("--seeds", nargs="+", type=int)
@@ -574,6 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster-report", help="cluster name vectors, count groups per cluster"
     )
     add_io(p_cluster)
+    add_names(p_cluster)
     p_cluster.add_argument("--k", type=int)
     p_cluster.add_argument("--seeds", nargs="+", type=int,
                            help="only the first seed is used (split, name draws, "

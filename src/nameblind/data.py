@@ -261,9 +261,7 @@ class TabularSchema:
                     raise ValueError(
                         f"schema line {line_no}: unknown role {token!r}"
                     )
-            if role is None:
-                if group_positive is None:
-                    raise ValueError(f"schema line {line_no}: missing role")
+            if role is None:  # the tokens were group=VALUE only
                 role = "group"
             if role == "group" and group_positive is None:
                 raise ValueError(
@@ -282,30 +280,21 @@ class TabularSchema:
 
 def read_csv_rows(fh, path):
     """Header and data rows of the CSV file at path, open as fh (with
-    newline=""), cells stripped of whitespace; blank lines hold no row."""
+    newline=""), cells stripped of whitespace, and the file line each data
+    row starts on, an array('q'); blank lines hold no row."""
     reader = csv.reader(fh)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ValueError(f"{path}: empty CSV file") from None
-    return header, [[cell.strip() for cell in row] for row in reader if row]
-
-
-def _row_line(path, index: int) -> int:
-    """The file line that data row index of read_csv_rows(path) starts on.
-
-    Read again only to report an error, so the parse holds no line
-    number per row.
-    """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        starts, start = [], reader.line_num + 1
-        for row in reader:
-            if row:
-                starts.append(start)
-            start = reader.line_num + 1
-    return starts[index]
+    rows, lines = [], array.array("q")
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            rows.append([cell.strip() for cell in row])
+            lines.append(start)
+        start = reader.line_num + 1
+    return header, rows, lines
 
 
 @dataclass
@@ -381,7 +370,7 @@ def parse_tabular(path, schema: TabularSchema) -> TabularRecords:
 
 def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
     """parse_tabular's parse of the CSV file at path, open as fh."""
-    header, rows = read_csv_rows(fh, path)
+    header, rows, lines = read_csv_rows(fh, path)
     missing = [c for c in schema.columns if c not in header]
     if missing:
         raise ValueError(f"{path}: schema columns not in CSV header: {missing}")
@@ -393,7 +382,7 @@ def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(f"{path}: row {_row_line(path, i)} has "
+            raise ValueError(f"{path}: row {lines[i]} has "
                              f"{len(row)} cells, expected {width}")
     n = len(rows)
     columns: list[_FeatureColumn] = []
@@ -410,13 +399,13 @@ def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
             except ValueError:
                 bad = next(i for i, v in enumerate(cells) if not _is_float(v))
                 raise ValueError(
-                    f"{path}: row {_row_line(path, bad)}, column {name!r}: "
+                    f"{path}: row {lines[bad]}, column {name!r}: "
                     f"unparseable value {cells[bad]!r}"
                 ) from None
             finite = np.isfinite(values)
             if not finite.all():
                 bad = int(np.argmin(finite))
-                raise ValueError(f"{path}: row {_row_line(path, bad)}, "
+                raise ValueError(f"{path}: row {lines[bad]}, "
                                  f"column {name!r}: non-finite value {cells[bad]!r}")
             columns.append(_FeatureColumn(name, values))
         elif spec.role == "categorical":
@@ -427,7 +416,7 @@ def _read_tabular(fh, path, schema: TabularSchema) -> TabularRecords:
         elif spec.role == "label":
             if "" in cells:
                 bad = cells.index("")
-                raise ValueError(f"{path}: row {_row_line(path, bad)}, "
+                raise ValueError(f"{path}: row {lines[bad]}, "
                                  f"column {name!r}: empty label")
             label_column = cells
         elif spec.role == "first_name":
@@ -556,7 +545,8 @@ class NameDemographics:
 
 
 def load_name_probabilities(path) -> dict[str, float]:
-    """Read a two-column "name<TAB>probability" table (names normalized)."""
+    """Read a two-column "name<TAB>probability" table (names normalized);
+    ValueError on a name that normalizes to nothing or to an earlier one."""
     table: dict[str, float] = {}
     with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -577,7 +567,12 @@ def load_name_probabilities(path) -> dict[str, float]:
                 raise ValueError(
                     f"{path}: line {line_no}: probability {p} outside [0,1]"
                 )
-            table[normalize_token(fields[0])] = p
+            name = normalize_token(fields[0])
+            if not name or name in table:
+                raise ValueError(
+                    f"{path}: line {line_no}: name {fields[0]!r} normalizes "
+                    f"to {'an earlier name' if name else 'nothing'}")
+            table[name] = p
     return table
 
 
@@ -921,16 +916,16 @@ def white_probabilities(first_names, last_names,
         return total / (first_found.astype(np.int64) + last_found)
 
 
-def draw_race_labels(p_white, seed: int, attr_name: str = "race") -> GroupAttribute:
-    """Evaluation-only race labels: one seeded Bernoulli draw per record
-    from its white probability, in record order; records with a NaN
-    probability are marked missing (-1)."""
+def draw_race_labels(p_white, seed: int) -> GroupAttribute:
+    """Evaluation-only race labels, the attribute "race": one seeded
+    Bernoulli draw per record from its white probability, in record order;
+    records with a NaN probability are marked missing (-1)."""
     covered = np.flatnonzero(~np.isnan(p_white))
     values = np.full(len(p_white), -1, dtype=np.int8)
     draws = np.random.default_rng(seed).random(len(covered))
     values[covered] = draws < p_white[covered]
     return GroupAttribute(
-        name=attr_name,
+        name="race",
         positive_label="white",
         negative_label="non-white",
         values=values,

@@ -398,8 +398,9 @@ def test_out_of_range_pruning_exit_1_before_any_input(
     extra = {"train": ["--lambda", "1"], "sweep": ["--lambdas", "0", "1"],
              "evaluate": ["--model", str(tmp_path / "model.txt")],
              "cluster-report": ["--k", "2"]}[command]
+    if command != "evaluate":
+        extra += ["--embeddings", str(embeddings)]
     rc = main([command, "--data", str(data), "--format", "text",
-               "--embeddings", str(embeddings),
                "--names-demographics", str(first_white), str(first_male),
                *extra, option, value, "--out", str(out)])
     assert rc == 1
@@ -416,6 +417,56 @@ def test_non_finite_config_value_exit_1(tiny_tabular, tmp_path, capsys):
                "--schema", str(schema), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "--lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no out", "--out is required"),
+    ("no data", "data file is required for this command"),
+    ("no seed", "at least one seed is required"),
+    ("csv format", "unknown data format 'csv'"),
+    ("negative lambda", "lambda values must be nonnegative"),
+])
+def test_a_spec_that_names_no_run_exit_1(case, message, tiny_tabular,
+                                         tmp_path, capsys, count_opens):
+    data, schema, _ = tiny_tabular
+    out = tmp_path / "out"
+    inputs = {"--data": data, "--schema": schema, "--out": out}
+    argv = ["train", "--variant", "none"]
+    if case == "no out":
+        del inputs["--out"]
+    elif case == "no data":
+        del inputs["--data"]
+    elif case == "negative lambda":
+        argv += ["--lambda", "-1"]
+    else:
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"seeds": []} if case == "no seed"
+                                     else {"format": "csv"}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    argv += [item for option, path in inputs.items()
+             for item in (option, str(path))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert count_opens[data.resolve()] == 0
+
+
+def test_a_train_on_fewer_than_10_records_has_no_validation_score(tmp_path):
+    # 9 records split 7/0/2, so each epoch's validation balanced TPR is nan;
+    # seed 0's two test records share a class and differ in group
+    data, schema = tmp_path / "data.csv", tmp_path / "schema.txt"
+    data.write_text("a,label,g\n" + "".join(
+        f"{i},{'x' if i < 2 else 'xy'[i % 2]},{'FM'[i % 2]}\n"
+        for i in range(9)), encoding="utf-8")
+    schema.write_text("a continuous\nlabel label\ng group=F\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--variant", "none", "--seeds", "0", "--epochs", "2",
+                 "--out", str(out)]) == 0
+    history = read_csv_rows(out / "history_seed0.csv")
+    assert history[0][4] == "val_balanced_tpr"
+    assert [row[4] for row in history[1:]] == ["nan", "nan"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -759,6 +810,24 @@ def test_evaluate_matches_train_report(tiny_tabular, tmp_path):
     assert trained == evaluated
 
 
+def test_evaluate_class_mismatch_exit_1(tiny_tabular, tmp_path, capsys):
+    data, schema, _ = tiny_tabular
+    inputs = ["--data", str(data), "--schema", str(schema), "--seeds", "0"]
+    assert main(["train", *inputs, "--variant", "none", "--epochs", "1",
+                 "--out", str(tmp_path / "train")]) == 0
+    model = tmp_path / "model.txt"
+    text = (tmp_path / "train" / "model_seed0.txt").read_text(encoding="utf-8")
+    assert text.count("class lo\n") == 1
+    model.write_text(text.replace("class lo\n", "class zz\n"), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", *inputs, "--model", str(model),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset classes do not match the model's class list\n")
+    assert not out.exists()
+
+
 def test_evaluate_feature_mismatch_exit_1(tiny_tabular, tmp_path, capsys):
     data, schema, embeddings = tiny_tabular
     out = tmp_path / "out"
@@ -1031,12 +1100,90 @@ def test_a_flag_of_the_other_data_format_exit_1(fmt, tiny_tabular, tmp_path,
     assert count_opens[data.resolve()] == 0
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("fmt, command, key, value, message", [
+    pytest.param("text", "train", "race_attr", "race",
+                 "a text train takes no 'race_attr'", id="text-race-attr"),
+    pytest.param("text", "cluster-report", "gender_attr", "sex",
+                 "a text cluster-report takes no 'gender_attr'",
+                 id="text-gender-attr"),
+    pytest.param("tabular", "sweep", "race_attr", "race",
+                 "a tabular sweep takes no 'race_attr'",
+                 id="race-attr-without-tables"),
+    pytest.param("tabular", "train", "gender_attr", "gender",
+                 "a tabular train takes no 'gender_attr'",
+                 id="gender-attr-without-tables"),
+    pytest.param("tabular", "evaluate", "names_demographics", 2,
+                 "a tabular evaluate takes no 'names_demographics'",
+                 id="tabular-evaluate-tables"),
+    pytest.param("tabular", "train", "names_demographics", 3,
+                 "--names-demographics on tabular data takes "
+                 "first-name-white, first-name-male", id="third-tabular-table"),
+])
+def test_a_setting_that_nothing_reads_exit_1(fmt, command, key, value,
+                                             message, source, tiny_tabular,
+                                             tmp_path, capsys, count_opens):
+    # only tabular data's synthetic-name draw reads the attribute names, and
+    # it reads two name tables; a tabular evaluate reports on the CSV's own
+    # group columns, so it takes no name table
+    data, schema, embeddings = tiny_tabular
+    tables = write_name_tables(tmp_path)
+    if fmt == "text":
+        data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+        argv = ["--format", "text", "--names-demographics", str(first_white),
+                str(first_male)]
+    else:
+        argv = ["--schema", str(schema)]
+    argv += {"train": ["--variant", "cocl", "--lambda", "1"],
+             "sweep": ["--variant", "cocl", "--lambdas", "0", "1"],
+             "cluster-report": ["--k", "2"],
+             "evaluate": ["--model", str(tmp_path / "model.txt")]}[command]
+    if command != "evaluate":
+        argv += ["--embeddings", str(embeddings)]
+    if key == "names_demographics":
+        value = list(map(str, [*tables, tables[0]][:value]))
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}",
+                 *(value if isinstance(value, list) else [value])]
+    else:
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    for path in (data, embeddings, *tables):
+        assert count_opens[path.resolve()] == 0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("WNAME0\t0.5", "name 'WNAME0' normalizes to an earlier name"),
+    ("---\t0.5", "name '---' normalizes to nothing"),
+], ids=["repeated", "empty"])
+def test_an_ambiguous_name_table_line_exit_1(line, message, tmp_path, capsys,
+                                             count_opens):
+    data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
+    with open(first_white, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--format", "text",
+                 "--names-demographics", str(first_white), str(first_male),
+                 "--variant", "none", "--seeds", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {first_white}: line 21: {message}\n")
+    assert not out.exists()
+    assert count_opens[data.resolve()] == 0
+
+
 @pytest.mark.parametrize("fmt", ["tabular", "text"])
 @pytest.mark.parametrize("command", ["train", "sweep", "evaluate",
                                      "cluster-report"])
 def test_a_manifest_echoes_the_settings_its_run_takes(command, fmt,
                                                       tiny_tabular, tmp_path):
-    # so its spec reruns as --config of the same command, to the same bytes
+    # so its spec reruns as --config of the same command, to the same bytes;
+    # no run without name tables takes --race-attr or --gender-attr, and no
+    # evaluate takes --embeddings, or on tabular data name tables
     if fmt == "tabular":
         data, schema, embeddings = tiny_tabular
         inputs = ["--data", str(data), "--schema", str(schema)]
@@ -1047,19 +1194,22 @@ def test_a_manifest_echoes_the_settings_its_run_takes(command, fmt,
                   "--names-demographics", str(first_white), str(first_male),
                   "--min-count", "1", "--top-fraction", "0"]
         want = {"min_count", "top_fraction", "scrub"}
-    want |= {"data", "format", "embeddings", "names_demographics", "race_attr",
-             "gender_attr", "out"}
-    inputs += ["--embeddings", str(embeddings), "--seeds", "0"]
-    fit = {"variant", "k", "seeds", "epochs", "batch_size", "lr", "l2"}
+    want |= {"data", "format", "names_demographics", "out"}
+    inputs += ["--seeds", "0"]
+    vectors = ["--embeddings", str(embeddings)]
+    fit = {"embeddings", "variant", "k", "seeds", "epochs", "batch_size", "lr",
+           "l2"}
     model = tmp_path / "fit" / "model_seed0.txt"
     extra, takes = {
-        "train": (["--variant", "cocl", "--lambda", "1", "--epochs", "1"],
-                  {*fit, "lam"}),
-        "sweep": (["--variant", "cocl", "--lambdas", "0", "1", "--epochs", "1"],
-                  {*fit, "lambdas"}),
+        "train": ([*vectors, "--variant", "cocl", "--lambda", "1",
+                   "--epochs", "1"], {*fit, "lam"}),
+        "sweep": ([*vectors, "--variant", "cocl", "--lambdas", "0", "1",
+                   "--epochs", "1"], {*fit, "lambdas"}),
         "evaluate": (["--model", str(model)], {"seeds"}),
-        "cluster-report": (["--k", "2"], {"k", "seeds"}),
+        "cluster-report": ([*vectors, "--k", "2"], {"embeddings", "k", "seeds"}),
     }[command]
+    if command == "evaluate" and fmt == "tabular":
+        want.remove("names_demographics")
     if command == "evaluate":
         assert main(["train", *inputs, "--variant", "none", "--epochs", "1",
                      "--out", str(model.parent)]) == 0
@@ -1200,11 +1350,12 @@ def test_text_format_end_to_end(tmp_path):
 def test_text_format_penalties_rerun_identically(tmp_path):
     data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
     inputs = [
-        "--data", str(data), "--format", "text", "--embeddings", str(embeddings),
+        "--data", str(data), "--format", "text",
         "--names-demographics", str(first_white), str(first_male),
         "--min-count", "1", "--top-fraction", "0", "--scrub",
     ]
-    common = [*inputs, "--seeds", "0", "1", "--epochs", "3", "--lr", "0.05"]
+    common = [*inputs, "--embeddings", str(embeddings), "--seeds", "0", "1",
+              "--epochs", "3", "--lr", "0.05"]
     commands = {
         "sweep": ["sweep", *common, "--variant", "cocl", "--lambdas", "0", "2"],
         "train": ["train", *common, "--variant", "clucl", "--lambda", "2",
@@ -1564,17 +1715,44 @@ def test_a_malformed_records_file_exits_1_on_every_run(
 
 def test_evaluate_never_opens_the_embeddings_file(tiny_tabular, tmp_path,
                                                   capsys, count_opens):
-    # a named file is still checked: a missing one is exit 2
+    # so it takes none: named by a flag or a config key, it is exit 1
     data, schema, embeddings = tiny_tabular
-    inputs = ["--data", str(data), "--schema", str(schema), "--seeds", "0"]
-    assert main(["train", *inputs, "--variant", "none", "--epochs", "1",
-                 "--out", str(tmp_path / "out")]) == 0
-    evaluate = ["evaluate", *inputs, "--out", str(tmp_path / "eval"),
-                "--model", str(tmp_path / "out" / "model_seed0.txt")]
-    assert main([*evaluate, "--embeddings", str(embeddings)]) == 0
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"embeddings": str(embeddings)}),
+                      encoding="utf-8")
+    out = tmp_path / "eval"
+    evaluate = ["evaluate", "--data", str(data), "--schema", str(schema),
+                "--model", str(tmp_path / "model.txt"), "--out", str(out)]
+    for named, message in (
+            (["--embeddings", str(embeddings)],
+             f"unrecognized arguments: --embeddings {embeddings}"),
+            (["--config", str(config)],
+             "a tabular evaluate takes no 'embeddings'")):
+        assert main([*evaluate, *named]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    assert count_opens[data.resolve()] == 0
     assert count_opens[embeddings.resolve()] == 0
-    assert main([*evaluate, "--embeddings", str(tmp_path / "nope.txt")]) == 2
-    assert "nope.txt" in capsys.readouterr().err
+
+
+def test_a_malformed_csv_row_is_located_in_one_read(tiny_tabular, tmp_path,
+                                                    capsys, count_opens):
+    # a quoted cell over two lines and a blank line come before the bad
+    # row, so its file line is two past its record's
+    data, schema, _ = tiny_tabular
+    lines = data.read_text(encoding="utf-8").splitlines()
+    assert ",p," in lines[2]
+    lines[2] = lines[2].replace(",p,", ',"two\nlines",')
+    lines.insert(3, "")
+    lines[11] = "oops" + lines[11][lines[11].index(","):]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--variant", "none", "--seeds", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: row 13, column 'num': unparseable value 'oops'\n")
+    assert count_opens[data.resolve()] == 1
+    assert not out.exists()
 
 
 def test_clucl_sweep_clusters_once_per_seed(tmp_path, monkeypatch):
@@ -1749,6 +1927,7 @@ def test_every_named_file_is_found_before_any_is_parsed(
     else:
         bad.write_text("not a model\n", encoding="utf-8")
         argv = ["evaluate", "--model", str(bad)]
+        del files["--embeddings"]  # evaluate takes no vector file
     argv += ["--seeds", "0", "--out", str(tmp_path / "out")]
     for named, code, want in (
             ({**files, missing: tmp_path / "nope.txt"}, 2, "nope.txt"),
@@ -1842,3 +2021,36 @@ def test_previous_seed_freed_before_next_is_built(command, tiny_tabular,
     assert rc == 0
     assert len(held) == 6  # a dataset and a name table per seed
     assert seen == [[], [False, False], [False, False, False, False]]
+
+
+# --------------------------------------------------- the benchmark's commands
+
+class PlaceholderPaths(dict):
+    """Input paths by name, made up on lookup: no file is read."""
+
+    def __missing__(self, name):
+        return Path("inputs", name)
+
+
+def test_every_benchmark_argv_is_accepted(monkeypatch):
+    # bench/run.py builds each workload's command line; no settings rule
+    # may refuse a setting it passes
+    import importlib.util
+    import sys
+
+    from nameblind.cli import _spec_from_args, build_parser
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py adds bench/
+    loader = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # for its dataclass
+    loader.loader.exec_module(run)
+    assert run.WORKLOADS
+    for name, workload in run.WORKLOADS.items():
+        argv = run.command_argv(workload, PlaceholderPaths(), Path("out"))
+        args = build_parser().parse_args(argv)
+        spec, settings = _spec_from_args(args)
+        passed = {key for key, value in vars(args).items() if value is not None}
+        assert passed & set(vars(spec)) <= settings, name
+        assert spec.out == "out", name

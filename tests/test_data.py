@@ -1,6 +1,7 @@
 import collections
 import inspect
 import logging
+import re
 import string
 import tracemalloc
 
@@ -86,6 +87,17 @@ def test_schema_requires_one_label():
         TabularSchema.parse("age continuous\n")
     with pytest.raises(ValueError, match="unknown role"):
         TabularSchema.parse("age wiggly\nincome label\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("age", "expected '<column> <role>'"),
+    ("sex categorical group=", "empty group value"),
+    ("sex group", "group columns need group=VALUE"),
+    ("income categorical", "duplicate column 'income'"),
+], ids=["one-token", "empty-group", "bare-group-role", "duplicate"])
+def test_schema_line_errors_name_the_line(line, message):
+    with pytest.raises(ValueError, match=f"^schema line 2: {message}$"):
+        TabularSchema.parse(f"income label\n{line}\n")
 
 
 def test_schema_eval_only_group():
@@ -215,6 +227,33 @@ def test_load_tabular_schema_csv_mismatch(tmp_path):
     schema = TabularSchema.parse("age continuous\nheight continuous\nincome label\n")
     with pytest.raises(ValueError, match="height"):
         load_tabular(path, schema, fit_indices=[0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV file"),
+    ("age,income,height\n30,low,2\n", "CSV columns missing from schema: "
+     "['height']"),
+    ("age,income\n\n\n", "no data rows"),
+], ids=["empty", "unlisted-column", "header-only"])
+def test_parse_tabular_file_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    schema = TabularSchema.parse("age continuous\nincome label\n")
+    with pytest.raises(ValueError, match=f"data.csv: {re.escape(message)}$"):
+        parse_tabular(path, schema)
+
+
+def test_fit_tabular_needs_a_fit_row(tmp_path):
+    records = parse_tabular(demo_csv(tmp_path), TabularSchema.parse(SCHEMA_TEXT))
+    with pytest.raises(ValueError, match="fit_indices selected no rows"):
+        fit_tabular(records, fit_indices=[])
+
+
+def test_parse_text_needs_a_record(tmp_path):
+    path = tmp_path / "bios.tsv"
+    path.write_text("\n  \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bios.tsv: no records$"):
+        parse_text(path)
 
 
 BOM = b"\xef\xbb\xbf"
@@ -946,6 +985,20 @@ def test_name_probability_table_parse(tmp_path):
     bad.write_text("anna\t1.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="outside"):
         load_name_probabilities(bad)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ANNA 0.1", "name 'ANNA' normalizes to an earlier name"),
+    ("--- 0.5", "name '---' normalizes to nothing"),
+], ids=["repeated", "empty"])
+def test_name_probability_table_refuses_an_ambiguous_name(tmp_path, line,
+                                                          message):
+    # a repeat would override the earlier probability unseen, and "---"
+    # would be stored under "", which a record named "-" would match
+    path = tmp_path / "probs.tsv"
+    path.write_text(f"Anna 0.9\nbob 0.2\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"probs.tsv: line 3: {message}$"):
+        load_name_probabilities(path)
 
 
 def test_name_probability_table_skips_a_byte_order_mark(tmp_path):
