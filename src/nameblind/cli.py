@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 validation error, 2 missing/unreadable input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import re
 import sys
@@ -52,6 +54,7 @@ from .metrics import (
 )
 from .model import load_model, save_model
 from .training import (
+    FitQueue,
     NumericalError,
     TrainConfig,
     forward_rows,
@@ -293,11 +296,26 @@ def _write_manifest(manifest: dict, out: Path) -> None:
         fh.write("\n")
 
 
-def _out_dir(spec: ExperimentSpec) -> Path:
-    """--out, made once every input has been read."""
-    out = Path(spec.out)
+@contextlib.contextmanager
+def _out_dir(path):
+    """The output directory path, made (parents too) once every input has
+    been read. When the with block raises, the directories made here are
+    removed again if they are still empty, so a run that fails before it
+    writes a file leaves none of them, and never removes one that was
+    already there."""
+    out = Path(path)
+    made = list(itertools.takewhile(lambda p: not p.exists(),
+                                    (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        yield out
+    except BaseException:
+        for directory in made:  # the deepest first
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: the run wrote into it
+                break
+        raise
 
 
 def _mean_or_none(values):
@@ -308,49 +326,76 @@ def _mean_or_none(values):
 
 
 def cmd_train(spec: ExperimentSpec, manifest: dict) -> int:
-    out, pipeline = _fit_setup(spec, [spec.lam])
-    reports = [_fit_seed(pipeline, seed, [spec.lam], out) for seed in spec.seeds]
-    _write_summary(out / "summary.csv", {"variant": spec.variant}, spec.seeds,
-                   [spec.lam], reports)
-    _write_manifest(manifest, out)
+    pipeline = _fit_setup(spec, [spec.lam])
+    with _out_dir(spec.out) as out:
+        reports = _fit_seeds(pipeline, [spec.lam], out)
+        _write_summary(out / "summary.csv", {"variant": spec.variant},
+                       spec.seeds, [spec.lam], reports)
+        _write_manifest(manifest, out)
     written = [name for seed in spec.seeds for name in _seed_files(seed)]
     for name in sorted([*written, "summary.csv", "manifest.json"]):
         print(f"wrote {out / name}")
     return 0
 
 
-def _fit_setup(spec: ExperimentSpec, lams) -> tuple[Path, _Pipeline]:
-    """The output directory and pipeline of a command that fits lams.
+def _fit_setup(spec: ExperimentSpec, lams) -> _Pipeline:
+    """The pipeline of a command that fits lams.
 
     The hyperparameters are checked (TrainConfig's own checks; the spec
-    has already checked every lambda) before any input is read, and --out
-    is made after; the embedding file is read only when a penalty is on.
+    has already checked every lambda) before any input is read; the
+    embedding file is read only when a penalty is on.
     """
     _train_config(spec, spec.seeds[0])
     penalty_on = spec.variant != "none" and max(lams) > 0
-    pipeline = _Pipeline(spec, need_embeddings=penalty_on)
-    return _out_dir(spec), pipeline
+    return _Pipeline(spec, need_embeddings=penalty_on)
 
 
-def _fit_seed(pipeline: _Pipeline, seed: int, lams, out: Path | None = None):
-    """One seed's fits: the bias report of each lambda's fit, in lams
-    order, from one train call that fits the lambdas in lockstep (each
-    fit's parameters the bytes of its own train run), which builds the
-    seed's name table itself. With out (cmd_train, one lambda) the fit's
-    model, history and bias report files are written there too; without
-    it (cmd_sweep) train records no per-epoch history. The seed's dataset
-    and fits are freed on return, before the next seed's are built."""
+def _fit_seeds(pipeline: _Pipeline, lams, out: Path | None = None):
+    """The bias reports of every seed's fits: reports[i][j] is that of
+    lams[j] at the i-th seed.
+
+    Seed by seed, this process builds the seed's dataset and calls train,
+    whose setup (name table, k-means, class weights) runs here; a
+    FitQueue then fits the seed's lambdas in lockstep, in a forked worker
+    while this process goes on to the next seed, the last seed here
+    (training.FitQueue). The process that fits a seed also computes its
+    bias reports. With out (cmd_train, one lambda), each seed's model,
+    history and bias report files are written there, by this process, in
+    seed order as the seeds are collected; without it (cmd_sweep) train
+    records no per-epoch history. A failure is the earliest failing
+    seed's, after the files of every seed before it are written, as in a
+    run that fits one seed after another. Each seed's dataset is freed
+    here before the next seed's is built.
+    """
     spec = pipeline.spec
-    dataset, split = pipeline.dataset_for_seed(seed)
-    grid = train(dataset, pipeline.table, _train_config(spec, seed),
-                 split=split, lams=lams, history=out is not None)
-    reports = [_bias_report(fit.params, dataset, split[2]) for fit in grid.fits]
-    if out is not None:
-        (fit,), (report,) = grid.fits, reports
-        model, history, bias = (out / name for name in _seed_files(seed))
-        save_model(fit.params, dataset.feature_names, dataset.class_names, model)
-        write_history_csv(fit.history, history)
+    reports = []
+
+    def finish(dataset, fit):  # in the process that fitted the seed
+        report = _bias_report(fit.params, dataset, fit.split[2])
+        if out is None:
+            return report
+        return (report, fit.params, fit.history, dataset.feature_names,
+                dataset.class_names)
+
+    def collect(index, values):  # here, in seed order
+        if out is None:
+            reports.append(values)
+            return
+        ((report, params, history, feature_names, class_names),) = values
+        model, history_csv, bias = (out / name
+                                    for name in _seed_files(spec.seeds[index]))
+        save_model(params, feature_names, class_names, model)
+        write_history_csv(history, history_csv)
         write_bias_report_csv(report, bias)
+        reports.append([report])
+
+    with FitQueue(len(spec.seeds), finish, collect) as queue:
+        for seed in spec.seeds:
+            dataset, split = pipeline.dataset_for_seed(seed)
+            train(dataset, pipeline.table, _train_config(spec, seed),
+                  split=split, lams=lams, history=out is not None,
+                  queue=queue)
+            del dataset, split
     return reports
 
 
@@ -418,9 +463,9 @@ def cmd_evaluate(spec: ExperimentSpec, manifest: dict, model_path: str,
     else:
         indices = dict(zip(("train", "val", "test"), split))[subset]
     report = _bias_report(params, dataset, indices)
-    out = _out_dir(spec)
-    write_bias_report_csv(report, out / "evaluation.csv")
-    _write_manifest(manifest, out)
+    with _out_dir(spec.out) as out:
+        write_bias_report_csv(report, out / "evaluation.csv")
+        _write_manifest(manifest, out)
     print(f"wrote {out / 'evaluation.csv'}")
     return 0
 
@@ -430,10 +475,12 @@ def cmd_sweep(spec: ExperimentSpec, manifest: dict) -> int:
         raise ValueError("sweep needs at least two --lambdas values")
     if len(set(spec.lambdas)) < len(spec.lambdas):
         raise ValueError("--lambdas values must be distinct")
-    out, pipeline = _fit_setup(spec, spec.lambdas)
-    reports = [_fit_seed(pipeline, seed, spec.lambdas) for seed in spec.seeds]
-    _write_summary(out / "sweep.csv", {}, spec.seeds, spec.lambdas, reports)
-    _write_manifest(manifest, out)
+    pipeline = _fit_setup(spec, spec.lambdas)
+    with _out_dir(spec.out) as out:
+        reports = _fit_seeds(pipeline, spec.lambdas)
+        _write_summary(out / "sweep.csv", {}, spec.seeds, spec.lambdas,
+                       reports)
+        _write_manifest(manifest, out)
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -454,31 +501,31 @@ def cmd_cluster_report(spec: ExperimentSpec, manifest: dict) -> int:
                          f"{len(dataset)} records have a name in the "
                          "embedding table")
     model = kmeans(names.take(covered_idx), spec.k, seed=seed)
-    out = _out_dir(spec)
-    write_centroids(model, out / "clusters.txt")
-    write_assignments(covered_idx, model.assignments, out / "cluster_assignments.txt")
-    with open(out / "cluster_report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "attribute", "value", "count"])
-        clusters = [
-            (str(j), covered_idx[model.assignments == j]) for j in range(spec.k)
-        ]
-        unassigned = np.flatnonzero(~include)
-        if len(unassigned):
-            clusters.append(("unassigned", unassigned))
-        for cluster_name, members in clusters:
-            for attr in groups.attributes:
-                vals = attr.values[members]
-                for value_name, code in (
-                    (attr.positive_label, 1),
-                    (attr.negative_label, 0),
-                    ("missing", -1),
-                ):
-                    count = int(np.count_nonzero(vals == code))
-                    if code == -1 and count == 0:
-                        continue
-                    writer.writerow([cluster_name, attr.name, value_name, count])
-    _write_manifest(manifest, out)
+    with _out_dir(spec.out) as out:
+        write_centroids(model, out / "clusters.txt")
+        write_assignments(covered_idx, model.assignments, out / "cluster_assignments.txt")
+        with open(out / "cluster_report.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cluster", "attribute", "value", "count"])
+            clusters = [
+                (str(j), covered_idx[model.assignments == j]) for j in range(spec.k)
+            ]
+            unassigned = np.flatnonzero(~include)
+            if len(unassigned):
+                clusters.append(("unassigned", unassigned))
+            for cluster_name, members in clusters:
+                for attr in groups.attributes:
+                    vals = attr.values[members]
+                    for value_name, code in (
+                        (attr.positive_label, 1),
+                        (attr.negative_label, 0),
+                        ("missing", -1),
+                    ):
+                        count = int(np.count_nonzero(vals == code))
+                        if code == -1 and count == 0:
+                            continue
+                        writer.writerow([cluster_name, attr.name, value_name, count])
+        _write_manifest(manifest, out)
     print(f"wrote {out / 'cluster_report.csv'}")
     return 0
 
@@ -500,15 +547,14 @@ def cmd_weights_report(model_path: str, class_name: str, feature_filter,
         wanted = set(feature_filter)
         pairs = [(f, w) for f, w in pairs if f in wanted]
     pairs.sort(key=lambda fw: -fw[1])
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", class_name)
-    path = out / f"weights_{safe}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "weight"])
-        for feature, weight in pairs:
-            writer.writerow([feature, repr(float(weight))])
+    with _out_dir(out_dir) as out:
+        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", class_name)
+        path = out / f"weights_{safe}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["feature", "weight"])
+            for feature, weight in pairs:
+                writer.writerow([feature, repr(float(weight))])
     print(f"wrote {path}")
     return 0
 

@@ -170,7 +170,8 @@ def adam_step(params: ModelParams, grad_W, grad_b, state: AdamState,
 
 
 def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
-          split=None, lams=None, history: bool = True):
+          split=None, lams=None, history: bool = True,
+          queue: FitQueue | None = None):
     """Train the classifier with the configured penalty.
 
     Pipeline: when a penalty is on, the embeddings.NameTable of every
@@ -209,6 +210,14 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     TrainResult of train with config.lam set to its strength (and the
     same history), whatever the number of groups. A one-strength call
     never forks.
+
+    With queue (a FitQueue, which one train call per seed shares), the
+    strengths are split into min(len(lams), queue.share) groups and
+    handed to queue.submit once the setup above is done, in this process:
+    each fit is replaced by queue.finish(dataset, fit), computed in the
+    process that fitted it, which the queue collects, and train returns
+    a GridResult of this split with no fits. A failure of finish ranks
+    after every failure of the fits (its at is (epochs + 1,)).
     """
     grid = lams is not None
     # replace re-runs TrainConfig's checks on each strength
@@ -261,7 +270,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     num_batches = -(-n_train // config.batch_size)
 
     def fit_lockstep(group):
-        """The stacked W and b and the histories of group's models."""
+        """group's fits, or with a queue, queue.finish of each."""
         shape = (len(group), num_classes, features.shape[1])
         params = ModelParams(W=np.zeros(shape), b=np.zeros(shape[:-1]))
         state = AdamState.zeros(*shape)
@@ -321,15 +330,27 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
         except NumericalError as exc:
             exc.at = where
             raise
-        return params.W, params.b, histories
+        fits = [TrainResult(params=ModelParams(W, b), history=fit_history,
+                            split=split)
+                for W, b, fit_history in zip(params.W, params.b, histories)]
+        if queue is None:
+            return fits
+        try:
+            return [queue.finish(dataset, fit) for fit in fits]
+        except Exception as exc:
+            exc.at = (config.epochs + 1,)  # after every check of the fit
+            raise
 
-    parts = np.array_split(np.arange(len(lams)),
-                           min(len(lams), usable_cpus()))
-    fits = [TrainResult(params=ModelParams(W, b), history=fit_history,
-                        split=split)
-            for stack_W, stack_b, group_histories in _fit_groups(
-                fit_lockstep, [[lams[i] for i in part] for part in parts])
-            for W, b, fit_history in zip(stack_W, stack_b, group_histories)]
+    share = usable_cpus() if queue is None else queue.share
+    parts = np.array_split(np.arange(len(lams)), min(len(lams), share))
+    groups = [[lams[i] for i in part] for part in parts]
+    if queue is not None:
+        queue.submit(fit_lockstep, groups)
+        return GridResult(fits=[], split=split)
+    # a worker's fits come back with their own copy of the split
+    fits = [replace(fit, split=split)
+            for group_fits in _fit_groups(fit_lockstep, groups)
+            for fit in group_fits]
     if grid:
         return GridResult(fits=fits, split=split)
     return fits[0]
@@ -337,7 +358,7 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
 
 def usable_cpus() -> int:
     """The CPUs this process may run on; 1 where os.fork is missing, so
-    that train fits its whole grid in the calling process."""
+    that every fit runs in the calling process."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -345,71 +366,170 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fit_groups(fit, groups) -> list:
-    """[fit(group) for group in groups], each group after the first fitted
-    in a worker process forked from this one while this process fits the
-    first.
+class FitQueue:
+    """Where a command's train calls, one per seed, fit: each call's setup
+    runs in this process, its fits mostly in forked workers, while this
+    process moves on to the next call's setup.
 
-    A worker is a copy of this process, its pages shared copy-on-write,
-    so fit may close over anything the setup built. It pickles fit's
-    result, or whatever fit raised, into a pipe and leaves by os._exit:
-    it never returns into the caller. Every worker is waited for on every
-    path. Once this process's group is done, or has raised a
-    NumericalError, each worker's outcome is read and the worker reaped;
-    any other exception here (KeyboardInterrupt too) terminates and reaps
-    them before it propagates. Failures are raised whole, never as a
-    partial grid: first any failure other than a NumericalError, in group
-    order (a worker's own exception, or RuntimeError for a worker that
-    ended without sending an outcome), else the NumericalError of the
-    earliest at, ties going to group order, so that a rerun, whatever the
-    number of groups, raises the same message.
+    calls is the number of calls that will submit. A call hands its
+    lambda groups to submit once its setup is done; share is the number
+    of groups a call may split its lambdas into, max(1, usable CPUs //
+    calls). Every group is fitted in a worker process forked from this
+    one, except a call's first group when the call is the last one or
+    there is one usable CPU: this process fits that one itself, after
+    forking the call's other groups. So with one CPU, or one call of one
+    group, nothing forks. At most usable_cpus() processes work at once,
+    this one included: before a fork, while usable_cpus() - 1 workers
+    run and the oldest belongs to an earlier call, this process waits for
+    the oldest. A worker is a copy of this process, its pages shared
+    copy-on-write, so a fit may close over anything the call's setup
+    built. It pickles the fit's result, or whatever the fit raised, into
+    a pipe and leaves by os._exit (_serve): it never returns into the
+    caller.
+
+    finish(dataset, fit), which train calls, is what the process that
+    fitted a TrainResult sends back in its place. Once every group of a
+    call is done, calls are resolved in call order: collect(index,
+    values), values being what the call's groups returned, concatenated
+    in group order, or else the call's failure is raised. That is first
+    any failure without an at (an exception of the fit's own, or
+    RuntimeError for a worker that ended without sending an outcome), in
+    group order, else the one of the earliest at, ties going to group
+    order. So a run collects every call before its earliest failing one
+    and raises that call's failure, whatever the number of processes.
+
+    Use it as a context manager. When an Exception (say, a seed's setup
+    error) leaves the with block between calls, every call submitted is
+    first resolved as above, so an earlier call's failure takes its
+    place. Any other exception, or one raised in submit, terminates and
+    reaps the workers left. Every worker is waited for on every path.
     """
-    workers = []  # [pid, read end of its pipe, group]; pid None once reaped
-    try:
-        for group in groups[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(fit, group, write_fd,
-                           [read_fd, *(worker[1] for worker in workers)])
-            except BaseException:
-                os.close(read_fd)
-                raise
-            finally:
-                os.close(write_fd)
-            workers.append([pid, read_fd, group])
+
+    def __init__(self, calls: int, finish, collect):
+        self._cpus = usable_cpus()
+        self.share = max(1, self._cpus // calls)
+        self.finish = finish
+        self._collect = collect
+        self._left = calls
+        self._collected = 0
+        # the outcome of each group of every unresolved call, None until
+        # known, and [pid, read end of its pipe, call, group index, group]
+        # per worker not yet reaped, oldest first
+        self._calls: list[list] = []
+        self._workers: list[list] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
         try:
-            outcomes = [(True, fit(groups[0]))]
-        except NumericalError as exc:
-            outcomes = [(False, exc)]
-        for worker in workers:
-            pid, read_fd, group = worker
-            with open(read_fd, "rb", closefd=False) as fh:
-                payload = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            worker[0] = None
-            if code != 0:
-                outcomes.append((False, RuntimeError(
-                    f"the training worker for lambdas {group} ended without "
-                    f"a result ({'exit code' if code > 0 else 'signal'} "
-                    f"{abs(code)})")))
+            if isinstance(exc, Exception):
+                self._drain()
+        finally:
+            self._close()
+        return False
+
+    def submit(self, fit, groups) -> None:
+        """Fit a call's groups: fit(group) is a list of the group's
+        values. Returns once this process's own share is done and, for the
+        last call, once every call is resolved."""
+        self._left -= 1
+        here = self._left == 0 or self._cpus == 1
+        call = [None] * len(groups)
+        self._calls.append(call)
+        try:
+            for i, group in enumerate(groups):
+                if i or not here:
+                    self._fork(fit, group, call, i)
+            if here:
+                # recorded, not raised: an earlier call's failure comes first
+                try:
+                    call[0] = (True, fit(groups[0]))
+                except Exception as exc:
+                    call[0] = (False, exc)
+            if self._left:
+                self._resolve()
             else:
-                outcomes.append(pickle.loads(payload))
-    finally:
-        for pid, read_fd, _ in workers:
-            if pid is not None:
-                os.kill(pid, signal.SIGTERM)
-                os.waitpid(pid, 0)
+                self._drain()
+        except BaseException:
+            self._close()
+            raise
+
+    def _fork(self, fit, group, call, i) -> None:
+        while (len(self._workers) >= self._cpus - 1
+               and self._workers[0][2] is not call):
+            self._reap()
+            self._resolve()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _serve(fit, group, write_fd,
+                       [read_fd, *(worker[1] for worker in self._workers)])
+        except BaseException:
             os.close(read_fd)
-    failures = [(i, value) for i, (ok, value) in enumerate(outcomes)
-                if not ok]
-    for _, exc in failures:
-        if not isinstance(exc, NumericalError):
-            raise exc
-    if failures:
-        raise min(failures, key=lambda failure: (failure[1].at, failure[0]))[1]
-    return [value for _, value in outcomes]
+            raise
+        finally:
+            os.close(write_fd)
+        self._workers.append([pid, read_fd, call, i, group])
+
+    def _reap(self) -> None:
+        """Read the oldest worker's outcome into its call, and reap it."""
+        pid, read_fd, call, i, group = self._workers[0]
+        with open(read_fd, "rb", closefd=False) as fh:
+            payload = fh.read()
+        status = os.waitpid(pid, 0)[1]
+        del self._workers[0]
+        os.close(read_fd)
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            call[i] = pickle.loads(payload)
+        else:
+            call[i] = (False, RuntimeError(
+                f"the training worker for lambdas {group} ended without "
+                f"a result ({'exit code' if code > 0 else 'signal'} "
+                f"{abs(code)})"))
+
+    def _resolve(self) -> None:
+        """Resolve, in call order, the calls whose groups are all done."""
+        while self._calls and None not in self._calls[0]:
+            outcomes = self._calls.pop(0)
+            failures = [(i, value) for i, (ok, value) in enumerate(outcomes)
+                        if not ok]
+            for _, exc in failures:
+                if getattr(exc, "at", None) is None:
+                    raise exc
+            if failures:
+                raise min(failures,
+                          key=lambda failure: (failure[1].at, failure[0]))[1]
+            self._collect(self._collected,
+                          [value for _, values in outcomes for value in values])
+            self._collected += 1
+
+    def _drain(self) -> None:
+        """Wait for every worker, resolving each call as it completes."""
+        self._resolve()
+        while self._workers:
+            self._reap()
+            self._resolve()
+
+    def _close(self) -> None:
+        """Terminate and reap the workers left; forget unresolved calls."""
+        workers, self._workers, self._calls = self._workers, [], []
+        for pid, read_fd, *_ in workers:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+
+
+def _fit_groups(fit, groups) -> list:
+    """[fit(group) for group in groups] as the one call of a FitQueue:
+    each group after the first fitted in a forked worker while this
+    process fits the first, failures raised by FitQueue's rule."""
+    results = []
+    with FitQueue(1, None, lambda _, values: results.extend(values)) as queue:
+        queue.submit(lambda group: [fit(group)], groups)
+    return results
 
 
 def _serve(fit, group, write_fd, inherited):

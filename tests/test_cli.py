@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import os
+import shutil
 import time
 import weakref
 from pathlib import Path
@@ -685,26 +687,152 @@ def test_sweep_rows_are_the_train_runs(tiny_tabular, tmp_path):
     assert len(swept) == 6 and swept == trained
 
 
+def outputs_of(out):
+    """Each file in out by name, its bytes; None when out does not exist."""
+    if not out.exists():
+        return None
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def assert_no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_sweep_csv_is_the_same_bytes_in_one_or_more_processes(
         workers, tiny_tabular, tmp_path, monkeypatch):
+    # three seeds, fitted one after another or concurrently: sweep.csv,
+    # and train's model, history, bias report and summary files, are the
+    # same bytes, on dense rows with cocl and on text with clucl
     import nameblind.training
 
     data, schema, embeddings = tiny_tabular
-    argv = ["sweep", "--data", str(data), "--schema", str(schema),
-            "--embeddings", str(embeddings), "--variant", "cocl",
-            "--lambdas", "0", "0.5", "2", "--seeds", "0", "1", "--epochs", "3",
-            "--lr", "0.05", "--batch-size", "16"]
-    swept = []
-    for count in (1, workers):
+    (tmp_path / "text").mkdir()
+    text, first_white, first_male, vectors = write_text_inputs(
+        tmp_path / "text")
+    inputs = [
+        ["--data", str(data), "--schema", str(schema),
+         "--embeddings", str(embeddings), "--variant", "cocl"],
+        ["--data", str(text), "--format", "text",
+         "--embeddings", str(vectors),
+         "--names-demographics", str(first_white), str(first_male),
+         "--min-count", "1", "--top-fraction", "0", "--variant", "clucl",
+         "--k", "3"],
+    ]
+    commands = [["sweep", "--lambdas", "0", "0.5", "2"],
+                ["train", "--lambda", "0.5"]]
+    out = tmp_path / "out"
+    for argv in inputs:
+        for command in commands:
+            outputs = []
+            for count in (1, workers):
+                monkeypatch.setattr(nameblind.training, "usable_cpus",
+                                    lambda count=count: count)
+                shutil.rmtree(out, ignore_errors=True)
+                assert main([*command, *argv, "--seeds", "0", "1", "2",
+                             "--epochs", "3", "--lr", "0.05",
+                             "--batch-size", "16", "--out", str(out)]) == 0
+                outputs.append(outputs_of(out))
+                assert_no_child_remains()
+            assert len(outputs[0]) == (2 if command[0] == "sweep" else 11)
+            assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("failures", [
+    {"diverges": 1}, {"setup": 2}, {"diverges": 1, "setup": 2}],
+    ids=["seed-1-diverges", "seed-2-setup-fails", "both"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_failing_seed_fails_the_run_as_in_one_process(
+        command, failures, tiny_tabular, tmp_path, capsys, monkeypatch):
+    # seed 1 diverges while seed 2 is in flight, or seed 2's setup raises
+    # while seed 1 is: the run exits as the one-CPU run does, with the
+    # earliest failing seed's code and message, leaves the same files in
+    # --out (the seeds' before it, for train) and no process
+    import nameblind.cli
+    import nameblind.training
+
+    dataset_for_seed = nameblind.cli._Pipeline.dataset_for_seed
+    batch_name_vectors = nameblind.training.batch_name_vectors
+    built = []
+
+    def failing_dataset(self, seed):
+        if seed == failures.get("setup"):
+            raise ValueError(f"seed {seed}'s setup failed")
+        built.append(seed)
+        return dataset_for_seed(self, seed)
+
+    def diverging_names(*args):
+        # name vectors of norm ~1e150 overflow lambda 1e200's penalty
+        names = batch_name_vectors(*args)
+        if built[-1] == failures.get("diverges"):
+            names = dataclasses.replace(names, vectors=names.vectors * 1e150)
+        return names
+
+    monkeypatch.setattr(nameblind.cli._Pipeline, "dataset_for_seed",
+                        failing_dataset)
+    monkeypatch.setattr(nameblind.training, "batch_name_vectors",
+                        diverging_names)
+    data, schema, embeddings = tiny_tabular
+    lambdas = (["--lambdas", "0", "1e200"] if command == "sweep"
+               else ["--lambda", "1e200"])
+    out = tmp_path / "out"
+    runs = []
+    for count in (1, 2, 3):
         monkeypatch.setattr(nameblind.training, "usable_cpus",
                             lambda count=count: count)
-        out = tmp_path / f"workers{count}"
-        assert main([*argv, "--out", str(out)]) == 0
-        swept.append((out / "sweep.csv").read_bytes())
-    assert swept[0] == swept[1]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([command, "--data", str(data), "--schema", str(schema),
+                       "--embeddings", str(embeddings), "--variant", "cocl",
+                       *lambdas, "--seeds", "0", "1", "2", "--epochs", "2",
+                       "--out", str(out)])
+        runs.append((rc, capsys.readouterr().err, outputs_of(out)))
+        assert_no_child_remains()
+        shutil.rmtree(out, ignore_errors=True)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    rc, err, written = runs[0]
+    if "diverges" in failures:
+        assert rc == 3
+        # the sweep's first batch of epoch 2; train's epoch-1 history
+        assert err.startswith("numerical failure: non-finite loss at epoch "
+                              + ("2, batch 1: lambda=1e+200, total=inf"
+                                 if command == "sweep" else "1: base="))
+    else:
+        assert (rc, err) == (1, "error: seed 2's setup failed\n")
+    if command == "sweep":
+        assert written is None  # a run that wrote no file leaves no --out
+    else:
+        before = 1 if "diverges" in failures else 2
+        assert sorted(written) == sorted(
+            name for seed in range(before)
+            for name in (f"model_seed{seed}.txt", f"history_seed{seed}.csv",
+                         f"bias_report_seed{seed}.csv"))
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_run_that_fails_before_writing_removes_the_out_it_made(
+        existed, tmp_path, capsys):
+    # seed 0's two test records share one group value: the bias report
+    # fails after the fit, before any file is written
+    data, schema = tmp_path / "nine.csv", tmp_path / "schema.txt"
+    data.write_text("num,grp,label\n" + "".join(
+        f"{i}.5,{'b' if i == 4 else 'a'},{'y' if i % 2 else 'n'}\n"
+        for i in range(9)), encoding="utf-8")
+    schema.write_text("num continuous\ngrp categorical group=a\n"
+                      "label label\n", encoding="utf-8")
+    out = tmp_path / "made" / "out"
+    if existed:
+        out.mkdir(parents=True)
+    rc = main(["train", "--data", str(data), "--schema", str(schema),
+               "--variant", "none", "--seeds", "0", "--epochs", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "no attribute has any defined gap" in capsys.readouterr().err
+    # the directories this run made are gone; one that was there stays
+    assert out.exists() == existed
+    assert (tmp_path / "made").exists() == existed
+    if existed:
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("lambdas", [["0", "1e200"], ["1e200", "0"]],
@@ -1883,8 +2011,9 @@ def test_exit_codes_follow_the_input_order(case, code, message, tiny_tabular,
     err = capsys.readouterr().err
     if message is not None:
         assert message in err
-    # --out is made only once every input has been read
-    assert (tmp_path / "out").exists() == (code in (0, 3))
+    # --out is made only once every input has been read, and a run that
+    # fails before writing a file removes it again
+    assert (tmp_path / "out").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("command", [
@@ -2030,6 +2159,73 @@ class PlaceholderPaths(dict):
 
     def __missing__(self, name):
         return Path("inputs", name)
+
+
+def replace_everywhere(monkeypatch, fn, replacement):
+    """Put replacement at every nameblind module name that holds fn, as
+    bench/tracing.py's replace_functions does."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name == "nameblind" or name.startswith("nameblind."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_each_seed_is_set_up_here_in_seed_order(command, tmp_path,
+                                                monkeypatch):
+    # bench/child.py times setup_s up to the first train call (a run that
+    # never makes it fails) and captures k-means in the calling process,
+    # one call per seed; bench/tracing.py reads each train call's config
+    # and result. So, with seeds fitted in forked workers, every seed's
+    # dataset, train call and k-means still happen here, in seed order
+    import nameblind.cli
+    import nameblind.training
+    from nameblind.training import TrainConfig, train_val_test_split
+
+    events, train_rows = [], []
+    dataset_for_seed = nameblind.cli._Pipeline.dataset_for_seed
+    train, kmeans = nameblind.training.train, nameblind.training.kmeans
+
+    def traced_dataset(self, seed):
+        events.append(("dataset", seed, os.getpid()))
+        return dataset_for_seed(self, seed)
+
+    def traced_train(*args, **kwargs):
+        config = args[2] if len(args) > 2 else kwargs["config"]
+        assert isinstance(config, TrainConfig)
+        events.append(("train", config.seed, os.getpid()))
+        result = train(*args, **kwargs)
+        train_rows.append(result.split[0])
+        return result
+
+    def traced_kmeans(points, *args, **kwargs):
+        events.append(("kmeans", kwargs["seed"], os.getpid()))
+        return kmeans(points, *args, **kwargs)
+
+    monkeypatch.setattr(nameblind.cli._Pipeline, "dataset_for_seed",
+                        traced_dataset)
+    replace_everywhere(monkeypatch, train, traced_train)
+    replace_everywhere(monkeypatch, kmeans, traced_kmeans)
+    monkeypatch.setattr(nameblind.training, "usable_cpus", lambda: 2)
+    data, first_white, first_male, vectors = write_text_inputs(tmp_path)
+    lambdas = (["--lambdas", "0", "2"] if command == "sweep"
+               else ["--lambda", "2"])
+    assert main([command, "--data", str(data), "--format", "text",
+                 "--embeddings", str(vectors),
+                 "--names-demographics", str(first_white), str(first_male),
+                 "--min-count", "1", "--top-fraction", "0",
+                 "--variant", "clucl", "--k", "3", *lambdas,
+                 "--seeds", "0", "1", "2", "--epochs", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    here = os.getpid()
+    assert events == [(event, seed, here) for seed in (0, 1, 2)
+                      for event in ("dataset", "train", "kmeans")]
+    assert len(train_rows) == 3
+    for seed, rows in enumerate(train_rows):
+        assert np.array_equal(rows, train_val_test_split(80, seed)[0])
 
 
 def test_every_benchmark_argv_is_accepted(monkeypatch):

@@ -34,13 +34,16 @@ def test_package_imports_only_stdlib_and_numpy():
 # entry points and what the acceptance suite imports or calls
 # (BiasReport.get), and the dataclass fields an outside reader needs:
 # TrainResult.split (the README quick start and bench/tracing.py's row
-# count), GridResult.split and ClusterModel.iterations_run (bench/tracing.py)
+# count), GridResult.fits (the README quick start; the commands hand their
+# fits to a training.FitQueue), GridResult.split and
+# ClusterModel.iterations_run (bench/tracing.py)
 # and ClusterModel.inertia_history (the k-means acceptance criterion and
 # bench/child.py's capture).
 KEEP = {
     "load_tabular", "clucl_penalty", "cocl_penalty",
     "penalty_value", "penalty_gradient", "predict_batch", "BiasReport.get",
-    "TrainResult.split", "GridResult.split", "ClusterModel.iterations_run",
+    "TrainResult.split", "GridResult.fits", "GridResult.split",
+    "ClusterModel.iterations_run",
     "ClusterModel.inertia_history",
 }
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nameblind import clustering, losses, training
+from nameblind.cli import main
 from nameblind.clustering import kmeans
 from nameblind.data import BinaryRows, Dataset, fit_text, parse_text
 from nameblind.embeddings import EmbeddingTable, NameTable, batch_name_vectors
@@ -34,6 +35,7 @@ from nameblind.training import (
 )
 
 from oracles import densify
+from synth_benchmark import write_benchmark_files
 
 
 def scalar_config(**kwargs):
@@ -605,7 +607,7 @@ def test_grid_builds_one_penalty_table_per_batch(monkeypatch):
     assert calls == ([64, 64] * 3 + [48, 48] + [240, 240]) * 2
 
 
-def test_one_lambda_never_forks(monkeypatch):
+def test_one_lambda_never_forks(monkeypatch, tmp_path):
     def fork():
         raise AssertionError("os.fork called")
 
@@ -616,6 +618,17 @@ def test_one_lambda_never_forks(monkeypatch):
                          batch_size=64)
     train(dataset, toy_table(dataset.first_names[::3]), config)
     train(dataset, toy_table(dataset.first_names[::3]), config, lams=[2.0])
+    # nor does a one-seed train command, nor any command at one CPU
+    data, schema, embeddings = write_benchmark_files(tmp_path, seed=0)
+    inputs = ["--data", str(data), "--schema", str(schema),
+              "--embeddings", str(embeddings), "--variant", "cocl",
+              "--epochs", "1", "--out", str(tmp_path / "out")]
+    for cpus, command in (
+            (4, ["train", "--lambda", "1", "--seeds", "0"]),
+            (1, ["train", "--lambda", "1", "--seeds", "0", "1", "2"]),
+            (1, ["sweep", "--lambdas", "0", "1", "2", "--seeds", "0", "1"])):
+        pin_workers(monkeypatch, cpus)
+        assert main([*command, *inputs]) == 0
 
 
 def test_a_worker_group_skips_its_tables_when_its_lambdas_are_zero(
@@ -710,6 +723,54 @@ def test_an_interrupt_here_terminates_and_reaps_the_workers():
         training._fit_groups(fit, [[0], [1], [2]])
     assert time.monotonic() - start < 30
     assert_no_child_remains()
+
+
+def test_a_queue_collects_its_calls_in_order_with_at_most_cpus_fitting(
+        monkeypatch):
+    # four one-group calls at two CPUs: the first three fitted in workers,
+    # the last here, never more than two fits at once, each call collected
+    # in call order
+    def fit(group):
+        start = time.monotonic()
+        time.sleep(0.2)
+        return [(group[0], os.getpid(), start, time.monotonic())]
+
+    collected = []
+    pin_workers(monkeypatch, 2)
+    with training.FitQueue(4, None, lambda index, values:
+                           collected.append((index, *values))) as queue:
+        for call in range(4):
+            queue.submit(fit, [[call]])
+    assert [index for index, *_ in collected] == [0, 1, 2, 3]
+    spans = [span for _, span in collected]
+    assert [call for call, *_ in spans] == [0, 1, 2, 3]
+    assert [pid == os.getpid() for _, pid, _, _ in spans] == [False] * 3 + [True]
+    for _, _, start, _ in spans:
+        assert sum(s <= start < e for _, _, s, e in spans) <= 2
+    assert_no_child_remains()
+
+
+def test_a_finish_failure_ranks_after_every_fit_failure(monkeypatch):
+    # in one process the lockstep fit of every lambda comes before any
+    # finish, so when lambda 1e200 diverges in the worker's group, that is
+    # the failure, though finish fails first on the caller's lambda-0 fit
+    def finish(dataset, fit):
+        raise ValueError("finish failed")
+
+    dataset = separable_dataset(n=300)
+    huge = toy_table(dataset.first_names[::3])
+    huge = EmbeddingTable(huge.dimension, {name: vector * 1e150 for name,
+                                           vector in huge.entries.items()})
+    config = TrainConfig(variant="cocl", epochs=2, seed=5, batch_size=64)
+    for cpus in (1, 2):
+        pin_workers(monkeypatch, cpus)
+        with (pytest.raises(NumericalError, match="lambda=1e\\+200") as info,
+              np.errstate(over="ignore", invalid="ignore"),
+              training.FitQueue(1, finish, None) as queue):
+            train(dataset, huge, config, lams=[0.0, 1e200], history=False,
+                  queue=queue)
+        assert info.value.at[0] <= config.epochs
+        assert_no_child_remains()
 
 
 def test_forward_rows_matches_forward_batch():
