@@ -43,6 +43,7 @@ from .data import (
     white_probabilities,
 )
 from .embeddings import batch_name_vectors, load_embeddings
+from .losses import VARIANTS
 from .metrics import (
     GroupAttribute,
     GroupLabels,
@@ -52,7 +53,7 @@ from .metrics import (
     summary_values,
     write_bias_report_csv,
 )
-from .model import load_model, save_model
+from .model import load_model, model_text
 from .training import (
     FitQueue,
     NumericalError,
@@ -150,8 +151,10 @@ def _as_float_fields(value, hint):
 
 def _spec_from_args(args) -> tuple[ExperimentSpec, set[str]]:
     """The run's spec, and the settings it takes: the command's options
-    that its data format and name tables read. Any other setting, from a
-    flag or the config file, is a ValueError before any input is read."""
+    that its data format, name tables, variant and penalty strengths read
+    (--embeddings only with a penalty on, --k only with clucl's). Any other
+    setting, from a flag or the config file, is a ValueError before any
+    input is read."""
     values: dict = {}
     fields = ExperimentSpec.__dataclass_fields__
     if getattr(args, "config", None):
@@ -181,6 +184,15 @@ def _spec_from_args(args) -> tuple[ExperimentSpec, set[str]]:
         unread |= {"race_attr", "gender_attr"}
     if fmt == "tabular" and args.command == "evaluate":  # reads group columns
         unread.add("names_demographics")
+    variant = values.get("variant", "none")
+    if args.command in ("train", "sweep") and variant in VARIANTS:
+        lams = (values.get("lambdas", []) if args.command == "sweep"
+                else [values.get("lam", 0.0)])
+        # the name vectors are read only with a penalty on, k by clucl's
+        if variant == "none" or (lams and all(lam == 0 for lam in lams)):
+            unread |= {"embeddings", "k"}
+        elif variant == "cocl":
+            unread.add("k")
     settings = (set(vars(args)) - unread).intersection(fields)
     refused = sorted(set(values) - settings)
     if refused:
@@ -228,7 +240,7 @@ class _Pipeline:
             _require_file(spec.schema, "schema file")
         demographics = [_require_file(p, "name-demographics table")
                         for p in spec.names_demographics]
-        if need_embeddings or spec.embeddings:
+        if need_embeddings:
             _require_file(spec.embeddings, "embeddings file")
         self.model = load_model(model_path) if model_path else None
         schema = TabularSchema.load(spec.schema) if tabular else None
@@ -359,13 +371,14 @@ def _fit_seeds(pipeline: _Pipeline, lams, out: Path | None = None):
     FitQueue then fits the seed's lambdas in lockstep, in a forked worker
     while this process goes on to the next seed, the last seed here
     (training.FitQueue). The process that fits a seed also computes its
-    bias reports. With out (cmd_train, one lambda), each seed's model,
-    history and bias report files are written there, by this process, in
-    seed order as the seeds are collected; without it (cmd_sweep) train
-    records no per-epoch history. A failure is the earliest failing
-    seed's, after the files of every seed before it are written, as in a
-    run that fits one seed after another. Each seed's dataset is freed
-    here before the next seed's is built.
+    bias reports and, with out, its model file's text (model.model_text).
+    With out (cmd_train, one lambda), each seed's model, history and bias
+    report files are written there, by this process, in seed order as the
+    seeds are collected; without it (cmd_sweep) train records no
+    per-epoch history. A failure is the earliest failing seed's, after
+    the files of every seed before it are written, as in a run that fits
+    one seed after another. Each seed's dataset is freed here before the
+    next seed's is built.
     """
     spec = pipeline.spec
     reports = []
@@ -374,17 +387,17 @@ def _fit_seeds(pipeline: _Pipeline, lams, out: Path | None = None):
         report = _bias_report(fit.params, dataset, fit.split[2])
         if out is None:
             return report
-        return (report, fit.params, fit.history, dataset.feature_names,
-                dataset.class_names)
+        return (report, model_text(fit.params, dataset.feature_names,
+                                   dataset.class_names), fit.history)
 
     def collect(index, values):  # here, in seed order
         if out is None:
             reports.append(values)
             return
-        ((report, params, history, feature_names, class_names),) = values
+        ((report, text, history),) = values
         model, history_csv, bias = (out / name
                                     for name in _seed_files(spec.seeds[index]))
-        save_model(params, feature_names, class_names, model)
+        model.write_text(text, encoding="utf-8")
         write_history_csv(history, history_csv)
         write_bias_report_csv(report, bias)
         reports.append([report])

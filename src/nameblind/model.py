@@ -216,11 +216,11 @@ def _layout(num_classes: int, num_features: int) -> list[str]:
             + ["feature"] * num_features + ["W"] * num_classes + ["b"])
 
 
-def save_model(params: ModelParams, feature_names, class_names, path) -> None:
-    """Write the model as its tag and one "key value" line per _layout key,
-    17 significant digits per W and b value."""
+def model_text(params: ModelParams, feature_names, class_names) -> str:
+    """The model file's text: its tag and one "key value" line per _layout
+    key, 17 significant digits per W and b value."""
     if params.W.ndim != 2:
-        raise ValueError("save_model writes one model, not a stack")
+        raise ValueError("a model file holds one model, not a stack")
     if len(class_names) != params.num_classes:
         raise ValueError("need one class name per class")
     if len(feature_names) != params.num_features:
@@ -231,10 +231,16 @@ def save_model(params: ModelParams, feature_names, class_names, path) -> None:
     rows = [" ".join([f"{v:.17g}" for v in row])
             for row in params.W.tolist() + [params.b.tolist()]]
     values = [params.num_classes, params.num_features, *names, *rows]
+    return "".join([f"{MODEL_FILE_TAG}\n"]
+                   + [f"{key} {value}\n" for key, value
+                      in zip(_layout(*params.W.shape), values)])
+
+
+def save_model(params: ModelParams, feature_names, class_names, path) -> None:
+    """Write model_text(params, feature_names, class_names) to path."""
+    text = model_text(params, feature_names, class_names)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODEL_FILE_TAG + "\n")
-        for key, value in zip(_layout(*params.W.shape), values):
-            fh.write(f"{key} {value}\n")
+        fh.write(text)
 
 
 def load_model(path):

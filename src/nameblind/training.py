@@ -215,9 +215,12 @@ def train(dataset, embeddings: EmbeddingTable | None, config: TrainConfig,
     strengths are split into min(len(lams), queue.share) groups and
     handed to queue.submit once the setup above is done, in this process:
     each fit is replaced by queue.finish(dataset, fit), computed in the
-    process that fitted it, which the queue collects, and train returns
-    a GridResult of this split with no fits. A failure of finish ranks
-    after every failure of the fits (its at is (epochs + 1,)).
+    process that fitted it (for the commands, the bias report and the
+    model file's text), which the queue collects, and train returns a
+    GridResult of this split with no fits, while up to usable_cpus()
+    workers may still be fitting this call and earlier ones. A failure
+    of finish ranks after every failure of the fits (its at is
+    (epochs + 1,)).
     """
     grid = lams is not None
     # replace re-runs TrainConfig's checks on each strength
@@ -378,14 +381,17 @@ class FitQueue:
     one, except a call's first group when the call is the last one or
     there is one usable CPU: this process fits that one itself, after
     forking the call's other groups. So with one CPU, or one call of one
-    group, nothing forks. At most usable_cpus() processes work at once,
-    this one included: before a fork, while usable_cpus() - 1 workers
-    run and the oldest belongs to an earlier call, this process waits for
-    the oldest. A worker is a copy of this process, its pages shared
-    copy-on-write, so a fit may close over anything the call's setup
-    built. It pickles the fit's result, or whatever the fit raised, into
-    a pipe and leaves by os._exit (_serve): it never returns into the
-    caller.
+    group, nothing forks. At most usable_cpus() workers run at once:
+    before a fork, while usable_cpus() workers run and the oldest belongs
+    to an earlier call, this process waits for the oldest. This process
+    is not counted, since until the last call it only runs setups and
+    waits; its own fit of the last call's first group runs beside the
+    workers left, which evens out a number of calls that the CPUs do not
+    divide (3 calls on 2 CPUs take about 1.5 fits' time, not 2). A worker
+    is a copy of this process, its pages shared copy-on-write, so a fit
+    may close over anything the call's setup built. It pickles the fit's
+    result, or whatever the fit raised, into a pipe and leaves by
+    os._exit (_serve): it never returns into the caller.
 
     finish(dataset, fit), which train calls, is what the process that
     fitted a TrainResult sends back in its place. Once every group of a
@@ -456,7 +462,7 @@ class FitQueue:
             raise
 
     def _fork(self, fit, group, call, i) -> None:
-        while (len(self._workers) >= self._cpus - 1
+        while (len(self._workers) >= self._cpus
                and self._workers[0][2] is not call):
             self._reap()
             self._resolve()

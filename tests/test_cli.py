@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import shutil
@@ -83,9 +84,8 @@ def test_train_outputs_and_summary_layout(tiny_tabular, tmp_path):
     rc = main(
         [
             "train", "--data", str(data), "--schema", str(schema),
-            "--embeddings", str(embeddings), "--variant", "none",
-            "--lambda", "0", "--seeds", "0", "1", "--epochs", "2",
-            "--out", str(out),
+            "--variant", "none", "--lambda", "0", "--seeds", "0", "1",
+            "--epochs", "2", "--out", str(out),
         ]
     )
     assert rc == 0
@@ -342,8 +342,8 @@ def test_non_finite_hyperparameter_exit_1(command, option, values,
     monkeypatch.setattr(nameblind.cli, "train", no_fit)
     data, schema, embeddings = tiny_tabular
     out = tmp_path / "out"
-    grid = [] if option == "--lambdas" else (
-        ["--lambdas", "0", "1"] if command == "sweep" else [])
+    grid = [] if option in ("--lambda", "--lambdas") else (
+        ["--lambdas", "0", "1"] if command == "sweep" else ["--lambda", "1"])
     rc = main([command, "--data", str(data), "--schema", str(schema),
                "--embeddings", str(embeddings), "--variant", "cocl",
                "--seeds", "0", "--epochs", "1", *grid, option, *values,
@@ -397,7 +397,8 @@ def test_out_of_range_pruning_exit_1_before_any_input(
     # fit_text's checks run when the spec is made, before --out is made
     data, first_white, first_male, embeddings = write_text_inputs(tmp_path)
     out = tmp_path / "out"
-    extra = {"train": ["--lambda", "1"], "sweep": ["--lambdas", "0", "1"],
+    extra = {"train": ["--variant", "cocl", "--lambda", "1"],
+             "sweep": ["--variant", "cocl", "--lambdas", "0", "1"],
              "evaluate": ["--model", str(tmp_path / "model.txt")],
              "cluster-report": ["--k", "2"]}[command]
     if command != "evaluate":
@@ -668,7 +669,13 @@ def _sweep_and_train_rows(argv, lambdas, seeds, tmp_path):
     trained = []
     for i, lam in enumerate(lambdas):
         out = tmp_path / f"train{i}"
-        assert main(["train", *argv, *seed_args, "--lambda", lam,
+        options = list(argv)
+        # a train at lambda 0 takes neither the vectors nor k
+        for option in ("--embeddings", "--k") if float(lam) == 0 else ():
+            if option in options:
+                i = options.index(option)
+                del options[i:i + 2]
+        assert main(["train", *options, *seed_args, "--lambda", lam,
                      "--out", str(out)]) == 0
         trained += [r[1:] for r in read_csv_rows(out / "summary.csv")[1:]
                     if r[2] != "mean"]
@@ -702,7 +709,8 @@ def assert_no_child_remains():
 @pytest.mark.parametrize("workers", [2, 3])
 def test_sweep_csv_is_the_same_bytes_in_one_or_more_processes(
         workers, tiny_tabular, tmp_path, monkeypatch):
-    # three seeds, fitted one after another or concurrently: sweep.csv,
+    # three or four seeds, fitted one after another or concurrently (four
+    # on two CPUs: a fork waits for an earlier seed's worker): sweep.csv,
     # and train's model, history, bias report and summary files, are the
     # same bytes, on dense rows with cocl and on text with clucl
     import nameblind.training
@@ -723,20 +731,22 @@ def test_sweep_csv_is_the_same_bytes_in_one_or_more_processes(
     commands = [["sweep", "--lambdas", "0", "0.5", "2"],
                 ["train", "--lambda", "0.5"]]
     out = tmp_path / "out"
-    for argv in inputs:
-        for command in commands:
-            outputs = []
-            for count in (1, workers):
-                monkeypatch.setattr(nameblind.training, "usable_cpus",
-                                    lambda count=count: count)
-                shutil.rmtree(out, ignore_errors=True)
-                assert main([*command, *argv, "--seeds", "0", "1", "2",
-                             "--epochs", "3", "--lr", "0.05",
-                             "--batch-size", "16", "--out", str(out)]) == 0
-                outputs.append(outputs_of(out))
-                assert_no_child_remains()
-            assert len(outputs[0]) == (2 if command[0] == "sweep" else 11)
-            assert outputs[0] == outputs[1]
+    for argv, command, seeds in itertools.product(inputs, commands,
+                                                  (["0", "1", "2"],
+                                                   ["0", "1", "2", "3"])):
+        outputs = []
+        for count in (1, workers):
+            monkeypatch.setattr(nameblind.training, "usable_cpus",
+                                lambda count=count: count)
+            shutil.rmtree(out, ignore_errors=True)
+            assert main([*command, *argv, "--seeds", *seeds,
+                         "--epochs", "3", "--lr", "0.05",
+                         "--batch-size", "16", "--out", str(out)]) == 0
+            outputs.append(outputs_of(out))
+            assert_no_child_remains()
+        assert len(outputs[0]) == (2 if command[0] == "sweep"
+                                   else 3 * len(seeds) + 2)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("failures", [
@@ -748,7 +758,9 @@ def test_a_failing_seed_fails_the_run_as_in_one_process(
     # seed 1 diverges while seed 2 is in flight, or seed 2's setup raises
     # while seed 1 is: the run exits as the one-CPU run does, with the
     # earliest failing seed's code and message, leaves the same files in
-    # --out (the seeds' before it, for train) and no process
+    # --out (the seeds' before it, for train) and no process; so does a
+    # four-seed run, at one CPU and at two, where seed 2's fork waits for
+    # seed 0's worker
     import nameblind.cli
     import nameblind.training
 
@@ -778,18 +790,18 @@ def test_a_failing_seed_fails_the_run_as_in_one_process(
                else ["--lambda", "1e200"])
     out = tmp_path / "out"
     runs = []
-    for count in (1, 2, 3):
+    for count, seeds in ((1, 3), (2, 3), (3, 3), (1, 4), (2, 4)):
         monkeypatch.setattr(nameblind.training, "usable_cpus",
                             lambda count=count: count)
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main([command, "--data", str(data), "--schema", str(schema),
                        "--embeddings", str(embeddings), "--variant", "cocl",
-                       *lambdas, "--seeds", "0", "1", "2", "--epochs", "2",
-                       "--out", str(out)])
+                       *lambdas, "--seeds", *map(str, range(seeds)),
+                       "--epochs", "2", "--out", str(out)])
         runs.append((rc, capsys.readouterr().err, outputs_of(out)))
         assert_no_child_remains()
         shutil.rmtree(out, ignore_errors=True)
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs[1:] == [runs[0]] * 4
     rc, err, written = runs[0]
     if "diverges" in failures:
         assert rc == 3
@@ -1070,10 +1082,11 @@ def test_weights_report_penalty_shrinks_proxy_weight(benchmark_files, tmp_path):
     got = {}
     for lam in ("0", "2"):
         out = tmp_path / f"lam{lam}"
+        vectors = ["--embeddings", str(embeddings)] if lam != "0" else []
         rc = main(
             [
                 "train", "--data", str(data), "--schema", str(schema),
-                "--embeddings", str(embeddings), "--variant", "cocl",
+                *vectors, "--variant", "cocl",
                 "--lambda", lam, "--seeds", "0", "--epochs", "30",
                 "--lr", "0.05", "--out", str(out),
             ]
@@ -1247,13 +1260,24 @@ def test_a_flag_of_the_other_data_format_exit_1(fmt, tiny_tabular, tmp_path,
     pytest.param("tabular", "train", "names_demographics", 3,
                  "--names-demographics on tabular data takes "
                  "first-name-white, first-name-male", id="third-tabular-table"),
+    pytest.param("tabular", "train", "k", 3, "a tabular train takes no 'k'",
+                 id="cocl-train-k"),
+    pytest.param("text", "sweep", "k", 3, "a text sweep takes no 'k'",
+                 id="cocl-sweep-k"),
+    pytest.param("tabular", "train", "embeddings", None,
+                 "a tabular train takes no 'embeddings'",
+                 id="lambda-0-embeddings"),
+    pytest.param("text", "sweep", "embeddings", None,
+                 "a text sweep takes no 'embeddings'",
+                 id="no-variant-embeddings"),
 ])
 def test_a_setting_that_nothing_reads_exit_1(fmt, command, key, value,
                                              message, source, tiny_tabular,
                                              tmp_path, capsys, count_opens):
     # only tabular data's synthetic-name draw reads the attribute names, and
     # it reads two name tables; a tabular evaluate reports on the CSV's own
-    # group columns, so it takes no name table
+    # group columns, so it takes no name table; only clucl reads k, and
+    # only a penalty the name vectors
     data, schema, embeddings = tiny_tabular
     tables = write_name_tables(tmp_path)
     if fmt == "text":
@@ -1266,13 +1290,17 @@ def test_a_setting_that_nothing_reads_exit_1(fmt, command, key, value,
              "sweep": ["--variant", "cocl", "--lambdas", "0", "1"],
              "cluster-report": ["--k", "2"],
              "evaluate": ["--model", str(tmp_path / "model.txt")]}[command]
-    if command != "evaluate":
+    if key == "embeddings":  # no penalty on: every lambda 0, or no variant
+        argv += {"train": ["--lambda", "0"],
+                 "sweep": ["--variant", "none"]}[command]
+        value = str(embeddings)
+    elif command != "evaluate":
         argv += ["--embeddings", str(embeddings)]
     if key == "names_demographics":
         value = list(map(str, [*tables, tables[0]][:value]))
     if source == "flag":
         argv += [f"--{key.replace('_', '-')}",
-                 *(value if isinstance(value, list) else [value])]
+                 *(value if isinstance(value, list) else [str(value)])]
     else:
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({key: value}), encoding="utf-8")
@@ -1310,8 +1338,9 @@ def test_an_ambiguous_name_table_line_exit_1(line, message, tmp_path, capsys,
 def test_a_manifest_echoes_the_settings_its_run_takes(command, fmt,
                                                       tiny_tabular, tmp_path):
     # so its spec reruns as --config of the same command, to the same bytes;
-    # no run without name tables takes --race-attr or --gender-attr, and no
-    # evaluate takes --embeddings, or on tabular data name tables
+    # no run without name tables takes --race-attr or --gender-attr, no
+    # evaluate takes --embeddings, or on tabular data name tables, and no
+    # cocl run --k
     if fmt == "tabular":
         data, schema, embeddings = tiny_tabular
         inputs = ["--data", str(data), "--schema", str(schema)]
@@ -1325,8 +1354,7 @@ def test_a_manifest_echoes_the_settings_its_run_takes(command, fmt,
     want |= {"data", "format", "names_demographics", "out"}
     inputs += ["--seeds", "0"]
     vectors = ["--embeddings", str(embeddings)]
-    fit = {"embeddings", "variant", "k", "seeds", "epochs", "batch_size", "lr",
-           "l2"}
+    fit = {"embeddings", "variant", "seeds", "epochs", "batch_size", "lr", "l2"}
     model = tmp_path / "fit" / "model_seed0.txt"
     extra, takes = {
         "train": ([*vectors, "--variant", "cocl", "--lambda", "1",
@@ -1355,6 +1383,30 @@ def test_a_manifest_echoes_the_settings_its_run_takes(command, fmt,
     assert main([command, "--config", str(config_path), *model_flag]) == 0
     runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("variant, lam, takes", [
+    ("none", "0", set()), ("cocl", "0", set()), ("clucl", "0", set()),
+    ("cocl", "1", {"embeddings"}), ("clucl", "1", {"embeddings", "k"}),
+], ids=["none", "cocl-lambda-0", "clucl-lambda-0", "cocl", "clucl"])
+def test_a_fit_takes_k_and_the_vectors_only_where_they_are_read(
+        variant, lam, takes, tiny_tabular, tmp_path, capsys):
+    # only a penalty reads the name vectors, and only clucl's k: a run
+    # without one refuses the setting, and its manifest does not echo it
+    data, schema, embeddings = tiny_tabular
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(data), "--schema", str(schema),
+            "--variant", variant, "--lambda", lam, "--seeds", "0",
+            "--epochs", "1", "--out", str(out)]
+    given = {"embeddings": ["--embeddings", str(embeddings)], "k": ["--k", "2"]}
+    for key in given.keys() - takes:
+        assert main([*argv, *given[key]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a tabular train takes no {key!r}\n")
+        assert not out.exists()
+    assert main([*argv, *(flag for key in takes for flag in given[key])]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(given) & set(manifest["spec"]) == takes
 
 
 def test_truncated_model_exit_1(tiny_tabular, tmp_path, capsys):
@@ -2043,7 +2095,7 @@ def test_every_named_file_is_found_before_any_is_parsed(
     data, schema, embeddings = tiny_tabular
     files = {"--data": data, "--schema": schema, "--embeddings": embeddings}
     bad = tmp_path / "bad.txt"
-    argv = ["train", "--variant", "none", "--epochs", "1"]
+    argv = ["train", "--variant", "cocl", "--lambda", "1", "--epochs", "1"]
     if case == "schema":
         bad.write_text(schema.read_text(encoding="utf-8").replace(
             "income label", "income labelx"), encoding="utf-8")
@@ -2081,7 +2133,8 @@ def test_non_finite_embedding_component_exit_1(variant, tiny_tabular, tmp_path,
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rc = main([
         "train", "--data", str(data), "--schema", str(schema),
-        "--embeddings", str(bad), "--variant", variant, "--k", "2",
+        "--embeddings", str(bad), "--variant", variant,
+        *(["--k", "2"] if variant == "clucl" else []),
         "--lambda", "1", "--seeds", "0", "--epochs", "1",
         "--out", str(tmp_path / "out"),
     ])

@@ -38,9 +38,11 @@ def test_package_imports_only_stdlib_and_numpy():
 # fits to a training.FitQueue), GridResult.split and
 # ClusterModel.iterations_run (bench/tracing.py)
 # and ClusterModel.inertia_history (the k-means acceptance criterion and
-# bench/child.py's capture).
+# bench/child.py's capture). save_model is the README's way to write a model
+# file; the train command writes the model_text that a seed's fitting
+# process rendered.
 KEEP = {
-    "load_tabular", "clucl_penalty", "cocl_penalty",
+    "load_tabular", "save_model", "clucl_penalty", "cocl_penalty",
     "penalty_value", "penalty_gradient", "predict_batch", "BiasReport.get",
     "TrainResult.split", "GridResult.fits", "GridResult.split",
     "ClusterModel.iterations_run",

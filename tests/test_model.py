@@ -11,6 +11,7 @@ from nameblind.model import (
     forward_batch,
     load_model,
     loss_and_gradient,
+    model_text,
     objective,
     predict_batch,
     save_model,
@@ -361,6 +362,21 @@ def test_save_model_writes_numpy_scalar_formatting(tmp_path):
     with pytest.raises(ValueError, match="stack"):
         save_model(ModelParams(params.W[None], params.b[None]),
                    [f"f{i}" for i in range(5)], ["lo", "hi"], path)
+
+
+def test_model_text_is_the_bytes_save_model_writes(tmp_path):
+    # the train command writes the text that a seed's fitting process
+    # rendered, so it must be save_model's file to the byte
+    rng = np.random.default_rng(7)
+    classes, features = ["lo", "h\u00e9"], ["f\x0c0", "f\u20281", "", "x y"]
+    params = ModelParams(W=rng.normal(size=(2, 4)), b=rng.normal(size=2))
+    path = tmp_path / "model.txt"
+    save_model(params, features, classes, path)
+    text = model_text(params, features, classes)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert load_model(path)[1:] == (features, classes)
+    with pytest.raises(ValueError, match="line break"):
+        model_text(params, ["a\rb", *features[1:]], classes)
 
 
 def test_load_model_rejects_garbage(tmp_path):

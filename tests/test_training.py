@@ -725,29 +725,76 @@ def test_an_interrupt_here_terminates_and_reaps_the_workers():
     assert_no_child_remains()
 
 
-def test_a_queue_collects_its_calls_in_order_with_at_most_cpus_fitting(
-        monkeypatch):
-    # four one-group calls at two CPUs: the first three fitted in workers,
-    # the last here, never more than two fits at once, each call collected
-    # in call order
-    def fit(group):
-        start = time.monotonic()
-        time.sleep(0.2)
-        return [(group[0], os.getpid(), start, time.monotonic())]
+def span_fit(tmp_path, waits=None):
+    """A one-group fit that returns its call's (call, pid, start, end):
+    it sleeps 0.2 s, after waiting up to 10 s for the fit of call
+    waits[call], if any, to have started."""
+    waits = waits or {}
 
+    def fit(group):
+        (call,) = group
+        start = time.monotonic()
+        (tmp_path / f"started{call}").touch()
+        partner = tmp_path / f"started{waits.get(call)}"
+        while (call in waits and not partner.exists()
+               and time.monotonic() < start + 10):
+            time.sleep(0.01)
+        time.sleep(0.2)
+        return [(call, os.getpid(), start, time.monotonic())]
+
+    return fit
+
+
+def queue_spans(calls, fit):
+    """Submit calls one-group calls to a FitQueue: the spans it collects,
+    each with its call's index."""
     collected = []
-    pin_workers(monkeypatch, 2)
-    with training.FitQueue(4, None, lambda index, values:
+    with training.FitQueue(calls, None, lambda index, values:
                            collected.append((index, *values))) as queue:
-        for call in range(4):
+        for call in range(calls):
             queue.submit(fit, [[call]])
-    assert [index for index, *_ in collected] == [0, 1, 2, 3]
+    assert [index for index, *_ in collected] == list(range(calls))
     spans = [span for _, span in collected]
-    assert [call for call, *_ in spans] == [0, 1, 2, 3]
-    assert [pid == os.getpid() for _, pid, _, _ in spans] == [False] * 3 + [True]
-    for _, _, start, _ in spans:
-        assert sum(s <= start < e for _, _, s, e in spans) <= 2
+    assert [call for call, *_ in spans] == list(range(calls))
     assert_no_child_remains()
+    return spans
+
+
+def test_a_queue_collects_its_calls_in_order_with_at_most_cpus_workers(
+        monkeypatch, tmp_path):
+    # four one-group calls at two CPUs: the first three fitted in workers,
+    # the last here, each call collected in call order. A worker is forked
+    # only once fewer than two run, and a worker reaped has ended, so at
+    # most two workers fit at once, and beside them only this process
+    pin_workers(monkeypatch, 2)
+    spans = queue_spans(4, span_fit(tmp_path))
+    here = [pid == os.getpid() for _, pid, _, _ in spans]
+    assert here == [False] * 3 + [True]
+    for _, _, start, _ in spans:
+        at_once = [s <= start < e for _, _, s, e in spans]
+        assert sum(at_once[:3]) <= 2 and sum(at_once) <= 3
+
+
+def test_the_first_two_of_four_calls_fit_at_once_on_two_cpus(monkeypatch,
+                                                               tmp_path):
+    # this process only sets up calls while they fit, so it is not
+    # counted: call 1's worker starts while call 0's runs (which waits for
+    # it; forked after call 0's ended, it would not)
+    pin_workers(monkeypatch, 2)
+    spans = queue_spans(4, span_fit(tmp_path, waits={0: 1}))
+    assert os.getpid() not in (spans[0][1], spans[1][1])
+    assert spans[1][2] < spans[0][3]
+
+
+def test_the_last_of_three_calls_fits_here_beside_two_workers(monkeypatch,
+                                                               tmp_path):
+    # three calls on two CPUs: calls 0 and 1 in workers, call 2 here at
+    # once, before either worker ends (each waits for call 2 to start)
+    pin_workers(monkeypatch, 2)
+    spans = queue_spans(3, span_fit(tmp_path, waits={0: 2, 1: 2}))
+    here = [pid == os.getpid() for _, pid, _, _ in spans]
+    assert here == [False, False, True]
+    assert spans[2][2] < min(spans[0][3], spans[1][3])
 
 
 def test_a_finish_failure_ranks_after_every_fit_failure(monkeypatch):
